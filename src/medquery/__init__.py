@@ -37,7 +37,7 @@ from .triple_store import (
     export_ntriples,
     import_ntriples,
 )
-from .wrappers import AccessLog, Table, Value, evaluate_view, fetch_table
+from .wrappers import AccessLog, Table, evaluate_view, fetch_table
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "Triple",
     "TripleStore",
     "TypedLiteral",
-    "Value",
     "build_triples",
     "check_schema",
     "convert",

@@ -70,8 +70,15 @@ def _setup_logging(level: str) -> None:
     logging.basicConfig(stream=sys.stderr, level=mapping[level], format="%(message)s")
 
 
-def _load_project(config: ProjectConfig) -> Project:
-    return parse_project(config.source_desc_path, config.schema_desc_path)
+def _satisfiable_project(config: ProjectConfig) -> Project:
+    """Parse the descriptors and refuse a schema the checker rejects."""
+    project = parse_project(config.source_desc_path, config.schema_desc_path)
+    report = check_schema(project)
+    if not report.accepted:
+        raise MedQueryError(
+            "schema is not satisfiable:\n" + "".join(f"  {f}\n" for f in report.errors)
+        )
+    return project
 
 
 # --- commands ----------------------------------------------------------------
@@ -79,7 +86,7 @@ def _load_project(config: ProjectConfig) -> Project:
 
 def cmd_validate(config: ProjectConfig, out=None) -> int:
     out = out or sys.stdout
-    project = _load_project(config)
+    project = parse_project(config.source_desc_path, config.schema_desc_path)
     report = check_schema(project)
     out.write(report.to_text())
     return 0 if report.accepted else 1
@@ -87,7 +94,7 @@ def cmd_validate(config: ProjectConfig, out=None) -> int:
 
 def cmd_show_schema(config: ProjectConfig, fmt: str, out=None) -> int:
     out = out or sys.stdout
-    project = _load_project(config)
+    project = parse_project(config.source_desc_path, config.schema_desc_path)
     if fmt == "xml":
         out.write(serialize_schema(project.schema))
     else:
@@ -97,7 +104,7 @@ def cmd_show_schema(config: ProjectConfig, fmt: str, out=None) -> int:
 
 def cmd_convert(config: ProjectConfig, sql_text: str, out=None) -> int:
     out = out or sys.stdout
-    project = _load_project(config)
+    project = parse_project(config.source_desc_path, config.schema_desc_path)
     text, _ = sql_to_rdql.convert(parse_sql(sql_text, project.schema), project.schema)
     out.write(text)
     return 0
@@ -106,12 +113,7 @@ def cmd_convert(config: ProjectConfig, sql_text: str, out=None) -> int:
 def cmd_query(config: ProjectConfig, query_text: str, lang: str, out_format: str,
               out=None) -> int:
     out = out or sys.stdout
-    project = _load_project(config)
-    report = check_schema(project)
-    if not report.accepted:
-        raise MedQueryError(
-            "schema is not satisfiable:\n" + "".join(f"  {f}\n" for f in report.errors)
-        )
+    project = _satisfiable_project(config)
     started = time.perf_counter()
     result, _, _ = execute_query(project, query_text, lang)
     elapsed_ms = round((time.perf_counter() - started) * 1000)
@@ -128,12 +130,7 @@ def cmd_query(config: ProjectConfig, query_text: str, lang: str, out_format: str
 
 def cmd_extract(config: ProjectConfig, table: str, out=None) -> int:
     out = out or sys.stdout
-    project = _load_project(config)
-    report = check_schema(project)
-    if not report.accepted:
-        raise MedQueryError(
-            "schema is not satisfiable:\n" + "".join(f"  {f}\n" for f in report.errors)
-        )
+    project = _satisfiable_project(config)
     data = materialize_required(project, [table], log=AccessLog())
     out.write(export_ntriples(build_triples(data)))
     return 0

@@ -240,8 +240,7 @@ def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
 # --- parsing ---------------------------------------------------------------
 
 
-def _load_root(path: str | Path, expected_tag: str) -> ET.Element:
-    text = Path(path).read_text(encoding="utf-8")
+def _parse_root(text: str, expected_tag: str) -> ET.Element:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -344,14 +343,7 @@ def _parse_binding(el: ET.Element, where: str) -> Binding:
 
 
 def parse_sources_xml(text: str) -> tuple[DataSourceDescriptor, ...]:
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line = exc.position[0] if exc.position else None
-        raise MalformedXmlError(str(exc.msg if hasattr(exc, "msg") else exc), line) from None
-    if root.tag != "datasources":
-        raise MalformedXmlError(f"expected root <datasources>, found <{root.tag}>")
-    return _parse_sources_root(root)
+    return _parse_sources_root(_parse_root(text, "datasources"))
 
 
 def _parse_sources_root(root: ET.Element) -> tuple[DataSourceDescriptor, ...]:
@@ -449,13 +441,10 @@ def _parse_relation(el: ET.Element, index: int) -> Relation:
 
 
 def parse_schema_xml(text: str) -> IntegratedSchema:
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line = exc.position[0] if exc.position else None
-        raise MalformedXmlError(str(exc.msg if hasattr(exc, "msg") else exc), line) from None
-    if root.tag != "schema":
-        raise MalformedXmlError(f"expected root <schema>, found <{root.tag}>")
+    return _parse_schema_root(_parse_root(text, "schema"))
+
+
+def _parse_schema_root(root: ET.Element) -> IntegratedSchema:
     name = _ident_attr(root, "name", "schema")
     _check_attrs(root, ["name"], "schema")
 
@@ -501,11 +490,8 @@ def parse_project(source_desc_path: str | Path, schema_desc_path: str | Path) ->
     relation references are left for the satisfiability checker. The result
     is immutable and independent of when or where parsing happens.
     """
-    sources_root = _load_root(source_desc_path, "datasources")
-    sources = _parse_sources_root(sources_root)
-    schema_root = _load_root(schema_desc_path, "schema")
-    # reuse the string parser on the already-validated root
-    schema = parse_schema_xml(ET.tostring(schema_root, encoding="unicode"))
+    sources = parse_sources_xml(Path(source_desc_path).read_text(encoding="utf-8"))
+    schema = parse_schema_xml(Path(schema_desc_path).read_text(encoding="utf-8"))
     project = Project(sources, schema, base_dir=str(Path(source_desc_path).resolve().parent))
     for table in schema.tables:
         for fdef in table.fields:

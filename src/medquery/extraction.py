@@ -35,7 +35,7 @@ from .errors import NoRelationPathError, TypeCoercionError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
 from .triple_store import Iri, Triple, TripleStore, TypedLiteral
-from .wrappers import AccessLog, Cell, Row, Table, Value, fetch_table
+from .wrappers import AccessLog, Cell, Row, Table, fetch_table
 
 logger = logging.getLogger(__name__)
 
@@ -200,10 +200,10 @@ class _Materializer:
     def value(self, plan: _Plan, master_row: Row, master: _Node,
               row_number: int, target: Dtype, field_name: str) -> Cell:
         raw = self._raw_value(plan, master_row, master)
-        if raw is None:
-            return None
+        if raw is None or raw.dtype is target:
+            return raw  # canonicalize is the identity on canonical input
         try:
-            return Value(canonicalize(raw.lexical, target), target)
+            return TypedLiteral(canonicalize(raw.lexical, target), target)
         except ValueError:
             raise TypeCoercionError(row_number, field_name, raw.lexical) from None
 
@@ -216,10 +216,11 @@ class _Materializer:
         if any(v is None for v in values):
             return None
         if plan.op == "concat":
-            return Value("".join(v.lexical for v in values), Dtype.STRING)
+            return TypedLiteral("".join(v.lexical for v in values), Dtype.STRING)
         total = sum(Decimal(v.lexical) for v in values)
         dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
-        return Value(canonicalize(str(total), dtype), dtype)
+        # fixed point: str() switches to exponent notation (1E-7) for small sums
+        return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)
 
     def _follow_chain(self, plan: _ChainPlan, master_row: Row, master: _Node) -> Cell:
         current_table = self.table(master)
@@ -306,5 +307,5 @@ def build_triples(data: IntegratedData) -> TripleStore:
             for cell, predicate in zip(row, predicates):
                 if cell is None:
                     continue
-                store.insert(Triple(subject, predicate, TypedLiteral(cell.lexical, cell.dtype)))
+                store.insert(Triple(subject, predicate, cell))
     return store

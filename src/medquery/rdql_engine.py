@@ -33,7 +33,7 @@ from .errors import (
     UnboundSelectVarError,
 )
 from .iris import dtype_from_iri
-from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term
+from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INTEGER_RE = re.compile(r"[+-]?\d+")
@@ -132,49 +132,24 @@ class _Scanner:
         return Var(match.group())
 
     def iri(self) -> Iri:
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            self.fail("unterminated IRI")
-        value = self.text[self.pos:end]
-        self.pos = end + 1
+        self.skip_ws()
         try:
-            return Iri(value)
+            iri, self.pos = scan_iri(self.text, self.pos)
         except ValueError as exc:
             self.fail(str(exc))
+        return iri
 
     def quoted_literal(self) -> TypedLiteral:
-        self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated literal")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                break
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    self.fail("dangling escape")
-                code = self.text[self.pos + 1]
-                mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(code)
-                if mapped is None:
-                    self.fail(f"unknown escape '\\{code}'")
-                out.append(mapped)
-                self.pos += 2
-                continue
-            out.append(ch)
-            self.pos += 1
-        dtype = Dtype.STRING
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            dtype_ref = self.iri()
-            try:
-                dtype = dtype_from_iri(dtype_ref.value)
-            except ValueError as exc:
-                self.fail(str(exc))
+        self.skip_ws()
         try:
-            return TypedLiteral("".join(out), dtype)
+            lexical, self.pos = scan_quoted(self.text, self.pos)
+            dtype = Dtype.STRING
+            if self.text.startswith("^^", self.pos):
+                self.pos += 2
+                self.skip_ws()
+                dtype_ref, self.pos = scan_iri(self.text, self.pos)
+                dtype = dtype_from_iri(dtype_ref.value)
+            return TypedLiteral(lexical, dtype)
         except ValueError as exc:
             self.fail(str(exc))
 

@@ -25,6 +25,7 @@ from typing import Union
 from .descriptors import IntegratedSchema
 from .dtypes import Dtype, canonicalize
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
+from .triple_store import TypedLiteral
 
 _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "ON", "AND", "OR", "JOIN", "AS",
@@ -45,24 +46,17 @@ class QualifiedField:
 
 
 @dataclass(frozen=True)
-class Literal:
-    lexical: str
-    dtype: Dtype
-
-    def __str__(self) -> str:
-        if self.dtype is Dtype.STRING:
-            return f"'{self.lexical}'"
-        return self.lexical
-
-
-@dataclass(frozen=True)
 class Condition:
     lhs: QualifiedField
     op: str
-    rhs: Union[QualifiedField, Literal]
+    rhs: Union[QualifiedField, TypedLiteral]
 
     def __str__(self) -> str:
-        return f"{self.lhs} {self.op} {self.rhs}"
+        """SQL text of the condition; string literals are single-quoted."""
+        rhs = self.rhs
+        if isinstance(rhs, TypedLiteral):
+            rhs = f"'{rhs.lexical}'" if rhs.dtype is Dtype.STRING else rhs.lexical
+        return f"{self.lhs} {self.op} {rhs}"
 
 
 @dataclass(frozen=True)
@@ -268,16 +262,16 @@ class _Parser:
         rhs = self.comparand()
         return Condition(lhs, token.text, rhs)
 
-    def comparand(self) -> Union[QualifiedField, Literal]:
+    def comparand(self) -> Union[QualifiedField, TypedLiteral]:
         token = self.current
         if token.text == "(":
             raise UnsupportedSqlError("subquery")
         if token.kind == "STRING":
             self.advance()
-            return Literal(token.text, Dtype.STRING)
+            return TypedLiteral(token.text, Dtype.STRING)
         if token.kind == "KEYWORD" and token.text.upper() in ("TRUE", "FALSE"):
             self.advance()
-            return Literal(token.text.lower(), Dtype.BOOLEAN)
+            return TypedLiteral(token.text.lower(), Dtype.BOOLEAN)
         sign = ""
         if token.kind == "PUNCT" and token.text in "+-":
             sign = token.text
@@ -286,7 +280,7 @@ class _Parser:
         if token.kind == "NUMBER":
             self.advance()
             dtype = Dtype.DECIMAL if "." in token.text else Dtype.INTEGER
-            return Literal(canonicalize(sign + token.text, dtype), dtype)
+            return TypedLiteral(canonicalize(sign + token.text, dtype), dtype)
         if sign:
             self.fail("expected numeric literal")
         return self.field()

@@ -22,7 +22,7 @@ from .descriptors import IntegratedSchema
 from .dtypes import Dtype
 from .iris import property_iri
 from .rdql_engine import FilterAtom, RdqlQuery, TriplePattern, Var
-from .sql_frontend import Condition, Literal, QualifiedField, SqlQuery
+from .sql_frontend import QualifiedField, SqlQuery
 from .triple_store import Iri, TypedLiteral
 
 
@@ -62,11 +62,9 @@ def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
         atoms.append(FilterAtom(Var(variables.var_of(lhs_field)), "=",
                                 Var(variables.var_of(rhs_field))))
     for cond in query.filters:
-        rhs: Var | TypedLiteral
-        if isinstance(cond.rhs, QualifiedField):
-            rhs = Var(variables.var_of(cond.rhs))
-        else:
-            rhs = TypedLiteral(cond.rhs.lexical, cond.rhs.dtype)
+        rhs = cond.rhs
+        if isinstance(rhs, QualifiedField):
+            rhs = Var(variables.var_of(rhs))
         atoms.append(FilterAtom(Var(variables.var_of(cond.lhs)), cond.op, rhs))
 
     select_vars = tuple(Var(variables.var_of(field)) for field in query.select)

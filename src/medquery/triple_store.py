@@ -19,6 +19,7 @@ from .errors import NtParseError
 from .iris import dtype_from_iri, dtype_iri
 
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
+_BLANKS = re.compile(r"[ \t]*")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,48 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 def _escape(text: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in text)
+
+
+def scan_iri(text: str, pos: int) -> tuple[Iri, int]:
+    """Read ``<iri>`` at ``text[pos]``; return it and the position after it.
+
+    Raises ValueError whose message the caller wraps in its own parse error.
+    """
+    if not text.startswith("<", pos):
+        raise ValueError("expected '<'")
+    end = text.find(">", pos + 1)
+    if end < 0:
+        raise ValueError("unterminated IRI")
+    return Iri(text[pos + 1:end]), end + 1
+
+
+def scan_quoted(text: str, pos: int) -> tuple[str, int]:
+    """Read a double-quoted, backslash-escaped string at ``text[pos]``.
+
+    Returns the unescaped string and the position after the closing quote;
+    raises ValueError like :func:`scan_iri`.
+    """
+    if not text.startswith('"', pos):
+        raise ValueError("expected '\"'")
+    out: list[str] = []
+    pos += 1
+    while True:
+        if pos >= len(text):
+            raise ValueError("unterminated literal")
+        ch = text[pos]
+        if ch == '"':
+            return "".join(out), pos + 1
+        if ch == "\\":
+            if pos + 1 >= len(text):
+                raise ValueError("dangling escape")
+            code = text[pos + 1]
+            if code not in _UNESCAPES:
+                raise ValueError(f"unknown escape '\\{code}'")
+            out.append(_UNESCAPES[code])
+            pos += 2
+            continue
+        out.append(ch)
+        pos += 1
 
 
 def format_term(term: Term) -> str:
@@ -165,80 +208,27 @@ def import_ntriples(text: str) -> TripleStore:
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        store.insert(_parse_line(line, number))
+        try:
+            triple = _parse_line(line)
+        except ValueError as exc:
+            raise NtParseError(number, str(exc)) from None
+        store.insert(triple)
     return store
 
 
-class _LineScanner:
-    def __init__(self, line: str, number: int):
-        self.line = line
-        self.number = number
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise NtParseError(self.number, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.line) and self.line[self.pos] in " \t":
-            self.pos += 1
-
-    def iri(self) -> Iri:
-        if self.pos >= len(self.line) or self.line[self.pos] != "<":
-            self.fail("expected '<'")
-        end = self.line.find(">", self.pos + 1)
-        if end < 0:
-            self.fail("unterminated IRI")
-        value = self.line[self.pos + 1:end]
-        self.pos = end + 1
-        try:
-            return Iri(value)
-        except ValueError as exc:
-            self.fail(str(exc))
-
-    def literal(self) -> TypedLiteral:
-        out: list[str] = []
-        self.pos += 1  # opening quote
-        while True:
-            if self.pos >= len(self.line):
-                self.fail("unterminated literal")
-            ch = self.line[self.pos]
-            if ch == '"':
-                self.pos += 1
-                break
-            if ch == "\\":
-                if self.pos + 1 >= len(self.line):
-                    self.fail("dangling escape")
-                code = self.line[self.pos + 1]
-                if code not in _UNESCAPES:
-                    self.fail(f"unknown escape '\\{code}'")
-                out.append(_UNESCAPES[code])
-                self.pos += 2
-                continue
-            out.append(ch)
-            self.pos += 1
-        if not self.line.startswith("^^", self.pos):
-            self.fail("literal missing '^^<datatype>'")
-        self.pos += 2
-        dtype_ref = self.iri()
-        try:
-            dtype = dtype_from_iri(dtype_ref.value)
-            return TypedLiteral("".join(out), dtype)
-        except ValueError as exc:
-            self.fail(str(exc))
-
-
-def _parse_line(line: str, number: int) -> Triple:
-    scanner = _LineScanner(line, number)
-    scanner.skip_ws()
-    subject = scanner.iri()
-    scanner.skip_ws()
-    predicate = scanner.iri()
-    scanner.skip_ws()
-    if scanner.pos < len(line) and line[scanner.pos] == '"':
-        obj: Term = scanner.literal()
+def _parse_line(line: str) -> Triple:
+    """Parse one non-blank line; grammar errors raise ValueError."""
+    subject, pos = scan_iri(line, _BLANKS.match(line).end())
+    predicate, pos = scan_iri(line, _BLANKS.match(line, pos).end())
+    pos = _BLANKS.match(line, pos).end()
+    if line.startswith('"', pos):
+        lexical, pos = scan_quoted(line, pos)
+        if not line.startswith("^^", pos):
+            raise ValueError("literal missing '^^<datatype>'")
+        dtype_ref, pos = scan_iri(line, pos + 2)
+        obj: Term = TypedLiteral(lexical, dtype_from_iri(dtype_ref.value))
     else:
-        obj = scanner.iri()
-    scanner.skip_ws()
-    if line[scanner.pos:].rstrip() != ".":
-        scanner.fail("expected terminal ' .'")
+        obj, pos = scan_iri(line, pos)
+    if line[_BLANKS.match(line, pos).end():].rstrip() != ".":
+        raise ValueError("expected terminal ' .'")
     return Triple(subject, predicate, obj)

@@ -7,9 +7,11 @@ after piping the document through an external transform command); views are
 single-table selections evaluated on top of another table of the same
 source.
 
-Cells are either ``None`` (missing) or a :class:`Value` carrying a
+Cells are either ``None`` (missing) or a :class:`TypedLiteral` carrying a
 canonical lexical form, so repeated fetches of an unchanged source are
-bit-identical and joins over fetched data behave by value.
+bit-identical and joins over fetched data behave by value. Materialization
+hands these literals on to the triple store unchanged unless the integrated
+field declares another dtype.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import sql_frontend
 from .descriptors import (
@@ -32,17 +34,11 @@ from .descriptors import (
     ViewBinding,
     XmlBinding,
 )
-from .dtypes import Dtype, canonicalize, compare
+from .dtypes import canonicalize, compare
 from .errors import IoError, TypeCoercionError, UnknownFieldError, UnknownTableError
+from .triple_store import TypedLiteral
 
-
-@dataclass(frozen=True)
-class Value:
-    lexical: str
-    dtype: Dtype
-
-
-Cell = Optional[Value]
+Cell = Optional[TypedLiteral]
 Row = tuple[Cell, ...]
 
 
@@ -75,14 +71,11 @@ class AccessLog:
         return tuple(self._entries)
 
 
-FetchFn = Callable[..., Table]
-
-
 def _coerce(text: str, field: SourceFieldDef, row_number: int) -> Cell:
     if text == "":
         return None
     try:
-        return Value(canonicalize(text, field.dtype), field.dtype)
+        return TypedLiteral(canonicalize(text, field.dtype), field.dtype)
     except ValueError:
         raise TypeCoercionError(row_number, field.name, text) from None
 
@@ -216,10 +209,9 @@ def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog |
     def passes(row: Row) -> bool:
         for cond in query.filters:
             lhs = row[base.column(cond.lhs.field)]
-            if isinstance(cond.rhs, sql_frontend.QualifiedField):
-                rhs = row[base.column(cond.rhs.field)]
-            else:
-                rhs = Value(cond.rhs.lexical, cond.rhs.dtype)
+            rhs = cond.rhs
+            if isinstance(rhs, sql_frontend.QualifiedField):
+                rhs = row[base.column(rhs.field)]
             if lhs is None or rhs is None:
                 return False
             if compare(cond.op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:

@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from medquery.dtypes import Dtype
 from medquery.errors import (
+    NtParseError,
     RdqlParseError,
     UnboundFilterVarError,
     UnboundSelectVarError,
@@ -17,7 +19,7 @@ from medquery.rdql_engine import (
     evaluate,
     parse_rdql,
 )
-from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral
+from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, import_ntriples
 
 from conftest import FIG2_RDQL
 from generators import random_rdql_query, random_store
@@ -66,6 +68,24 @@ def test_unbound_filter_var():
 def test_parse_errors(text):
     with pytest.raises(RdqlParseError):
         parse_rdql(text)
+
+
+def test_quoted_literal_unescapes_like_ntriples():
+    query = parse_rdql('SELECT ?x WHERE (?x <http://p> "a\\"b\\\\c\\nd\\re\\tf")')
+    assert query.patterns[0].o == lit('a"b\\c\nd\re\tf', Dtype.STRING)
+
+
+@pytest.mark.parametrize("term, message", [
+    ('"\\q"', "unknown escape '\\q'"),
+    ('"open', "unterminated literal"),
+    ("<http://o", "unterminated IRI"),
+    ("<o>", "IRI must be absolute"),
+])
+def test_term_errors_read_alike_in_rdql_and_ntriples(term, message):
+    with pytest.raises(RdqlParseError, match=re.escape(message)):
+        parse_rdql(f"SELECT ?x WHERE (?x <http://p> {term})")
+    with pytest.raises(NtParseError, match=re.escape(message)):
+        import_ntriples(f"<http://s> <http://p> {term} .\n")
 
 
 def test_typed_literal_and_boolean_atoms():

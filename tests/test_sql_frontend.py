@@ -9,12 +9,12 @@ from medquery.errors import (
 )
 from medquery.sql_frontend import (
     Condition,
-    Literal,
     QualifiedField,
     parse_sql,
     parse_view_select,
     unparse,
 )
+from medquery.triple_store import TypedLiteral
 
 from conftest import FIG2_SQL
 
@@ -39,7 +39,7 @@ def test_two_table_join_query_ast(schema):
     )
     assert query.filters == (
         Condition(QualifiedField("STUDENT", "DEBT"), ">",
-                  Literal("2000", Dtype.INTEGER)),
+                  TypedLiteral("2000", Dtype.INTEGER)),
     )
 
 
@@ -122,9 +122,9 @@ def test_literal_typing(schema):
     )
     literals = [c.rhs for c in query.filters]
     assert literals == [
-        Literal("Ann", Dtype.STRING),
-        Literal("-5", Dtype.INTEGER),
-        Literal("2.5", Dtype.DECIMAL),
+        TypedLiteral("Ann", Dtype.STRING),
+        TypedLiteral("-5", Dtype.INTEGER),
+        TypedLiteral("2.5", Dtype.DECIMAL),
     ]
 
 

@@ -10,7 +10,8 @@ from medquery.errors import (
     UnknownTableError,
     UnsupportedSqlError,
 )
-from medquery.wrappers import AccessLog, Value, evaluate_view, fetch_table
+from medquery.triple_store import TypedLiteral
+from medquery.wrappers import AccessLog, evaluate_view, fetch_table
 
 from conftest import SOURCES_XML, write_project
 from generators import random_project
@@ -42,10 +43,10 @@ def test_tabular_fetch_preserves_file_order(fig2_project):
     table = fetch_table(fig2_project, "uni", "STUDENT", log)
     assert [f.name for f in table.fields] == ["ID", "FIRSTNAME", "LASTNAME", "DEBT"]
     assert table.rows == (
-        (Value("1", Dtype.INTEGER), Value("Ann", Dtype.STRING),
-         Value("K", Dtype.STRING), Value("1500", Dtype.INTEGER)),
-        (Value("2", Dtype.INTEGER), Value("Bob", Dtype.STRING),
-         Value("L", Dtype.STRING), Value("2500", Dtype.INTEGER)),
+        (TypedLiteral("1", Dtype.INTEGER), TypedLiteral("Ann", Dtype.STRING),
+         TypedLiteral("K", Dtype.STRING), TypedLiteral("1500", Dtype.INTEGER)),
+        (TypedLiteral("2", Dtype.INTEGER), TypedLiteral("Bob", Dtype.STRING),
+         TypedLiteral("L", Dtype.STRING), TypedLiteral("2500", Dtype.INTEGER)),
     )
     assert log.entries == (("uni", "STUDENT"),)
 
@@ -64,7 +65,7 @@ def test_columns_are_matched_by_header_name(tmp_path):
     project = parse_project(*paths)
     table = fetch_table(project, "uni", "STUDENT")
     assert [f.name for f in table.fields] == ["ID", "FIRSTNAME", "LASTNAME", "DEBT"]
-    assert table.rows[0][0] == Value("1", Dtype.INTEGER)
+    assert table.rows[0][0] == TypedLiteral("1", Dtype.INTEGER)
 
 
 def test_header_mismatch_is_an_io_error(tmp_path):
@@ -118,7 +119,7 @@ def test_xml_binding_single_record(tmp_path):
     )
     table = fetch_table(project, "web", "STUDENT")
     assert len(table.rows) == 1
-    assert table.rows[0][0] == Value("7", Dtype.INTEGER)
+    assert table.rows[0][0] == TypedLiteral("7", Dtype.INTEGER)
     assert table.rows[0][1] is None  # name element absent
 
 
@@ -146,7 +147,7 @@ def test_xml_transform_runs_external_command(tmp_path):
     doc = "<students><student><id>7</id></student></students>"
     project = _xml_project(tmp_path, doc, sources=sources)
     table = fetch_table(project, "web", "STUDENT")
-    assert table.rows[0][0] == Value("8", Dtype.INTEGER)
+    assert table.rows[0][0] == TypedLiteral("8", Dtype.INTEGER)
 
 
 def test_failing_transform_is_io_error(tmp_path):
