@@ -3,7 +3,8 @@
 Descriptor files declare the sources and an integrated relational schema;
 the mediator checks the schema, lazily materializes exactly the integrated
 tables a query needs, publishes them as RDF triples, and evaluates queries
-(SQL translated to RDQL, or RDQL directly) over that view.
+(SQL translated to RDQL, or RDQL directly) over that view: see
+:func:`open_project` and :func:`execute_query` in ``mediator``.
 """
 
 from .descriptors import (
@@ -25,6 +26,7 @@ from .extraction import (
     materialize_required,
     required_tables,
 )
+from .mediator import execute_query, open_project
 from .rdql_engine import RdqlQuery, ResultSet, evaluate, parse_rdql
 from .schema_check import SatisfiabilityReport, check_schema
 from .sql_frontend import SqlQuery, parse_sql, unparse
@@ -64,11 +66,13 @@ __all__ = [
     "convert",
     "evaluate",
     "evaluate_view",
+    "execute_query",
     "export_ntriples",
     "fetch_table",
     "import_ntriples",
     "materialize_integrated_table",
     "materialize_required",
+    "open_project",
     "parse_project",
     "parse_rdql",
     "parse_sql",

@@ -11,7 +11,8 @@ Result payload goes to stdout only; diagnostics and the extraction/query
 timing line go to stderr. Exit status is 0 on success, 1 on a domain error
 (bad query, unsatisfiable schema, failed extraction) and 2 on usage or
 descriptor/file problems. ``MEDQUERY_LOG`` (quiet, info, debug) controls
-diagnostic verbosity.
+diagnostic verbosity. The query pipeline itself is :mod:`medquery.mediator`;
+this module parses arguments, renders results and prints the timing line.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ import os
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 from . import sql_to_rdql
 from .descriptors import (
     DerivedRelation,
     EqualityRelation,
     IntegratedSchema,
-    Project,
     parse_project,
     serialize_schema,
 )
@@ -37,124 +36,73 @@ from .errors import (
     DuplicateNameError,
     MalformedXmlError,
     MedQueryError,
-    UnknownTableError,
     UnresolvedFieldRefError,
 )
-from .extraction import build_triples, materialize_required, required_tables
+from .extraction import build_triples, materialize_required
 from .iris import result_property_iri, result_subject_iri
-from .rdql_engine import ResultSet, evaluate, parse_rdql
+from .mediator import execute_query, open_project
+from .rdql_engine import ResultSet
 from .schema_check import check_schema
 from .sql_frontend import parse_sql
 from .triple_store import Iri, Triple, TripleStore, TypedLiteral, export_ntriples
-from .wrappers import AccessLog, fetch_table
 
 _DESCRIPTOR_ERRORS = (MalformedXmlError, DuplicateNameError, UnresolvedFieldRefError)
 
-logger = logging.getLogger("medquery")
+
+_LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-@dataclass
-class ProjectConfig:
-    source_desc_path: str
-    schema_desc_path: str
-    log_level: str = "info"
-
-
-def _log_level() -> str:
+def _setup_logging() -> str:
+    """Log to stderr at the ``MEDQUERY_LOG`` level; returns the level's name."""
     level = os.environ.get("MEDQUERY_LOG", "info").lower()
-    return level if level in ("quiet", "info", "debug") else "info"
-
-
-def _setup_logging(level: str) -> None:
-    mapping = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr, level=mapping[level], format="%(message)s")
-
-
-def _satisfiable_project(config: ProjectConfig) -> Project:
-    """Parse the descriptors and refuse a schema the checker rejects."""
-    project = parse_project(config.source_desc_path, config.schema_desc_path)
-    report = check_schema(project)
-    if not report.accepted:
-        raise MedQueryError(
-            "schema is not satisfiable:\n" + "".join(f"  {f}\n" for f in report.errors)
-        )
-    return project
+    level = level if level in _LOG_LEVELS else "info"
+    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level], format="%(message)s")
+    return level
 
 
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_validate(config: ProjectConfig, out=None) -> int:
-    out = out or sys.stdout
-    project = parse_project(config.source_desc_path, config.schema_desc_path)
-    report = check_schema(project)
-    out.write(report.to_text())
+def cmd_validate(sources: str, schema: str) -> int:
+    report = check_schema(parse_project(sources, schema))
+    sys.stdout.write(report.to_text())
     return 0 if report.accepted else 1
 
 
-def cmd_show_schema(config: ProjectConfig, fmt: str, out=None) -> int:
-    out = out or sys.stdout
-    project = parse_project(config.source_desc_path, config.schema_desc_path)
-    if fmt == "xml":
-        out.write(serialize_schema(project.schema))
-    else:
-        out.write(render_dot(project.schema))
+def cmd_show_schema(sources: str, schema: str, fmt: str) -> int:
+    render = serialize_schema if fmt == "xml" else render_dot
+    sys.stdout.write(render(parse_project(sources, schema).schema))
     return 0
 
 
-def cmd_convert(config: ProjectConfig, sql_text: str, out=None) -> int:
-    out = out or sys.stdout
-    project = parse_project(config.source_desc_path, config.schema_desc_path)
+def cmd_convert(sources: str, schema: str, sql_text: str) -> int:
+    project = parse_project(sources, schema)
     text, _ = sql_to_rdql.convert(parse_sql(sql_text, project.schema), project.schema)
-    out.write(text)
+    sys.stdout.write(text)
     return 0
 
 
-def cmd_query(config: ProjectConfig, query_text: str, lang: str, out_format: str,
-              out=None) -> int:
-    out = out or sys.stdout
-    project = _satisfiable_project(config)
+def cmd_query(sources: str, schema: str, query_text: str, lang: str, out_format: str,
+              log_level: str) -> int:
+    project = open_project(sources, schema)
     started = time.perf_counter()
-    result, _, _ = execute_query(project, query_text, lang)
+    result = execute_query(project, query_text, lang)
     elapsed_ms = round((time.perf_counter() - started) * 1000)
     if out_format == "table":
-        out.write(render_result_table(result))
+        sys.stdout.write(render_result_table(result))
     elif out_format == "xml":
-        out.write(render_result_xml(result))
+        sys.stdout.write(render_result_xml(result))
     else:
-        out.write(export_ntriples(result_triples(result)))
-    if config.log_level != "quiet":
+        sys.stdout.write(export_ntriples(result_triples(result)))
+    if log_level != "quiet":
         print(f"# extraction+query time: {elapsed_ms} ms", file=sys.stderr)
     return 0
 
 
-def cmd_extract(config: ProjectConfig, table: str, out=None) -> int:
-    out = out or sys.stdout
-    project = _satisfiable_project(config)
-    data = materialize_required(project, [table], log=AccessLog())
-    out.write(export_ntriples(build_triples(data)))
+def cmd_extract(sources: str, schema: str, table: str) -> int:
+    data = materialize_required(open_project(sources, schema), [table])
+    sys.stdout.write(export_ntriples(build_triples(data)))
     return 0
-
-
-def execute_query(project: Project, query_text: str, lang: str,
-                  fetch=fetch_table) -> tuple[ResultSet, TripleStore, AccessLog]:
-    """Full pipeline: parse/convert, materialize what is needed, evaluate."""
-    if lang == "sql":
-        _, query = sql_to_rdql.convert(parse_sql(query_text, project.schema), project.schema)
-    else:
-        query = parse_rdql(query_text)
-    needed = required_tables(query, project.schema)
-    ordered = [t.name for t in project.schema.tables if t.name in needed]
-    unknown = needed - set(ordered)
-    if unknown:
-        raise UnknownTableError(
-            f"query references integrated table(s) {sorted(unknown)} not in the schema"
-        )
-    log = AccessLog()
-    data = materialize_required(project, ordered, fetch=fetch, log=log)
-    store = build_triples(data)
-    logger.debug("materialized %d table(s), %d triple(s)", len(data.tables), len(store))
-    return evaluate(query, store), store, log
 
 
 # --- renderers ----------------------------------------------------------------
@@ -222,11 +170,7 @@ def render_dot(schema: IntegratedSchema) -> str:
 def _touching_tables(schema: IntegratedSchema, refs) -> list[str]:
     """Integrated tables having a field mapped onto any of the given refs."""
     refs = set(refs)
-    touched = []
-    for table in schema.tables:
-        if any(f.mapping in refs for f in table.fields):
-            touched.append(table.name)
-    return touched
+    return [t.name for t in schema.tables if any(f.mapping in refs for f in t.fields)]
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -281,23 +225,22 @@ def _query_text(args: argparse.Namespace) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = _log_level()
-    _setup_logging(level)
-    config = ProjectConfig(args.sources, args.schema, level)
+    level = _setup_logging()
+    paths = (args.sources, args.schema)
     try:
         if args.command == "validate":
-            return cmd_validate(config)
+            return cmd_validate(*paths)
         if args.command == "show-schema":
-            return cmd_show_schema(config, args.format)
+            return cmd_show_schema(*paths, args.format)
         if args.command == "convert":
-            return cmd_convert(config, _query_text(args))
+            return cmd_convert(*paths, _query_text(args))
         if args.command == "query":
-            return cmd_query(config, _query_text(args), args.lang, args.out)
-        return cmd_extract(config, args.table)
+            return cmd_query(*paths, _query_text(args), args.lang, args.out, level)
+        return cmd_extract(*paths, args.table)
     except _DESCRIPTOR_ERRORS as exc:
         print(f"medquery: descriptor error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # also an undecodable --query-file
         print(f"medquery: {exc}", file=sys.stderr)
         return 2
     except MedQueryError as exc:

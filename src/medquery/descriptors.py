@@ -240,7 +240,7 @@ def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
 # --- parsing ---------------------------------------------------------------
 
 
-def _parse_root(text: str, expected_tag: str) -> ET.Element:
+def _parse_root(text: str | bytes, expected_tag: str) -> ET.Element:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -342,7 +342,7 @@ def _parse_binding(el: ET.Element, where: str) -> Binding:
     return XmlBinding(record, mapping, el.get("transform"))
 
 
-def parse_sources_xml(text: str) -> tuple[DataSourceDescriptor, ...]:
+def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
     return _parse_sources_root(_parse_root(text, "datasources"))
 
 
@@ -440,7 +440,7 @@ def _parse_relation(el: ET.Element, index: int) -> Relation:
     raise MalformedXmlError(f"{where}: unknown relation kind '{kind}'")
 
 
-def parse_schema_xml(text: str) -> IntegratedSchema:
+def parse_schema_xml(text: str | bytes) -> IntegratedSchema:
     return _parse_schema_root(_parse_root(text, "schema"))
 
 
@@ -490,8 +490,9 @@ def parse_project(source_desc_path: str | Path, schema_desc_path: str | Path) ->
     relation references are left for the satisfiability checker. The result
     is immutable and independent of when or where parsing happens.
     """
-    sources = parse_sources_xml(Path(source_desc_path).read_text(encoding="utf-8"))
-    schema = parse_schema_xml(Path(schema_desc_path).read_text(encoding="utf-8"))
+    # as bytes: the parser honours a declared encoding and reports bad bytes by line
+    sources = parse_sources_xml(Path(source_desc_path).read_bytes())
+    schema = parse_schema_xml(Path(schema_desc_path).read_bytes())
     project = Project(sources, schema, base_dir=str(Path(source_desc_path).resolve().parent))
     for table in schema.tables:
         for fdef in table.fields:

@@ -94,12 +94,6 @@ def is_canonical(lexical: str, dtype: Dtype) -> bool:
     return False
 
 
-def numeric_value(lexical: str, dtype: Dtype) -> Fraction:
-    if dtype not in NUMERIC_DTYPES:
-        raise ValueError(f"{dtype.value} is not numeric")
-    return Fraction(lexical)
-
-
 _OPS = {
     "=": operator.eq,
     "!=": operator.ne,

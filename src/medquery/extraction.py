@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal, localcontext
 from typing import Callable, Iterable, Union
 
 from .descriptors import (
@@ -49,12 +49,12 @@ class IntegratedData:
     tables: dict[str, Table] = field(default_factory=dict)
 
 
-def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> set[str]:
-    """Integrated tables a query can touch.
+def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
+    """Integrated tables a query can touch, in schema order.
 
     A concrete predicate names its table through the property IRI scheme;
     a variable predicate may match anything, so it conservatively requires
-    every table in the schema.
+    every table in the schema. An unknown table raises UnknownTableError.
     """
     names: set[str] = set()
     for pattern in query.patterns:
@@ -64,7 +64,11 @@ def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> set[str]:
         if isinstance(pattern.p, Iri):
             table, _ = split_property_iri(pattern.p.value)
             names.add(table)
-    return names
+    ordered = [t.name for t in schema.tables if t.name in names]
+    if len(ordered) != len(names):
+        unknown = sorted(names.difference(ordered))
+        raise UnknownTableError(f"query references integrated table(s) {unknown} not in the schema")
+    return ordered
 
 
 # --- join graph over source tables ------------------------------------------
@@ -217,7 +221,9 @@ class _Materializer:
             return None
         if plan.op == "concat":
             return TypedLiteral("".join(v.lexical for v in values), Dtype.STRING)
-        total = sum(Decimal(v.lexical) for v in values)
+        with localcontext() as ctx:
+            ctx.prec = MAX_PREC  # exact: the default 28 digits round long sums
+            total = sum(Decimal(v.lexical) for v in values)
         dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
         # fixed point: str() switches to exponent notation (1E-7) for small sums
         return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)

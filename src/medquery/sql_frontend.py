@@ -14,7 +14,8 @@ whether they were written in ON or WHERE; everything else is a filter.
 
 Aggregation functions, subqueries, expressions in SELECT, ORDER BY,
 GROUP BY, DISTINCT and OR are rejected as unsupported rather than
-mis-parsed.
+mis-parsed. So is a FROM table with no field named in the query: a row exists
+in the RDF view only through its cells, so no pattern enumerates all its rows.
 """
 
 from __future__ import annotations
@@ -317,6 +318,10 @@ def parse_sql(text: str, schema: IntegratedSchema) -> SqlQuery:
         assert table is not None
         if table.field_def(fld.field) is None:
             raise UnknownFieldError(f"integrated table '{fld.table}' has no field '{fld.field}'")
+    used = {fld.table for fld in _referenced_fields(query)}
+    for name in tables:
+        if name not in used:
+            raise UnsupportedSqlError(f"table '{name}' in FROM with no field referenced")
     return query
 
 

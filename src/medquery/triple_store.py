@@ -122,33 +122,36 @@ class TripleStore:
     """Mutable while building, then typically treated as read-only."""
 
     def __init__(self) -> None:
-        self._triples: set[Triple] = set()
+        self._size = 0
         self._spo: dict[Iri, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Iri]]] = {}
         self._osp: dict[Term, dict[Iri, set[Iri]]] = {}
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=_triple_key))
+        # not through match(), so iterating is not counted as a pattern match
+        triples = (Triple(*t) for t in self._match_raw(None, None, None))
+        return iter(sorted(triples, key=_triple_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._triples == other._triples
+        return self._spo == other._spo
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only when it was not already present."""
-        if t in self._triples:
+        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set())
+        if t.object in objects:
             return False
-        self._triples.add(t)
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
+        objects.add(t.object)
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
         self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
+        self._size += 1
         return True
 
     def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[Triple]:
@@ -165,7 +168,7 @@ class TripleStore:
 
     def _match_raw(self, s, p, o):
         if s is not None and p is not None and o is not None:
-            if Triple(s, p, o) in self._triples:
+            if o in self._spo.get(s, {}).get(p, ()):
                 yield (s, p, o)
             return
         if s is not None:
@@ -189,8 +192,10 @@ class TripleStore:
                 for pred in preds:
                     yield (subj, pred, o)
             return
-        for t in self._triples:
-            yield (t.subject, t.predicate, t.object)
+        for subj, by_pred in self._spo.items():
+            for pred, objs in by_pred.items():
+                for obj in objs:
+                    yield (subj, pred, obj)
 
 
 def export_ntriples(store: TripleStore) -> str:

@@ -92,7 +92,7 @@ def _resolve_path(project: Project, *parts: str) -> Path:
 def _read_tabular(path: Path, table: SourceTableDef) -> tuple[Row, ...]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read '{path}': {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":

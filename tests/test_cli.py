@@ -1,10 +1,13 @@
 """The CLI's exit-code contract (0 ok, 1 domain error, 2 descriptor or file error)."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from medquery.cli import main
 from medquery.descriptors import parse_project
 from medquery.extraction import build_triples, materialize_required
+from medquery.iris import result_property_iri, result_subject_iri
 from medquery.triple_store import import_ntriples
 
 from conftest import FIG2_SQL, SCHEMA_XML, SOURCES_XML, write_project
@@ -55,3 +58,59 @@ def test_extract_roundtrips_through_import(fig2_paths, capsys):
     expected = build_triples(materialize_required(parse_project(*fig2_paths), ["STUDENT"]))
     assert len(expected) == 8
     assert import_ntriples(out) == expected
+
+
+@pytest.mark.parametrize("name, content, code", [
+    ("students.txt", b"ID|FIRSTNAME|LASTNAME|DEBT\n1|Ren\xe9|K|1500\n", 1),
+    ("query.sql", b"SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = 'Ren\xe9'", 2),
+], ids=["data-file", "query-file"])
+def test_undecodable_input_file_is_classified(fig2_paths, capsys, name, content, code):
+    sources, _ = fig2_paths
+    query_file = sources.parent / "query.sql"
+    query_file.write_text(FIG2_SQL, encoding="utf-8")
+    (sources.parent / name).write_bytes(content)
+    assert _run(capsys, "query", fig2_paths, "--query-file", str(query_file)) == (code, "")
+
+
+@pytest.mark.parametrize("declared, code", [("UTF-8", 2), ("ISO-8859-1", 0)])
+def test_descriptor_bytes_decode_as_declared(fig2_paths, capsys, declared, code):
+    sources, _ = fig2_paths
+    text = SOURCES_XML.replace('encoding="UTF-8"', f'encoding="{declared}"')
+    sources.write_bytes(text.replace("<datasources>", "<datasources><!-- Ren\xe9 -->")
+                        .encode("latin-1"))
+    assert _run(capsys, "validate", fig2_paths)[0] == code
+
+
+JOIN_SQL = ("SELECT STUDENT.FIRSTNAME, GRADE.AVERAGE FROM STUDENT, GRADE "
+            "ON STUDENT.ID=GRADE.STUDENTID")
+
+
+def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
+    code, table = _run(capsys, "query", fig2_paths, "--query", JOIN_SQL)
+    assert code == 0
+    header, *rows = table.splitlines()
+    expected = {
+        (index, column): value
+        for index, row in enumerate(rows)
+        for column, value in zip(header.split("|"), row.split("|"))
+    }
+    assert len(expected) == 4
+
+    code, xml = _run(capsys, "query", fig2_paths, "--query", JOIN_SQL, "--out", "xml")
+    assert code == 0
+    from_xml = {
+        (index, col.get("name")): col.text
+        for index, row in enumerate(ET.fromstring(xml).iter("row"))
+        for col in row.iter("col")
+    }
+    assert from_xml == expected
+
+    code, nt = _run(capsys, "query", fig2_paths, "--query", JOIN_SQL, "--out", "ntriples")
+    assert code == 0
+    cells = {
+        (t.subject.value, t.predicate.value): t.object.lexical for t in import_ntriples(nt)
+    }
+    assert cells == {
+        (result_subject_iri(index), result_property_iri(column)): value
+        for (index, column), value in expected.items()
+    }

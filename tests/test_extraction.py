@@ -95,10 +95,14 @@ ADD_SCHEMA = """<schema name="s">
 """
 
 
-def test_derived_add_of_small_decimals_is_fixed_point(tmp_path):
-    files = {"students.txt": "ID|A|B\n1|0.0000001|0.0\n", "calc.txt": "TOTAL\n"}
+@pytest.mark.parametrize("a, total", [
+    ("0.0000001", "0.0000001"),  # str() of the sum is exponent form, 1E-7
+    ("1234567890123456789012345678.9", "1234567890123456789012345678.9"),  # 29 digits
+], ids=["tiny", "long"])
+def test_derived_add_of_small_decimals_is_fixed_point(tmp_path, a, total):
+    files = {"students.txt": f"ID|A|B\n1|{a}|0.0\n", "calc.txt": "TOTAL\n"}
     project = parse_project(*write_project(tmp_path, ADD_SOURCES, ADD_SCHEMA, files))
     assert (
         '<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#TOTAL> '
-        f'"0.0000001"^^<{XSD}decimal> .'
+        f'"{total}"^^<{XSD}decimal> .'
     ) in _extract(project).splitlines()

@@ -91,6 +91,7 @@ def test_aggregate_is_rejected(schema):
     ("SELECT STUDENT.ID AS X FROM STUDENT", "alias"),
     ("SELECT STUDENT.ID FROM STUDENT, STUDENT", "self-join"),
     ("SELECT STUDENT.ID FROM STUDENT LIMIT 5", "LIMIT"),
+    ("SELECT STUDENT.FIRSTNAME FROM STUDENT, GRADE", "table 'GRADE'"),
 ])
 def test_rejection_is_total(schema, text, construct):
     with pytest.raises(UnsupportedSqlError) as info:
