@@ -58,6 +58,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Union
+from xml.parsers.expat import ErrorString
 
 from .dtypes import Dtype, is_identifier
 from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefError
@@ -244,8 +245,8 @@ def _parse_root(text: str | bytes, expected_tag: str) -> ET.Element:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
-        line = exc.position[0] if exc.position else None
-        raise MalformedXmlError(str(exc.msg if hasattr(exc, "msg") else exc), line) from None
+        line, column = exc.position  # MalformedXmlError puts the line in front
+        raise MalformedXmlError(f"{ErrorString(exc.code)}: column {column}", line) from None
     if root.tag != expected_tag:
         raise MalformedXmlError(f"expected root <{expected_tag}>, found <{root.tag}>")
     return root

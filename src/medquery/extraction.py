@@ -1,17 +1,20 @@
 """Materialize integrated tables lazily and turn them into RDF triples.
 
-Only the integrated tables a query touches are built. For each one the
+Only the integrated tables a query touches are built, column by column. The
 first integrated field names the master source table; every master row
-becomes one integrated row. Fields mapped into the master table are copied
-directly; fields mapped elsewhere are looked up by following declared
-equality relations from the master table (transitively, shortest chain
-first, descriptor order breaking ties). A field whose mapping is the
-target of a derived relation is computed from the operand values instead.
+becomes one integrated row. A field mapped into the master table is that
+column of it. A field whose mapping is the target of a derived relation adds
+or concatenates its operand columns. Any other field is looked up by
+following declared equality relations from the master table (transitively,
+shortest chain first, descriptor order breaking ties); each hop indexes the
+far table once in a dict from key to rows, so a column is linear in the
+rows it reads.
 
-Foreign lookups that match nothing leave the cell missing; lookups that
-match several rows take the first in source order and log a warning.
-Missing cells produce no triple, so such rows simply fail triple patterns
-over that property.
+A lookup that matches nothing leaves the cell missing; one that matches
+several rows takes the first in source order, and each looked-up field logs
+one warning with the number of master rows that did so. Missing cells
+produce no triple, so such rows simply fail triple patterns over that
+property.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from decimal import MAX_PREC, Decimal, localcontext
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .descriptors import (
+    DerivedOp,
     DerivedRelation,
     EqualityRelation,
     FieldRef,
     IntegratedSchema,
-    IntegratedTableDef,
     Project,
     SourceFieldDef,
 )
@@ -140,27 +143,7 @@ def _chain_to(edges: dict[_Node, list[_Hop]], start: _Node, goal: _Node) -> list
     return None
 
 
-# --- per-field value plans ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _DirectPlan:
-    column: int
-
-
-@dataclass(frozen=True)
-class _ChainPlan:
-    chain: tuple[_Hop, ...]
-    final_field: str
-
-
-@dataclass(frozen=True)
-class _DerivedPlan:
-    op: str
-    operands: tuple["_Plan", ...]
-
-
-_Plan = Union[_DirectPlan, _ChainPlan, _DerivedPlan]
+# --- column builder -----------------------------------------------------------
 
 
 class _Materializer:
@@ -180,18 +163,20 @@ class _Materializer:
             self._cache[node] = self.fetch(self.project, node[0], node[1], self.log)
         return self._cache[node]
 
-    def plan(self, ref: FieldRef, master: _Node, field_name: str,
-             stack: tuple[FieldRef, ...] = ()) -> _Plan:
+    def column(self, ref: FieldRef, master: _Node, field_name: str,
+               stack: tuple[FieldRef, ...] = ()) -> list[Cell]:
+        """The raw cells of ``ref`` for every master row, in master row order."""
+        master_table = self.table(master)
         node = (ref.source, ref.table)
         if node == master:
-            return _DirectPlan(self.table(master).column(ref.field))
+            index = master_table.column(ref.field)
+            return [row[index] for row in master_table.rows]
         derived = self.derived_by_target.get(ref)
         if derived is not None and ref not in stack:
-            operands = tuple(
-                self.plan(operand, master, field_name, stack + (ref,))
-                for operand in derived.operands
-            )
-            return _DerivedPlan(derived.op.value, operands)
+            operands = [self.column(operand, master, field_name, stack + (ref,))
+                        for operand in derived.operands]
+            return [_derive(derived.op, [cells[i] for cells in operands])
+                    for i in range(len(master_table.rows))]
         chain = _chain_to(self.edges, master, node)
         if chain is None:
             raise NoRelationPathError(
@@ -199,61 +184,61 @@ class _Materializer:
                 f"no equality relation connects {ref.source}.{ref.table} "
                 f"to master table {master[0]}.{master[1]}",
             )
-        return _ChainPlan(tuple(chain), ref.field)
-
-    def value(self, plan: _Plan, master_row: Row, master: _Node,
-              row_number: int, target: Dtype, field_name: str) -> Cell:
-        raw = self._raw_value(plan, master_row, master)
-        if raw is None or raw.dtype is target:
-            return raw  # canonicalize is the identity on canonical input
-        try:
-            return TypedLiteral(canonicalize(raw.lexical, target), target)
-        except ValueError:
-            raise TypeCoercionError(row_number, field_name, raw.lexical) from None
-
-    def _raw_value(self, plan: _Plan, master_row: Row, master: _Node) -> Cell:
-        if isinstance(plan, _DirectPlan):
-            return master_row[plan.column]
-        if isinstance(plan, _ChainPlan):
-            return self._follow_chain(plan, master_row, master)
-        values = [self._raw_value(p, master_row, master) for p in plan.operands]
-        if any(v is None for v in values):
-            return None
-        if plan.op == "concat":
-            return TypedLiteral("".join(v.lexical for v in values), Dtype.STRING)
-        with localcontext() as ctx:
-            ctx.prec = MAX_PREC  # exact: the default 28 digits round long sums
-            total = sum(Decimal(v.lexical) for v in values)
-        dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
-        # fixed point: str() switches to exponent notation (1E-7) for small sums
-        return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)
-
-    def _follow_chain(self, plan: _ChainPlan, master_row: Row, master: _Node) -> Cell:
-        current_table = self.table(master)
-        candidates: list[Row] = [master_row]
-        for hop in plan.chain:
-            near_columns = [current_table.column(f) for f in hop.near_fields]
+        # per master row, the distinct rows reached so far, in the order they
+        # were first reached: far rows in source order under each near row
+        reached = [[row] for row in master_table.rows]
+        current = master_table
+        for hop in chain:
+            if not any(reached):
+                return [None] * len(reached)  # later tables are not fetched
             far_table = self.table(hop.table)
+            by_key: dict[tuple[Cell, ...], list[Row]] = {}
             far_columns = [far_table.column(f) for f in hop.far_fields]
-            matched: list[Row] = []
-            for row in candidates:
-                keys = [row[c] for c in near_columns]
-                if any(k is None for k in keys):
-                    continue
-                for far_row in far_table.rows:
-                    if all(far_row[fc] == key for fc, key in zip(far_columns, keys)):
-                        if far_row not in matched:
-                            matched.append(far_row)
-            candidates = matched
-            current_table = far_table
-            if not candidates:
-                return None
-        if len(candidates) > 1:
+            for far_row in far_table.rows:
+                key = tuple(far_row[c] for c in far_columns)
+                if all(k is not None for k in key):  # a missing cell matches nothing
+                    by_key.setdefault(key, []).append(far_row)
+            near_columns = [current.column(f) for f in hop.near_fields]
+            reached = [
+                list(dict.fromkeys(
+                    far_row for row in rows
+                    for far_row in by_key.get(tuple(row[c] for c in near_columns), ())
+                ))
+                for rows in reached
+            ]
+            current = far_table
+        several = sum(len(rows) > 1 for rows in reached)
+        if several:
             logger.warning(
-                "%d rows of %s.%s match; keeping the first in source order",
-                len(candidates), current_table.name, plan.final_field,
+                "%d master rows match several rows of %s.%s for field %s; "
+                "keeping the first in source order",
+                several, current.name, ref.field, field_name,
             )
-        return candidates[0][current_table.column(plan.final_field)]
+        index = current.column(ref.field)
+        return [rows[0][index] if rows else None for rows in reached]
+
+
+def _derive(op: DerivedOp, values: list[Cell]) -> Cell:
+    """Concatenate or add (exactly) the operand cells; missing if any is."""
+    if any(v is None for v in values):
+        return None
+    if op is DerivedOp.CONCAT:
+        return TypedLiteral("".join(v.lexical for v in values), Dtype.STRING)
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC  # exact: the default 28 digits round long sums
+        total = sum(Decimal(v.lexical) for v in values)
+    dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
+    # fixed point: str() switches to exponent notation (1E-7) for small sums
+    return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)
+
+
+def _convert(cell: Cell, target: Dtype, row_number: int, field_name: str) -> Cell:
+    if cell is None or cell.dtype is target:
+        return cell  # canonicalize is the identity on canonical input
+    try:
+        return TypedLiteral(canonicalize(cell.lexical, target), target)
+    except ValueError:
+        raise TypeCoercionError(row_number, field_name, cell.lexical) from None
 
 
 def materialize_integrated_table(project: Project, table_name: str,
@@ -269,26 +254,16 @@ def materialize_integrated_table(project: Project, table_name: str,
     if tdef is None:
         raise UnknownTableError(f"integrated schema has no table '{table_name}'")
     materializer = _Materializer(project, fetch, log)
-    return _materialize(materializer, tdef)
-
-
-def _materialize(materializer: _Materializer, tdef: IntegratedTableDef) -> Table:
     master_ref = tdef.fields[0].mapping
     master: _Node = (master_ref.source, master_ref.table)
-    master_table = materializer.table(master)
-
-    plans = [
-        (fdef, materializer.plan(fdef.mapping, master, fdef.name))
-        for fdef in tdef.fields
-    ]
-    # the integrated table carries the integrated names and dtypes
+    columns = [materializer.column(fdef.mapping, master, fdef.name) for fdef in tdef.fields]
+    # the integrated table carries the integrated names and dtypes; cells are
+    # converted row by row so an error names the first bad row, then field
     fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)
     rows = tuple(
-        tuple(
-            materializer.value(plan, row, master, number, fdef.dtype, fdef.name)
-            for fdef, plan in plans
-        )
-        for number, row in enumerate(master_table.rows, start=1)
+        tuple(_convert(cell, fdef.dtype, number, fdef.name)
+              for cell, fdef in zip(cells, tdef.fields))
+        for number, cells in enumerate(zip(*columns), start=1)
     )
     return Table(tdef.name, fields, rows)
 

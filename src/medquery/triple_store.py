@@ -1,11 +1,11 @@
 """In-memory RDF triple store with typed literals.
 
 Terms are IRIs or typed literals (no blank nodes, no untyped literals).
-The store keeps set semantics over triples and maintains SPO, POS and OSP
-indexes so any wildcard pattern can be answered from the most selective
-side. Exports are canonically ordered (SPO lexicographic over the
-N-Triples serialization), which makes them diffable even though RDF itself
-is unordered.
+The store keeps set semantics over triples and maintains SPO and POS
+indexes: a pattern with a bound subject is answered from SPO, any other
+from POS. Matches come in no particular order; iteration and exports are
+canonically ordered (SPO lexicographic over the N-Triples serialization),
+which makes them diffable even though RDF itself is unordered.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class TripleStore:
         self._size = 0
         self._spo: dict[Iri, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Iri]]] = {}
-        self._osp: dict[Term, dict[Iri, set[Iri]]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -150,18 +149,12 @@ class TripleStore:
             return False
         objects.add(t.object)
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
         self._size += 1
         return True
 
     def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[Triple]:
-        """All triples unifying with the pattern (None is a wildcard), SPO-ordered."""
-        result = [
-            Triple(subj, pred, obj)
-            for subj, pred, obj in self._match_raw(s, p, o)
-        ]
-        result.sort(key=_triple_key)
-        return result
+        """All triples unifying with the pattern (None is a wildcard), unordered."""
+        return [Triple(subj, pred, obj) for subj, pred, obj in self._match_raw(s, p, o)]
 
     def count(self, s: Iri | None, p: Iri | None, o: Term | None) -> int:
         return sum(1 for _ in self._match_raw(s, p, o))
@@ -179,18 +172,14 @@ class TripleStore:
                     if o is None or obj == o:
                         yield (s, pred, obj)
             return
-        if p is not None:
-            by_obj = self._pos.get(p, {})
-            objs = [o] if o is not None else list(by_obj)
-            for obj in objs:
-                for subj in by_obj.get(obj, ()):
-                    yield (subj, p, obj)
-            return
-        if o is not None:
-            by_subj = self._osp.get(o, {})
-            for subj, preds in by_subj.items():
-                for pred in preds:
-                    yield (subj, pred, o)
+        if p is not None or o is not None:
+            preds = [p] if p is not None else list(self._pos)
+            for pred in preds:
+                by_obj = self._pos.get(pred, {})
+                objs = [o] if o is not None else list(by_obj)
+                for obj in objs:
+                    for subj in by_obj.get(obj, ()):
+                        yield (subj, pred, obj)
             return
         for subj, by_pred in self._spo.items():
             for pred, objs in by_pred.items():

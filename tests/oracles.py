@@ -13,10 +13,13 @@ from collections import Counter
 from decimal import Decimal
 from itertools import product
 
-from medquery.dtypes import Dtype
+from medquery.descriptors import DerivedRelation, EqualityRelation, SourceFieldDef
+from medquery.dtypes import Dtype, canonicalize
+from medquery.errors import NoRelationPathError, TypeCoercionError
 from medquery.rdql_engine import RdqlQuery, Var
 from medquery.sql_frontend import QualifiedField, SqlQuery
 from medquery.triple_store import TripleStore, TypedLiteral, format_term
+from medquery.wrappers import Table, fetch_table
 
 
 def scan_match(triples, s, p, o):
@@ -146,6 +149,140 @@ def relational_eval(query: SqlQuery, tables) -> Counter:
         if ok:
             out[tuple((cell(f).lexical, cell(f).dtype) for f in query.select)] += 1
     return out
+
+
+def materialize_table(project, name) -> Table:
+    """Build one integrated table from fetched source rows with nested loops.
+
+    Shares no code with the extraction module. The first field's source
+    table is the master; each master row gives one row. A field in another
+    table is computed from the first derived relation that targets it, or
+    else reached over the shortest chain of equality relations (every
+    path of a length is tried, relations in descriptor order), keeping the
+    first far row in (hop-1 row order, hop-2 row order, ...) order. A key
+    holding a missing cell matches nothing, and no match leaves the cell
+    missing. Derived add is exact; a cell whose dtype differs from its
+    integrated field's is converted.
+    """
+    tdef = project.schema.table(name)
+    fetched: dict = {}
+
+    def rows_of(node):
+        if node not in fetched:
+            fetched[node] = fetch_table(project, *node)
+        return fetched[node]
+
+    master_ref = tdef.fields[0].mapping
+    master = (master_ref.source, master_ref.table)
+    hops = _equality_hops(project.schema.relations)
+
+    def value(ref, row, field_name, stack=()):
+        node = (ref.source, ref.table)
+        if node == master:
+            return row[rows_of(master).column(ref.field)]
+        derived = [r for r in project.schema.relations
+                   if isinstance(r, DerivedRelation) and r.target == ref]
+        if derived and ref not in stack:
+            operands = [value(op, row, field_name, stack + (ref,)) for op in derived[0].operands]
+            if any(v is None for v in operands):
+                return None
+            lexicals = [v.lexical for v in operands]
+            if derived[0].op.value == "concat":
+                return TypedLiteral("".join(lexicals), Dtype.STRING)
+            return _exact_sum(lexicals)
+        chain = _shortest_chain(hops, master, node)
+        if chain is None:
+            raise NoRelationPathError(
+                field_name,
+                f"no equality relation connects {ref.source}.{ref.table} "
+                f"to master table {master[0]}.{master[1]}",
+            )
+        far = _first_reached(rows_of, chain, row)
+        return None if far is None else far[rows_of(node).column(ref.field)]
+
+    rows = []
+    for number, row in enumerate(rows_of(master).rows, start=1):
+        cells = []
+        for fdef in tdef.fields:
+            cell = value(fdef.mapping, row, fdef.name)
+            if cell is not None and cell.dtype != fdef.dtype:
+                try:
+                    cell = TypedLiteral(canonicalize(cell.lexical, fdef.dtype), fdef.dtype)
+                except ValueError:
+                    raise TypeCoercionError(number, fdef.name, cell.lexical) from None
+            cells.append(cell)
+        rows.append(tuple(cells))
+    fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)
+    return Table(name, fields, tuple(rows))
+
+
+def _equality_hops(relations) -> list:
+    """(near table, near fields, far table, far fields), both directions of each
+    equality relation whose sides sit in two distinct tables, in descriptor order."""
+    hops = []
+    for rel in relations:
+        if not isinstance(rel, EqualityRelation) or not rel.lhs or len(rel.lhs) != len(rel.rhs):
+            continue
+        lhs_tables = {(r.source, r.table) for r in rel.lhs}
+        rhs_tables = {(r.source, r.table) for r in rel.rhs}
+        if len(lhs_tables) != 1 or len(rhs_tables) != 1 or lhs_tables == rhs_tables:
+            continue
+        left, right = lhs_tables.pop(), rhs_tables.pop()
+        lhs_fields = [r.field for r in rel.lhs]
+        rhs_fields = [r.field for r in rel.rhs]
+        hops.append((left, lhs_fields, right, rhs_fields))
+        hops.append((right, rhs_fields, left, lhs_fields))
+    return hops
+
+
+def _shortest_chain(hops, start, goal):
+    """The first simple path of the smallest length, trying hops in list order."""
+    def paths(node, depth, seen):
+        if depth == 0:
+            if node == goal:
+                yield []
+            return
+        for hop in hops:
+            if hop[0] == node and hop[2] not in seen:
+                for rest in paths(hop[2], depth - 1, seen | {hop[2]}):
+                    yield [hop] + rest
+
+    for depth in range(len(hops) + 1):
+        for path in paths(start, depth, {start}):
+            return path
+    return None
+
+
+def _first_reached(rows_of, chain, row):
+    """Depth first along the chain: the first row of the last table reached."""
+    if not chain:
+        return row
+    near, near_fields, far, far_fields = chain[0]
+    keys = [row[rows_of(near).column(f)] for f in near_fields]
+    far_table = rows_of(far)
+    for far_row in far_table.rows:
+        if all(key is not None and far_row[far_table.column(f)] == key
+               for key, f in zip(keys, far_fields)):
+            found = _first_reached(rows_of, chain[1:], far_row)
+            if found is not None:
+                return found
+    return None
+
+
+def _exact_sum(lexicals) -> TypedLiteral:
+    """Add canonical decimal/integer lexicals as scaled integers; an integral
+    sum is an integer, any other a decimal."""
+    places = max((len(text.partition(".")[2]) for text in lexicals), default=0)
+    total = 0
+    for text in lexicals:
+        whole, _, frac = text.partition(".")
+        total += int(whole + frac.ljust(places, "0"))
+    whole, frac = divmod(abs(total), 10 ** places)
+    sign = "-" if total < 0 else ""
+    if frac == 0:
+        return TypedLiteral(f"{sign}{whole}", Dtype.INTEGER)
+    digits = str(frac).rjust(places, "0").rstrip("0")
+    return TypedLiteral(f"{sign}{whole}.{digits}", Dtype.DECIMAL)
 
 
 def result_counter(result) -> Counter:

@@ -91,6 +91,15 @@ def test_malformed_xml_reports_line():
     assert info.value.line is not None
 
 
+def test_malformed_xml_names_the_line_once():
+    text = SOURCES_XML.encode("utf-8").replace(b'name="STUDENT"', b'name="ST\xffUDENT"')
+    assert text.splitlines()[3].startswith(b'    <table name="ST\xff')  # line 4
+    with pytest.raises(MalformedXmlError) as info:
+        parse_sources_xml(text)
+    assert info.value.line == 4
+    assert str(info.value).count("line 4") == 1
+
+
 @pytest.mark.parametrize("mutate,kind", [
     (lambda t: t.replace('name="reg"', 'name="uni"'), "datasource"),
     (lambda t: t.replace('name="GRADE"', 'name="STUDENT"', 1), "table"),

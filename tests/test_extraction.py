@@ -1,14 +1,19 @@
-"""Materialization cell path: pass-through, dtype conversion, coercion errors."""
+"""Materialization: cell path, dtype conversion, coercion errors, the oracle."""
+
+import logging
+import random
 
 import pytest
 
 from medquery.descriptors import parse_project
 from medquery.errors import TypeCoercionError
 from medquery.extraction import build_triples, materialize_integrated_table, materialize_required
-from medquery.triple_store import export_ntriples
-from medquery.wrappers import fetch_table
+from medquery.triple_store import TypedLiteral, export_ntriples
+from medquery.wrappers import AccessLog, fetch_table
 
-from conftest import SOURCES_XML, write_project
+from conftest import COMBINED_SCHEMA_XML, SOURCES_XML, THREE_STUDENTS, write_project
+from generators import random_project
+from oracles import materialize_table
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
@@ -106,3 +111,58 @@ def test_derived_add_of_small_decimals_is_fixed_point(tmp_path, a, total):
         '<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#TOTAL> '
         f'"{total}"^^<{XSD}decimal> .'
     ) in _extract(project).splitlines()
+
+
+@pytest.mark.parametrize("first_seed", range(0, 200, 20))
+def test_materialization_agrees_with_nested_loop_oracle(tmp_path, first_seed):
+    for seed in range(first_seed, first_seed + 20):
+        project = random_project(random.Random(seed), tmp_path / str(seed)).project
+        names = [t.name for t in project.schema.tables]
+        data = materialize_required(project, names)
+        for name in names:
+            assert data.tables[name] == materialize_table(project, name), (seed, name)
+
+
+def _chain_project(tmp_path, students, grades):
+    """COMBINED schema: FIRSTNAME from STUDENT, AVERAGE over STUDENT.ID = GRADE.STUDENTID."""
+    files = {"students.txt": students, "grades.txt": grades}
+    return parse_project(*write_project(tmp_path, SOURCES_XML, COMBINED_SCHEMA_XML, files))
+
+
+def test_chain_lookup_compares_linearly_many_cells(tmp_path, monkeypatch):
+    n = 400
+    students = "ID|FIRSTNAME|LASTNAME|DEBT\n" + "".join(f"{i}|f{i}|l{i}|{i}\n" for i in range(n))
+    grades = "STUDENTID|AVERAGE\n" + "".join(f"{i}|{i % 20}\n" for i in reversed(range(n)))
+    project = _chain_project(tmp_path, students, grades)
+    calls = 0
+    equals = TypedLiteral.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return equals(self, other)
+
+    monkeypatch.setattr(TypedLiteral, "__eq__", counting_eq)
+    table = materialize_integrated_table(project, "STUDENT")
+    assert [row[1].lexical for row in table.rows] == [str(i % 20) for i in range(n)]
+    assert calls <= 4 * (n + n)
+
+
+def test_master_without_rows_fetches_no_other_table(tmp_path):
+    project = _chain_project(tmp_path, "ID|FIRSTNAME|LASTNAME|DEBT\n", "STUDENTID|AVERAGE\n1|17\n")
+    log = AccessLog()
+    assert materialize_integrated_table(project, "STUDENT", log=log).rows == ()
+    assert log.entries == (("uni", "STUDENT"),)
+
+
+def test_multi_match_warns_once_per_field_with_the_row_count(tmp_path, caplog):
+    grades = "STUDENTID|AVERAGE\n1|17\n1|9\n3|12\n3|4\n2|8\n"
+    project = _chain_project(tmp_path, THREE_STUDENTS, grades)
+    with caplog.at_level(logging.WARNING, logger="medquery.extraction"):
+        table = materialize_integrated_table(project, "STUDENT")
+    assert [row[1].lexical for row in table.rows] == ["17", "8", "12"]
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert message.startswith("2 master rows ")
+    assert "keeping the first in source order" in message

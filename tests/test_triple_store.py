@@ -55,9 +55,12 @@ def test_match_wildcards():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_match_agrees_with_linear_scan(seed):
+    def key(x):
+        return (x.subject.value, x.predicate.value, format_term(x.object))
+
     rng = random.Random(seed)
     store = random_store(rng, 200)
-    triples = list(store.match(None, None, None))
+    triples = list(store)
     subjects = [t_.subject for t_ in triples] or [Iri(S)]
     predicates = [t_.predicate for t_ in triples] or [Iri(P)]
     objects = [t_.object for t_ in triples] or [LIT]
@@ -65,10 +68,7 @@ def test_match_agrees_with_linear_scan(seed):
         s = rng.choice(subjects) if rng.random() < 0.5 else None
         p = rng.choice(predicates) if rng.random() < 0.5 else None
         o = rng.choice(objects) if rng.random() < 0.5 else None
-        assert store.match(s, p, o) == sorted(
-            scan_match(triples, s, p, o),
-            key=lambda x: (x.subject.value, x.predicate.value, format_term(x.object)),
-        )
+        assert sorted(store.match(s, p, o), key=key) == sorted(scan_match(triples, s, p, o), key=key)
 
 
 def test_export_line_format():
@@ -113,7 +113,7 @@ def test_roundtrip_on_random_stores(seed):
 def test_export_order_is_insertion_independent():
     rng = random.Random(3)
     store = random_store(rng, 150)
-    triples = list(store.match(None, None, None))
+    triples = list(store)
     for seed in (1, 2):
         shuffled = TripleStore()
         order = triples[:]
