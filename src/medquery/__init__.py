@@ -15,7 +15,6 @@ from .descriptors import (
     parse_project,
     resolve_field_ref,
     serialize_schema,
-    serialize_sources,
 )
 from .dtypes import Dtype
 from .errors import MedQueryError
@@ -29,7 +28,7 @@ from .extraction import (
 from .mediator import execute_query, open_project
 from .rdql_engine import RdqlQuery, ResultSet, evaluate, parse_rdql
 from .schema_check import SatisfiabilityReport, check_schema
-from .sql_frontend import SqlQuery, parse_sql, unparse
+from .sql_frontend import SqlQuery, parse_sql
 from .sql_to_rdql import convert
 from .triple_store import (
     Iri,
@@ -79,6 +78,4 @@ __all__ = [
     "required_tables",
     "resolve_field_ref",
     "serialize_schema",
-    "serialize_sources",
-    "unparse",
 ]

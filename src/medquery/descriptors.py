@@ -509,35 +509,6 @@ def _to_xml_text(root: ET.Element) -> str:
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
 
 
-def serialize_sources(sources: Iterable[DataSourceDescriptor]) -> str:
-    """Render data-source descriptors back into the descriptor grammar."""
-    root = ET.Element("datasources")
-    for src in sources:
-        el = ET.SubElement(
-            root, "datasource", name=src.name, kind=src.kind.value, location=src.location
-        )
-        if src.credentials is not None:
-            ET.SubElement(el, "credentials", user=src.credentials.user,
-                          password=src.credentials.password)
-        for table in src.tables:
-            tel = ET.SubElement(el, "table", name=table.name)
-            for fdef in table.fields:
-                ET.SubElement(tel, "field", name=fdef.name, type=fdef.dtype.value)
-            binding = table.binding
-            if isinstance(binding, FileBinding):
-                ET.SubElement(tel, "file", path=binding.path)
-            elif isinstance(binding, ViewBinding):
-                ET.SubElement(tel, "view").text = binding.query
-            else:
-                attrs = {"record": binding.record_element}
-                if binding.transform is not None:
-                    attrs["transform"] = binding.transform
-                bel = ET.SubElement(tel, "xmlbinding", attrs)
-                for fname, element in binding.field_elements.items():
-                    ET.SubElement(bel, "map", field=fname, element=element)
-    return _to_xml_text(root)
-
-
 def _ref_attrs(ref: FieldRef) -> dict[str, str]:
     return {"source": ref.source, "table": ref.table, "field": ref.field}
 

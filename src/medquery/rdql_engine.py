@@ -14,10 +14,12 @@ variables, angle-bracketed IRIs or quoted literals with an optional
 against a variable or a literal; bare numerals and ``true``/``false`` are
 typed literals.
 
-Evaluation is a natural join over the patterns restricted by the
-constraints and projected onto the selected variables. Duplicates are kept
-and rows come back in a canonical order, so equal queries over equal
-stores render identically.
+Evaluation joins the patterns one at a time in a greedy connected order
+(each pattern after the first shares a variable bound before it, when one
+does), checks each constraint atom as soon as its variables are bound, and
+projects onto the selected variables. The answer does not depend on the
+order. Duplicates are kept and rows come back in a canonical order, so
+equal queries over equal stores render identically.
 """
 
 from __future__ import annotations
@@ -74,6 +76,17 @@ class RdqlQuery:
 
 @dataclass
 class ResultSet:
+    """Selected columns and rows of one evaluation.
+
+    ``cross_type_warnings`` is the number of comparisons that were made and
+    found incomparable (different dtype families, or an IRI operand). A
+    binding is checked against each atom once, in the join step that binds
+    the atom's last variable, and its checks stop at the first atom that
+    does not hold; so a binding that meets two incomparable atoms counts
+    once, and a partial binding counts once however many rows it would have
+    joined into.
+    """
+
     columns: list[str]
     rows: list[tuple[Term, ...]]
     cross_type_warnings: int = 0
@@ -216,7 +229,12 @@ def parse_rdql(text: str) -> RdqlQuery:
         scanner.fail("unexpected trailing input")
 
     query = RdqlQuery(tuple(select), tuple(patterns), tuple(filters))
-    bound = pattern_variables(query)
+    _check_variables(query)
+    return query
+
+
+def _check_variables(query: RdqlQuery) -> None:
+    bound = set().union(*map(_pattern_variables, query.patterns))
     for var in query.select:
         if var.name not in bound:
             raise UnboundSelectVarError(f"selected variable ?{var.name} occurs in no pattern")
@@ -226,7 +244,6 @@ def parse_rdql(text: str) -> RdqlQuery:
                 raise UnboundFilterVarError(
                     f"constraint variable ?{side.name} occurs in no pattern"
                 )
-    return query
 
 
 def _parse_pattern(scanner: _Scanner) -> TriplePattern:
@@ -252,12 +269,14 @@ def _parse_atom(scanner: _Scanner) -> FilterAtom:
     return FilterAtom(lhs, op, scanner.atom_rhs())
 
 
-def pattern_variables(query: RdqlQuery) -> set[str]:
-    names: set[str] = set()
-    for pattern in query.patterns:
-        for term in (pattern.s, pattern.p, pattern.o):
-            if isinstance(term, Var):
-                names.add(term.name)
+def _pattern_variables(pattern: TriplePattern) -> set[str]:
+    return {term.name for term in (pattern.s, pattern.p, pattern.o) if isinstance(term, Var)}
+
+
+def _atom_variables(atom: FilterAtom) -> set[str]:
+    names = {atom.lhs.name}
+    if isinstance(atom.rhs, Var):
+        names.add(atom.rhs.name)
     return names
 
 
@@ -265,20 +284,18 @@ def pattern_variables(query: RdqlQuery) -> set[str]:
 
 
 def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
-    """Conjunctive match, constraint filtering, projection.
+    """Conjunctive match with early constraint checks, projection, sorting.
 
-    Pattern order is chosen by ascending candidate count for speed; the
-    result does not depend on it. Rows are sorted lexicographically over
-    their term serializations and duplicates are kept.
+    Patterns are joined in :func:`_plan` order, and each constraint atom is
+    checked in the step that binds its last variable; the result does not
+    depend on that order. Rows are sorted lexicographically over their term
+    serializations and duplicates are kept. A selected or constraint
+    variable that no pattern binds raises before any pattern is matched.
     """
-    order = sorted(
-        range(len(query.patterns)),
-        key=lambda i: (_candidates(query.patterns[i], store), i),
-    )
-
+    _check_variables(query)
     bindings: list[dict[str, Term]] = [{}]
-    for i in order:
-        pattern = query.patterns[i]
+    warnings = 0
+    for pattern, atoms in _plan(query, store):
         next_bindings: list[dict[str, Term]] = []
         for binding in bindings:
             s = _resolved(pattern.s, binding)
@@ -290,30 +307,45 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
                 o if not isinstance(o, Var) else None,
             ):
                 extended = _unify(pattern, triple, binding)
-                if extended is not None:
+                if extended is None:
+                    continue
+                verdict = _all_hold(atoms, extended)
+                if verdict:
                     next_bindings.append(extended)
+                elif verdict is None:
+                    warnings += 1
         bindings = next_bindings
         if not bindings:
             break
 
-    warnings = 0
-    selected: list[dict[str, Term]] = []
-    for binding in bindings:
-        ok = True
-        for atom in query.filters:
-            verdict = _atom_holds(atom, binding)
-            if verdict is None:
-                warnings += 1
-                ok = False
-            elif not verdict:
-                ok = False
-        if ok:
-            selected.append(binding)
-
     columns = [var.name for var in query.select]
-    rows = [tuple(binding[name] for name in columns) for binding in selected]
+    rows = [tuple(binding[name] for name in columns) for binding in bindings]
     rows.sort(key=lambda row: tuple(format_term(term) for term in row))
     return ResultSet(columns, rows, warnings)
+
+
+def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, list[FilterAtom]]]:
+    """Greedy connected join order, each step with the atoms it completes.
+
+    The first pattern is the one with the fewest candidate triples. Each
+    later one has the fewest among those sharing a variable already bound
+    (among all the rest when none does), so a join key is bound before the
+    pattern it joins on. Ties go to the earlier pattern.
+    """
+    counts = [_candidates(pattern, store) for pattern in query.patterns]
+    remaining = list(range(len(query.patterns)))
+    bound: set[str] = set()
+    pending = list(query.filters)
+    steps: list[tuple[TriplePattern, list[FilterAtom]]] = []
+    while remaining:
+        connected = [i for i in remaining if _pattern_variables(query.patterns[i]) & bound]
+        best = min(connected or remaining, key=lambda i: (counts[i], i))
+        remaining.remove(best)
+        bound |= _pattern_variables(query.patterns[best])
+        ready = [atom for atom in pending if _atom_variables(atom) <= bound]
+        pending = [atom for atom in pending if not _atom_variables(atom) <= bound]
+        steps.append((query.patterns[best], ready))
+    return steps
 
 
 def _candidates(pattern: TriplePattern, store: TripleStore) -> int:
@@ -348,19 +380,19 @@ def _unify(pattern: TriplePattern, triple, binding: dict[str, Term]) -> dict[str
     return extended
 
 
+def _all_hold(atoms: list[FilterAtom], binding: dict[str, Term]) -> bool | None:
+    """True when every atom holds, else the verdict of the first that does not."""
+    for atom in atoms:
+        verdict = _atom_holds(atom, binding)
+        if not verdict:
+            return verdict
+    return True
+
+
 def _atom_holds(atom: FilterAtom, binding: dict[str, Term]) -> bool | None:
     """True/False per the typed comparison rules, None when incomparable."""
-    try:
-        lhs = binding[atom.lhs.name]
-    except KeyError:
-        raise UnboundFilterVarError(f"?{atom.lhs.name} is not bound") from None
-    if isinstance(atom.rhs, Var):
-        try:
-            rhs: Term = binding[atom.rhs.name]
-        except KeyError:
-            raise UnboundFilterVarError(f"?{atom.rhs.name} is not bound") from None
-    else:
-        rhs = atom.rhs
+    lhs = binding[atom.lhs.name]
+    rhs = binding[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs
     if not isinstance(lhs, TypedLiteral) or not isinstance(rhs, TypedLiteral):
         return None
     return compare(atom.op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype)

@@ -363,13 +363,3 @@ def _referenced_fields(query: SqlQuery):
         if isinstance(cond.rhs, QualifiedField):
             yield cond.rhs
 
-
-def unparse(query: SqlQuery) -> str:
-    """Render a query back to canonical SQL text; parsing it reproduces the AST."""
-    parts = ["SELECT " + ", ".join(str(f) for f in query.select)]
-    parts.append("FROM " + ", ".join(query.from_tables))
-    if query.join_conds:
-        parts.append("ON " + " AND ".join(str(c) for c in query.join_conds))
-    if query.filters:
-        parts.append("WHERE " + " AND ".join(str(c) for c in query.filters))
-    return " ".join(parts)

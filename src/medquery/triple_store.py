@@ -3,9 +3,11 @@
 Terms are IRIs or typed literals (no blank nodes, no untyped literals).
 The store keeps set semantics over triples and maintains SPO and POS
 indexes: a pattern with a bound subject is answered from SPO, any other
-from POS. Matches come in no particular order; iteration and exports are
-canonically ordered (SPO lexicographic over the N-Triples serialization),
-which makes them diffable even though RDF itself is unordered.
+from POS. ``count`` adds up the sizes of the same index entries instead
+of building the matches. Matches come in no particular order; iteration
+and exports are canonically ordered (SPO lexicographic over the N-Triples
+serialization), which makes them diffable even though RDF itself is
+unordered.
 """
 
 from __future__ import annotations
@@ -157,7 +159,19 @@ class TripleStore:
         return [Triple(subj, pred, obj) for subj, pred, obj in self._match_raw(s, p, o)]
 
     def count(self, s: Iri | None, p: Iri | None, o: Term | None) -> int:
-        return sum(1 for _ in self._match_raw(s, p, o))
+        """``len(self.match(s, p, o))``, summed from index entry sizes."""
+        if s is not None:
+            by_pred = self._spo.get(s, {})
+            object_sets = [by_pred.get(p, ())] if p is not None else by_pred.values()
+            if o is None:
+                return sum(map(len, object_sets))
+            return sum(o in objects for objects in object_sets)
+        if p is None and o is None:
+            return self._size
+        by_objs = [self._pos.get(p, {})] if p is not None else self._pos.values()
+        if o is None:
+            return sum(len(subjects) for by_obj in by_objs for subjects in by_obj.values())
+        return sum(len(by_obj.get(o, ())) for by_obj in by_objs)
 
     def _match_raw(self, s, p, o):
         if s is not None and p is not None and o is not None:

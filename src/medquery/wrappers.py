@@ -118,11 +118,20 @@ def _read_tabular(path: Path, table: SourceTableDef) -> tuple[Row, ...]:
     return tuple(rows)
 
 
+# seconds an XML transform may run before the fetch gives up on it
+_TRANSFORM_TIMEOUT_S = 60.0
+
+
 def _run_transform(command: str, document: bytes, context: str) -> bytes:
     try:
         result = subprocess.run(
             shlex.split(command), input=document, capture_output=True, check=True,
+            timeout=_TRANSFORM_TIMEOUT_S,
         )
+    except subprocess.TimeoutExpired:
+        raise IoError(
+            f"{context}: transform '{command}' timed out after {_TRANSFORM_TIMEOUT_S:g} s"
+        ) from None
     except (OSError, subprocess.CalledProcessError) as exc:
         raise IoError(f"{context}: transform '{command}' failed: {exc}") from None
     return result.stdout

@@ -1,8 +1,9 @@
 """Seeded random inputs: desk-scale projects, SQL texts, stores, RDQL queries.
 
-Projects are built as descriptor objects, serialized through the package's
-own writers, written to disk next to their data files and parsed back, so
-every generated case also exercises the descriptor round trip.
+Projects are built as descriptor objects, serialized (the sources by
+:func:`serialize_sources` here, the schema by the package's writer),
+written to disk next to their data files and parsed back, so every
+generated case also exercises the descriptor round trip.
 
 Join conditions are only generated between same-dtype fields; with
 canonical lexical forms that makes term equality and value equality agree,
@@ -12,8 +13,10 @@ so the relational oracle can compare cells directly.
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from medquery.descriptors import (
     DataSourceDescriptor,
@@ -33,7 +36,6 @@ from medquery.descriptors import (
     XmlBinding,
     parse_project,
     serialize_schema,
-    serialize_sources,
 )
 from medquery.dtypes import Dtype
 from medquery.rdql_engine import FilterAtom, RdqlQuery, TriplePattern, Var
@@ -50,6 +52,36 @@ _DATA_DTYPES = [Dtype.INTEGER, Dtype.INTEGER, Dtype.STRING, Dtype.DECIMAL, Dtype
 
 def rand_value(rng: random.Random, dtype: Dtype) -> str:
     return rng.choice(_VALUE_POOLS[dtype])
+
+
+def serialize_sources(sources: Iterable[DataSourceDescriptor]) -> str:
+    """Render data-source descriptors back into the descriptor grammar."""
+    root = ET.Element("datasources")
+    for src in sources:
+        el = ET.SubElement(
+            root, "datasource", name=src.name, kind=src.kind.value, location=src.location
+        )
+        if src.credentials is not None:
+            ET.SubElement(el, "credentials", user=src.credentials.user,
+                          password=src.credentials.password)
+        for table in src.tables:
+            tel = ET.SubElement(el, "table", name=table.name)
+            for fdef in table.fields:
+                ET.SubElement(tel, "field", name=fdef.name, type=fdef.dtype.value)
+            binding = table.binding
+            if isinstance(binding, FileBinding):
+                ET.SubElement(tel, "file", path=binding.path)
+            elif isinstance(binding, ViewBinding):
+                ET.SubElement(tel, "view").text = binding.query
+            else:
+                attrs = {"record": binding.record_element}
+                if binding.transform is not None:
+                    attrs["transform"] = binding.transform
+                bel = ET.SubElement(tel, "xmlbinding", attrs)
+                for fname, element in binding.field_elements.items():
+                    ET.SubElement(bel, "map", field=fname, element=element)
+    ET.indent(root, space="  ")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
 
 
 @dataclass

@@ -14,7 +14,6 @@ from medquery.descriptors import (
     parse_sources_xml,
     resolve_field_ref,
     serialize_schema,
-    serialize_sources,
 )
 from medquery.dtypes import Dtype
 from medquery.errors import (
@@ -24,7 +23,7 @@ from medquery.errors import (
 )
 
 from conftest import SCHEMA_XML, SOURCES_XML, write_project
-from generators import random_project
+from generators import random_project, serialize_sources
 
 MINIMAL_SOURCES = """<datasources>
   <datasource name="uni" kind="tabular" location=".">

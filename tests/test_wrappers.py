@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from medquery import wrappers
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype, is_canonical
 from medquery.errors import (
@@ -158,6 +160,20 @@ def test_failing_transform_is_io_error(tmp_path):
     doc = "<students/>"
     with pytest.raises(IoError):
         fetch_table(_xml_project(tmp_path, doc, sources=sources), "web", "STUDENT")
+
+
+def test_transform_past_its_timeout_is_io_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(wrappers, "_TRANSFORM_TIMEOUT_S", 0.2)
+    sources = XML_SOURCES.replace(
+        '<xmlbinding record="student">',
+        '<xmlbinding record="student" transform="sleep 5">',
+    )
+    project = _xml_project(tmp_path, "<students/>", sources=sources)
+    started = time.monotonic()
+    message = r"table 'STUDENT': transform 'sleep 5' timed out after 0\.2 s"
+    with pytest.raises(IoError, match=message):
+        fetch_table(project, "web", "STUDENT")
+    assert time.monotonic() - started < 4
 
 
 # --- views -------------------------------------------------------------------
