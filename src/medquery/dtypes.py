@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from fractions import Fraction
+from decimal import Decimal
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -34,10 +34,11 @@ class Dtype(str, enum.Enum):
 
 NUMERIC_DTYPES = frozenset({Dtype.INTEGER, Dtype.DECIMAL})
 
-_INTEGER_INPUT = re.compile(r"[+-]?\d+")
-_DECIMAL_INPUT = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+|\d+\.)")
-_CANONICAL_INTEGER = re.compile(r"0|-?[1-9]\d*")
-_CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9]\d*)\.(0|\d*[1-9])")
+# ASCII digits only: re's \d also matches the digits of other scripts
+_INTEGER_INPUT = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_INPUT = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+|[0-9]+\.)")
+_CANONICAL_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+_CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)\.(0|[0-9]*[1-9])")
 
 
 def is_identifier(name: str) -> bool:
@@ -64,9 +65,9 @@ def canonicalize(text: str, dtype: Dtype) -> str:
             return str(int(s))
         # accept decimal-shaped input when the value is integral
         if _DECIMAL_INPUT.fullmatch(s):
-            value = Fraction(s)
-            if value.denominator == 1:
-                return str(int(value))
+            whole, _, frac = canonicalize(s, Dtype.DECIMAL).partition(".")
+            if frac == "0":
+                return whole
         raise ValueError(f"not an integer: {text!r}")
     if dtype is Dtype.DECIMAL:
         if not _DECIMAL_INPUT.fullmatch(s):
@@ -109,13 +110,15 @@ COMPARISON_OPS = tuple(_OPS)
 def compare(op: str, a_lexical: str, a_dtype: Dtype, b_lexical: str, b_dtype: Dtype) -> bool | None:
     """Typed comparison of two values; ``None`` when the pair is incomparable.
 
-    Numerics compare by value regardless of integer/decimal mix, strings by
-    codepoint order, booleans by equality only. Everything else (including
-    cross-type pairs) is incomparable.
+    Numerics compare by value regardless of integer/decimal mix, exactly:
+    ``Decimal`` reads a canonical lexical form without rounding, and its
+    comparisons never round, whatever the number of digits. Strings compare
+    by codepoint order, booleans by equality only. Everything else
+    (including cross-type pairs) is incomparable.
     """
     fn = _OPS[op]
     if a_dtype in NUMERIC_DTYPES and b_dtype in NUMERIC_DTYPES:
-        return fn(Fraction(a_lexical), Fraction(b_lexical))
+        return fn(Decimal(a_lexical), Decimal(b_lexical))
     if a_dtype is Dtype.STRING and b_dtype is Dtype.STRING:
         return fn(a_lexical, b_lexical)
     if a_dtype is Dtype.BOOLEAN and b_dtype is Dtype.BOOLEAN and op in ("=", "!="):

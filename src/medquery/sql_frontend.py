@@ -35,6 +35,7 @@ _KEYWORDS = {
 }
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _COMPARATORS = {"=", "!=", "<", "<=", ">", ">="}
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ def _tokenize(text: str) -> list[_Token]:
             kind = "KEYWORD" if word.upper() in _KEYWORDS or word.upper() in _AGGREGATES else "IDENT"
             tokens.append(_Token(kind, word, start))
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             tokens.append(_Token("NUMBER", text[start:i], start))
             continue

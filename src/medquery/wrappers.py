@@ -214,16 +214,22 @@ def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog |
     """
     query = sql_frontend.parse_view_select(view_def)
     base = fetch_table(project, source, query.from_tables[0], log, _active=_active)
+    # (lhs column, op, rhs column or literal), resolved once for every row
+    conditions = [
+        (base.column(cond.lhs.field), cond.op,
+         base.column(cond.rhs.field) if isinstance(cond.rhs, sql_frontend.QualifiedField)
+         else cond.rhs)
+        for cond in query.filters
+    ]
 
     def passes(row: Row) -> bool:
-        for cond in query.filters:
-            lhs = row[base.column(cond.lhs.field)]
-            rhs = cond.rhs
-            if isinstance(rhs, sql_frontend.QualifiedField):
-                rhs = row[base.column(rhs.field)]
+        for lhs_column, op, rhs in conditions:
+            lhs = row[lhs_column]
+            if isinstance(rhs, int):
+                rhs = row[rhs]
             if lhs is None or rhs is None:
                 return False
-            if compare(cond.op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:
+            if compare(op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:
                 return False
         return True
 

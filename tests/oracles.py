@@ -1,16 +1,16 @@
 """Independent reference implementations the tests check against.
 
 Everything here deliberately avoids the package's indexes, candidate
-ordering and Fraction arithmetic: matching is linear scan, joins are
+ordering and Decimal arithmetic: matching is linear scan, joins are
 exhaustive enumeration with backtracking over the raw triple list (a
 repeated variable, within one pattern or across patterns, must take one
-value), and numeric comparison goes through Decimal.
+value), and numeric comparison goes through Fraction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 from medquery.descriptors import DerivedRelation, EqualityRelation, SourceFieldDef
@@ -38,7 +38,7 @@ def compare_terms(op, lhs, rhs):
         return None
     numeric = (Dtype.INTEGER, Dtype.DECIMAL)
     if lhs.dtype in numeric and rhs.dtype in numeric:
-        a, b = Decimal(lhs.lexical), Decimal(rhs.lexical)
+        a, b = Fraction(lhs.lexical), Fraction(rhs.lexical)
     elif lhs.dtype == rhs.dtype == Dtype.STRING:
         a, b = lhs.lexical, rhs.lexical
     elif lhs.dtype == rhs.dtype == Dtype.BOOLEAN and op in ("=", "!="):

@@ -72,6 +72,19 @@ def test_undecodable_input_file_is_classified(fig2_paths, capsys, name, content,
     assert _run(capsys, "query", fig2_paths, "--query-file", str(query_file)) == (code, "")
 
 
+@pytest.mark.parametrize("lang, query, students", [
+    ("sql", "SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.DEBT>\u00b2", None),
+    ("rdql", "SELECT ?x WHERE (?r <http://integratedDB/STUDENT#DEBT> ?x) AND ?x > 1.\u0665",
+     None),
+    ("sql", "SELECT STUDENT.ID FROM STUDENT",
+     "ID|FIRSTNAME|LASTNAME|DEBT\n1|Ann|K|1\u0662\n"),
+], ids=["sql-superscript", "rdql-arabic-indic", "data-arabic-indic"])
+def test_non_ascii_digits_are_not_numbers(fig2_paths, capsys, lang, query, students):
+    if students is not None:
+        fig2_paths[0].with_name("students.txt").write_text(students, encoding="utf-8")
+    assert _run(capsys, "query", fig2_paths, "--lang", lang, "--query", query) == (1, "")
+
+
 @pytest.mark.parametrize("declared, code", [("UTF-8", 2), ("ISO-8859-1", 0)])
 def test_descriptor_bytes_decode_as_declared(fig2_paths, capsys, declared, code):
     sources, _ = fig2_paths

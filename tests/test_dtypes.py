@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medquery.dtypes import Dtype, canonicalize, compare, is_canonical
+from medquery.dtypes import COMPARISON_OPS, Dtype, canonicalize, compare, is_canonical
+from medquery.triple_store import TypedLiteral
+
+from oracles import compare_terms
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -23,10 +28,20 @@ def test_decimal_canonicalization(text, expected):
 @pytest.mark.parametrize("text,dtype", [
     ("abc", Dtype.INTEGER), ("2.5", Dtype.INTEGER), ("", Dtype.INTEGER),
     ("1e3", Dtype.DECIMAL), ("x", Dtype.BOOLEAN), ("1", Dtype.BOOLEAN),
+    ("1\u0662", Dtype.INTEGER), ("1\u0662", Dtype.DECIMAL),
 ])
 def test_rejects_bad_lexicals(text, dtype):
     with pytest.raises(ValueError):
         canonicalize(text, dtype)
+
+
+@pytest.mark.parametrize("lexical,dtype", [
+    ("1\u0662", Dtype.INTEGER), ("1\u0662.0", Dtype.DECIMAL),
+])
+def test_non_ascii_digits_are_not_canonical(lexical, dtype):
+    assert not is_canonical(lexical, dtype)
+    with pytest.raises(ValueError):
+        TypedLiteral(lexical, dtype)
 
 
 def test_boolean_case_folding():
@@ -52,6 +67,48 @@ def test_numeric_compare_crosses_integer_and_decimal():
     assert compare("=", "2", Dtype.INTEGER, "2.0", Dtype.DECIMAL) is True
     assert compare("<", "2", Dtype.INTEGER, "2.5", Dtype.DECIMAL) is True
     assert compare(">", "-1", Dtype.INTEGER, "0.5", Dtype.DECIMAL) is False
+
+
+def _random_value(rng: random.Random) -> tuple[int, int]:
+    """``(units, places)`` standing for units / 10**places, with 1 to 45 digits."""
+    units = rng.randrange(10 ** rng.randint(1, 45)) * rng.choice((-1, 1))
+    return units, 0 if rng.random() < 0.4 else rng.randint(1, 20)
+
+
+def _lexical(rng: random.Random, units: int, places: int) -> TypedLiteral:
+    """Canonical literal of units / 10**places; an integral value may be either dtype."""
+    whole, frac = divmod(abs(units), 10 ** places)
+    sign = "-" if units < 0 else ""
+    if frac:
+        text = canonicalize(f"{sign}{whole}.{frac:0{places}d}", Dtype.DECIMAL)
+        return TypedLiteral(text, Dtype.DECIMAL)
+    dtype = rng.choice((Dtype.INTEGER, Dtype.DECIMAL))
+    return TypedLiteral(canonicalize(f"{sign}{whole}", dtype), dtype)
+
+
+def _numeric_pair(rng: random.Random) -> tuple[TypedLiteral, TypedLiteral]:
+    units, places = _random_value(rng)
+    kind = rng.randrange(3)
+    if kind == 0:  # unrelated values
+        other = _random_value(rng)
+    elif kind == 1:  # one unit apart in the last place: rounding to fewer digits merges them
+        other = units + rng.choice((-1, 1)), places
+    else:  # the same value written with more places, often across dtypes
+        extra = rng.randint(0, 3)
+        other = units * 10 ** extra, places + extra
+    pair = [_lexical(rng, units, places), _lexical(rng, *other)]
+    rng.shuffle(pair)
+    return pair[0], pair[1]
+
+
+def test_numeric_compare_agrees_with_exact_reference():
+    rng = random.Random(7)
+    pairs = [(TypedLiteral("3", Dtype.INTEGER), TypedLiteral("3.0", Dtype.DECIMAL))]
+    pairs += [_numeric_pair(rng) for _ in range(3000)]
+    for a, b in pairs:
+        for op in COMPARISON_OPS:
+            assert compare(op, a.lexical, a.dtype, b.lexical, b.dtype) == \
+                compare_terms(op, a, b), (a, op, b)
 
 
 def test_string_compare_is_codepoint_order():

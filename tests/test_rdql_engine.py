@@ -235,29 +235,54 @@ def _fig2_store(n):
     return store
 
 
-def test_fig2_join_matches_linearly_many_triples(monkeypatch):
-    n = 2000
-    store = _fig2_store(n)
-    bound = 6 * n
-    matched = 0
+def _count_matched(monkeypatch, bound):
+    """Make ``TripleStore.match`` tally the triples it returns in ``tally["matched"]``."""
+    tally = {"matched": 0}
     match = TripleStore.match
 
     def counting_match(self, s, p, o):
-        nonlocal matched
         found = match(self, s, p, o)
-        matched += len(found)
-        if matched > bound:  # fail before a cross product is built
+        tally["matched"] += len(found)
+        if tally["matched"] > bound:  # fail before a cross product is built
             raise AssertionError(f"match returned more than {bound} triples")
         return found
 
     monkeypatch.setattr(TripleStore, "match", counting_match)
+    return tally
+
+
+def test_fig2_join_matches_linearly_many_triples(monkeypatch):
+    n = 2000
+    store = _fig2_store(n)
+    bound = 6 * n
+    tally = _count_matched(monkeypatch, bound)
     result = evaluate(parse_rdql(FIG2_RDQL), store)
     expected = sorted(
         (f"F{i}", f"L{i}", str(i % 20), str(i * 37 % 4000))
         for i in range(n) if i % 10 and i * 37 % 4000 > 2000
     )
     assert sorted(tuple(t.lexical for t in row) for row in result.rows) == expected
-    assert matched <= bound
+    assert tally["matched"] <= bound
+
+
+def test_selective_scan_matches_few_triples(monkeypatch):
+    """A scan keeping k of n rows reads the constrained column, then 2 triples per kept row."""
+    n = 2000
+    table = "http://integratedDB/STUDENT"
+    store = TripleStore()
+    for i in range(n):
+        row = Iri(f"{table}/row/{i}")
+        store.insert(Triple(row, Iri(f"{table}#ID"), lit(str(i))))
+        store.insert(Triple(row, Iri(f"{table}#NAME"), lit(f"N{i}", Dtype.STRING)))
+        store.insert(Triple(row, Iri(f"{table}#DEBT"), lit(str(i * 37 % 5000))))
+    expected = sorted((str(i), f"N{i}") for i in range(n) if i * 37 % 5000 > 4800)
+    tally = _count_matched(monkeypatch, n + 2 * len(expected))
+    result = evaluate(parse_rdql(
+        f"SELECT ?ID, ?NAME WHERE (?r <{table}#ID> ?ID), (?r <{table}#NAME> ?NAME), "
+        f"(?r <{table}#DEBT> ?DEBT) AND ?DEBT > 4800"
+    ), store)
+    assert sorted(tuple(t.lexical for t in row) for row in result.rows) == expected
+    assert tally["matched"] <= n + 2 * len(expected)
 
 
 def test_join_order_independence():

@@ -9,6 +9,7 @@ from medquery.dtypes import Dtype, is_canonical
 from medquery.errors import (
     IoError,
     TypeCoercionError,
+    UnknownFieldError,
     UnknownTableError,
     UnsupportedSqlError,
 )
@@ -218,6 +219,12 @@ def test_view_filter_matches_row_scan(view_project):
     table = evaluate_view(view_project, "uni",
                           "SELECT ID FROM STUDENT WHERE DEBT > 2000")
     assert [row[0].lexical for row in table.rows] == ["2", "3"]
+
+
+def test_view_filter_on_unknown_field_raises_when_no_row_reaches_it(view_project):
+    with pytest.raises(UnknownFieldError):
+        evaluate_view(view_project, "uni",
+                      "SELECT ID FROM STUDENT WHERE DEBT > 9000 AND NOPE = 1")
 
 
 def test_view_join_is_unsupported(view_project):
