@@ -44,7 +44,7 @@ from .mediator import execute_query, open_project
 from .rdql_engine import ResultSet
 from .schema_check import check_schema
 from .sql_frontend import parse_sql
-from .triple_store import Iri, Triple, TripleStore, TypedLiteral, export_ntriples
+from .triple_store import Iri, TripleStore, TypedLiteral, export_ntriples
 
 _DESCRIPTOR_ERRORS = (MalformedXmlError, DuplicateNameError, UnresolvedFieldRefError)
 
@@ -130,11 +130,13 @@ def render_result_xml(result: ResultSet) -> str:
 
 
 def result_triples(result: ResultSet) -> TripleStore:
+    # a repeated column repeats its variable's value, so its first copy suffices
+    first = {name: result.columns.index(name) for name in result.columns}
     store = TripleStore()
-    for index, row in enumerate(result.rows):
-        subject = Iri(result_subject_iri(index))
-        for name, term in zip(result.columns, row):
-            store.insert(Triple(subject, Iri(result_property_iri(name)), term))
+    store.load_rows([Iri(result_property_iri(name)) for name in first], (
+        (Iri(result_subject_iri(index)), [row[column] for column in first.values()])
+        for index, row in enumerate(result.rows)
+    ))
     return store
 
 

@@ -50,7 +50,9 @@ def canonicalize(text: str, dtype: Dtype) -> str:
 
     Raises ValueError when the text is not a valid lexical form. Strings
     pass through untouched; numerics and booleans are normalized so equal
-    values always share one lexical representation.
+    values always share one lexical representation. Numbers are normalized
+    as text (sign and leading or trailing zeros), never through ``int``, so
+    there is no limit on the number of digits.
     """
     if dtype is Dtype.STRING:
         return text
@@ -62,7 +64,8 @@ def canonicalize(text: str, dtype: Dtype) -> str:
         raise ValueError(f"not a boolean: {text!r}")
     if dtype is Dtype.INTEGER:
         if _INTEGER_INPUT.fullmatch(s):
-            return str(int(s))
+            digits = s.lstrip("+-").lstrip("0") or "0"
+            return "-" + digits if s.startswith("-") and digits != "0" else digits
         # accept decimal-shaped input when the value is integral
         if _DECIMAL_INPUT.fullmatch(s):
             whole, _, frac = canonicalize(s, Dtype.DECIMAL).partition(".")

@@ -37,7 +37,7 @@ from .dtypes import Dtype, canonicalize
 from .errors import NoRelationPathError, TypeCoercionError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
-from .triple_store import Iri, Triple, TripleStore, TypedLiteral
+from .triple_store import Iri, TripleStore, TypedLiteral
 from .wrappers import AccessLog, Cell, Row, Table, fetch_table
 
 logger = logging.getLogger(__name__)
@@ -279,14 +279,16 @@ def materialize_required(project: Project, names: Iterable[str],
 
 
 def build_triples(data: IntegratedData) -> TripleStore:
-    """One subject per row, one triple per non-missing cell."""
+    """One subject per row, one triple per non-missing cell.
+
+    Each table is bulk-loaded with :meth:`TripleStore.load_rows`: table
+    names key ``data.tables`` and field names are unique within a table, so
+    every (row subject, field predicate) pair occurs once.
+    """
     store = TripleStore()
     for name, table in data.tables.items():
         predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
-        for index, row in enumerate(table.rows):
-            subject = Iri(subject_iri(name, index))
-            for cell, predicate in zip(row, predicates):
-                if cell is None:
-                    continue
-                store.insert(Triple(subject, predicate, cell))
+        store.load_rows(predicates, (
+            (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
+        ))
     return store

@@ -4,17 +4,24 @@ Terms are IRIs or typed literals (no blank nodes, no untyped literals).
 The store keeps set semantics over triples and maintains SPO and POS
 indexes: a pattern with a bound subject is answered from SPO, any other
 from POS. ``count`` adds up the sizes of the same index entries instead
-of building the matches. Matches come in no particular order; iteration
-and exports are canonically ordered (SPO lexicographic over the N-Triples
-serialization), which makes them diffable even though RDF itself is
-unordered.
+of building the matches. Triples arrive one at a time through ``insert``
+(the path of :func:`import_ntriples`) or a table at a time through
+``load_rows``, which fills both indexes straight from rows of cells whose
+(subject, predicate) pairs cannot repeat, so it builds no ``Triple`` and
+probes for no duplicate.
+
+Matches come in no particular order; iteration and exports are
+canonically ordered by (subject IRI, predicate IRI, object in N-Triples
+syntax), which makes them diffable even though RDF itself is unordered.
+An export renders each triple's object once and writes its line from that
+sort key.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .dtypes import Dtype, is_canonical
 from .errors import NtParseError
@@ -59,12 +66,8 @@ class Triple:
     object: Term
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _escape(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
 
 
 def scan_iri(text: str, pos: int) -> tuple[Iri, int]:
@@ -113,7 +116,7 @@ def format_term(term: Term) -> str:
     """Render a term in N-Triples syntax; doubles as the canonical sort key."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    return f'"{_escape(term.lexical)}"^^<{dtype_iri(term.dtype)}>'
+    return f'"{term.lexical.translate(_ESCAPES)}"^^<{dtype_iri(term.dtype)}>'
 
 
 def _triple_key(t: Triple) -> tuple[str, str, str]:
@@ -153,6 +156,32 @@ class TripleStore:
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
         self._size += 1
         return True
+
+    def load_rows(self, predicates: Sequence[Iri],
+                  rows: Iterable[tuple[Iri, Sequence[Term | None]]]) -> None:
+        """Add a triple ``(subject, predicates[i], cells[i])`` per non-missing cell.
+
+        Each row is ``(subject, cells)`` with one cell per predicate; ``None``
+        is a missing cell. The predicates must be distinct and no subject may
+        be in the store already, so no triple can repeat: unlike
+        :meth:`insert`, nothing is probed cell by cell.
+        """
+        if len(set(predicates)) != len(predicates):
+            raise ValueError("load_rows needs distinct predicates")
+        spo = self._spo
+        pos_entries = [self._pos.setdefault(p, {}) for p in predicates]
+        for subject, cells in rows:
+            if subject in spo:
+                raise ValueError(f"subject already in the store: {subject.value}")
+            by_pred: dict[Iri, set[Term]] = {}
+            for predicate, by_obj, cell in zip(predicates, pos_entries, cells):
+                if cell is None:
+                    continue
+                by_pred[predicate] = {cell}
+                by_obj.setdefault(cell, set()).add(subject)
+            if by_pred:
+                spo[subject] = by_pred
+                self._size += len(by_pred)
 
     def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[Triple]:
         """All triples unifying with the pattern (None is a wildcard), unordered."""
@@ -203,11 +232,9 @@ class TripleStore:
 
 def export_ntriples(store: TripleStore) -> str:
     """Serialize the store, one triple per line, in canonical order."""
-    lines = [
-        f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} ."
-        for t in store
-    ]
-    return "".join(line + "\n" for line in lines)
+    triples = store._match_raw(None, None, None)
+    keys = sorted((s.value, p.value, format_term(o)) for s, p, o in triples)
+    return "".join(f"<{s}> <{p}> {o} .\n" for s, p, o in keys)
 
 
 def import_ntriples(text: str) -> TripleStore:

@@ -85,6 +85,39 @@ def test_non_ascii_digits_are_not_numbers(fig2_paths, capsys, lang, query, stude
     assert _run(capsys, "query", fig2_paths, "--lang", lang, "--query", query) == (1, "")
 
 
+@pytest.mark.parametrize("select", ["?D, ?D", "?D, ?N, ?D"])
+def test_ntriples_result_has_one_triple_per_row_and_column(fig2_paths, capsys, select):
+    query = (f"SELECT {select} WHERE (?r <http://integratedDB/STUDENT#DEBT> ?D), "
+             "(?r <http://integratedDB/STUDENT#FIRSTNAME> ?N)")
+    code, out = _run(capsys, "query", fig2_paths, "--lang", "rdql", "--query", query,
+                     "--out", "ntriples")
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    cells = {"D": [f'"1500"^^<{xsd}integer>', f'"2500"^^<{xsd}integer>'],
+             "N": [f'"Ann"^^<{xsd}string>', f'"Bob"^^<{xsd}string>']}
+    columns = sorted(set(select.replace("?", "").split(", ")))
+    assert code == 0
+    assert out == "".join(
+        f"<{result_subject_iri(row)}> <{result_property_iri(column)}> {cells[column][row]} .\n"
+        for row in range(2) for column in columns
+    )
+
+
+LONG_DEBT = "2" + "0" * 4999  # more digits than int() accepts from a string
+LONG_BOUND = "1" * 5000
+
+
+@pytest.mark.parametrize("lang, query", [
+    ("sql", f"SELECT STUDENT.FIRSTNAME, STUDENT.DEBT FROM STUDENT WHERE STUDENT.DEBT>{LONG_BOUND}"),
+    ("rdql", "SELECT ?FIRSTNAME, ?DEBT WHERE (?r <http://integratedDB/STUDENT#FIRSTNAME> "
+             f"?FIRSTNAME), (?r <http://integratedDB/STUDENT#DEBT> ?DEBT) AND ?DEBT > {LONG_BOUND}"),
+], ids=["sql", "rdql"])
+def test_integers_have_no_digit_limit(fig2_paths, capsys, lang, query):
+    students = f"ID|FIRSTNAME|LASTNAME|DEBT\n1|Ann|K|{LONG_BOUND[:-1]}\n2|Bob|L|+00{LONG_DEBT}\n"
+    fig2_paths[0].with_name("students.txt").write_text(students, encoding="utf-8")
+    code, out = _run(capsys, "query", fig2_paths, "--lang", lang, "--query", query)
+    assert (code, out) == (0, f"FIRSTNAME|DEBT\nBob|{LONG_DEBT}\n")
+
+
 @pytest.mark.parametrize("declared, code", [("UTF-8", 2), ("ISO-8859-1", 0)])
 def test_descriptor_bytes_decode_as_declared(fig2_paths, capsys, declared, code):
     sources, _ = fig2_paths

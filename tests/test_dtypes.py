@@ -12,9 +12,19 @@ from oracles import compare_terms
 
 @pytest.mark.parametrize("text,expected", [
     ("7", "7"), ("+7", "7"), ("007", "7"), ("-0", "0"), (" 42 ", "42"), ("3.0", "3"),
+    ("+007", "7"), ("-000", "0"), ("7.0", "7"), ("-0070", "-70"),
 ])
 def test_integer_canonicalization(text, expected):
     assert canonicalize(text, Dtype.INTEGER) == expected
+
+
+def test_integer_canonicalization_has_no_digit_limit():
+    # more digits than int() accepts from a string (4,300 by default)
+    digits = "9" + "0" * 4999
+    assert canonicalize("+000" + digits, Dtype.INTEGER) == digits
+    assert canonicalize("-" + digits, Dtype.INTEGER) == "-" + digits
+    assert canonicalize(digits + ".000", Dtype.INTEGER) == digits
+    assert canonicalize("-" + "0" * 5000, Dtype.INTEGER) == "0"
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -1,5 +1,6 @@
 """Materialization: cell path, dtype conversion, coercion errors, the oracle."""
 
+import itertools
 import logging
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from medquery.descriptors import parse_project
 from medquery.errors import TypeCoercionError
 from medquery.extraction import build_triples, materialize_integrated_table, materialize_required
-from medquery.triple_store import TypedLiteral, export_ntriples
+from medquery.iris import property_iri, subject_iri
+from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, export_ntriples
 from medquery.wrappers import AccessLog, fetch_table
 
 from conftest import COMBINED_SCHEMA_XML, SOURCES_XML, THREE_STUDENTS, write_project
@@ -121,6 +123,39 @@ def test_materialization_agrees_with_nested_loop_oracle(tmp_path, first_seed):
         data = materialize_required(project, names)
         for name in names:
             assert data.tables[name] == materialize_table(project, name), (seed, name)
+
+
+@pytest.mark.parametrize("first_seed", range(0, 60, 20))
+def test_build_triples_equals_inserting_each_cell(tmp_path, first_seed):
+    missing = 0
+    for seed in range(first_seed, first_seed + 20):
+        project = random_project(random.Random(seed), tmp_path / str(seed)).project
+        data = materialize_required(project, [t.name for t in project.schema.tables])
+        reference = TripleStore()
+        for name, table in data.tables.items():
+            for index, row in enumerate(table.rows):
+                for fdef, cell in zip(table.fields, row):
+                    if cell is None:
+                        missing += 1
+                        continue
+                    reference.insert(Triple(Iri(subject_iri(name, index)),
+                                            Iri(property_iri(name, fdef.name)), cell))
+        store = build_triples(data)
+        assert store == reference, seed
+        assert len(store) == len(reference), seed
+        patterns = {
+            tuple(term if keep else None
+                  for term, keep in zip((t.subject, t.predicate, t.object), mask))
+            for t in reference for mask in itertools.product((False, True), repeat=3)
+        }
+        matched = 0
+        for pattern in patterns:
+            expected, got = reference.match(*pattern), store.match(*pattern)
+            assert store.count(*pattern) == reference.count(*pattern) == len(expected)
+            assert len(got) == len(expected) and set(got) == set(expected), (seed, pattern)
+            matched += len(expected)
+        assert matched >= len(reference), seed
+    assert missing > 0  # the loader skips missing cells
 
 
 def _chain_project(tmp_path, students, grades):

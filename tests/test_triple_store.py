@@ -37,6 +37,22 @@ def test_insert_is_set_semantics():
     assert len(store) == 2
 
 
+def test_load_rows_equals_inserts_and_refuses_repeats():
+    q = "http://x/q"
+    store = TripleStore()
+    store.load_rows([Iri(P), Iri(q)], [(Iri(S), [LIT, None]), (Iri("http://x/s2"), [None, None]),
+                                       (Iri("http://x/s3"), [LIT, LIT])])
+    reference = TripleStore()
+    for triple in (t(S, P, LIT), t("http://x/s3", P, LIT), t("http://x/s3", q, LIT)):
+        reference.insert(triple)
+    assert store == reference and len(store) == 3
+    assert store.count(None, Iri(P), LIT) == 2
+    with pytest.raises(ValueError):
+        store.load_rows([Iri(P), Iri(P)], [])
+    with pytest.raises(ValueError):
+        store.load_rows([Iri(P)], [(Iri(S), [LIT])])
+
+
 def test_match_wildcards():
     store = TripleStore()
     triples = [
@@ -109,6 +125,35 @@ def test_string_escaping_roundtrip():
     store.insert(t(S, P, tricky))
     text = export_ntriples(store)
     assert "\n" not in text.rstrip("\n")
+    assert import_ntriples(text) == store
+
+
+def test_export_orders_by_key_and_escapes_each_literal():
+    texts = ['say "hi"', "back\\slash", "two\nlines", "cr\rhere", "raw\ttab",
+             "Ren\u00e9 \u6f22\u5b57 \U0001F600"]
+    store = TripleStore()
+    for subject in ("http://x/a/b", "http://x/a"):
+        for text in texts:
+            store.insert(t(subject, P, TypedLiteral(text, Dtype.STRING)))
+        store.insert(t(subject, P + "/q", Iri("http://x/a")))
+        store.insert(t(subject, P + "/q", TypedLiteral("-3", Dtype.INTEGER)))
+
+    def render(term):  # the object in N-Triples syntax, escaped here by hand
+        if isinstance(term, Iri):
+            return f"<{term.value}>"
+        text = term.lexical
+        for char, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r")):
+            text = text.replace(char, escaped)
+        return f'"{text}"^^<http://www.w3.org/2001/XMLSchema#{term.dtype.value}>'
+
+    # documented order: (subject IRI, predicate IRI, object text), not whole lines
+    keys = sorted((x.subject.value, x.predicate.value, render(x.object))
+                  for x in store.match(None, None, None))
+    lines = [f"<{s}> <{p}> {o} .\n" for s, p, o in keys]
+    assert sorted(lines) != lines
+    text = export_ntriples(store)
+    assert text == "".join(lines)
+    assert "\t" in text and "\u6f22" in text  # tabs and non-ASCII text stay raw
     assert import_ntriples(text) == store
 
 
