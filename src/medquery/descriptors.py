@@ -46,25 +46,37 @@ Integrated-schema descriptor::
     </schema>
 
 Parsing is strict and total: any malformed input raises exactly one
-classified error and never yields a partial project. Field mappings are
-resolved at parse time; relation references are deliberately left to the
-satisfiability checker so that it can report them as findings.
+classified error and never yields a partial project. Names and references
+are identifiers; ``type``, ``kind`` and ``op`` take their enum's values;
+``record`` and ``element`` are plain XML element names, not paths; and a
+``transform`` splits, shell-style, into at least one word. Field mappings
+are resolved at parse time; relation references are deliberately left to
+the satisfiability checker so that it can report them as findings.
 """
 
 from __future__ import annotations
 
 import enum
+import re
+import shlex
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 from xml.parsers.expat import ErrorString
 
-from .dtypes import Dtype, is_identifier
+from .dtypes import IDENTIFIER_RE, Dtype
 from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefError
 
 
 # --- domain types ----------------------------------------------------------
+
+
+def _named(items: Iterable[Any], name: str) -> Any:
+    for item in items:
+        if item.name == name:
+            return item
+    return None
 
 
 class SourceKind(str, enum.Enum):
@@ -122,10 +134,7 @@ class SourceTableDef:
     binding: Binding
 
     def field_def(self, name: str) -> SourceFieldDef | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
+        return _named(self.fields, name)
 
 
 @dataclass(frozen=True)
@@ -143,10 +152,7 @@ class DataSourceDescriptor:
     tables: tuple[SourceTableDef, ...]
 
     def table(self, name: str) -> SourceTableDef | None:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        return None
+        return _named(self.tables, name)
 
 
 @dataclass(frozen=True)
@@ -164,10 +170,7 @@ class IntegratedTableDef:
     fields: tuple[IntegratedFieldDef, ...]
 
     def field_def(self, name: str) -> IntegratedFieldDef | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
+        return _named(self.fields, name)
 
 
 @dataclass(frozen=True)
@@ -193,10 +196,7 @@ class IntegratedSchema:
     relations: tuple[Relation, ...]
 
     def table(self, name: str) -> IntegratedTableDef | None:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        return None
+        return _named(self.tables, name)
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,7 @@ class Project:
     base_dir: str = field(default=".", compare=False)
 
     def source(self, name: str) -> DataSourceDescriptor | None:
-        for s in self.sources:
-            if s.name == name:
-                return s
-        return None
+        return _named(self.sources, name)
 
 
 def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
@@ -252,56 +249,70 @@ def _parse_root(text: str | bytes, expected_tag: str) -> ET.Element:
     return root
 
 
-def _require_attr(el: ET.Element, name: str, where: str) -> str:
-    value = el.get(name)
-    if value is None:
-        raise MalformedXmlError(f"{where}: missing attribute '{name}' on <{el.tag}>")
-    return value
+# attribute name -> the pattern its whole value must match, and what a match is;
+# ElementTree's iter and find read anything but a plain name as a path or wildcard
+_VALUE_PATTERNS = {
+    **dict.fromkeys(("name", "source", "table", "field", "sourcetable", "sourcefield"),
+                    (IDENTIFIER_RE, "a valid identifier")),
+    **dict.fromkeys(("record", "element"), (re.compile(r"[^\W\d][\w.-]*"), "a valid XML element name")),
+}
+
+# (element tag, attribute name) -> the members of its enum, by value
+_ENUM_ATTRS = {
+    ("field", "type"): {dtype.value: dtype for dtype in Dtype},
+    ("datasource", "kind"): {kind.value: kind for kind in SourceKind},
+    ("relation", "op"): {op.value: op for op in DerivedOp},
+}
 
 
-def _check_attrs(el: ET.Element, allowed: Iterable[str], where: str) -> None:
-    extra = set(el.keys()) - set(allowed)
+def _attrs(el: ET.Element, where: str, names: list[str], allowed: Iterable[str] = ()) -> list[Any]:
+    """Check ``el``'s attributes against the tables above; return those in ``names``.
+
+    Each of ``names`` is required and ``allowed`` lists the optional ones; any
+    other attribute is an error. Enum-valued attributes are returned converted.
+    An element named in its own context takes two calls: ``name`` in the
+    enclosing context (with ``el.keys()`` allowed), then the rest in its own.
+    """
+    extra = set(el.keys()).difference(names, allowed)
     if extra:
         raise MalformedXmlError(f"{where}: unexpected attribute(s) {sorted(extra)} on <{el.tag}>")
+    values: list[Any] = []
+    for name in names:
+        value = el.get(name)
+        if value is None:
+            raise MalformedXmlError(f"{where}: missing attribute '{name}' on <{el.tag}>")
+        pattern, what = _VALUE_PATTERNS.get(name, (None, ""))
+        if pattern is not None and not pattern.fullmatch(value):
+            raise MalformedXmlError(f"{where}: '{value}' is not {what}")
+        members = _ENUM_ATTRS.get((el.tag, name))
+        if members is not None and value not in members:
+            raise MalformedXmlError(f"{where}: unknown {name} '{value}'")
+        values.append(value if members is None else members[value])
+    return values
 
 
-def _ident_attr(el: ET.Element, name: str, where: str) -> str:
-    value = _require_attr(el, name, where)
-    if not is_identifier(value):
-        raise MalformedXmlError(f"{where}: '{value}' is not a valid identifier")
-    return value
-
-
-def _dtype_attr(el: ET.Element, where: str) -> Dtype:
-    value = _require_attr(el, "type", where)
-    try:
-        return Dtype(value)
-    except ValueError:
-        raise MalformedXmlError(f"{where}: unknown type '{value}'") from None
+def _add_unique(items: list[Any], item: Any, kind: str, context: str = "") -> None:
+    if _named(items, item.name) is not None:
+        raise DuplicateNameError(kind, item.name, context)
+    items.append(item)
 
 
 def _parse_source_table(el: ET.Element, source_name: str, kind: SourceKind) -> SourceTableDef:
-    where = f"datasource '{source_name}'"
-    name = _ident_attr(el, "name", where)
-    where = f"{where} table '{name}'"
-    _check_attrs(el, ["name"], where)
+    (name,) = _attrs(el, f"datasource '{source_name}'", ["name"], el.keys())
+    where = f"datasource '{source_name}' table '{name}'"
+    _attrs(el, where, [], ["name"])
 
     fields: list[SourceFieldDef] = []
     binding: Binding | None = None
     for child in el:
         if child.tag == "field":
-            _check_attrs(child, ["name", "type"], where)
-            fname = _ident_attr(child, "name", where)
-            if any(f.name == fname for f in fields):
-                raise DuplicateNameError("field", fname, where)
-            fields.append(SourceFieldDef(fname, _dtype_attr(child, where)))
-            continue
-        if child.tag in ("file", "view", "xmlbinding"):
+            _add_unique(fields, SourceFieldDef(*_attrs(child, where, ["name", "type"])), "field", where)
+        elif child.tag in ("file", "view", "xmlbinding"):
             if binding is not None:
                 raise MalformedXmlError(f"{where}: more than one binding element")
             binding = _parse_binding(child, where)
-            continue
-        raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
+        else:
+            raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
     if binding is None:
         raise MalformedXmlError(f"{where}: missing binding element (file, view or xmlbinding)")
 
@@ -310,59 +321,50 @@ def _parse_source_table(el: ET.Element, source_name: str, kind: SourceKind) -> S
     if kind is SourceKind.XML and not isinstance(binding, XmlBinding):
         raise MalformedXmlError(f"{where}: xml sources take xmlbinding elements")
     if isinstance(binding, XmlBinding):
-        declared = {f.name for f in fields}
         for mapped in binding.field_elements:
-            if mapped not in declared:
+            if _named(fields, mapped) is None:
                 raise MalformedXmlError(f"{where}: xml map names undeclared field '{mapped}'")
     return SourceTableDef(name, tuple(fields), binding)
 
 
 def _parse_binding(el: ET.Element, where: str) -> Binding:
     if el.tag == "file":
-        _check_attrs(el, ["path"], where)
-        return FileBinding(_require_attr(el, "path", where))
+        return FileBinding(*_attrs(el, where, ["path"]))
     if el.tag == "view":
-        _check_attrs(el, [], where)
+        _attrs(el, where, [])
         query = (el.text or "").strip()
         if not query:
             raise MalformedXmlError(f"{where}: empty view query")
         return ViewBinding(query)
     # xmlbinding
-    _check_attrs(el, ["record", "transform"], where)
-    record = _require_attr(el, "record", where)
+    (record,) = _attrs(el, where, ["record"], ["transform"])
+    transform = el.get("transform")
+    if transform is not None:
+        try:
+            words = shlex.split(transform)
+        except ValueError:  # an unclosed quotation
+            words = []
+        if not words:
+            raise MalformedXmlError(f"{where}: transform '{transform}' names no command")
     mapping: dict[str, str] = {}
     for child in el:
         if child.tag != "map":
             raise MalformedXmlError(f"{where}: unexpected element <{child.tag}> in xmlbinding")
-        _check_attrs(child, ["field", "element"], where)
-        fname = _require_attr(child, "field", where)
-        element = _require_attr(child, "element", where)
+        fname, element = _attrs(child, where, ["field", "element"])
         if fname in mapping:
             raise DuplicateNameError("xml field mapping", fname, where)
         mapping[fname] = element
-    return XmlBinding(record, mapping, el.get("transform"))
+    return XmlBinding(record, mapping, transform)
 
 
 def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
-    return _parse_sources_root(_parse_root(text, "datasources"))
-
-
-def _parse_sources_root(root: ET.Element) -> tuple[DataSourceDescriptor, ...]:
     sources: list[DataSourceDescriptor] = []
-    for el in root:
+    for el in _parse_root(text, "datasources"):
         if el.tag != "datasource":
             raise MalformedXmlError(f"unexpected element <{el.tag}> under <datasources>")
-        name = _ident_attr(el, "name", "datasources")
+        (name,) = _attrs(el, "datasources", ["name"], el.keys())
         where = f"datasource '{name}'"
-        _check_attrs(el, ["name", "kind", "location"], where)
-        if any(s.name == name for s in sources):
-            raise DuplicateNameError("datasource", name)
-        kind_text = _require_attr(el, "kind", where)
-        try:
-            kind = SourceKind(kind_text)
-        except ValueError:
-            raise MalformedXmlError(f"{where}: unknown kind '{kind_text}'") from None
-        location = _require_attr(el, "location", where)
+        kind, location = _attrs(el, where, ["kind", "location"], ["name"])
 
         credentials: Credentials | None = None
         tables: list[SourceTableDef] = []
@@ -370,60 +372,42 @@ def _parse_sources_root(root: ET.Element) -> tuple[DataSourceDescriptor, ...]:
             if child.tag == "credentials":
                 if credentials is not None:
                     raise MalformedXmlError(f"{where}: more than one <credentials>")
-                _check_attrs(child, ["user", "password"], where)
-                credentials = Credentials(
-                    _require_attr(child, "user", where),
-                    _require_attr(child, "password", where),
-                )
+                credentials = Credentials(*_attrs(child, where, ["user", "password"]))
             elif child.tag == "table":
-                table = _parse_source_table(child, name, kind)
-                if any(t.name == table.name for t in tables):
-                    raise DuplicateNameError("table", table.name, where)
-                tables.append(table)
+                _add_unique(tables, _parse_source_table(child, name, kind), "table", where)
             else:
                 raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
-        sources.append(DataSourceDescriptor(name, kind, location, credentials, tuple(tables)))
+        _add_unique(sources, DataSourceDescriptor(name, kind, location, credentials, tuple(tables)),
+                    "datasource")
     return tuple(sources)
 
 
 def _parse_ref(el: ET.Element, where: str) -> FieldRef:
-    _check_attrs(el, ["source", "table", "field"], where)
-    return FieldRef(
-        _ident_attr(el, "source", where),
-        _ident_attr(el, "table", where),
-        _ident_attr(el, "field", where),
-    )
+    return FieldRef(*_attrs(el, where, ["source", "table", "field"]))
 
 
 def _parse_relation(el: ET.Element, index: int) -> Relation:
     where = f"relation[{index}]"
-    kind = _require_attr(el, "kind", where)
+    # which other attributes are allowed depends on the kind
+    (kind,) = _attrs(el, where, ["kind"], el.keys())
     if kind == "equality":
-        _check_attrs(el, ["kind"], where)
-        lhs: list[FieldRef] = []
-        rhs: list[FieldRef] = []
-        seen: set[str] = set()
+        _attrs(el, where, [], ["kind"])
+        sides: dict[str, list[FieldRef]] = {}
         for child in el:
             if child.tag not in ("lhs", "rhs"):
                 raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
-            if child.tag in seen:
+            if child.tag in sides:
                 raise MalformedXmlError(f"{where}: more than one <{child.tag}>")
-            seen.add(child.tag)
-            bucket = lhs if child.tag == "lhs" else rhs
+            sides[child.tag] = []
             for ref_el in child:
                 if ref_el.tag != "ref":
                     raise MalformedXmlError(f"{where}: unexpected element <{ref_el.tag}>")
-                bucket.append(_parse_ref(ref_el, where))
-        if seen != {"lhs", "rhs"}:
+                sides[child.tag].append(_parse_ref(ref_el, where))
+        if sides.keys() != {"lhs", "rhs"}:
             raise MalformedXmlError(f"{where}: equality needs <lhs> and <rhs>")
-        return EqualityRelation(tuple(lhs), tuple(rhs))
+        return EqualityRelation(tuple(sides["lhs"]), tuple(sides["rhs"]))
     if kind == "derived":
-        _check_attrs(el, ["kind", "op"], where)
-        op_text = _require_attr(el, "op", where)
-        try:
-            op = DerivedOp(op_text)
-        except ValueError:
-            raise MalformedXmlError(f"{where}: unknown op '{op_text}'") from None
+        (op,) = _attrs(el, where, ["op"], ["kind"])
         target: FieldRef | None = None
         operands: list[FieldRef] = []
         for child in el:
@@ -442,43 +426,28 @@ def _parse_relation(el: ET.Element, index: int) -> Relation:
 
 
 def parse_schema_xml(text: str | bytes) -> IntegratedSchema:
-    return _parse_schema_root(_parse_root(text, "schema"))
-
-
-def _parse_schema_root(root: ET.Element) -> IntegratedSchema:
-    name = _ident_attr(root, "name", "schema")
-    _check_attrs(root, ["name"], "schema")
+    root = _parse_root(text, "schema")
+    (name,) = _attrs(root, "schema", ["name"])
 
     tables: list[IntegratedTableDef] = []
     relations: list[Relation] = []
-    relation_index = 0
     for el in root:
         if el.tag == "table":
-            tname = _ident_attr(el, "name", "schema")
+            (tname,) = _attrs(el, "schema", ["name"], el.keys())
             where = f"integrated table '{tname}'"
-            _check_attrs(el, ["name"], where)
-            if any(t.name == tname for t in tables):
-                raise DuplicateNameError("integrated table", tname)
+            _attrs(el, where, [], ["name"])
             fields: list[IntegratedFieldDef] = []
             for child in el:
                 if child.tag != "field":
                     raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
-                _check_attrs(child, ["name", "type", "source", "sourcetable", "sourcefield"], where)
-                fname = _ident_attr(child, "name", where)
-                if any(f.name == fname for f in fields):
-                    raise DuplicateNameError("field", fname, where)
-                mapping = FieldRef(
-                    _ident_attr(child, "source", where),
-                    _ident_attr(child, "sourcetable", where),
-                    _ident_attr(child, "sourcefield", where),
-                )
-                fields.append(IntegratedFieldDef(fname, _dtype_attr(child, where), mapping))
+                names = ["name", "type", "source", "sourcetable", "sourcefield"]
+                fname, dtype, *ref = _attrs(child, where, names)
+                _add_unique(fields, IntegratedFieldDef(fname, dtype, FieldRef(*ref)), "field", where)
             if not fields:
                 raise MalformedXmlError(f"{where}: integrated table has no fields")
-            tables.append(IntegratedTableDef(tname, tuple(fields)))
+            _add_unique(tables, IntegratedTableDef(tname, tuple(fields)), "integrated table")
         elif el.tag == "relation":
-            relation_index += 1
-            relations.append(_parse_relation(el, relation_index))
+            relations.append(_parse_relation(el, len(relations) + 1))
         else:
             raise MalformedXmlError(f"unexpected element <{el.tag}> under <schema>")
     return IntegratedSchema(name, tuple(tables), tuple(relations))
@@ -504,15 +473,6 @@ def parse_project(source_desc_path: str | Path, schema_desc_path: str | Path) ->
 # --- serialization ----------------------------------------------------------
 
 
-def _to_xml_text(root: ET.Element) -> str:
-    ET.indent(root, space="  ")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
-
-
-def _ref_attrs(ref: FieldRef) -> dict[str, str]:
-    return {"source": ref.source, "table": ref.table, "field": ref.field}
-
-
 def serialize_schema(schema: IntegratedSchema) -> str:
     """Render an integrated schema back into the descriptor grammar."""
     root = ET.Element("schema", name=schema.name)
@@ -527,15 +487,14 @@ def serialize_schema(schema: IntegratedSchema) -> str:
     for relation in schema.relations:
         if isinstance(relation, EqualityRelation):
             rel = ET.SubElement(root, "relation", kind="equality")
-            lhs = ET.SubElement(rel, "lhs")
-            for ref in relation.lhs:
-                ET.SubElement(lhs, "ref", _ref_attrs(ref))
-            rhs = ET.SubElement(rel, "rhs")
-            for ref in relation.rhs:
-                ET.SubElement(rhs, "ref", _ref_attrs(ref))
+            for side, refs in (("lhs", relation.lhs), ("rhs", relation.rhs)):
+                side_el = ET.SubElement(rel, side)
+                for ref in refs:
+                    ET.SubElement(side_el, "ref", asdict(ref))
         else:
             rel = ET.SubElement(root, "relation", kind="derived", op=relation.op.value)
-            ET.SubElement(rel, "target", _ref_attrs(relation.target))
+            ET.SubElement(rel, "target", asdict(relation.target))
             for ref in relation.operands:
-                ET.SubElement(rel, "operand", _ref_attrs(ref))
-    return _to_xml_text(root)
+                ET.SubElement(rel, "operand", asdict(ref))
+    ET.indent(root, space="  ")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import xml.etree.ElementTree as ET
+from collections import deque
 from dataclasses import dataclass
 
 from .descriptors import (
@@ -89,13 +90,6 @@ class SatisfiabilityReport:
         return ET.tostring(root, encoding="unicode") + "\n"
 
 
-def _try_resolve(project: Project, ref: FieldRef) -> Dtype | None:
-    try:
-        return resolve_field_ref(project, ref).dtype
-    except UnresolvedFieldRefError:
-        return None
-
-
 def check_schema(project: Project) -> SatisfiabilityReport:
     """Run all structural checks and collect the findings."""
     findings: list[Finding] = []
@@ -105,9 +99,15 @@ def check_schema(project: Project) -> SatisfiabilityReport:
 
     referenced: set[tuple[str, str]] = set()
 
-    def note_ref(ref: FieldRef, dtype: Dtype | None) -> None:
-        if dtype is not None:
-            referenced.add((ref.source, ref.table))
+    def resolved(ref: FieldRef, role: str) -> Dtype | None:
+        """The dtype of ``ref``, noted as referenced; None, reported at ``loc``, if it dangles."""
+        try:
+            dtype = resolve_field_ref(project, ref).dtype
+        except UnresolvedFieldRefError:
+            err(FindingCode.UNRESOLVED_REF, loc, f"{role} references undeclared field {ref}")
+            return None
+        referenced.add((ref.source, ref.table))
+        return dtype
 
     for table in project.schema.tables:
         for fdef in table.fields:
@@ -116,13 +116,7 @@ def check_schema(project: Project) -> SatisfiabilityReport:
     for index, relation in enumerate(project.schema.relations, start=1):
         loc = f"schema/relation[{index}]"
         if isinstance(relation, EqualityRelation):
-            types: dict[FieldRef, Dtype | None] = {}
-            for ref in relation.lhs + relation.rhs:
-                dtype = _try_resolve(project, ref)
-                types[ref] = dtype
-                note_ref(ref, dtype)
-                if dtype is None:
-                    err(FindingCode.UNRESOLVED_REF, loc, f"equality references undeclared field {ref}")
+            types = {ref: resolved(ref, "equality") for ref in relation.lhs + relation.rhs}
             for left, right in zip(relation.lhs, relation.rhs):
                 lt, rt = types[left], types[right]
                 if lt is not None and rt is not None and lt is not rt:
@@ -136,19 +130,8 @@ def check_schema(project: Project) -> SatisfiabilityReport:
                     f"equality sides differ in length ({len(relation.lhs)} vs {len(relation.rhs)})",
                 )
         else:
-            target_type = _try_resolve(project, relation.target)
-            note_ref(relation.target, target_type)
-            if target_type is None:
-                err(FindingCode.UNRESOLVED_REF, loc,
-                    f"derived target references undeclared field {relation.target}")
-            operand_types: list[Dtype | None] = []
-            for ref in relation.operands:
-                dtype = _try_resolve(project, ref)
-                operand_types.append(dtype)
-                note_ref(ref, dtype)
-                if dtype is None:
-                    err(FindingCode.UNRESOLVED_REF, loc,
-                        f"derived operand references undeclared field {ref}")
+            target_type = resolved(relation.target, "derived target")
+            operand_types = [resolved(ref, "derived operand") for ref in relation.operands]
             if relation.op is DerivedOp.ADD:
                 for ref, dtype in zip(relation.operands, operand_types):
                     if dtype is not None and dtype not in NUMERIC_DTYPES:
@@ -211,17 +194,20 @@ def _cycle_findings(project: Project) -> list[Finding]:
     for scc in cyclic:
         members = set(scc)
         start = min(scc, key=lambda ref: (first_relation[ref], str(ref)))
-        path = [start]
-        current = start
-        while True:
-            succ = next(
-                (n for n in edges[current] if n in members and n not in path), None
-            )
-            if succ is None:
-                break
-            path.append(succ)
-            current = succ
-        rendered = " -> ".join(str(ref) for ref in path + [start])
+        # the shortest cycle through start: breadth-first over the component's
+        # edges, in edge order, until a node with an edge back to start
+        came_from: dict[FieldRef, FieldRef] = {}
+        queue = deque([start])
+        while start not in edges[queue[0]]:
+            current = queue.popleft()
+            for succ in edges[current]:
+                if succ in members and succ not in came_from and succ != start:
+                    came_from[succ] = current
+                    queue.append(succ)
+        path = [queue[0]]
+        while path[-1] != start:
+            path.append(came_from[path[-1]])
+        rendered = " -> ".join(str(ref) for ref in [*reversed(path), start])
         findings.append(Finding(
             Severity.ERROR, FindingCode.CYCLIC_DERIVATION,
             f"schema/relation[{first_relation[start]}]",

@@ -46,6 +46,38 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys):
     assert _run(capsys, "validate", paths) == (2, "")
 
 
+XML_SOURCES = """<datasources>
+  <datasource name="web" kind="xml" location="feed.xml">
+    <table name="STUDENT">
+      <field name="ID" type="integer"/>
+      <xmlbinding record="student"><map field="ID" element="id"/></xmlbinding>
+    </table>
+  </datasource>
+</datasources>
+"""
+XML_SCHEMA = """<schema name="s">
+  <table name="STUDENT">
+    <field name="ID" type="integer" source="web" sourcetable="STUDENT" sourcefield="ID"/>
+  </table>
+</schema>
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ('element="id"', 'element="["'),
+    ('record="student"', 'record="student" transform="\'"'),
+    ('record="student"', 'record="student" transform=""'),
+], ids=["element-path", "transform-unclosed-quote", "transform-empty"])
+def test_unusable_xml_binding_exits_2(tmp_path, capsys, old, new):
+    paths = write_project(tmp_path, XML_SOURCES, XML_SCHEMA, files={})
+    assert _run(capsys, "validate", paths) == (0, "0 errors, 0 warnings\n")
+    paths[0].write_text(XML_SOURCES.replace(old, new), encoding="utf-8")
+    code = main(["validate", "--sources", str(paths[0]), "--schema", str(paths[1])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("medquery: descriptor error: ")
+
+
 def test_missing_file_exits_2(fig2_paths, capsys):
     sources, _ = fig2_paths
     assert _run(capsys, "query", (sources, sources.parent / "absent.xml"),

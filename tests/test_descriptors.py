@@ -232,3 +232,155 @@ def test_roundtrip_on_generated_projects(tmp_path, seed):
         files={},
     )
     assert parse_project(*paths) == generated.project
+
+
+XML_SOURCE = """<datasources>
+  <datasource name="web" kind="xml" location="feed.xml">
+    <table name="T">
+      <field name="ID" type="integer"/>
+      <xmlbinding record="r"><map field="ID" element="id"/></xmlbinding>
+    </table>
+  </datasource>
+</datasources>"""
+
+DERIVED = """<relation kind="derived" op="add">
+    <target source="uni" table="STUDENT" field="DEBT"/>
+    <operand source="uni" table="STUDENT" field="ID"/>
+    <operand source="reg" table="GRADE" field="AVERAGE"/>
+  </relation>
+</schema>"""
+DERIVED_SCHEMA = SCHEMA_XML.replace("</schema>", DERIVED)
+
+ID_FIELD = '<field name="ID" type="integer" source="uni" sourcetable="STUDENT" sourcefield="ID"/>'
+LHS = '<lhs><ref source="uni" table="STUDENT" field="ID"/></lhs>'
+TABLE = "datasource 'uni' table 'STUDENT'"
+
+# one single-fault descriptor per message template: (parser, base, old, new, error, message)
+MESSAGE_CASES = {
+    "missing attribute": (
+        parse_sources_xml, SOURCES_XML, '<field name="ID" type="integer"/>', '<field name="ID"/>',
+        MalformedXmlError, f"{TABLE}: missing attribute 'type' on <field>"),
+    "missing table name": (
+        parse_sources_xml, SOURCES_XML, '<table name="STUDENT">', "<table>",
+        MalformedXmlError, "datasource 'uni': missing attribute 'name' on <table>"),
+    "unexpected attribute": (
+        parse_sources_xml, SOURCES_XML, 'path="students.txt"', 'path="students.txt" mode="r"',
+        MalformedXmlError, f"{TABLE}: unexpected attribute(s) ['mode'] on <file>"),
+    "unexpected datasource attribute": (
+        parse_sources_xml, SOURCES_XML, 'name="uni"', 'name="uni" port="1"',
+        MalformedXmlError, "datasource 'uni': unexpected attribute(s) ['port'] on <datasource>"),
+    "bad identifier": (
+        parse_sources_xml, SOURCES_XML, 'name="FIRSTNAME"', 'name="FIRST NAME"',
+        MalformedXmlError, f"{TABLE}: 'FIRST NAME' is not a valid identifier"),
+    "bad datasource name": (
+        parse_sources_xml, SOURCES_XML, 'name="uni"', 'name="9uni"',
+        MalformedXmlError, "datasources: '9uni' is not a valid identifier"),
+    "bad ref identifier": (
+        parse_schema_xml, SCHEMA_XML, 'ref source="reg" table="GRADE"', 'ref source="reg" table="GR-ADE"',
+        MalformedXmlError, "relation[1]: 'GR-ADE' is not a valid identifier"),
+    "unknown type": (
+        parse_sources_xml, SOURCES_XML, 'type="integer"', 'type="float"',
+        MalformedXmlError, f"{TABLE}: unknown type 'float'"),
+    "unknown kind": (
+        parse_sources_xml, SOURCES_XML, 'kind="tabular"', 'kind="csv"',
+        MalformedXmlError, "datasource 'uni': unknown kind 'csv'"),
+    "unknown op": (
+        parse_schema_xml, DERIVED_SCHEMA, 'op="add"', 'op="mul"',
+        MalformedXmlError, "relation[2]: unknown op 'mul'"),
+    "unknown relation kind": (
+        parse_schema_xml, SCHEMA_XML, 'kind="equality"', 'kind="subset"',
+        MalformedXmlError, "relation[1]: unknown relation kind 'subset'"),
+    "unexpected element": (
+        parse_sources_xml, SOURCES_XML, "<file ", "<note/><file ",
+        MalformedXmlError, f"{TABLE}: unexpected element <note>"),
+    "duplicate datasource": (
+        parse_sources_xml, SOURCES_XML, 'name="reg"', 'name="uni"',
+        DuplicateNameError, "duplicate datasource 'uni'"),
+    "duplicate table": (
+        parse_sources_xml, SOURCES_XML, "</datasource>",
+        '<table name="STUDENT"><file path="x"/></table></datasource>',
+        DuplicateNameError, "duplicate table 'STUDENT' in datasource 'uni'"),
+    "duplicate field": (
+        parse_sources_xml, SOURCES_XML, 'name="LASTNAME"', 'name="FIRSTNAME"',
+        DuplicateNameError, f"duplicate field 'FIRSTNAME' in {TABLE}"),
+    "duplicate xml field mapping": (
+        parse_sources_xml, XML_SOURCE, "</xmlbinding>", '<map field="ID" element="x"/></xmlbinding>',
+        DuplicateNameError, "duplicate xml field mapping 'ID' in datasource 'web' table 'T'"),
+    "duplicate integrated table": (
+        parse_schema_xml, SCHEMA_XML, '<table name="GRADE">', '<table name="STUDENT">',
+        DuplicateNameError, "duplicate integrated table 'STUDENT'"),
+    "duplicate integrated field": (
+        parse_schema_xml, SCHEMA_XML, ID_FIELD, ID_FIELD * 2,
+        DuplicateNameError, "duplicate field 'ID' in integrated table 'STUDENT'"),
+    "more than one binding": (
+        parse_sources_xml, SOURCES_XML, '<file path="students.txt"/>', '<file path="a"/><file path="b"/>',
+        MalformedXmlError, f"{TABLE}: more than one binding element"),
+    "more than one credentials": (
+        parse_sources_xml, SOURCES_XML, '<table name="STUDENT">',
+        '<credentials user="u" password="p"/><credentials user="v" password="q"/><table name="STUDENT">',
+        MalformedXmlError, "datasource 'uni': more than one <credentials>"),
+    "more than one target": (
+        parse_schema_xml, DERIVED_SCHEMA, "<operand", '<target source="s" table="T" field="F"/><operand',
+        MalformedXmlError, "relation[2]: more than one <target>"),
+    "more than one lhs": (
+        parse_schema_xml, SCHEMA_XML, LHS, LHS * 2,
+        MalformedXmlError, "relation[1]: more than one <lhs>"),
+    "missing binding": (
+        parse_sources_xml, SOURCES_XML, '<file path="students.txt"/>', "",
+        MalformedXmlError, f"{TABLE}: missing binding element (file, view or xmlbinding)"),
+    "xml binding in tabular source": (
+        parse_sources_xml, XML_SOURCE, 'kind="xml"', 'kind="tabular"',
+        MalformedXmlError, "datasource 'web' table 'T': tabular sources take file or view bindings"),
+    "file binding in xml source": (
+        parse_sources_xml, SOURCES_XML, 'kind="tabular"', 'kind="xml"',
+        MalformedXmlError, f"{TABLE}: xml sources take xmlbinding elements"),
+    "undeclared map field": (
+        parse_sources_xml, XML_SOURCE, 'field="ID" element', 'field="TYPO" element',
+        MalformedXmlError, "datasource 'web' table 'T': xml map names undeclared field 'TYPO'"),
+    "empty view": (
+        parse_sources_xml, SOURCES_XML, '<file path="students.txt"/>', "<view> </view>",
+        MalformedXmlError, f"{TABLE}: empty view query"),
+    "table with no fields": (
+        parse_schema_xml, SCHEMA_XML, '<table name="GRADE">', '<table name="EMPTY"/><table name="GRADE">',
+        MalformedXmlError, "integrated table 'EMPTY': integrated table has no fields"),
+    "equality without rhs": (
+        parse_schema_xml, SCHEMA_XML, '<rhs><ref source="reg" table="GRADE" field="STUDENTID"/></rhs>', "",
+        MalformedXmlError, "relation[1]: equality needs <lhs> and <rhs>"),
+    "derived without target": (
+        parse_schema_xml, DERIVED_SCHEMA, '<target source="uni" table="STUDENT" field="DEBT"/>', "",
+        MalformedXmlError, "relation[2]: derived relation needs a <target>"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGE_CASES.values(), ids=MESSAGE_CASES.keys())
+def test_descriptor_error_messages(case):
+    parse, base, old, new, error, message = case
+    assert base.count(old) >= 1
+    with pytest.raises(error) as info:
+        parse(base.replace(old, new, 1))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("old, new", [
+    ('record="r"', 'record="a/b"'),
+    ('record="r"', 'record="*"'),
+    ('element="id"', 'element="["'),
+    ('element="id"', 'element=".."'),
+    ('element="id"', 'element="9id"'),
+    ('record="r"', 'record="r" transform="\'"'),
+    ('record="r"', 'record="r" transform=""'),
+    ('record="r"', 'record="r" transform="  "'),
+])
+def test_xml_binding_takes_element_names_and_a_command(old, new):
+    # ElementTree would read a path or wildcard; shlex cannot split these transforms
+    with pytest.raises(MalformedXmlError) as info:
+        parse_sources_xml(XML_SOURCE.replace(old, new))
+    assert str(info.value).startswith("datasource 'web' table 'T': ")
+
+
+@pytest.mark.parametrize("name", ["a.b", "a-b", "número", "_x"])
+def test_xml_binding_element_names_parse(name):
+    text = XML_SOURCE.replace('record="r"', f'record="{name}" transform="tr a b"')
+    (source,) = parse_sources_xml(text.replace('element="id"', f'element="{name}"'))
+    assert source.tables[0].binding == XmlBinding(name, {"ID": name}, "tr a b")

@@ -179,6 +179,25 @@ def test_cycle_detection_matches_dfs_oracle(seed):
             edges[relation.target].append(operand)
     assert flagged == dfs_has_cycle(edges)
 
+    # every rendered step is a real target -> operand edge
+    for finding in report.findings:
+        if finding.code is FindingCode.CYCLIC_DERIVATION:
+            path = finding.message.removeprefix("derivation cycle: ").split(" -> ")
+            for target, operand in zip(path, path[1:]):
+                assert operand in [str(o) for o in edges[FieldRef(*target.split("."))]]
+
+
+def test_cycle_path_follows_edges():
+    # the component is {A, B, C}, but C's operands are B and D: no C -> A edge
+    relations = [
+        DerivedRelation(ref("A"), DerivedOp.ADD, (ref("B"), ref("D"))),
+        DerivedRelation(ref("B"), DerivedOp.ADD, (ref("C"), ref("A"))),
+        DerivedRelation(ref("C"), DerivedOp.ADD, (ref("B"), ref("D"))),
+    ]
+    report = check_schema(project_with(relations))
+    cyclic = [f for f in report.findings if f.code is FindingCode.CYCLIC_DERIVATION]
+    assert [f.message for f in cyclic] == ["derivation cycle: s.T.A -> s.T.B -> s.T.A"]
+
 
 @pytest.mark.parametrize("seed", range(8))
 def test_adding_relation_is_monotone_for_local_findings(seed):
