@@ -46,8 +46,10 @@ Integrated-schema descriptor::
     </schema>
 
 Parsing is strict and total: any malformed input raises exactly one
-classified error and never yields a partial project. Names and references
-are identifiers; ``type``, ``kind`` and ``op`` take their enum's values;
+classified error and never yields a partial project. Elements take only
+the attributes and child elements shown above (``<datasources>``,
+``<lhs>`` and ``<rhs>`` take no attribute, and the elements shown empty
+take no child). Names and references are identifiers; ``type``, ``kind`` and ``op`` take their enum's values;
 ``record`` and ``element`` are plain XML element names, not paths; and a
 ``transform`` splits, shell-style, into at least one word. Field mappings
 are resolved at parse time; relation references are deliberately left to
@@ -205,11 +207,17 @@ class Project:
 
     ``base_dir`` anchors relative source locations to the directory of the
     data-source descriptor file; it is excluded from structural equality.
+    ``_snapshots`` is the private fetch memo of ``wrappers.fetch_table``: for
+    each fetched (source, table), the bytes last parsed and the ``Table``
+    parsed from them. It holds one slot per declared table at most and lives
+    as long as the project.
     """
 
     sources: tuple[DataSourceDescriptor, ...]
     schema: IntegratedSchema
     base_dir: str = field(default=".", compare=False)
+    _snapshots: dict[tuple[str, str], tuple[bytes, Any]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def source(self, name: str) -> DataSourceDescriptor | None:
         return _named(self.sources, name)
@@ -264,18 +272,24 @@ _ENUM_ATTRS = {
     ("relation", "op"): {op.value: op for op in DerivedOp},
 }
 
+# elements that may carry attributes (and, for <view>, text) but no child element
+_LEAF_TAGS = frozenset({"field", "credentials", "file", "view", "map", "ref", "target", "operand"})
+
 
 def _attrs(el: ET.Element, where: str, names: list[str], allowed: Iterable[str] = ()) -> list[Any]:
     """Check ``el``'s attributes against the tables above; return those in ``names``.
 
     Each of ``names`` is required and ``allowed`` lists the optional ones; any
-    other attribute is an error. Enum-valued attributes are returned converted.
+    other attribute is an error, and so is any child of a leaf element.
+    Enum-valued attributes are returned converted.
     An element named in its own context takes two calls: ``name`` in the
     enclosing context (with ``el.keys()`` allowed), then the rest in its own.
     """
     extra = set(el.keys()).difference(names, allowed)
     if extra:
         raise MalformedXmlError(f"{where}: unexpected attribute(s) {sorted(extra)} on <{el.tag}>")
+    if el.tag in _LEAF_TAGS and len(el):
+        raise MalformedXmlError(f"{where}: unexpected element <{el[0].tag}> in <{el.tag}>")
     values: list[Any] = []
     for name in names:
         value = el.get(name)
@@ -359,7 +373,9 @@ def _parse_binding(el: ET.Element, where: str) -> Binding:
 
 def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
     sources: list[DataSourceDescriptor] = []
-    for el in _parse_root(text, "datasources"):
+    root = _parse_root(text, "datasources")
+    _attrs(root, "datasources", [])
+    for el in root:
         if el.tag != "datasource":
             raise MalformedXmlError(f"unexpected element <{el.tag}> under <datasources>")
         (name,) = _attrs(el, "datasources", ["name"], el.keys())
@@ -398,6 +414,7 @@ def _parse_relation(el: ET.Element, index: int) -> Relation:
                 raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
             if child.tag in sides:
                 raise MalformedXmlError(f"{where}: more than one <{child.tag}>")
+            _attrs(child, where, [])
             sides[child.tag] = []
             for ref_el in child:
                 if ref_el.tag != "ref":

@@ -31,7 +31,7 @@ _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _BLANKS = re.compile(r"[ \t]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
@@ -43,7 +43,7 @@ class Iri:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedLiteral:
     lexical: str
     dtype: Dtype
@@ -59,7 +59,7 @@ class TypedLiteral:
 Term = Union[Iri, TypedLiteral]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Iri
     predicate: Iri

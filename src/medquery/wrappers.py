@@ -12,6 +12,15 @@ canonical lexical form, so repeated fetches of an unchanged source are
 bit-identical and joins over fetched data behave by value. Materialization
 hands these literals on to the triple store unchanged unless the integrated
 field declares another dtype.
+
+Each fetch reads the source's bytes again, and runs an XML transform again
+(an external command is never assumed to be deterministic), but parses only
+bytes it has not just seen: the project keeps, per file or XML table, the
+last bytes parsed and the ``Table`` parsed from them, and a fetch whose
+bytes compare equal returns that ``Table``. Parsing is a pure function of
+the table definition and the bytes, so the snapshot is the one a fresh parse
+would give. A fetch that raises keeps nothing, so the next one parses (and
+raises) again.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from typing import Optional
 
 from . import sql_frontend
 from .descriptors import (
-    DataSourceDescriptor,
     FileBinding,
     Project,
     SourceFieldDef,
@@ -89,12 +97,20 @@ def _resolve_path(project: Project, *parts: str) -> Path:
     return path
 
 
-def _read_tabular(path: Path, table: SourceTableDef) -> tuple[Row, ...]:
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
         raise IoError(f"cannot read '{path}': {exc}") from None
-    lines = text.split("\n")
+
+
+def _parse_tabular(data: bytes, table: SourceTableDef, path: Path) -> tuple[Row, ...]:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read '{path}': {exc}") from None
+    # universal newlines, as text-mode reading gives them
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -137,16 +153,9 @@ def _run_transform(command: str, document: bytes, context: str) -> bytes:
     return result.stdout
 
 
-def _read_xml(project: Project, source: DataSourceDescriptor, table: SourceTableDef) -> tuple[Row, ...]:
+def _parse_xml(document: bytes, table: SourceTableDef, path: Path) -> tuple[Row, ...]:
     binding = table.binding
     assert isinstance(binding, XmlBinding)
-    path = _resolve_path(project, source.location)
-    try:
-        document = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read '{path}': {exc}") from None
-    if binding.transform is not None:
-        document = _run_transform(binding.transform, document, f"table '{table.name}'")
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
@@ -170,6 +179,13 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
 
     Appends (source, table) to the access log exactly once per call; view
     bindings additionally log the tables they read underneath.
+
+    A file or XML table is read on every call, and an XML transform is run
+    on every call. When the bytes read (after the transform) equal those of
+    the last snapshot parsed for this table of this project, that snapshot's
+    ``Table`` is returned again; otherwise the bytes are parsed and replace
+    it. A fetch that raises keeps nothing. A view filters its base table on
+    every call.
     """
     src = project.source(source)
     if src is None:
@@ -183,25 +199,33 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
         log.append(source, table)
 
     binding = tdef.binding
+    if isinstance(binding, ViewBinding):
+        result = evaluate_view(project, source, binding.query, log,
+                               _active=_active | {(source, table)})
+        _check_view_shape(tdef, result)
+        return Table(table, tdef.fields, result.rows)
     if isinstance(binding, FileBinding):
         path = _resolve_path(project, src.location, binding.path)
-        return Table(table, tdef.fields, _read_tabular(path, tdef))
-    if isinstance(binding, XmlBinding):
-        return Table(table, tdef.fields, _read_xml(project, src, tdef))
-    assert isinstance(binding, ViewBinding)
-    result = evaluate_view(project, source, binding.query, log,
-                           _active=_active | {(source, table)})
-    _check_view_shape(tdef, result)
-    return Table(table, tdef.fields, result.rows)
+        data, parse = _read_bytes(path), _parse_tabular
+    else:
+        path = _resolve_path(project, src.location)
+        data, parse = _read_bytes(path), _parse_xml
+        if binding.transform is not None:
+            data = _run_transform(binding.transform, data, f"table '{table}'")
+    snapshot = project._snapshots.get((source, table))
+    if snapshot is not None and snapshot[0] == data:
+        return snapshot[1]
+    fetched = Table(table, tdef.fields, parse(data, tdef, path))
+    project._snapshots[(source, table)] = (data, fetched)
+    return fetched
 
 
 def _check_view_shape(tdef: SourceTableDef, result: Table) -> None:
-    projected = [(f.name, f.dtype) for f in result.fields]
-    declared = [(f.name, f.dtype) for f in tdef.fields]
+    # names are identifiers, so "name dtype" compares as the pair does
+    projected = ", ".join(f"{f.name} {f.dtype.value}" for f in result.fields)
+    declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
     if projected != declared:
-        raise IoError(
-            f"view '{tdef.name}' projects {projected} but declares {declared}"
-        )
+        raise IoError(f"view '{tdef.name}' projects [{projected}] but declares [{declared}]")
 
 
 def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog | None = None,

@@ -192,3 +192,19 @@ def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
         (result_subject_iri(index), result_property_iri(column)): value
         for (index, column), value in expected.items()
     }
+
+
+def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
+    rich = ('<table name="RICH"><field name="ID" type="integer"/>'
+            "<view>SELECT ID, DEBT FROM STUDENT</view></table>")
+    rich_field = '<field name="ID" type="integer" source="uni" sourcetable="RICH" sourcefield="ID"/>'
+    paths = write_project(
+        tmp_path, SOURCES_XML.replace("</table>", "</table>" + rich, 1),
+        SCHEMA_XML.replace("</schema>", f'<table name="RICH">{rich_field}</table></schema>'),
+    )
+    code = main(["query", "--sources", str(paths[0]), "--schema", str(paths[1]),
+                 "--query", "SELECT RICH.ID FROM RICH"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "medquery: view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]\n"
+    )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -293,6 +294,16 @@ MESSAGE_CASES = {
     "unexpected element": (
         parse_sources_xml, SOURCES_XML, "<file ", "<note/><file ",
         MalformedXmlError, f"{TABLE}: unexpected element <note>"),
+    "child of a leaf element": (
+        parse_sources_xml, SOURCES_XML, '<field name="ID" type="integer"/>',
+        '<field name="ID" type="integer"><bogus/></field>',
+        MalformedXmlError, f"{TABLE}: unexpected element <bogus> in <field>"),
+    "attribute on the sources root": (
+        parse_sources_xml, SOURCES_XML, "<datasources>", '<datasources extra="1">',
+        MalformedXmlError, "datasources: unexpected attribute(s) ['extra'] on <datasources>"),
+    "attribute on an equality side": (
+        parse_schema_xml, SCHEMA_XML, "<lhs>", '<lhs extra="1">',
+        MalformedXmlError, "relation[1]: unexpected attribute(s) ['extra'] on <lhs>"),
     "duplicate datasource": (
         parse_sources_xml, SOURCES_XML, 'name="reg"', 'name="uni"',
         DuplicateNameError, "duplicate datasource 'uni'"),
@@ -360,6 +371,49 @@ def test_descriptor_error_messages(case):
         parse(base.replace(old, new, 1))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+STUDENT_REF = '<ref source="uni" table="STUDENT" field="ID"/>'
+OPERAND = '<operand source="uni" table="STUDENT" field="ID"/>'
+CREDENTIALS = '<credentials user="u" password="p"/>'
+
+
+def _tag(element):
+    return re.match(r"<(\w+)", element).group(1)
+
+
+LEAF_CASES = [
+    (parse_sources_xml, SOURCES_XML, '<field name="ID" type="integer"/>'),
+    (parse_sources_xml, SOURCES_XML, '<file path="students.txt"/>'),
+    (parse_sources_xml, SOURCES_XML.replace('<file path="students.txt"/>', "<view>SELECT ID FROM G</view>"),
+     "<view>SELECT ID FROM G</view>"),
+    (parse_sources_xml, SOURCES_XML.replace('<table name="STUDENT">', CREDENTIALS + '<table name="STUDENT">'),
+     CREDENTIALS),
+    (parse_sources_xml, XML_SOURCE, '<map field="ID" element="id"/>'),
+    (parse_schema_xml, SCHEMA_XML, ID_FIELD),
+    (parse_schema_xml, SCHEMA_XML, STUDENT_REF),
+    (parse_schema_xml, DERIVED_SCHEMA, '<target source="uni" table="STUDENT" field="DEBT"/>'),
+    (parse_schema_xml, DERIVED_SCHEMA, OPERAND),
+]
+
+
+@pytest.mark.parametrize("parse, base, old", LEAF_CASES,
+                         ids=[f"{case[0].__name__}-{_tag(case[2])}" for case in LEAF_CASES])
+def test_leaf_elements_take_no_child_elements(parse, base, old):
+    tag = _tag(old)
+    if old.endswith("/>"):
+        new = old[:-2] + f"><bogus/></{tag}>"
+    else:
+        new = old.replace(f"</{tag}>", f"<bogus/></{tag}>")
+    parse(base)  # the element as it stands is accepted
+    with pytest.raises(MalformedXmlError, match=f"unexpected element <bogus> in <{tag}>$"):
+        parse(base.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("tag", ["lhs", "rhs"])
+def test_equality_sides_take_no_attributes(tag):
+    with pytest.raises(MalformedXmlError, match=rf"unexpected attribute\(s\) \['extra'\] on <{tag}>$"):
+        parse_schema_xml(SCHEMA_XML.replace(f"<{tag}>", f'<{tag} extra="1">'))
 
 
 @pytest.mark.parametrize("old, new", [

@@ -1,11 +1,14 @@
+import os
 import random
+import shlex
 import time
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
 from medquery import wrappers
 from medquery.descriptors import parse_project
-from medquery.dtypes import Dtype, is_canonical
+from medquery.dtypes import Dtype, canonicalize, is_canonical
 from medquery.errors import (
     IoError,
     TypeCoercionError,
@@ -16,7 +19,7 @@ from medquery.errors import (
 from medquery.triple_store import TypedLiteral
 from medquery.wrappers import AccessLog, evaluate_view, fetch_table
 
-from conftest import SOURCES_XML, write_project
+from conftest import SOURCES_XML, TWO_GRADES, TWO_STUDENTS, write_project
 from generators import random_project
 
 XML_SOURCES = """<datasources>
@@ -287,3 +290,108 @@ def test_all_fetched_cells_are_canonical(tmp_path, seed):
                     if cell is not None:
                         assert cell.dtype is fdef.dtype
                         assert is_canonical(cell.lexical, cell.dtype)
+
+
+# --- line ends and the fetch memo ---------------------------------------------
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_fetch_like_their_lf_twin(tmp_path, eol):
+    tables = []
+    for name, end in (("lf", "\n"), ("other", eol)):
+        (tmp_path / name).mkdir()
+        paths = write_project(tmp_path / name, files={"grades.txt": TWO_GRADES})
+        (tmp_path / name / "students.txt").write_bytes(TWO_STUDENTS.replace("\n", end).encode())
+        tables.append(fetch_table(parse_project(*paths), "uni", "STUDENT"))
+    assert len(tables[0].rows) == 2
+    assert tables[1] == tables[0]
+
+
+@pytest.fixture
+def student_file(tmp_path):
+    """A project over the two-student file, and that file's path."""
+    return parse_project(*write_project(tmp_path)), tmp_path / "students.txt"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Cells coerced by wrappers from here on, one list entry each."""
+    calls = []
+
+    def counting(text, dtype):
+        calls.append(text)
+        return canonicalize(text, dtype)
+
+    monkeypatch.setattr(wrappers, "canonicalize", counting)
+    return calls
+
+
+def test_unchanged_bytes_are_not_parsed_again(student_file, parses):
+    project, path = student_file
+    first = fetch_table(project, "uni", "STUDENT")
+    assert len(parses) == 8
+    assert fetch_table(project, "uni", "STUDENT") is first
+    assert len(parses) == 8
+    path.write_text(TWO_STUDENTS + "3|Cem|M|900\n", encoding="utf-8")
+    assert len(fetch_table(project, "uni", "STUDENT").rows) == 3
+    assert len(parses) == 8 + 12
+
+
+def test_rewrite_keeping_size_and_mtime_is_seen(student_file):
+    project, path = student_file
+    fetch_table(project, "uni", "STUDENT")
+    before = path.stat()
+    rewritten = TWO_STUDENTS.replace("Ann", "Amy")
+    assert len(rewritten) == len(TWO_STUDENTS)
+    path.write_text(rewritten, encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_mtime_ns == before.st_mtime_ns
+    table = fetch_table(project, "uni", "STUDENT")
+    assert table.rows[0][1] == TypedLiteral("Amy", Dtype.STRING)
+
+
+def test_failed_fetches_are_not_kept(student_file, parses):
+    project, path = student_file
+    corrupt = TWO_STUDENTS.replace("2500", "25x0")
+    outcomes = []
+    for content in (corrupt, corrupt, TWO_STUDENTS, corrupt):
+        path.write_text(content, encoding="utf-8")
+        parsed_before = len(parses)
+        try:
+            outcomes.append(len(fetch_table(project, "uni", "STUDENT").rows))
+        except TypeCoercionError as exc:
+            outcomes.append((exc.row, exc.field))
+        assert len(parses) > parsed_before  # each of these bytes is parsed anew
+    assert outcomes == [(2, "DEBT"), (2, "DEBT"), 2, (2, "DEBT")]
+
+
+def test_transform_runs_on_every_fetch(tmp_path):
+    # the transform ignores its input: the stored document never changes
+    (tmp_path / "out.xml").write_text("<s><student><id>1</id></student></s>", encoding="utf-8")
+    command = quoteattr(f"cat {shlex.quote(str(tmp_path / 'out.xml'))}")
+    sources = XML_SOURCES.replace(
+        '<xmlbinding record="student">', f'<xmlbinding record="student" transform={command}>',
+    )
+    project = _xml_project(tmp_path, "<students/>", sources=sources)
+    assert [row[0].lexical for row in fetch_table(project, "web", "STUDENT").rows] == ["1"]
+    (tmp_path / "out.xml").write_text("<s><student><id>2</id></student></s>", encoding="utf-8")
+    assert [row[0].lexical for row in fetch_table(project, "web", "STUDENT").rows] == ["2"]
+
+
+def test_reparsed_project_sees_a_changed_dtype(tmp_path):
+    paths = write_project(tmp_path)
+    old = parse_project(*paths)
+    assert fetch_table(old, "uni", "STUDENT").rows[0][3].dtype is Dtype.INTEGER
+    paths[0].write_text(SOURCES_XML.replace(
+        '<field name="DEBT" type="integer"/>', '<field name="DEBT" type="string"/>'), encoding="utf-8")
+    new = parse_project(*paths)
+    assert fetch_table(new, "uni", "STUDENT").rows[0][3] == TypedLiteral("1500", Dtype.STRING)
+    assert fetch_table(old, "uni", "STUDENT").rows[0][3].dtype is Dtype.INTEGER
+
+
+def test_access_log_counts_memoized_fetches(view_project):
+    log = AccessLog()
+    for _ in range(2):
+        fetch_table(view_project, "uni", "STUDENT", log)
+        fetch_table(view_project, "uni", "RICH", log)
+    assert log.entries == (("uni", "STUDENT"), ("uni", "RICH"), ("uni", "STUDENT")) * 2
