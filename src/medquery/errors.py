@@ -71,15 +71,22 @@ class UnknownFieldError(MedQueryError):
     """A field name does not exist on the referenced table."""
 
 
-# --- SQL frontend -----------------------------------------------------------
+# --- query parsing ----------------------------------------------------------
 
 
-class SqlParseError(MedQueryError):
-    """The SQL text does not match the supported grammar."""
+class ParseError(MedQueryError):
+    """Query text does not match its language's grammar at offset ``position``."""
 
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"at offset {position}: {message}")
+
+
+# --- SQL frontend -----------------------------------------------------------
+
+
+class SqlParseError(ParseError):
+    """The SQL text does not match the supported grammar."""
 
 
 class UnsupportedSqlError(MedQueryError):
@@ -93,12 +100,8 @@ class UnsupportedSqlError(MedQueryError):
 # --- RDQL engine ------------------------------------------------------------
 
 
-class RdqlParseError(MedQueryError):
+class RdqlParseError(ParseError):
     """The RDQL text does not match the supported grammar."""
-
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"at offset {position}: {message}")
 
 
 class UnboundSelectVarError(MedQueryError):

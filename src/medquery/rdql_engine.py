@@ -33,13 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dtypes import COMPARISON_OPS, Dtype, canonicalize, compare
+from .dtypes import Dtype, canonicalize, compare
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
     UnboundSelectVarError,
 )
 from .iris import dtype_from_iri
+from .scanner import Scanner
 from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -105,46 +106,10 @@ class ResultSet:
 # --- parsing -----------------------------------------------------------------
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Scanner(Scanner):
+    """The shared cursor plus readers for RDQL's variables, IRIs and literals."""
 
-    def fail(self, message: str):
-        raise RdqlParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            self.fail(f"expected {literal!r}")
-
-    def keyword(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos:end].upper() != word:
-            return False
-        if end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-            return False
-        self.pos = end
-        return True
+    error = RdqlParseError
 
     def variable(self) -> Var:
         self.expect("?")
@@ -206,14 +171,6 @@ class _Scanner:
             return TypedLiteral(canonicalize(match.group(), Dtype.INTEGER), Dtype.INTEGER)
         self.fail("expected variable or literal")
 
-    def operator(self) -> str:
-        self.skip_ws()
-        for op in ("<=", ">=", "!=", "=", "<", ">"):
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return op
-        self.fail("expected comparison operator")
-
 
 def parse_rdql(text: str) -> RdqlQuery:
     scanner = _Scanner(text)
@@ -272,11 +229,7 @@ def _parse_pattern(scanner: _Scanner) -> TriplePattern:
 def _parse_atom(scanner: _Scanner) -> FilterAtom:
     if scanner.peek() != "?":
         scanner.fail("constraint must start with a variable")
-    lhs = scanner.variable()
-    op = scanner.operator()
-    if op not in COMPARISON_OPS:
-        scanner.fail(f"unsupported operator {op!r}")
-    return FilterAtom(lhs, op, scanner.atom_rhs())
+    return FilterAtom(scanner.variable(), scanner.operator(), scanner.atom_rhs())
 
 
 def _pattern_variables(pattern: TriplePattern) -> set[str]:

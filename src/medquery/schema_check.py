@@ -22,7 +22,6 @@ document order.
 from __future__ import annotations
 
 import enum
-import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,16 +77,6 @@ class SatisfiabilityReport:
         lines = [str(f) for f in self.findings]
         lines.append(f"{len(self.errors)} errors, {len(self.findings) - len(self.errors)} warnings")
         return "\n".join(lines) + "\n"
-
-    def to_xml(self) -> str:
-        root = ET.Element("report")
-        for f in self.findings:
-            ET.SubElement(
-                root, "finding", severity=f.severity.value, code=f.code.value,
-                location=f.location, message=f.message,
-            )
-        ET.indent(root, space="  ")
-        return ET.tostring(root, encoding="unicode") + "\n"
 
 
 def check_schema(project: Project) -> SatisfiabilityReport:

@@ -16,26 +16,38 @@ Aggregation functions, subqueries, expressions in SELECT, ORDER BY,
 GROUP BY, DISTINCT and OR are rejected as unsupported rather than
 mis-parsed. So is a FROM table with no field named in the query: a row exists
 in the RDF view only through its cells, so no pattern enumerates all its rows.
+
+The text is read left to right on the cursor the RDQL parser also uses
+(:mod:`medquery.scanner`), with no separate tokenizer. Identifiers start with
+a letter or ``_`` and go on with letters, digits or ``_``; keywords are not
+identifiers; numbers are ASCII ``[0-9]+(.[0-9]+)?`` and may carry a sign
+written apart from them. The first fault in reading order is reported,
+whether it is a malformed token or a construct out of place.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .descriptors import IntegratedSchema
 from .dtypes import Dtype, canonicalize
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
+from .scanner import Scanner
 from .triple_store import TypedLiteral
 
-_KEYWORDS = {
+_AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+_KEYWORDS = {  # reserved: never an identifier
     "SELECT", "FROM", "WHERE", "ON", "AND", "OR", "JOIN", "AS",
     "ORDER", "GROUP", "BY", "HAVING", "LIMIT", "UNION", "DISTINCT",
-    "TRUE", "FALSE",
+    "TRUE", "FALSE", *_AGGREGATES,
 }
-_AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-_COMPARATORS = {"=", "!=", "<", "<=", ">", ">="}
-_DIGITS = frozenset("0123456789")  # str.isdigit also accepts other scripts' digits
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts' digits
+# characters that may start a token, besides letters and the "!" of "!="
+_TOKEN_CHARS = frozenset("_0123456789'.,()*+-/=<>")
+# one token, for quoting in an error message; a string is quoted without its quotes
+_TOKEN_RE = re.compile(rf"'([^']*)'|{_NUMBER_RE.pattern}|\w+|[!<>]=|.", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -69,173 +81,91 @@ class SqlQuery:
     filters: tuple[Condition, ...]
 
 
-# --- tokenizer ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT KEYWORD NUMBER STRING OP PUNCT EOF
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "KEYWORD" if word.upper() in _KEYWORDS or word.upper() in _AGGREGATES else "IDENT"
-            tokens.append(_Token(kind, word, start))
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _DIGITS:
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            tokens.append(_Token("NUMBER", text[start:i], start))
-            continue
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise SqlParseError("unterminated string literal", i)
-            tokens.append(_Token("STRING", text[i + 1:end], i))
-            i = end + 1
-            continue
-        two = text[i:i + 2]
-        if two in ("!=", "<=", ">="):
-            tokens.append(_Token("OP", two, i))
-            i += 2
-            continue
-        if ch in "=<>":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch in ".,()*+-/":
-            tokens.append(_Token("PUNCT", ch, i))
-            i += 1
-            continue
-        raise SqlParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
-    return tokens
-
-
 # --- parser ------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(Scanner):
+    error = SqlParseError
+
     def __init__(self, text: str, allow_unqualified: bool):
-        self.tokens = _tokenize(text)
-        self.index = 0
+        super().__init__(text)
         self.allow_unqualified = allow_unqualified
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
-
     def fail(self, message: str):
-        raise SqlParseError(message, self.current.pos)
-
-    def keyword(self, word: str) -> None:
-        token = self.current
-        if token.kind != "KEYWORD" or token.text.upper() != word:
-            self.fail(f"expected {word}")
-        self.advance()
-
-    def at_keyword(self, *words: str) -> bool:
-        token = self.current
-        return token.kind == "KEYWORD" and token.text.upper() in words
+        """Raise at the cursor, naming a malformed token there in place of ``message``."""
+        ch = self.peek()
+        if ch == "'" and self.text.find("'", self.pos + 1) < 0:
+            message = "unterminated string literal"
+        elif ch and not (ch.isalpha() or ch in _TOKEN_CHARS or self.text.startswith("!=", self.pos)):
+            message = f"unexpected character {ch!r}"
+        super().fail(message)
 
     def ident(self, what: str) -> str:
-        token = self.current
-        if token.kind != "IDENT":
+        word = self.word()
+        if not word or word.upper() in _KEYWORDS:
             self.fail(f"expected {what}")
-        self.advance()
-        return token.text
+        self.pos += len(word)
+        return word
 
     def parse_query(self) -> tuple[list, list[str], list[Condition], list[Condition]]:
-        self.keyword("SELECT")
-        if self.at_keyword("DISTINCT"):
+        if not self.keyword("SELECT"):
+            self.fail("expected SELECT")
+        if self.keyword("DISTINCT"):
             raise UnsupportedSqlError("DISTINCT")
         select = [self.select_item()]
-        while self.current.text == ",":
-            self.advance()
+        while self.take(","):
             select.append(self.select_item())
 
-        self.keyword("FROM")
+        if not self.keyword("FROM"):
+            self.fail("expected FROM")
         tables = [self.from_item()]
         on_conds: list[Condition] = []
         while True:
-            if self.current.text == ",":
-                self.advance()
+            if self.take(","):
                 tables.append(self.from_item())
-                continue
-            if self.at_keyword("JOIN"):
-                self.advance()
+            elif self.keyword("JOIN"):
                 tables.append(self.from_item())
-                self.keyword("ON")
+                if not self.keyword("ON"):
+                    self.fail("expected ON")
                 on_conds.extend(self.condition_list())
-                continue
-            break
-        if self.at_keyword("ON"):
-            self.advance()
+            else:
+                break
+        if self.keyword("ON"):
             on_conds.extend(self.condition_list())
 
-        where_conds: list[Condition] = []
-        if self.at_keyword("WHERE"):
-            self.advance()
-            where_conds.extend(self.condition_list())
+        where_conds = self.condition_list() if self.keyword("WHERE") else []
 
-        token = self.current
-        if token.kind == "KEYWORD" and token.text.upper() in (
-            "ORDER", "GROUP", "HAVING", "LIMIT", "UNION", "OR",
-        ):
-            raise UnsupportedSqlError(token.text.upper())
-        if token.kind != "EOF":
-            self.fail(f"unexpected input {token.text!r}")
+        word = self.word().upper()
+        if word in ("ORDER", "GROUP", "HAVING", "LIMIT", "UNION", "OR"):
+            raise UnsupportedSqlError(word)
+        if not self.eof():
+            token = _TOKEN_RE.match(self.text, self.pos)
+            self.fail(f"unexpected input {token.group(token.lastindex or 0)!r}")
         return select, tables, on_conds, where_conds
 
     def select_item(self) -> QualifiedField:
-        token = self.current
-        if token.kind == "KEYWORD" and token.text.upper() in _AGGREGATES:
-            raise UnsupportedSqlError(f"aggregate {token.text.upper()}")
-        if token.text == "*":
+        word = self.word().upper()
+        if word in _AGGREGATES:
+            raise UnsupportedSqlError(f"aggregate {word}")
+        if self.peek() == "*":
             raise UnsupportedSqlError("SELECT *")
-        if token.text == "(":
+        if self.peek() == "(":
             raise UnsupportedSqlError("expression in SELECT")
         fld = self.field()
-        follow = self.current
-        if follow.kind == "PUNCT" and follow.text in "+-*/":
+        if self.peek() in ("+", "-", "*", "/"):
             raise UnsupportedSqlError("expression in SELECT")
-        if self.at_keyword("AS"):
+        if self.keyword("AS"):
             raise UnsupportedSqlError("column alias")
         return fld
 
     def from_item(self) -> str:
-        if self.current.text == "(":
+        if self.peek() == "(":
             raise UnsupportedSqlError("subquery")
         return self.ident("table name")
 
     def field(self) -> QualifiedField:
         name = self.ident("field name")
-        if self.current.text == ".":
-            self.advance()
+        if self.take("."):
             return QualifiedField(name, self.ident("field name"))
         if self.allow_unqualified:
             return QualifiedField("", name)
@@ -243,46 +173,36 @@ class _Parser:
 
     def condition_list(self) -> list[Condition]:
         conds = [self.condition()]
-        while True:
-            if self.at_keyword("AND"):
-                self.advance()
-                conds.append(self.condition())
-                continue
-            if self.at_keyword("OR"):
-                raise UnsupportedSqlError("OR")
-            break
+        while self.keyword("AND"):
+            conds.append(self.condition())
         return conds
 
     def condition(self) -> Condition:
-        if self.current.text == "(":
+        if self.peek() == "(":
             raise UnsupportedSqlError("parenthesized condition")
-        lhs = self.field()
-        token = self.current
-        if token.kind != "OP" or token.text not in _COMPARATORS:
-            self.fail("expected comparison operator")
-        self.advance()
-        rhs = self.comparand()
-        return Condition(lhs, token.text, rhs)
+        return Condition(self.field(), self.operator(), self.comparand())
 
     def comparand(self) -> Union[QualifiedField, TypedLiteral]:
-        token = self.current
-        if token.text == "(":
+        ch = self.peek()
+        if ch == "(":
             raise UnsupportedSqlError("subquery")
-        if token.kind == "STRING":
-            self.advance()
-            return TypedLiteral(token.text, Dtype.STRING)
-        if token.kind == "KEYWORD" and token.text.upper() in ("TRUE", "FALSE"):
-            self.advance()
-            return TypedLiteral(token.text.lower(), Dtype.BOOLEAN)
-        sign = ""
-        if token.kind == "PUNCT" and token.text in "+-":
-            sign = token.text
-            self.advance()
-            token = self.current
-        if token.kind == "NUMBER":
-            self.advance()
-            dtype = Dtype.DECIMAL if "." in token.text else Dtype.INTEGER
-            return TypedLiteral(canonicalize(sign + token.text, dtype), dtype)
+        if ch == "'":
+            end = self.text.find("'", self.pos + 1)
+            if end < 0:
+                self.fail("unterminated string literal")
+            lexical, self.pos = self.text[self.pos + 1:end], end + 1
+            return TypedLiteral(lexical, Dtype.STRING)
+        for word in ("TRUE", "FALSE"):
+            if self.keyword(word):
+                return TypedLiteral(word.lower(), Dtype.BOOLEAN)
+        sign = ch if ch in ("+", "-") else ""
+        self.pos += len(sign)
+        self.skip_ws()
+        number = _NUMBER_RE.match(self.text, self.pos)
+        if number:
+            self.pos = number.end()
+            dtype = Dtype.DECIMAL if "." in number.group() else Dtype.INTEGER
+            return TypedLiteral(canonicalize(sign + number.group(), dtype), dtype)
         if sign:
             self.fail("expected numeric literal")
         return self.field()

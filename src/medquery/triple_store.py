@@ -134,9 +134,6 @@ class TripleStore:
     def __len__(self) -> int:
         return self._size
 
-    def __contains__(self, t: Triple) -> bool:
-        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
-
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
         triples = (Triple(*t) for t in self._match_raw(None, None, None))

@@ -87,6 +87,8 @@ def test_aggregate_is_rejected(schema):
     ("SELECT STUDENT.ID FROM STUDENT GROUP BY STUDENT.ID", "GROUP"),
     ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.DEBT>1 OR STUDENT.DEBT<0", "OR"),
     ("SELECT DISTINCT STUDENT.ID FROM STUDENT", "DISTINCT"),
+    # the first fault in reading order is reported, not the later ';'
+    ("SELECT DISTINCT STUDENT.ID FROM STUDENT ;", "DISTINCT"),
     ("SELECT * FROM STUDENT", "SELECT *"),
     ("SELECT STUDENT.ID AS X FROM STUDENT", "alias"),
     ("SELECT STUDENT.ID FROM STUDENT, STUDENT", "self-join"),
@@ -112,6 +114,8 @@ def test_unknown_table_and_field(schema):
     with pytest.raises(UnknownTableError):
         # qualified by a table that is not in FROM
         parse_sql("SELECT GRADE.AVERAGE FROM STUDENT", schema)
+    with pytest.raises(UnknownTableError):
+        parse_sql("SELECT É.ID FROM É", schema)  # a non-ASCII identifier is still a name
 
 
 def test_literal_typing(schema):
@@ -126,6 +130,11 @@ def test_literal_typing(schema):
         TypedLiteral("Ann", Dtype.STRING),
         TypedLiteral("-5", Dtype.INTEGER),
         TypedLiteral("2.5", Dtype.DECIMAL),
+    ]
+    query = parse_sql("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.DEBT > - 5 "
+                      "AND STUDENT.DEBT != FALſE", schema)  # keywords compare upper-cased
+    assert [c.rhs for c in query.filters] == [
+        TypedLiteral("-5", Dtype.INTEGER), TypedLiteral("false", Dtype.BOOLEAN),
     ]
 
 
@@ -143,6 +152,25 @@ def test_parse_errors_carry_positions(schema):
         parse_sql("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID ~ 1", schema)
     with pytest.raises(SqlParseError):
         parse_sql("FROM STUDENT", schema)
+    for text, position, message in [
+        # the first fault in reading order, not the later '~'
+        ("SELECT FROM STUDENT WHERE STUDENT.ID ~ 1", 7, "expected field name"),
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID ~ 1", 48, "unexpected character '~'"),
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = 'Ann", 57,
+         "unterminated string literal"),
+        ("SELECT \u00b2X FROM STUDENT", 7, "unexpected character"),  # superscript two
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.DEBT > \u0661", 52,
+         "unexpected character"),  # Arabic-Indic digit one
+        ("SELECT ORDER.ID FROM STUDENT", 7, "expected field name"),
+        # a quoted string is a literal, never punctuation
+        ("SELECT STUDENT.ID ',' STUDENT.DEBT FROM STUDENT", 18, "expected FROM"),
+        ("SELECT STUDENT'.'ID FROM STUDENT", 14, "must be table-qualified"),
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID = 1 'x'", 52, "unexpected input 'x'"),
+    ]:
+        with pytest.raises(SqlParseError) as info:
+            parse_sql(text, schema)
+        assert info.value.position == position, text
+        assert message in str(info.value), text
 
 
 def unparse(query: SqlQuery) -> str:
@@ -160,6 +188,7 @@ def unparse(query: SqlQuery) -> str:
     FIG2_SQL,
     "SELECT STUDENT.ID FROM STUDENT",
     "SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = 'Ann'",
+    "SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = '('",
     "SELECT GRADE.AVERAGE, STUDENT.ID FROM STUDENT, GRADE "
     "ON STUDENT.ID=GRADE.STUDENTID WHERE STUDENT.DEBT <= 100",
     "SELECT STUDENT.ID FROM STUDENT, GRADE WHERE STUDENT.ID=GRADE.STUDENTID "
