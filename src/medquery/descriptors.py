@@ -53,12 +53,15 @@ take no child). Names and references are identifiers; ``type``, ``kind`` and ``o
 ``record`` and ``element`` are plain XML element names, not paths; and a
 ``transform`` splits, shell-style, into at least one word. Field mappings
 are resolved at parse time; relation references are deliberately left to
-the satisfiability checker so that it can report them as findings.
+the satisfiability checker so that it can report them as findings. So is a
+view's SQL: it is parsed with its binding, and the checker reports a view
+that does not parse or does not fit its base table.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import re
 import shlex
 import xml.etree.ElementTree as ET
@@ -68,7 +71,8 @@ from typing import Any, Iterable, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 from .dtypes import IDENTIFIER_RE, Dtype
-from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefError
+from .errors import DuplicateNameError, MalformedXmlError, MedQueryError, UnresolvedFieldRefError
+from .sql_frontend import SqlQuery, parse_view_select
 
 
 # --- domain types ----------------------------------------------------------
@@ -116,7 +120,22 @@ class FileBinding:
 
 @dataclass(frozen=True)
 class ViewBinding:
+    """A view's SQL text and its parse, made once when the binding is built.
+
+    ``select`` is the parse of ``query``, or None when the text does not
+    parse: the satisfiability checker reports that, and a fetch raises what
+    parsing raises.
+    """
+
     query: str
+    select: SqlQuery | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            select = parse_view_select(self.query)
+        except MedQueryError:
+            select = None
+        object.__setattr__(self, "select", select)
 
 
 @dataclass(frozen=True)
@@ -207,16 +226,39 @@ class Project:
 
     ``base_dir`` anchors relative source locations to the directory of the
     data-source descriptor file; it is excluded from structural equality.
-    ``_snapshots`` is the private fetch memo of ``wrappers.fetch_table``: for
-    each fetched (source, table), the bytes last parsed and the ``Table``
-    parsed from them. It holds one slot per declared table at most and lives
-    as long as the project.
+
+    The private memos below live as long as the project and hold at most one
+    slot per table. Each slot keeps the very objects its result was derived
+    from, and a lookup compares them by identity, so a slot is reused only
+    while its inputs are unchanged:
+
+    - ``_snapshots``: per fetched (source, table) of a file or XML source, the
+      bytes last parsed and the ``Table`` parsed from them
+      (``wrappers.fetch_table``);
+    - ``_views``: per (source, view table), the base ``Table`` last filtered
+      and the view ``Table`` computed from it (``wrappers.fetch_table``);
+    - ``_integrated``: per integrated table, the ((source, table), ``Table``)
+      pairs its last materialization fetched, in fetch order, the integrated
+      ``Table`` and the multi-match warnings it logged
+      (``extraction.materialize_integrated_table``);
+    - ``_segments``: per integrated table, the integrated ``Table`` last turned
+      into triples and the ``TripleStore`` segment holding them
+      (``extraction.build_triples``).
+
+    A slot is replaced whole, so callers sharing a project may derive a slot
+    twice but never read a torn one.
     """
 
     sources: tuple[DataSourceDescriptor, ...]
     schema: IntegratedSchema
     base_dir: str = field(default=".", compare=False)
     _snapshots: dict[tuple[str, str], tuple[bytes, Any]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _views: dict[tuple[str, str], tuple[Any, Any]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _integrated: dict[str, tuple[tuple, Any, tuple]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _segments: dict[str, tuple[Any, Any]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def source(self, name: str) -> DataSourceDescriptor | None:
@@ -478,9 +520,13 @@ def parse_project(source_desc_path: str | Path, schema_desc_path: str | Path) ->
     is immutable and independent of when or where parsing happens.
     """
     # as bytes: the parser honours a declared encoding and reports bad bytes by line
-    sources = parse_sources_xml(Path(source_desc_path).read_bytes())
-    schema = parse_schema_xml(Path(schema_desc_path).read_bytes())
-    project = Project(sources, schema, base_dir=str(Path(source_desc_path).resolve().parent))
+    # (open() and os.path, not pathlib: pathlib's objects and its extra stat
+    # call are a measurable share of a small project's parse)
+    with open(source_desc_path, "rb") as handle:
+        sources = parse_sources_xml(handle.read())
+    with open(schema_desc_path, "rb") as handle:
+        schema = parse_schema_xml(handle.read())
+    project = Project(sources, schema, base_dir=os.path.dirname(os.path.realpath(source_desc_path)))
     for table in schema.tables:
         for fdef in table.fields:
             resolve_field_ref(project, fdef.mapping)

@@ -15,6 +15,16 @@ several rows takes the first in source order, and each looked-up field logs
 one warning with the number of master rows that did so. Missing cells
 produce no triple, so such rows simply fail triple patterns over that
 property.
+
+Both steps are memoized on the project, one slot per integrated table. An
+integrated table remembers the source ``Table`` objects it was built from,
+in the order they were fetched; a later call fetches those tables again, in
+that order, and returns the stored table while every fetch returns the very
+object it returned before. On a hit the stored multi-match warnings are
+logged again, so every call logs what a fresh materialization would. On a
+miss the tables already fetched are reused, so no call fetches a table
+twice. ``build_triples`` keeps one triple segment per integrated table,
+reused while the table is the same object.
 """
 
 from __future__ import annotations
@@ -47,9 +57,15 @@ FetchFn = Callable[[Project, str, str, AccessLog | None], Table]
 
 @dataclass
 class IntegratedData:
-    """Materialized integrated tables, keyed by integrated table name."""
+    """Materialized integrated tables, keyed by integrated table name.
+
+    ``segments`` is where :func:`build_triples` keeps each table's triples;
+    ``materialize_required`` hands it the project's segment memo.
+    """
 
     tables: dict[str, Table] = field(default_factory=dict)
+    segments: dict[str, tuple[Table, TripleStore]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
@@ -146,13 +162,20 @@ def _chain_to(edges: dict[_Node, list[_Hop]], start: _Node, goal: _Node) -> list
 # --- column builder -----------------------------------------------------------
 
 
+_MULTI_MATCH = ("%d master rows match several rows of %s.%s for field %s; "
+                "keeping the first in source order")
+
+
 class _Materializer:
-    def __init__(self, project: Project, fetch: FetchFn, log: AccessLog | None):
+    def __init__(self, project: Project, fetch: FetchFn, log: AccessLog | None,
+                 fetched: list[tuple[_Node, Table]]):
         self.project = project
         self.fetch = fetch
         self.log = log
         self.edges = _join_edges(project)
-        self._cache: dict[_Node, Table] = {}
+        self.fetched = fetched  # every (node, table) fetched, in fetch order
+        self._cache: dict[_Node, Table] = dict(fetched)
+        self.warnings: list[tuple] = []  # the arguments of each multi-match warning
         self.derived_by_target: dict[FieldRef, DerivedRelation] = {}
         for relation in project.schema.relations:
             if isinstance(relation, DerivedRelation):
@@ -161,6 +184,7 @@ class _Materializer:
     def table(self, node: _Node) -> Table:
         if node not in self._cache:
             self._cache[node] = self.fetch(self.project, node[0], node[1], self.log)
+            self.fetched.append((node, self._cache[node]))
         return self._cache[node]
 
     def column(self, ref: FieldRef, master: _Node, field_name: str,
@@ -209,11 +233,8 @@ class _Materializer:
             current = far_table
         several = sum(len(rows) > 1 for rows in reached)
         if several:
-            logger.warning(
-                "%d master rows match several rows of %s.%s for field %s; "
-                "keeping the first in source order",
-                several, current.name, ref.field, field_name,
-            )
+            self.warnings.append((several, current.name, ref.field, field_name))
+            logger.warning(_MULTI_MATCH, *self.warnings[-1])
         index = current.column(ref.field)
         return [rows[0][index] if rows else None for rows in reached]
 
@@ -244,16 +265,30 @@ def _convert(cell: Cell, target: Dtype, row_number: int, field_name: str) -> Cel
 def materialize_integrated_table(project: Project, table_name: str,
                                  fetch: FetchFn = fetch_table,
                                  log: AccessLog | None = None) -> Table:
-    """Build one integrated table from its sources.
+    """Build one integrated table from its sources, or return it again.
 
     ``fetch`` is the wrapper entry point and exists as a parameter so tests
     can interpose caching or scheduling; the result is a pure function of
-    the fetched table contents.
+    the fetched table contents. The project keeps the last result with the
+    tables it was built from (see the module docstring); a call that raises
+    keeps nothing.
     """
     tdef = project.schema.table(table_name)
     if tdef is None:
         raise UnknownTableError(f"integrated schema has no table '{table_name}'")
-    materializer = _Materializer(project, fetch, log)
+    fetched: list[tuple[_Node, Table]] = []
+    slot = project._integrated.get(table_name)
+    if slot is not None:
+        reads, table, warnings = slot
+        for node, read in reads:
+            fetched.append((node, fetch(project, node[0], node[1], log)))
+            if fetched[-1][1] is not read:
+                break
+        else:
+            for args in warnings:
+                logger.warning(_MULTI_MATCH, *args)
+            return table
+    materializer = _Materializer(project, fetch, log, fetched)
     master_ref = tdef.fields[0].mapping
     master: _Node = (master_ref.source, master_ref.table)
     columns = [materializer.column(fdef.mapping, master, fdef.name) for fdef in tdef.fields]
@@ -265,14 +300,17 @@ def materialize_integrated_table(project: Project, table_name: str,
               for cell, fdef in zip(cells, tdef.fields))
         for number, cells in enumerate(zip(*columns), start=1)
     )
-    return Table(tdef.name, fields, rows)
+    table = Table(tdef.name, fields, rows)
+    project._integrated[table_name] = (tuple(materializer.fetched), table,
+                                       tuple(materializer.warnings))
+    return table
 
 
 def materialize_required(project: Project, names: Iterable[str],
                          fetch: FetchFn = fetch_table,
                          log: AccessLog | None = None) -> IntegratedData:
     """Materialize the named integrated tables, in the order given."""
-    data = IntegratedData()
+    data = IntegratedData(segments=project._segments)
     for name in names:
         data.tables[name] = materialize_integrated_table(project, name, fetch, log)
     return data
@@ -281,14 +319,22 @@ def materialize_required(project: Project, names: Iterable[str],
 def build_triples(data: IntegratedData) -> TripleStore:
     """One subject per row, one triple per non-missing cell.
 
-    Each table is bulk-loaded with :meth:`TripleStore.load_rows`: table
-    names key ``data.tables`` and field names are unique within a table, so
-    every (row subject, field predicate) pair occurs once.
+    Each table's triples form one segment, bulk-loaded with
+    :meth:`TripleStore.load_rows` (table names key ``data.tables`` and field
+    names are unique within a table, so every (row subject, field predicate)
+    pair occurs once) and kept in ``data.segments`` while the table is the
+    same object. Subjects and predicates carry the table name, so the
+    segments are disjoint and the returned store is their union.
     """
-    store = TripleStore()
+    segments = []
     for name, table in data.tables.items():
-        predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
-        store.load_rows(predicates, (
-            (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
-        ))
-    return store
+        slot = data.segments.get(name)
+        if slot is None or slot[0] is not table:
+            segment = TripleStore()
+            predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
+            segment.load_rows(predicates, (
+                (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
+            ))
+            slot = data.segments[name] = (table, segment)
+        segments.append(slot[1])
+    return TripleStore.union(segments)

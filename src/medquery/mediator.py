@@ -27,7 +27,12 @@ def open_project(sources: str | Path, schema: str | Path) -> Project:
 
 
 def execute_query(project: Project, text: str, lang: str = "sql") -> ResultSet:
-    """Answer a ``"sql"`` or ``"rdql"`` query over the integrated view."""
+    """Answer a ``"sql"`` or ``"rdql"`` query over the integrated view.
+
+    Every query fetches its sources again, but a long-lived project derives
+    views, integrated tables and triples only from sources that changed
+    since it last derived them (see :class:`~medquery.descriptors.Project`).
+    """
     if lang == "sql":
         _, query = convert(parse_sql(text, project.schema), project.schema)
     elif lang == "rdql":

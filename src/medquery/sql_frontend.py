@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .descriptors import IntegratedSchema
 from .dtypes import Dtype, canonicalize
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
 from .scanner import Scanner
 from .triple_store import TypedLiteral
+
+if TYPE_CHECKING:  # descriptors imports this module to parse view bindings
+    from .descriptors import IntegratedSchema
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _KEYWORDS = {  # reserved: never an identifier
@@ -232,14 +234,14 @@ def parse_sql(text: str, schema: IntegratedSchema) -> SqlQuery:
             raise UnknownTableError(f"integrated schema has no table '{name}'")
 
     query = _build_query(select, tables, on_conds, where_conds)
-    for fld in _referenced_fields(query):
+    for fld in referenced_fields(query):
         if fld.table not in seen:
             raise UnknownTableError(f"'{fld}' references a table missing from FROM")
         table = schema.table(fld.table)
         assert table is not None
         if table.field_def(fld.field) is None:
             raise UnknownFieldError(f"integrated table '{fld.table}' has no field '{fld.field}'")
-    used = {fld.table for fld in _referenced_fields(query)}
+    used = {fld.table for fld in referenced_fields(query)}
     for name in tables:
         if name not in used:
             raise UnsupportedSqlError(f"table '{name}' in FROM with no field referenced")
@@ -250,8 +252,8 @@ def parse_view_select(text: str) -> SqlQuery:
     """Parse a wrapper-side view definition: one table, projection, filters.
 
     Unqualified field names are allowed and resolve to the single FROM
-    table. Joins are rejected; validation against the source table happens
-    at fetch time.
+    table. Joins are rejected; the satisfiability checker validates the
+    view against its source table.
     """
     parser = _Parser(text, allow_unqualified=True)
     select, tables, on_conds, where_conds = parser.parse_query()
@@ -276,7 +278,8 @@ def parse_view_select(text: str) -> SqlQuery:
     return SqlQuery(tuple(select), tuple(tables), (), tuple(where))
 
 
-def _referenced_fields(query: SqlQuery):
+def referenced_fields(query: SqlQuery):
+    """Every field the query names: its SELECT list, then each condition's sides."""
     for fld in query.select:
         yield fld
     for cond in query.join_conds + query.filters:

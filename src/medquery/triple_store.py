@@ -7,8 +7,13 @@ from POS. ``count`` adds up the sizes of the same index entries instead
 of building the matches. Triples arrive one at a time through ``insert``
 (the path of :func:`import_ntriples`) or a table at a time through
 ``load_rows``, which fills both indexes straight from rows of cells whose
-(subject, predicate) pairs cannot repeat, so it builds no ``Triple`` and
-probes for no duplicate.
+(subject, predicate) pairs cannot repeat, so it builds no ``Triple``, probes
+for no duplicate and keeps each object slot as a 1-tuple rather than a set.
+
+``TripleStore.union`` joins stores with disjoint subjects and predicates
+(the per-table segments of the integrated view) without copying their
+triples: the union shares their index entries. Before its first write, a
+union copies those entries, so writing to it never changes a segment.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -128,8 +133,33 @@ class TripleStore:
 
     def __init__(self) -> None:
         self._size = 0
-        self._spo: dict[Iri, dict[Iri, set[Term]]] = {}
+        # object slots are sets, or 1-tuples where load_rows filled them
+        self._spo: dict[Iri, dict[Iri, set[Term] | tuple[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Iri]]] = {}
+        self._shared = False  # index entries belong to the stores of a union
+
+    @classmethod
+    def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
+        """A store of every triple of ``stores``, which share no subject or predicate."""
+        joined = cls()
+        for store in stores:
+            joined._spo.update(store._spo)
+            joined._pos.update(store._pos)
+            joined._size += store._size
+        if (len(joined._spo) != sum(len(s._spo) for s in stores)
+                or len(joined._pos) != sum(len(s._pos) for s in stores)):
+            raise ValueError("union needs stores with disjoint subjects and predicates")
+        joined._shared = True
+        return joined
+
+    def _own(self) -> None:
+        """Copy index entries shared with other stores before a write."""
+        if self._shared:
+            self._spo = {s: {p: set(objects) for p, objects in by_pred.items()}
+                         for s, by_pred in self._spo.items()}
+            self._pos = {p: {o: set(subjects) for o, subjects in by_obj.items()}
+                         for p, by_obj in self._pos.items()}
+            self._shared = False
 
     def __len__(self) -> int:
         return self._size
@@ -142,13 +172,19 @@ class TripleStore:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._spo == other._spo
+        # no slot repeats an object, so equal sizes and one inclusion suffice
+        return self._size == other._size and all(
+            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self._match_raw(None, None, None))
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only when it was not already present."""
-        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set())
+        self._own()
+        by_pred = self._spo.setdefault(t.subject, {})
+        objects = by_pred.setdefault(t.predicate, set())
         if t.object in objects:
             return False
+        if isinstance(objects, tuple):  # a slot load_rows filled
+            objects = by_pred[t.predicate] = set(objects)
         objects.add(t.object)
         self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
         self._size += 1
@@ -165,16 +201,17 @@ class TripleStore:
         """
         if len(set(predicates)) != len(predicates):
             raise ValueError("load_rows needs distinct predicates")
+        self._own()
         spo = self._spo
         pos_entries = [self._pos.setdefault(p, {}) for p in predicates]
         for subject, cells in rows:
             if subject in spo:
                 raise ValueError(f"subject already in the store: {subject.value}")
-            by_pred: dict[Iri, set[Term]] = {}
+            by_pred: dict[Iri, tuple[Term]] = {}
             for predicate, by_obj, cell in zip(predicates, pos_entries, cells):
                 if cell is None:
                     continue
-                by_pred[predicate] = {cell}
+                by_pred[predicate] = (cell,)
                 by_obj.setdefault(cell, set()).add(subject)
             if by_pred:
                 spo[subject] = by_pred

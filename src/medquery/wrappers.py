@@ -19,8 +19,11 @@ bytes it has not just seen: the project keeps, per file or XML table, the
 last bytes parsed and the ``Table`` parsed from them, and a fetch whose
 bytes compare equal returns that ``Table``. Parsing is a pure function of
 the table definition and the bytes, so the snapshot is the one a fresh parse
-would give. A fetch that raises keeps nothing, so the next one parses (and
-raises) again.
+would give. A view is fetched the same way one layer up: its base table is
+fetched on every call, and while that fetch returns the very ``Table`` the
+view was last computed from, the view's ``Table`` is returned again; the
+view's SQL was parsed once, with its descriptor. A fetch that raises keeps
+nothing, so the next one parses (and raises) again.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import sql_frontend
 from .descriptors import (
@@ -184,8 +187,9 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     on every call. When the bytes read (after the transform) equal those of
     the last snapshot parsed for this table of this project, that snapshot's
     ``Table`` is returned again; otherwise the bytes are parsed and replace
-    it. A fetch that raises keeps nothing. A view filters its base table on
-    every call.
+    it. A view fetches its base table on every call and filters it only
+    when that ``Table`` is not the one it last filtered. A fetch that raises
+    keeps nothing.
     """
     src = project.source(source)
     if src is None:
@@ -200,10 +204,20 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
 
     binding = tdef.binding
     if isinstance(binding, ViewBinding):
-        result = evaluate_view(project, source, binding.query, log,
-                               _active=_active | {(source, table)})
-        _check_view_shape(tdef, result)
-        return Table(table, tdef.fields, result.rows)
+        # a view that does not parse raises here what parsing raises
+        query = binding.select or sql_frontend.parse_view_select(binding.query)
+        base = fetch_table(project, source, query.from_tables[0], log,
+                           _active=_active | {(source, table)})
+        view = project._views.get((source, table))
+        if view is not None and view[0] is base:
+            return view[1]
+        result = _select(base, query)
+        shape_error = view_shape_error(tdef, result.fields)
+        if shape_error:
+            raise IoError(shape_error)
+        fetched = Table(table, tdef.fields, result.rows)
+        project._views[(source, table)] = (base, fetched)
+        return fetched
     if isinstance(binding, FileBinding):
         path = _resolve_path(project, src.location, binding.path)
         data, parse = _read_bytes(path), _parse_tabular
@@ -220,12 +234,14 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     return fetched
 
 
-def _check_view_shape(tdef: SourceTableDef, result: Table) -> None:
+def view_shape_error(tdef: SourceTableDef, projected: Iterable[SourceFieldDef]) -> str | None:
+    """Why a view projecting ``projected`` does not fit its declaration ``tdef``, if it does not."""
     # names are identifiers, so "name dtype" compares as the pair does
-    projected = ", ".join(f"{f.name} {f.dtype.value}" for f in result.fields)
+    shown = ", ".join(f"{f.name} {f.dtype.value}" for f in projected)
     declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
-    if projected != declared:
-        raise IoError(f"view '{tdef.name}' projects [{projected}] but declares [{declared}]")
+    if shown != declared:
+        return f"view '{tdef.name}' projects [{shown}] but declares [{declared}]"
+    return None
 
 
 def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog | None = None,
@@ -237,7 +253,11 @@ def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog |
     excludes the row, and incomparable pairs never match.
     """
     query = sql_frontend.parse_view_select(view_def)
-    base = fetch_table(project, source, query.from_tables[0], log, _active=_active)
+    return _select(fetch_table(project, source, query.from_tables[0], log, _active=_active), query)
+
+
+def _select(base: Table, query: sql_frontend.SqlQuery) -> Table:
+    """The rows of ``base`` that pass every filter of ``query``, projected."""
     # (lhs column, op, rhs column or literal), resolved once for every row
     conditions = [
         (base.column(cond.lhs.field), cond.op,

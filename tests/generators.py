@@ -251,6 +251,22 @@ def random_project(rng: random.Random, directory: Path,
     return GenProject(sources_path, schema_path, project, reachable)
 
 
+def random_data_files(rng: random.Random, project: Project) -> dict[Path, str]:
+    """New random content for every data file of a generated project, by path."""
+    files: dict[Path, str] = {}
+    base = Path(project.base_dir)
+    for src in project.sources:
+        if src.kind is SourceKind.XML:
+            tables = [(t.binding.record_element, list(t.fields)) for t in src.tables]
+            files[base / src.location] = _xml_doc(rng, tables)
+            continue
+        for table in src.tables:
+            if isinstance(table.binding, FileBinding):
+                path = base / src.location / table.binding.path
+                files[path] = _rows_text(rng, list(table.fields), rng.randrange(0, 21))
+    return files
+
+
 def random_sql_text(rng: random.Random, project: Project) -> str:
     """A supported SQL query over the project's integrated schema."""
     schema = project.schema

@@ -1,9 +1,14 @@
 """The CLI's exit-code contract (0 ok, 1 domain error, 2 descriptor or file error)."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import medquery
 from medquery.cli import main
 from medquery.descriptors import parse_project
 from medquery.extraction import build_triples, materialize_required
@@ -194,17 +199,70 @@ def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
     }
 
 
-def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
-    rich = ('<table name="RICH"><field name="ID" type="integer"/>'
-            "<view>SELECT ID, DEBT FROM STUDENT</view></table>")
+@pytest.mark.parametrize("command", [
+    ["query", "--query", FIG2_SQL],
+    ["query", "--query", JOIN_SQL, "--out", "ntriples"],
+    ["extract", "--table", "STUDENT"],
+    ["extract", "--table", "GRADE"],
+], ids=["query", "query-ntriples", "extract-student", "extract-grade"])
+def test_output_does_not_depend_on_the_hash_seed(fig2_paths, command):
+    # set iteration order follows the hash seed; no output may
+    src = Path(medquery.__file__).resolve().parents[1]
+    sources, schema = fig2_paths
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "medquery.cli", command[0], "--sources", str(sources),
+             "--schema", str(schema), *command[1:]],
+            env=env, capture_output=True, check=True, timeout=60,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1 and outputs != {b""}
+
+
+def _view_paths(tmp_path, view_sql):
+    """The Fig. 2 project plus a view RICH over uni.STUDENT declaring ID only."""
+    rich = f'<table name="RICH"><field name="ID" type="integer"/><view>{view_sql}</view></table>'
     rich_field = '<field name="ID" type="integer" source="uni" sourcetable="RICH" sourcefield="ID"/>'
-    paths = write_project(
+    return write_project(
         tmp_path, SOURCES_XML.replace("</table>", "</table>" + rich, 1),
         SCHEMA_XML.replace("</schema>", f'<table name="RICH">{rich_field}</table></schema>'),
     )
+
+
+RICH_LOCATION = "datasources/datasource[uni]/table[RICH]"
+
+
+def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
+    paths = _view_paths(tmp_path, "SELECT ID, DEBT FROM STUDENT")
     code = main(["query", "--sources", str(paths[0]), "--schema", str(paths[1]),
                  "--query", "SELECT RICH.ID FROM RICH"])
     assert code == 1
     assert capsys.readouterr().err == (
-        "medquery: view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]\n"
+        "medquery: schema is not satisfiable:\n"
+        f"  error INVALID_VIEW {RICH_LOCATION}: "
+        "view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]\n\n"
     )
+
+
+@pytest.mark.parametrize("view_sql, message", [
+    ("SELECT ID, DEBT FROM STUDENT",
+     "view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]"),
+    ("SELEC nonsense",
+     "view SQL does not parse: at offset 0: expected SELECT"),
+    ("SELECT ID FROM GRADE", "view reads table 'GRADE', which 'uni' does not declare"),
+    ("SELECT ID FROM STUDENT WHERE NOPE > 1",
+     "view reads field 'NOPE', which 'uni.STUDENT' does not declare"),
+])
+def test_validate_rejects_a_view_that_cannot_fetch(tmp_path, capsys, view_sql, message):
+    code, out = _run(capsys, "validate", _view_paths(tmp_path, view_sql))
+    assert code == 1
+    assert out.splitlines()[0] == f"error INVALID_VIEW {RICH_LOCATION}: {message}"
+    assert out.splitlines()[-1].startswith("1 errors, ")
+
+
+def test_validate_accepts_a_view_that_fits(tmp_path, capsys):
+    code, out = _run(capsys, "validate", _view_paths(tmp_path, "SELECT ID FROM STUDENT WHERE DEBT > 1"))
+    assert code == 0
+    assert "INVALID_VIEW" not in out

@@ -53,6 +53,61 @@ def test_load_rows_equals_inserts_and_refuses_repeats():
         store.load_rows([Iri(P)], [(Iri(S), [LIT])])
 
 
+def _table_segment(table, rows):
+    """A store loaded like one integrated table's triples."""
+    store = TripleStore()
+    store.load_rows([Iri(f"http://x/{table}#{f}") for f in "AB"], [
+        (Iri(f"http://x/{table}/row/{i}"), cells) for i, cells in enumerate(rows)])
+    return store
+
+
+def test_union_answers_like_one_store_and_copies_before_a_write():
+    one = TypedLiteral("1", Dtype.INTEGER)
+    two = TypedLiteral("2", Dtype.STRING)
+    segments = [_table_segment("T", [[one, two], [one, None]]),
+                _table_segment("U", [[None, one], [two, two], [one, one]])]
+    exports = [export_ntriples(segment) for segment in segments]
+    union = TripleStore.union(segments)
+    reference = TripleStore()
+    for triple in itertools.chain(*segments):
+        reference.insert(triple)
+    assert union == reference and reference == union and len(union) == 8
+    subjects = [None, *{triple.subject for triple in reference}, Iri("http://x/T/row/9")]
+    predicates = [None, *{triple.predicate for triple in reference}]
+    for s, p, o in itertools.product(subjects, predicates, [None, one, two]):
+        assert set(union.match(s, p, o)) == set(reference.match(s, p, o)), (s, p, o)
+        assert union.count(s, p, o) == reference.count(s, p, o), (s, p, o)
+
+    extra = Triple(Iri("http://x/T/row/1"), Iri("http://x/T#B"), one)
+    assert union.insert(extra) and not union.insert(extra)
+    union.load_rows([Iri("http://x/V#A")], [(Iri("http://x/V/row/0"), [one])])
+    assert len(union) == 10 and union.count(None, Iri("http://x/T#B"), None) == 2
+    assert [export_ntriples(segment) for segment in segments] == exports
+    assert len(TripleStore.union(segments)) == 8
+
+
+def test_union_refuses_stores_that_share_a_subject_or_predicate():
+    store = _table_segment("T", [[LIT, LIT]])
+    with pytest.raises(ValueError):
+        TripleStore.union([store, _table_segment("T", [])])  # the same predicates
+    shared_subject = TripleStore()
+    shared_subject.insert(t("http://x/T/row/0", "http://x/q", LIT))
+    with pytest.raises(ValueError):
+        TripleStore.union([store, shared_subject])
+
+
+def test_insert_beside_a_loaded_object_keeps_set_semantics():
+    store = _table_segment("T", [[LIT, None]])
+    subject, predicate = "http://x/T/row/0", "http://x/T#A"
+    assert store.insert(t(subject, predicate, LIT)) is False
+    assert store.insert(t(subject, predicate, TypedLiteral("8", Dtype.INTEGER))) is True
+    reference = TripleStore()
+    reference.insert(t(subject, predicate, TypedLiteral("8", Dtype.INTEGER)))
+    reference.insert(t(subject, predicate, LIT))
+    assert store == reference and len(store) == 2
+    assert store.count(None, Iri(predicate), LIT) == 1
+
+
 def test_match_wildcards():
     store = TripleStore()
     triples = [

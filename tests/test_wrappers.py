@@ -2,6 +2,7 @@ import os
 import random
 import shlex
 import time
+from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -240,6 +241,18 @@ def test_fetch_view_table_logs_view_and_base(view_project):
     table = fetch_table(view_project, "uni", "RICH", log)
     assert [row[0].lexical for row in table.rows] == ["2", "3"]
     assert log.entries == (("uni", "RICH"), ("uni", "STUDENT"))
+
+
+def test_view_is_filtered_once_per_base_snapshot(view_project, monkeypatch):
+    filtered = []
+    select = wrappers._select
+    monkeypatch.setattr(wrappers, "_select", lambda *args: filtered.append(1) or select(*args))
+    first = fetch_table(view_project, "uni", "RICH")
+    assert fetch_table(view_project, "uni", "RICH") is first
+    assert len(filtered) == 1
+    (Path(view_project.base_dir) / "students.txt").write_text("ID|DEBT\n4|2100\n", encoding="utf-8")
+    assert [row[0].lexical for row in fetch_table(view_project, "uni", "RICH").rows] == ["4"]
+    assert len(filtered) == 2
 
 
 def test_view_must_project_declared_fields(tmp_path):
