@@ -38,7 +38,7 @@ from .triple_store import (
     export_ntriples,
     import_ntriples,
 )
-from .wrappers import AccessLog, Table, evaluate_view, fetch_table
+from .wrappers import AccessLog, Table, fetch_table
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "check_schema",
     "convert",
     "evaluate",
-    "evaluate_view",
     "execute_query",
     "export_ntriples",
     "fetch_table",

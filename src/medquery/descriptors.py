@@ -67,7 +67,7 @@ import shlex
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 from .dtypes import IDENTIFIER_RE, Dtype
@@ -227,39 +227,43 @@ class Project:
     ``base_dir`` anchors relative source locations to the directory of the
     data-source descriptor file; it is excluded from structural equality.
 
-    The private memos below live as long as the project and hold at most one
-    slot per table. Each slot keeps the very objects its result was derived
-    from, and a lookup compares them by identity, so a slot is reused only
-    while its inputs are unchanged:
+    ``derive`` is the one memo rule of the pipeline, a build system's
+    verifying trace; a ``make`` reads only its inputs and the descriptors.
+    Each slot of ``_memo`` keeps a value with the inputs it came from and
+    returns it again while later inputs compare equal (a tuple compares its
+    items by identity first, so a hit on the same ``Table`` compares no
+    rows). A hit keeps the newer inputs, so the next hit is by identity
+    again. Keys name their layer first, so no data source or table name can
+    make two layers share a slot:
 
-    - ``_snapshots``: per fetched (source, table) of a file or XML source, the
-      bytes last parsed and the ``Table`` parsed from them
-      (``wrappers.fetch_table``);
-    - ``_views``: per (source, view table), the base ``Table`` last filtered
-      and the view ``Table`` computed from it (``wrappers.fetch_table``);
-    - ``_integrated``: per integrated table, the ((source, table), ``Table``)
-      pairs its last materialization fetched, in fetch order, the integrated
-      ``Table`` and the multi-match warnings it logged
+    - ``("source", source, table)``: a file or XML table from its bytes, a
+      view from its base ``Table`` (``wrappers.fetch_table``);
+    - ``("integrated", name)``: an integrated table and its multi-match
+      warnings from the source tables it read, compared by replaying those
+      reads in order and stopping at the first that changed
       (``extraction.materialize_integrated_table``);
-    - ``_segments``: per integrated table, the integrated ``Table`` last turned
-      into triples and the ``TripleStore`` segment holding them
-      (``extraction.build_triples``).
+    - ``("triples", name)``: an integrated table's triples from that table
+      (``extraction.build_triples``);
+    - ``("join edges",)``: the schema's join graph, from no inputs, since
+      the schema never changes (``extraction._Materializer``).
 
-    A slot is replaced whole, so callers sharing a project may derive a slot
-    twice but never read a torn one.
+    A call that raises leaves its slot as it was. A slot is replaced whole,
+    so callers sharing a project may derive a slot twice but never read a
+    torn one.
     """
 
     sources: tuple[DataSourceDescriptor, ...]
     schema: IntegratedSchema
     base_dir: str = field(default=".", compare=False)
-    _snapshots: dict[tuple[str, str], tuple[bytes, Any]] = field(
+    _memo: dict[tuple, tuple[tuple, Any]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _views: dict[tuple[str, str], tuple[Any, Any]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _integrated: dict[str, tuple[tuple, Any, tuple]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _segments: dict[str, tuple[Any, Any]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+
+    def derive(self, key: tuple, inputs: tuple, make: Callable[[], Any]) -> Any:
+        """``make()``, or the value kept under ``key`` while its inputs equal ``inputs``."""
+        slot = self._memo.get(key)
+        value = slot[1] if slot is not None and slot[0] == inputs else make()
+        self._memo[key] = (inputs, value)
+        return value
 
     def source(self, name: str) -> DataSourceDescriptor | None:
         return _named(self.sources, name)

@@ -16,15 +16,10 @@ one warning with the number of master rows that did so. Missing cells
 produce no triple, so such rows simply fail triple patterns over that
 property.
 
-Both steps are memoized on the project, one slot per integrated table. An
-integrated table remembers the source ``Table`` objects it was built from,
-in the order they were fetched; a later call fetches those tables again, in
-that order, and returns the stored table while every fetch returns the very
-object it returned before. On a hit the stored multi-match warnings are
-logged again, so every call logs what a fresh materialization would. On a
-miss the tables already fetched are reused, so no call fetches a table
-twice. ``build_triples`` keeps one triple segment per integrated table,
-reused while the table is the same object.
+Both steps go through :meth:`~medquery.descriptors.Project.derive`, which
+states when a result is reused. On reuse an integrated table's multi-match
+warnings are logged again, so every call logs what a fresh materialization
+would.
 """
 
 from __future__ import annotations
@@ -57,15 +52,10 @@ FetchFn = Callable[[Project, str, str, AccessLog | None], Table]
 
 @dataclass
 class IntegratedData:
-    """Materialized integrated tables, keyed by integrated table name.
+    """Materialized integrated tables, keyed by integrated table name, and their project."""
 
-    ``segments`` is where :func:`build_triples` keeps each table's triples;
-    ``materialize_required`` hands it the project's segment memo.
-    """
-
+    project: Project = field(compare=False, repr=False)
     tables: dict[str, Table] = field(default_factory=dict)
-    segments: dict[str, tuple[Table, TripleStore]] = field(
-        default_factory=dict, compare=False, repr=False)
 
 
 def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
@@ -167,14 +157,12 @@ _MULTI_MATCH = ("%d master rows match several rows of %s.%s for field %s; "
 
 
 class _Materializer:
-    def __init__(self, project: Project, fetch: FetchFn, log: AccessLog | None,
-                 fetched: list[tuple[_Node, Table]]):
+    def __init__(self, project: Project, fetch: FetchFn, log: AccessLog | None):
         self.project = project
         self.fetch = fetch
         self.log = log
-        self.edges = _join_edges(project)
-        self.fetched = fetched  # every (node, table) fetched, in fetch order
-        self._cache: dict[_Node, Table] = dict(fetched)
+        self.edges = project.derive(("join edges",), (), lambda: _join_edges(project))
+        self.cache: dict[_Node, Table] = {}  # every table fetched, in fetch order: the read record
         self.warnings: list[tuple] = []  # the arguments of each multi-match warning
         self.derived_by_target: dict[FieldRef, DerivedRelation] = {}
         for relation in project.schema.relations:
@@ -182,10 +170,9 @@ class _Materializer:
                 self.derived_by_target.setdefault(relation.target, relation)
 
     def table(self, node: _Node) -> Table:
-        if node not in self._cache:
-            self._cache[node] = self.fetch(self.project, node[0], node[1], self.log)
-            self.fetched.append((node, self._cache[node]))
-        return self._cache[node]
+        if node not in self.cache:
+            self.cache[node] = self.fetch(self.project, node[0], node[1], self.log)
+        return self.cache[node]
 
     def column(self, ref: FieldRef, master: _Node, field_name: str,
                stack: tuple[FieldRef, ...] = ()) -> list[Cell]:
@@ -269,40 +256,35 @@ def materialize_integrated_table(project: Project, table_name: str,
 
     ``fetch`` is the wrapper entry point and exists as a parameter so tests
     can interpose caching or scheduling; the result is a pure function of
-    the fetched table contents. The project keeps the last result with the
-    tables it was built from (see the module docstring); a call that raises
-    keeps nothing.
+    the fetched table contents. The tables last read are replayed through
+    ``fetch``, in read order, to decide whether the last result still holds
+    (see :class:`~medquery.descriptors.Project`); the replay stops at the
+    first table that changed, and a rebuild reuses what it fetched.
     """
     tdef = project.schema.table(table_name)
     if tdef is None:
         raise UnknownTableError(f"integrated schema has no table '{table_name}'")
-    fetched: list[tuple[_Node, Table]] = []
-    slot = project._integrated.get(table_name)
-    if slot is not None:
-        reads, table, warnings = slot
-        for node, read in reads:
-            fetched.append((node, fetch(project, node[0], node[1], log)))
-            if fetched[-1][1] is not read:
-                break
-        else:
-            for args in warnings:
-                logger.warning(_MULTI_MATCH, *args)
-            return table
-    materializer = _Materializer(project, fetch, log, fetched)
-    master_ref = tdef.fields[0].mapping
-    master: _Node = (master_ref.source, master_ref.table)
-    columns = [materializer.column(fdef.mapping, master, fdef.name) for fdef in tdef.fields]
-    # the integrated table carries the integrated names and dtypes; cells are
-    # converted row by row so an error names the first bad row, then field
-    fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)
-    rows = tuple(
-        tuple(_convert(cell, fdef.dtype, number, fdef.name)
-              for cell, fdef in zip(cells, tdef.fields))
-        for number, cells in enumerate(zip(*columns), start=1)
-    )
-    table = Table(tdef.name, fields, rows)
-    project._integrated[table_name] = (tuple(materializer.fetched), table,
-                                       tuple(materializer.warnings))
+    key = ("integrated", table_name)
+    materializer = _Materializer(project, fetch, log)
+    slot = project._memo.get(key)
+    if slot is not None and all(materializer.table(node) == read for node, read in slot[0]):
+        table, warnings = slot[1]
+        for args in warnings:
+            logger.warning(_MULTI_MATCH, *args)
+    else:
+        master_ref = tdef.fields[0].mapping
+        master: _Node = (master_ref.source, master_ref.table)
+        columns = [materializer.column(fdef.mapping, master, fdef.name) for fdef in tdef.fields]
+        # the integrated table carries the integrated names and dtypes; cells are
+        # converted row by row so an error names the first bad row, then field
+        fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)
+        rows = tuple(
+            tuple(_convert(cell, fdef.dtype, number, fdef.name)
+                  for cell, fdef in zip(cells, tdef.fields))
+            for number, cells in enumerate(zip(*columns), start=1)
+        )
+        table, warnings = Table(tdef.name, fields, rows), tuple(materializer.warnings)
+    project._memo[key] = (tuple(materializer.cache.items()), (table, warnings))
     return table
 
 
@@ -310,10 +292,20 @@ def materialize_required(project: Project, names: Iterable[str],
                          fetch: FetchFn = fetch_table,
                          log: AccessLog | None = None) -> IntegratedData:
     """Materialize the named integrated tables, in the order given."""
-    data = IntegratedData(segments=project._segments)
+    data = IntegratedData(project)
     for name in names:
         data.tables[name] = materialize_integrated_table(project, name, fetch, log)
     return data
+
+
+def _segment(name: str, table: Table) -> TripleStore:
+    """The triples of integrated table ``name``: one subject per row, one triple per cell."""
+    segment = TripleStore()
+    predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
+    segment.load_rows(predicates, (
+        (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
+    ))
+    return segment
 
 
 def build_triples(data: IntegratedData) -> TripleStore:
@@ -322,19 +314,11 @@ def build_triples(data: IntegratedData) -> TripleStore:
     Each table's triples form one segment, bulk-loaded with
     :meth:`TripleStore.load_rows` (table names key ``data.tables`` and field
     names are unique within a table, so every (row subject, field predicate)
-    pair occurs once) and kept in ``data.segments`` while the table is the
-    same object. Subjects and predicates carry the table name, so the
-    segments are disjoint and the returned store is their union.
+    pair occurs once) and derived through ``data.project``. Subjects and
+    predicates carry the table name, so the segments are disjoint and the
+    returned store is their union.
     """
-    segments = []
-    for name, table in data.tables.items():
-        slot = data.segments.get(name)
-        if slot is None or slot[0] is not table:
-            segment = TripleStore()
-            predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
-            segment.load_rows(predicates, (
-                (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
-            ))
-            slot = data.segments[name] = (table, segment)
-        segments.append(slot[1])
-    return TripleStore.union(segments)
+    return TripleStore.union([
+        data.project.derive(("triples", name), (table,), lambda: _segment(name, table))
+        for name, table in data.tables.items()
+    ])

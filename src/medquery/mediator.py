@@ -21,17 +21,16 @@ def open_project(sources: str | Path, schema: str | Path) -> Project:
     project = parse_project(sources, schema)
     report = check_schema(project)
     if not report.accepted:
-        errors = "".join(f"  {f}\n" for f in report.errors)
-        raise MedQueryError(f"schema is not satisfiable:\n{errors}")
+        errors = "".join(f"\n  {f}" for f in report.errors)
+        raise MedQueryError(f"schema is not satisfiable:{errors}")
     return project
 
 
 def execute_query(project: Project, text: str, lang: str = "sql") -> ResultSet:
     """Answer a ``"sql"`` or ``"rdql"`` query over the integrated view.
 
-    Every query fetches its sources again, but a long-lived project derives
-    views, integrated tables and triples only from sources that changed
-    since it last derived them (see :class:`~medquery.descriptors.Project`).
+    Every query fetches its sources again; what is derived from them is
+    reused as :meth:`~medquery.descriptors.Project.derive` states.
     """
     if lang == "sql":
         _, query = convert(parse_sql(text, project.schema), project.schema)

@@ -14,16 +14,10 @@ hands these literals on to the triple store unchanged unless the integrated
 field declares another dtype.
 
 Each fetch reads the source's bytes again, and runs an XML transform again
-(an external command is never assumed to be deterministic), but parses only
-bytes it has not just seen: the project keeps, per file or XML table, the
-last bytes parsed and the ``Table`` parsed from them, and a fetch whose
-bytes compare equal returns that ``Table``. Parsing is a pure function of
-the table definition and the bytes, so the snapshot is the one a fresh parse
-would give. A view is fetched the same way one layer up: its base table is
-fetched on every call, and while that fetch returns the very ``Table`` the
-view was last computed from, the view's ``Table`` is returned again; the
-view's SQL was parsed once, with its descriptor. A fetch that raises keeps
-nothing, so the next one parses (and raises) again.
+(an external command is never assumed to be deterministic). Parsing those
+bytes, and selecting a view's rows from its base table, go through
+:meth:`~medquery.descriptors.Project.derive`, which states when a result is
+reused. A view's SQL was parsed once, with its descriptor.
 """
 
 from __future__ import annotations
@@ -183,13 +177,8 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     Appends (source, table) to the access log exactly once per call; view
     bindings additionally log the tables they read underneath.
 
-    A file or XML table is read on every call, and an XML transform is run
-    on every call. When the bytes read (after the transform) equal those of
-    the last snapshot parsed for this table of this project, that snapshot's
-    ``Table`` is returned again; otherwise the bytes are parsed and replace
-    it. A view fetches its base table on every call and filters it only
-    when that ``Table`` is not the one it last filtered. A fetch that raises
-    keeps nothing.
+    A file or XML table is read on every call and an XML transform run on
+    every call; parsing and view selection go through ``Project.derive``.
     """
     src = project.source(source)
     if src is None:
@@ -208,16 +197,8 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
         query = binding.select or sql_frontend.parse_view_select(binding.query)
         base = fetch_table(project, source, query.from_tables[0], log,
                            _active=_active | {(source, table)})
-        view = project._views.get((source, table))
-        if view is not None and view[0] is base:
-            return view[1]
-        result = _select(base, query)
-        shape_error = view_shape_error(tdef, result.fields)
-        if shape_error:
-            raise IoError(shape_error)
-        fetched = Table(table, tdef.fields, result.rows)
-        project._views[(source, table)] = (base, fetched)
-        return fetched
+        return project.derive(("source", source, table), (base,),
+                              lambda: _view(tdef, base, query))
     if isinstance(binding, FileBinding):
         path = _resolve_path(project, src.location, binding.path)
         data, parse = _read_bytes(path), _parse_tabular
@@ -226,12 +207,8 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
         data, parse = _read_bytes(path), _parse_xml
         if binding.transform is not None:
             data = _run_transform(binding.transform, data, f"table '{table}'")
-    snapshot = project._snapshots.get((source, table))
-    if snapshot is not None and snapshot[0] == data:
-        return snapshot[1]
-    fetched = Table(table, tdef.fields, parse(data, tdef, path))
-    project._snapshots[(source, table)] = (data, fetched)
-    return fetched
+    return project.derive(("source", source, table), (data,),
+                          lambda: Table(table, tdef.fields, parse(data, tdef, path)))
 
 
 def view_shape_error(tdef: SourceTableDef, projected: Iterable[SourceFieldDef]) -> str | None:
@@ -244,20 +221,13 @@ def view_shape_error(tdef: SourceTableDef, projected: Iterable[SourceFieldDef]) 
     return None
 
 
-def evaluate_view(project: Project, source: str, view_def: str, log: AccessLog | None = None,
-                  _active: frozenset[tuple[str, str]] = frozenset()) -> Table:
-    """Evaluate a single-table view: fetch, filter, then project.
+def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Table:
+    """The view ``tdef``: the rows of ``base`` that pass every filter of ``query``, projected.
 
-    Comparisons follow the typed rules (numeric by value, string by
-    codepoint, boolean by equality); a comparison touching a missing cell
-    excludes the row, and incomparable pairs never match.
+    Comparisons follow the typed rules of :func:`~medquery.dtypes.compare`; a
+    comparison touching a missing cell excludes the row, and incomparable
+    pairs never match. A projection other than the declared fields raises.
     """
-    query = sql_frontend.parse_view_select(view_def)
-    return _select(fetch_table(project, source, query.from_tables[0], log, _active=_active), query)
-
-
-def _select(base: Table, query: sql_frontend.SqlQuery) -> Table:
-    """The rows of ``base`` that pass every filter of ``query``, projected."""
     # (lhs column, op, rhs column or literal), resolved once for every row
     conditions = [
         (base.column(cond.lhs.field), cond.op,
@@ -278,9 +248,11 @@ def _select(base: Table, query: sql_frontend.SqlQuery) -> Table:
         return True
 
     columns = [base.column(f.field) for f in query.select]
-    fields = tuple(base.fields[i] for i in columns)
+    shape_error = view_shape_error(tdef, (base.fields[i] for i in columns))
+    if shape_error:
+        raise IoError(shape_error)
     rows = tuple(
         tuple(row[i] for i in columns)
         for row in base.rows if passes(row)
     )
-    return Table(base.name, fields, rows)
+    return Table(tdef.name, tdef.fields, rows)

@@ -242,7 +242,7 @@ def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "medquery: schema is not satisfiable:\n"
         f"  error INVALID_VIEW {RICH_LOCATION}: "
-        "view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]\n\n"
+        "view 'RICH' projects [ID integer, DEBT integer] but declares [ID integer]\n"
     )
 
 

@@ -32,6 +32,7 @@ from conftest import (
     COMBINED_SCHEMA_XML,
     FIG2_SQL,
     SCHEMA_XML,
+    SOURCES_XML,
     THREE_STUDENTS,
     TWO_GRADES,
     TWO_STUDENTS,
@@ -208,9 +209,45 @@ def test_a_repeated_query_derives_nothing_again(fig2_paths, derivations):
     assert derivations == Counter()
 
 
+def test_same_values_in_other_bytes_load_no_triples_again(fig2_paths, derivations):
+    project = open_project(*fig2_paths)
+    first = execute_query(project, FIG2_SQL)
+    path = _students(fig2_paths)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    derivations.clear()
+    assert execute_query(project, FIG2_SQL) == first
+    assert derivations["canonicalize"] > 0  # the new bytes are parsed
+    assert derivations["load_rows"] == 0
+
+
+@pytest.mark.parametrize("student_source, grade_source",
+                         [("integrated", "triples"), ("triples", "integrated"),
+                          ("source", "triples")])
+def test_source_names_cannot_share_a_memo_slot(tmp_path, derivations,
+                                               student_source, grade_source):
+    # each source table is named like the integrated table built from it
+    def rename(xml):
+        return xml.replace('"uni"', f'"{student_source}"').replace('"reg"', f'"{grade_source}"')
+
+    paths = write_project(tmp_path, rename(SOURCES_XML), rename(SCHEMA_XML))
+    project = open_project(*paths)
+
+    def outcomes(p):
+        return [execute_query(p, JOIN_SQL)] + [
+            export_ntriples(build_triples(materialize_required(p, [table])))
+            for table in ("STUDENT", "GRADE")]
+
+    first = outcomes(project)
+    assert _rows(first[0]) == [("Ann", "17"), ("Bob", "12")]
+    derivations.clear()
+    assert outcomes(project) == first
+    assert derivations == Counter()
+    assert outcomes(open_project(*paths)) == first
+
+
 # --- differential: one long-lived project against fresh ones ------------------
 
-_STEP = st.tuples(st.sampled_from(("query", "extract", "rewrite", "corrupt")),
+_STEP = st.tuples(st.sampled_from(("query", "extract", "rewrite", "corrupt", "respell")),
                   st.integers(0, 2**32 - 1))
 
 
@@ -230,10 +267,15 @@ def test_long_lived_project_answers_like_a_fresh_one(seed, steps):
         project = open_project(*paths)
         for kind, step_seed in steps:
             rng = random.Random(step_seed)
-            if kind in ("rewrite", "corrupt"):
+            if kind in ("rewrite", "corrupt", "respell"):
                 path, text = rng.choice(sorted(random_data_files(rng, project).items()))
-                # a one-cell row, or text after the XML root element
-                path.write_text(text + "x\n" if kind == "corrupt" else text, encoding="utf-8")
+                if kind == "respell":  # the same values in other bytes: toggle CRLF
+                    data = path.read_bytes()
+                    crlf = b"\r\n" in data
+                    path.write_bytes(data.replace(b"\r\n", b"\n") if crlf
+                                     else data.replace(b"\n", b"\r\n"))
+                else:  # a one-cell row, or text after the XML root element
+                    path.write_text(text + "x\n" if kind == "corrupt" else text, encoding="utf-8")
                 kind = rng.choice(("query", "extract"))
             if kind == "query":
                 text = random_sql_text(rng, project)

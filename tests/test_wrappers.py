@@ -3,7 +3,7 @@ import random
 import shlex
 import time
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -18,7 +18,7 @@ from medquery.errors import (
     UnsupportedSqlError,
 )
 from medquery.triple_store import TypedLiteral
-from medquery.wrappers import AccessLog, evaluate_view, fetch_table
+from medquery.wrappers import AccessLog, fetch_table
 
 from conftest import SOURCES_XML, TWO_GRADES, TWO_STUDENTS, write_project
 from generators import random_project
@@ -212,28 +212,34 @@ def view_project(tmp_path):
     return parse_project(*write_project(tmp_path, VIEW_SOURCES, VIEW_SCHEMA, files))
 
 
-def test_view_projection_only(view_project):
-    table = evaluate_view(view_project, "uni", "SELECT ID FROM STUDENT")
+def _fetch_view(tmp_path, view_sql):
+    """Fetch the view ``RICH`` of VIEW_SOURCES, redefined as ``view_sql``."""
+    sources = VIEW_SOURCES.replace("SELECT ID FROM STUDENT WHERE DEBT &gt; 2000", escape(view_sql))
+    files = {"students.txt": "ID|DEBT\n1|1500\n2|2500\n3|3000\n"}
+    return fetch_table(parse_project(*write_project(tmp_path, sources, VIEW_SCHEMA, files)),
+                       "uni", "RICH")
+
+
+def test_view_projection_only(tmp_path):
+    table = _fetch_view(tmp_path, "SELECT ID FROM STUDENT")
     assert [f.name for f in table.fields] == ["ID"]
     assert [row[0].lexical for row in table.rows] == ["1", "2", "3"]
 
 
 def test_view_filter_matches_row_scan(view_project):
     # oracle: scan rows by hand -> DEBT in {2500, 3000} passes
-    table = evaluate_view(view_project, "uni",
-                          "SELECT ID FROM STUDENT WHERE DEBT > 2000")
+    table = fetch_table(view_project, "uni", "RICH")
     assert [row[0].lexical for row in table.rows] == ["2", "3"]
 
 
-def test_view_filter_on_unknown_field_raises_when_no_row_reaches_it(view_project):
+def test_view_filter_on_unknown_field_raises_when_no_row_reaches_it(tmp_path):
     with pytest.raises(UnknownFieldError):
-        evaluate_view(view_project, "uni",
-                      "SELECT ID FROM STUDENT WHERE DEBT > 9000 AND NOPE = 1")
+        _fetch_view(tmp_path, "SELECT ID FROM STUDENT WHERE DEBT > 9000 AND NOPE = 1")
 
 
-def test_view_join_is_unsupported(view_project):
+def test_view_join_is_unsupported(tmp_path):
     with pytest.raises(UnsupportedSqlError):
-        evaluate_view(view_project, "uni", "SELECT A FROM T1, T2 ON T1.A=T2.B")
+        _fetch_view(tmp_path, "SELECT ID FROM STUDENT, GRADE ON STUDENT.ID=GRADE.ID")
 
 
 def test_fetch_view_table_logs_view_and_base(view_project):
@@ -245,8 +251,8 @@ def test_fetch_view_table_logs_view_and_base(view_project):
 
 def test_view_is_filtered_once_per_base_snapshot(view_project, monkeypatch):
     filtered = []
-    select = wrappers._select
-    monkeypatch.setattr(wrappers, "_select", lambda *args: filtered.append(1) or select(*args))
+    view = wrappers._view
+    monkeypatch.setattr(wrappers, "_view", lambda *args: filtered.append(1) or view(*args))
     first = fetch_table(view_project, "uni", "RICH")
     assert fetch_table(view_project, "uni", "RICH") is first
     assert len(filtered) == 1
