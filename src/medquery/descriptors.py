@@ -54,8 +54,8 @@ take no child). Names and references are identifiers; ``type``, ``kind`` and ``o
 ``transform`` splits, shell-style, into at least one word. Field mappings
 are resolved at parse time; relation references are deliberately left to
 the satisfiability checker so that it can report them as findings. So is a
-view's SQL: it is parsed with its binding, and the checker reports a view
-that does not parse or does not fit its base table.
+view's SQL: ``wrappers.view_plan`` parses and checks it, and the checker
+reports a view that does not parse or does not fit its base table.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ from typing import Any, Callable, Iterable, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 from .dtypes import IDENTIFIER_RE, Dtype
-from .errors import DuplicateNameError, MalformedXmlError, MedQueryError, UnresolvedFieldRefError
-from .sql_frontend import SqlQuery, parse_view_select
+from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefError
 
 
 # --- domain types ----------------------------------------------------------
@@ -120,22 +119,7 @@ class FileBinding:
 
 @dataclass(frozen=True)
 class ViewBinding:
-    """A view's SQL text and its parse, made once when the binding is built.
-
-    ``select`` is the parse of ``query``, or None when the text does not
-    parse: the satisfiability checker reports that, and a fetch raises what
-    parsing raises.
-    """
-
     query: str
-    select: SqlQuery | None = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        try:
-            select = parse_view_select(self.query)
-        except MedQueryError:
-            select = None
-        object.__setattr__(self, "select", select)
 
 
 @dataclass(frozen=True)
@@ -236,6 +220,9 @@ class Project:
     again. Keys name their layer first, so no data source or table name can
     make two layers share a slot:
 
+    - ``("path", source, table)`` and ``("view", source, table)``: a file or
+      XML table's path and a view's checked SQL, from no inputs
+      (``wrappers.fetch_table`` and ``wrappers.view_plan``);
     - ``("source", source, table)``: a file or XML table from its bytes, a
       view from its base ``Table`` (``wrappers.fetch_table``);
     - ``("integrated", name)``: an integrated table and its multi-match

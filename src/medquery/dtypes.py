@@ -110,20 +110,24 @@ _OPS = {
 COMPARISON_OPS = tuple(_OPS)
 
 
+def comparable(op: str, a_dtype: Dtype, b_dtype: Dtype) -> bool:
+    """Whether ``op`` compares these dtypes: numerics with numerics, strings
+    with strings, booleans with booleans by equality only; nothing else."""
+    if a_dtype in NUMERIC_DTYPES:
+        return b_dtype in NUMERIC_DTYPES
+    return a_dtype is b_dtype and (a_dtype is Dtype.STRING or op in ("=", "!="))
+
+
 def compare(op: str, a_lexical: str, a_dtype: Dtype, b_lexical: str, b_dtype: Dtype) -> bool | None:
-    """Typed comparison of two values; ``None`` when the pair is incomparable.
+    """Typed comparison of two values; ``None`` when the pair is not :func:`comparable`.
 
     Numerics compare by value regardless of integer/decimal mix, exactly:
     ``Decimal`` reads a canonical lexical form without rounding, and its
     comparisons never round, whatever the number of digits. Strings compare
-    by codepoint order, booleans by equality only. Everything else
-    (including cross-type pairs) is incomparable.
+    by codepoint order.
     """
-    fn = _OPS[op]
-    if a_dtype in NUMERIC_DTYPES and b_dtype in NUMERIC_DTYPES:
-        return fn(Decimal(a_lexical), Decimal(b_lexical))
-    if a_dtype is Dtype.STRING and b_dtype is Dtype.STRING:
-        return fn(a_lexical, b_lexical)
-    if a_dtype is Dtype.BOOLEAN and b_dtype is Dtype.BOOLEAN and op in ("=", "!="):
-        return fn(a_lexical, b_lexical)
-    return None
+    if not comparable(op, a_dtype, b_dtype):
+        return None
+    if a_dtype in NUMERIC_DTYPES:
+        return _OPS[op](Decimal(a_lexical), Decimal(b_lexical))
+    return _OPS[op](a_lexical, b_lexical)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dtypes import Dtype, canonicalize, compare
+from .dtypes import IDENTIFIER_RE, Dtype, canonicalize, compare
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
@@ -43,7 +43,6 @@ from .iris import dtype_from_iri
 from .scanner import Scanner
 from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
 
-_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
 
@@ -113,7 +112,7 @@ class _Scanner(Scanner):
 
     def variable(self) -> Var:
         self.expect("?")
-        match = _VAR_RE.match(self.text, self.pos)
+        match = IDENTIFIER_RE.match(self.text, self.pos)
         if not match:
             self.fail("expected variable name after '?'")
         self.pos = match.end()

@@ -10,9 +10,12 @@ A schema is accepted when none of these checks produce an error finding:
                       has fewer than two operands
   CYCLIC_DERIVATION   the target -> operand graph over derived relations
                       contains a cycle
-  INVALID_VIEW        a view's SQL does not parse, reads a table or field
-                      its data source does not declare, or projects other
-                      fields (names and dtypes, in order) than it declares
+  INVALID_VIEW        a view cannot fetch: its SQL does not parse, reads a
+                      table or field its data source does not declare,
+                      filters on a comparison that never holds, projects
+                      other fields (names and dtypes, in order) than it
+                      declares, or reads itself through a chain of views
+                      (``wrappers.view_plan`` decides, for fetch too)
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
 sources are allowed to be broader than the schema.
@@ -29,20 +32,17 @@ from collections import deque
 from dataclasses import dataclass
 
 from .descriptors import (
-    DataSourceDescriptor,
     DerivedOp,
     DerivedRelation,
     EqualityRelation,
     FieldRef,
     Project,
-    SourceTableDef,
     ViewBinding,
     resolve_field_ref,
 )
 from .dtypes import NUMERIC_DTYPES, Dtype
-from .errors import MedQueryError, UnresolvedFieldRefError
-from .sql_frontend import parse_view_select, referenced_fields
-from .wrappers import view_shape_error
+from .errors import IoError, UnresolvedFieldRefError
+from .wrappers import view_plan
 
 
 class Severity(str, enum.Enum):
@@ -152,9 +152,10 @@ def check_schema(project: Project) -> SatisfiabilityReport:
         for table in src.tables:
             loc = f"datasources/datasource[{src.name}]/table[{table.name}]"
             if isinstance(table.binding, ViewBinding):
-                problem = _view_problem(src, table)
-                if problem:
-                    err(FindingCode.INVALID_VIEW, loc, problem)
+                try:
+                    view_plan(project, src, table)
+                except IoError as exc:
+                    err(FindingCode.INVALID_VIEW, loc, str(exc))
             if (src.name, table.name) not in referenced:
                 findings.append(Finding(
                     Severity.WARNING, FindingCode.UNMAPPED_TABLE, loc,
@@ -162,21 +163,6 @@ def check_schema(project: Project) -> SatisfiabilityReport:
                 ))
 
     return SatisfiabilityReport(tuple(findings))
-
-
-def _view_problem(src: DataSourceDescriptor, table: SourceTableDef) -> str | None:
-    """What keeps a view from fetching, judged from the declarations alone."""
-    try:
-        select = table.binding.select or parse_view_select(table.binding.query)
-    except MedQueryError as exc:
-        return f"view SQL does not parse: {exc}"
-    base = src.table(select.from_tables[0])
-    if base is None:
-        return f"view reads table '{select.from_tables[0]}', which '{src.name}' does not declare"
-    for fld in referenced_fields(select):
-        if base.field_def(fld.field) is None:
-            return f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare"
-    return view_shape_error(table, [base.field_def(fld.field) for fld in select.select])
 
 
 def _cycle_findings(project: Project) -> list[Finding]:

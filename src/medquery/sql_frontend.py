@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
+from .descriptors import IntegratedSchema
 from .dtypes import Dtype, canonicalize
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
 from .scanner import Scanner
 from .triple_store import TypedLiteral
-
-if TYPE_CHECKING:  # descriptors imports this module to parse view bindings
-    from .descriptors import IntegratedSchema
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _KEYWORDS = {  # reserved: never an identifier
@@ -252,8 +250,8 @@ def parse_view_select(text: str) -> SqlQuery:
     """Parse a wrapper-side view definition: one table, projection, filters.
 
     Unqualified field names are allowed and resolve to the single FROM
-    table. Joins are rejected; the satisfiability checker validates the
-    view against its source table.
+    table. Joins are rejected; ``wrappers.view_plan`` checks the view
+    against its source table.
     """
     parser = _Parser(text, allow_unqualified=True)
     select, tables, on_conds, where_conds = parser.parse_query()

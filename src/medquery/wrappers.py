@@ -17,7 +17,7 @@ Each fetch reads the source's bytes again, and runs an XML transform again
 (an external command is never assumed to be deterministic). Parsing those
 bytes, and selecting a view's rows from its base table, go through
 :meth:`~medquery.descriptors.Project.derive`, which states when a result is
-reused. A view's SQL was parsed once, with its descriptor.
+reused. So do a table's path and a view's checked SQL, once per project.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import sql_frontend
 from .descriptors import (
+    DataSourceDescriptor,
     FileBinding,
     Project,
     SourceFieldDef,
@@ -39,8 +40,8 @@ from .descriptors import (
     ViewBinding,
     XmlBinding,
 )
-from .dtypes import canonicalize, compare
-from .errors import IoError, TypeCoercionError, UnknownFieldError, UnknownTableError
+from .dtypes import canonicalize, comparable, compare
+from .errors import IoError, MedQueryError, TypeCoercionError, UnknownFieldError, UnknownTableError
 from .triple_store import TypedLiteral
 
 Cell = Optional[TypedLiteral]
@@ -83,15 +84,6 @@ def _coerce(text: str, field: SourceFieldDef, row_number: int) -> Cell:
         return TypedLiteral(canonicalize(text, field.dtype), field.dtype)
     except ValueError:
         raise TypeCoercionError(row_number, field.name, text) from None
-
-
-def _resolve_path(project: Project, *parts: str) -> Path:
-    path = Path(project.base_dir)
-    for part in parts:
-        if part:
-            candidate = Path(part)
-            path = candidate if candidate.is_absolute() else path / candidate
-    return path
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -170,15 +162,16 @@ def _parse_xml(document: bytes, table: SourceTableDef, path: Path) -> tuple[Row,
     return tuple(rows)
 
 
-def fetch_table(project: Project, source: str, table: str, log: AccessLog | None = None,
-                _active: frozenset[tuple[str, str]] = frozenset()) -> Table:
+def fetch_table(project: Project, source: str, table: str, log: AccessLog | None = None) -> Table:
     """Fetch one declared table as a typed snapshot.
 
     Appends (source, table) to the access log exactly once per call; view
     bindings additionally log the tables they read underneath.
 
     A file or XML table is read on every call and an XML transform run on
-    every call; parsing and view selection go through ``Project.derive``.
+    every call; its path, parsing and view selection go through
+    ``Project.derive``. A view that :func:`view_plan` rejects raises its
+    ``IoError``.
     """
     src = project.source(source)
     if src is None:
@@ -186,47 +179,83 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     tdef = src.table(table)
     if tdef is None:
         raise UnknownTableError(f"data source '{source}' has no table '{table}'")
-    if (source, table) in _active:
-        raise IoError(f"view reference cycle through '{source}.{table}'")
     if log is not None:
         log.append(source, table)
 
     binding = tdef.binding
     if isinstance(binding, ViewBinding):
-        # a view that does not parse raises here what parsing raises
-        query = binding.select or sql_frontend.parse_view_select(binding.query)
-        base = fetch_table(project, source, query.from_tables[0], log,
-                           _active=_active | {(source, table)})
+        query = view_plan(project, src, tdef)
+        base = fetch_table(project, source, query.from_tables[0], log)
         return project.derive(("source", source, table), (base,),
                               lambda: _view(tdef, base, query))
+    # an absolute location or file path replaces what comes before it
+    parts = (src.location, binding.path) if isinstance(binding, FileBinding) else (src.location,)
+    path = project.derive(("path", source, table), (), lambda: Path(project.base_dir, *parts))
+    data = _read_bytes(path)
     if isinstance(binding, FileBinding):
-        path = _resolve_path(project, src.location, binding.path)
-        data, parse = _read_bytes(path), _parse_tabular
+        parse = _parse_tabular
     else:
-        path = _resolve_path(project, src.location)
-        data, parse = _read_bytes(path), _parse_xml
+        parse = _parse_xml
         if binding.transform is not None:
             data = _run_transform(binding.transform, data, f"table '{table}'")
     return project.derive(("source", source, table), (data,),
                           lambda: Table(table, tdef.fields, parse(data, tdef, path)))
 
 
-def view_shape_error(tdef: SourceTableDef, projected: Iterable[SourceFieldDef]) -> str | None:
-    """Why a view projecting ``projected`` does not fit its declaration ``tdef``, if it does not."""
+def view_plan(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
+    """The parse of view ``tdef``, checked once per project; ``IoError`` if it cannot fetch.
+
+    The one view rule, for ``fetch_table`` and ``check_schema`` alike: the
+    SQL parses, ``src`` declares the table and every field it reads, each
+    filter's dtypes are :func:`~medquery.dtypes.comparable`, it projects the
+    declared fields in order, and no chain of views leads back to it. A view
+    that only leads into a faulty view passes; fetching it fails there.
+    """
+    return project.derive(("view", src.name, tdef.name), (), lambda: _check_view(src, tdef))
+
+
+def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
+    try:
+        query = sql_frontend.parse_view_select(tdef.binding.query)
+    except MedQueryError as exc:
+        raise IoError(f"view SQL does not parse: {exc}") from None
+    base = src.table(query.from_tables[0])
+    if base is None:
+        raise IoError(f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare")
+    dtypes = {f.name: f.dtype for f in base.fields}
+    for fld in sql_frontend.referenced_fields(query):
+        if fld.field not in dtypes:
+            raise IoError(f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare")
+    for cond in query.filters:
+        lhs = dtypes[cond.lhs.field]
+        rhs = cond.rhs.dtype if isinstance(cond.rhs, TypedLiteral) else dtypes[cond.rhs.field]
+        if not comparable(cond.op, lhs, rhs):
+            raise IoError(f"view filter {cond} can never hold: "
+                          f"{cond.op} does not compare {lhs.value} with {rhs.value}")
     # names are identifiers, so "name dtype" compares as the pair does
-    shown = ", ".join(f"{f.name} {f.dtype.value}" for f in projected)
+    shown = ", ".join(f"{f.field} {dtypes[f.field].value}" for f in query.select)
     declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
     if shown != declared:
-        return f"view '{tdef.name}' projects [{shown}] but declares [{declared}]"
-    return None
+        raise IoError(f"view '{tdef.name}' projects [{shown}] but declares [{declared}]")
+
+    # follow the chain of base views: one that comes back to tdef never reaches a file
+    node, seen = base, set()
+    while node is not None and isinstance(node.binding, ViewBinding) and node.name not in seen:
+        if node.name == tdef.name:
+            raise IoError(f"view reference cycle through '{src.name}.{tdef.name}'")
+        seen.add(node.name)
+        try:
+            node = src.table(sql_frontend.parse_view_select(node.binding.query).from_tables[0])
+        except MedQueryError:  # that view's own fault, reported for it
+            node = None
+    return query
 
 
 def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Table:
     """The view ``tdef``: the rows of ``base`` that pass every filter of ``query``, projected.
 
     Comparisons follow the typed rules of :func:`~medquery.dtypes.compare`; a
-    comparison touching a missing cell excludes the row, and incomparable
-    pairs never match. A projection other than the declared fields raises.
+    comparison touching a missing cell excludes the row.
     """
     # (lhs column, op, rhs column or literal), resolved once for every row
     conditions = [
@@ -241,18 +270,11 @@ def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Ta
             lhs = row[lhs_column]
             if isinstance(rhs, int):
                 rhs = row[rhs]
-            if lhs is None or rhs is None:
-                return False
-            if compare(op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:
+            if lhs is None or rhs is None or compare(
+                    op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:
                 return False
         return True
 
     columns = [base.column(f.field) for f in query.select]
-    shape_error = view_shape_error(tdef, (base.fields[i] for i in columns))
-    if shape_error:
-        raise IoError(shape_error)
-    rows = tuple(
-        tuple(row[i] for i in columns)
-        for row in base.rows if passes(row)
-    )
+    rows = tuple(tuple(row[i] for i in columns) for row in base.rows if passes(row))
     return Table(tdef.name, tdef.fields, rows)

@@ -1,4 +1,4 @@
-"""Seeded random inputs: desk-scale projects, SQL texts, stores, RDQL queries.
+"""Seeded random inputs: desk-scale projects, SQL texts, views, stores, RDQL queries.
 
 Projects are built as descriptor objects, serialized (the sources by
 :func:`serialize_sources` here, the schema by the package's writer),
@@ -17,6 +17,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+from hypothesis import strategies as st
 
 from medquery.descriptors import (
     DataSourceDescriptor,
@@ -316,6 +318,77 @@ def random_sql_text(rng: random.Random, project: Project) -> str:
     if filters:
         text += " WHERE " + " AND ".join(filters)
     return text
+
+
+# --- views, well formed and faulty -------------------------------------------
+
+# the one file table of view_projects; every view reads it, directly or through views
+VIEW_BASE_FIELDS = (
+    SourceFieldDef("KEY", Dtype.INTEGER), SourceFieldDef("S", Dtype.STRING),
+    SourceFieldDef("N", Dtype.DECIMAL), SourceFieldDef("B", Dtype.BOOLEAN),
+)
+_VIEW_FAULTS = ("none", "none", "parse", "table", "field", "shape", "cycle", "filter")
+# per dtype, a literal that never compares with it, and an operator to use it with
+_INCOMPARABLE = {
+    Dtype.INTEGER: ("'a'", "="), Dtype.DECIMAL: ("true", "!="),
+    Dtype.STRING: ("3", ">"), Dtype.BOOLEAN: ("true", "<"),
+}
+
+
+@st.composite
+def view_projects(draw) -> tuple[str, str, dict[str, str]]:
+    """Sources and schema XML text and data files: file table BASE, views V0.. over it.
+
+    A view reads BASE or another view (itself included, which makes chains and
+    cycles). Most are well formed; the others carry one fault: SQL that does
+    not parse, an undeclared base table or field, a projection other than the
+    declared fields, a read of itself, or a filter whose sides never compare.
+    """
+    names = [f"V{i}" for i in range(draw(st.integers(1, 4)))]
+    declared = {"BASE": VIEW_BASE_FIELDS}
+    for name in names:
+        kept = tuple(f for f in VIEW_BASE_FIELDS if draw(st.booleans()))
+        declared[name] = kept or VIEW_BASE_FIELDS[:1]
+    tables = [SourceTableDef("BASE", VIEW_BASE_FIELDS, FileBinding("base.txt"))]
+    for name in names:
+        fault = draw(st.sampled_from(_VIEW_FAULTS))
+        base = name if fault == "cycle" else draw(st.sampled_from(["BASE", "BASE", *names]))
+        if fault == "table":
+            base = "NOPE"
+        available = declared.get(base, VIEW_BASE_FIELDS)
+        select = [f.name for f in declared[name]]
+        where = []
+        for _ in range(draw(st.integers(0, 2))):
+            fdef = draw(st.sampled_from(available))
+            op = "=" if fdef.dtype is Dtype.BOOLEAN else draw(st.sampled_from(("=", "!=", "<", ">=")))
+            value = draw(st.sampled_from(_VALUE_POOLS[fdef.dtype]))
+            where.append(f"{fdef.name} {op} " + (f"'{value}'" if fdef.dtype is Dtype.STRING else value))
+        if fault == "field":
+            if draw(st.booleans()):
+                select.append("NOPE")
+            else:
+                where.append("NOPE = 1")
+        elif fault == "shape":
+            select.append(draw(st.sampled_from(available)).name)
+        elif fault == "filter":
+            fdef = draw(st.sampled_from(available))
+            literal, op = _INCOMPARABLE[fdef.dtype]
+            where.append(f"{fdef.name} {op} {literal}")
+        sql = f"SELECT {', '.join(select)} FROM {base}"
+        if where:
+            sql += " WHERE " + " AND ".join(where)
+        if fault == "parse":
+            sql = draw(st.sampled_from((sql.replace("SELECT", "SELEC"), sql + " ORDER BY KEY",
+                                        sql.replace(" FROM ", " FROM BASE, "), sql + " WHERE")))
+        tables.append(SourceTableDef(name, declared[name], ViewBinding(sql)))
+
+    rows = draw(st.lists(st.tuples(*(
+        st.sampled_from(["", *_VALUE_POOLS[f.dtype]]) for f in VIEW_BASE_FIELDS)), max_size=6))
+    data = "".join("|".join(row) + "\n" for row in [[f.name for f in VIEW_BASE_FIELDS], *rows])
+    source = DataSourceDescriptor("uni", SourceKind.TABULAR, ".", None, tuple(tables))
+    key = IntegratedFieldDef("KEY", Dtype.INTEGER, FieldRef("uni", "BASE", "KEY"))
+    schema = IntegratedSchema("views", (IntegratedTableDef("I", (key,)),), ())
+    return serialize_sources([source]), serialize_schema(schema), {"base.txt": data}
 
 
 # --- stores and RDQL queries --------------------------------------------------

@@ -254,12 +254,45 @@ def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
     ("SELECT ID FROM GRADE", "view reads table 'GRADE', which 'uni' does not declare"),
     ("SELECT ID FROM STUDENT WHERE NOPE > 1",
      "view reads field 'NOPE', which 'uni.STUDENT' does not declare"),
+    ("SELECT ID FROM STUDENT WHERE FIRSTNAME > 3",
+     "view filter STUDENT.FIRSTNAME > 3 can never hold: > does not compare string with integer"),
+    ("SELECT ID FROM RICH", "view reference cycle through 'uni.RICH'"),
 ])
 def test_validate_rejects_a_view_that_cannot_fetch(tmp_path, capsys, view_sql, message):
     code, out = _run(capsys, "validate", _view_paths(tmp_path, view_sql))
     assert code == 1
     assert out.splitlines()[0] == f"error INVALID_VIEW {RICH_LOCATION}: {message}"
     assert out.splitlines()[-1].startswith("1 errors, ")
+
+
+# two views that read each other, as in test_wrappers.py: neither can fetch
+VIEW_CYCLE_SOURCES_XML = """<datasources>
+  <datasource name="uni" kind="tabular" location=".">
+    <table name="A">
+      <field name="X" type="integer"/>
+      <view>SELECT X FROM B</view>
+    </table>
+    <table name="B">
+      <field name="X" type="integer"/>
+      <view>SELECT X FROM A</view>
+    </table>
+  </datasource>
+</datasources>"""
+VIEW_CYCLE_SCHEMA_XML = """<schema name="s">
+  <table name="A">
+    <field name="X" type="integer" source="uni" sourcetable="A" sourcefield="X"/>
+  </table>
+</schema>"""
+
+
+def test_validate_rejects_a_view_cycle(tmp_path, capsys):
+    paths = write_project(tmp_path, VIEW_CYCLE_SOURCES_XML, VIEW_CYCLE_SCHEMA_XML, files={})
+    code, out = _run(capsys, "validate", paths)
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        f"error INVALID_VIEW datasources/datasource[uni]/table[{name}]: "
+        f"view reference cycle through 'uni.{name}'" for name in "AB"]
+    assert out.splitlines()[-1].startswith("2 errors, ")
 
 
 def test_validate_accepts_a_view_that_fits(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from medquery.descriptors import (
     DataSourceDescriptor,
@@ -16,10 +19,17 @@ from medquery.descriptors import (
     SourceFieldDef,
     SourceKind,
     SourceTableDef,
+    ViewBinding,
+    parse_project,
 )
 from medquery.dtypes import Dtype
+from medquery.errors import IoError
 from medquery.schema_check import FindingCode, Severity, check_schema
+from medquery.sql_frontend import parse_view_select
+from medquery.wrappers import fetch_table
 
+from conftest import write_project
+from generators import view_projects
 from oracles import dfs_has_cycle
 
 
@@ -216,3 +226,52 @@ def test_adding_relation_is_monotone_for_local_findings(seed):
     had_cycle = FindingCode.CYCLIC_DERIVATION in codes(base)
     has_cycle = FindingCode.CYCLIC_DERIVATION in codes(extended)
     assert has_cycle or not had_cycle
+
+
+# --- views: one rule for the checker and for fetch ----------------------------
+
+
+@pytest.mark.parametrize("where, message", [
+    ("S > 3", "view filter T.S > 3 can never hold: > does not compare string with integer"),
+    ("B < true", "view filter T.B < true can never hold: < does not compare boolean with boolean"),
+    ("A = S", "view filter T.A = T.S can never hold: = does not compare integer with string"),
+    ("A = 2.5 AND S >= 'a' AND B != false AND A < A", None),
+])
+def test_view_filter_that_never_holds_is_invalid(where, message):
+    fields = (SourceFieldDef("A", Dtype.INTEGER), SourceFieldDef("S", Dtype.STRING),
+              SourceFieldDef("B", Dtype.BOOLEAN))
+    tables = (SourceTableDef("T", fields, FileBinding("t.txt")),
+              SourceTableDef("V", fields[:1], ViewBinding(f"SELECT A FROM T WHERE {where}")))
+    key = IntegratedFieldDef("A", Dtype.INTEGER, FieldRef("s", "V", "A"))
+    project = Project((DataSourceDescriptor("s", SourceKind.TABULAR, ".", None, tables),),
+                      IntegratedSchema("g", (IntegratedTableDef("I", (key,)),), ()))
+    assert [f.message for f in check_schema(project).errors] == ([message] if message else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=view_projects())
+def test_every_view_fetches_as_the_checker_says(case):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_project(Path(directory), *case)
+        report = check_schema(parse_project(*paths))
+        assert {f.code for f in report.errors} <= {FindingCode.INVALID_VIEW}
+        faults = {f.location: f.message for f in report.errors}
+        project = parse_project(*paths)  # fetch with no check run before it
+        src = project.source("uni")
+
+        def first_fault(tdef):
+            """The fault a fetch of ``tdef`` meets first: its own, else its base's."""
+            if not isinstance(tdef.binding, ViewBinding):
+                return None
+            own = faults.get(f"datasources/datasource[uni]/table[{tdef.name}]")
+            if own is not None:
+                return own
+            return first_fault(src.table(parse_view_select(tdef.binding.query).from_tables[0]))
+
+        for tdef in src.tables:
+            try:
+                fetch_table(project, "uni", tdef.name)
+                outcome = None
+            except IoError as exc:
+                outcome = str(exc)
+            assert outcome == first_fault(tdef), tdef.binding

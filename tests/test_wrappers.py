@@ -7,16 +7,11 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from medquery import wrappers
+from medquery import sql_frontend, wrappers
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
-from medquery.errors import (
-    IoError,
-    TypeCoercionError,
-    UnknownFieldError,
-    UnknownTableError,
-    UnsupportedSqlError,
-)
+from medquery.errors import IoError, TypeCoercionError, UnknownTableError
+from medquery.mediator import open_project
 from medquery.triple_store import TypedLiteral
 from medquery.wrappers import AccessLog, fetch_table
 
@@ -233,12 +228,12 @@ def test_view_filter_matches_row_scan(view_project):
 
 
 def test_view_filter_on_unknown_field_raises_when_no_row_reaches_it(tmp_path):
-    with pytest.raises(UnknownFieldError):
+    with pytest.raises(IoError):
         _fetch_view(tmp_path, "SELECT ID FROM STUDENT WHERE DEBT > 9000 AND NOPE = 1")
 
 
 def test_view_join_is_unsupported(tmp_path):
-    with pytest.raises(UnsupportedSqlError):
+    with pytest.raises(IoError):
         _fetch_view(tmp_path, "SELECT ID FROM STUDENT, GRADE ON STUDENT.ID=GRADE.ID")
 
 
@@ -294,6 +289,18 @@ def test_view_cycle_detected(tmp_path):
     with pytest.raises(IoError) as info:
         fetch_table(project, "uni", "A")
     assert "cycle" in str(info.value)
+
+
+def test_view_sql_is_parsed_once_per_project(tmp_path, monkeypatch):
+    parses = []
+    parse = sql_frontend.parse_view_select
+    monkeypatch.setattr(sql_frontend, "parse_view_select",
+                        lambda text: parses.append(text) or parse(text))
+    files = {"students.txt": "ID|DEBT\n1|1500\n2|2500\n3|3000\n"}
+    project = open_project(*write_project(tmp_path, VIEW_SOURCES, VIEW_SCHEMA, files))
+    for _ in range(5):
+        assert [row[0].lexical for row in fetch_table(project, "uni", "RICH").rows] == ["2", "3"]
+    assert len(parses) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
