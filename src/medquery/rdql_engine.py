@@ -17,13 +17,14 @@ typed literals.
 Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
 does), checks each constraint atom as soon as its variables are bound, and
-projects onto the selected variables. The order ranks patterns by estimated
-size: the triples matching their constant terms, times a fixed selectivity
-for each atom comparing one of their variables with a literal (1/10 for
-``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1 for ``!=``; System R's
-defaults, Selinger et al., SIGMOD 1979). The answer does not depend on the
-order. Duplicates are kept and rows come back in a canonical order, so
-equal queries over equal stores render identically.
+projects onto the selected variables. Each step is compiled once to fixed
+variable slots, so a partial answer is a plain tuple of terms. The order
+ranks patterns by estimated size: the triples matching their constant terms,
+times a fixed selectivity for each atom comparing one of their variables
+with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1
+for ``!=``; System R's defaults, Selinger et al., SIGMOD 1979). The answer
+does not depend on the order. Duplicates are kept and rows come back in a
+canonical order, so equal queries over equal stores render identically.
 """
 
 from __future__ import annotations
@@ -248,42 +249,81 @@ def _atom_variables(atom: FilterAtom) -> set[str]:
 def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     """Conjunctive match with early constraint checks, projection, sorting.
 
-    Patterns are joined in :func:`_plan` order, and each constraint atom is
-    checked in the step that binds its last variable; the result does not
-    depend on that order. Rows are sorted lexicographically over their term
-    serializations and duplicates are kept. A selected or constraint
-    variable that no pattern binds raises before any pattern is matched.
+    Patterns are joined in :func:`_plan` order, each step compiled once by
+    :func:`_compile`. A binding is a tuple with one slot per variable bound
+    so far, and a step extends it with a slice of each ``(s, p, o)`` that
+    ``TripleStore.match`` returns. Each constraint atom is checked in the
+    step that binds its last variable; the result does not depend on the
+    order. Rows are sorted over their terms' N-Triples text and duplicates
+    are kept. A selected or constraint variable that no pattern binds
+    raises before any pattern is matched.
     """
     _check_variables(query)
-    bindings: list[dict[str, Term]] = [{}]
+    slots: dict[str, int] = {}
+    bindings: list[tuple[Term, ...]] = [()]
     warnings = 0
     for pattern, atoms in _plan(query, store):
-        next_bindings: list[dict[str, Term]] = []
+        inputs, fill, repeats, checks = _compile(pattern, atoms, slots)
+        next_bindings: list[tuple[Term, ...]] = []
         for binding in bindings:
-            s = _resolved(pattern.s, binding)
-            p = _resolved(pattern.p, binding)
-            o = _resolved(pattern.o, binding)
-            for triple in store.match(
-                s if isinstance(s, Iri) else None,
-                p if isinstance(p, Iri) else None,
-                o if not isinstance(o, Var) else None,
-            ):
-                extended = _unify(pattern, triple, binding)
-                if extended is None:
+            s, p, o = [binding[x] if isinstance(x, int) else x for x in inputs]
+            s_arg = s if isinstance(s, Iri) else None
+            p_arg = p if isinstance(p, Iri) else None
+            matched = store.match(s_arg, p_arg, o)
+            if s is not s_arg or p is not p_arg:  # a literal where match takes only an IRI
+                matched = [t for t in matched if s in (None, t[0]) and p in (None, t[1])]
+            for triple in matched:
+                if repeats and any(triple[i] != triple[j] for i, j in repeats):
                     continue
-                verdict = _all_hold(atoms, extended)
-                if verdict:
+                extended = binding + triple[fill]
+                for lhs, op, rhs in checks:
+                    a, b = extended[lhs], extended[rhs] if isinstance(rhs, int) else rhs
+                    both = isinstance(a, TypedLiteral) and isinstance(b, TypedLiteral)
+                    verdict = compare(op, a.lexical, a.dtype, b.lexical, b.dtype) if both else None
+                    if not verdict:  # the first atom that does not hold decides
+                        warnings += verdict is None
+                        break
+                else:
                     next_bindings.append(extended)
-                elif verdict is None:
-                    warnings += 1
         bindings = next_bindings
         if not bindings:
             break
 
     columns = [var.name for var in query.select]
-    rows = [tuple(binding[name] for name in columns) for binding in bindings]
-    rows.sort(key=lambda row: tuple(format_term(term) for term in row))
+    rows = [tuple([binding[slots[name]] for name in columns]) for binding in bindings]
+    rows.sort(key=lambda row: tuple([format_term(term) for term in row]))
     return ResultSet(columns, rows, warnings)
+
+
+def _compile(pattern: TriplePattern, atoms: list[FilterAtom],
+             slots: dict[str, int]) -> tuple[list, slice, list, list]:
+    """One plan step as ``(inputs, fill, repeats, checks)``; adds its new variables to ``slots``.
+
+    ``inputs`` holds, for each of s, p and o, a constant term, the slot of a
+    variable an earlier step bound, or None where this step binds. ``fill``
+    slices a matched triple at each new variable's first position, and
+    ``repeats`` pairs each later position of one with its first. ``checks``
+    has a ``(slot, op, slot or literal)`` for each atom.
+    """
+    bound = len(slots)
+    inputs, fills, repeats = [], [], []
+    for position, term in enumerate((pattern.s, pattern.p, pattern.o)):
+        if not isinstance(term, Var):
+            inputs.append(term)
+            continue
+        slot = slots.setdefault(term.name, len(slots))
+        inputs.append(slot if slot < bound else None)
+        if slot - bound >= len(fills):
+            fills.append(position)
+        elif slot >= bound:
+            repeats.append((position, fills[slot - bound]))
+    # increasing positions among 0, 1, 2 are evenly spaced: (0, 2) is [0:3:2]
+    step = fills[1] - fills[0] if len(fills) > 1 else 1
+    fill = slice(fills[0], fills[-1] + 1, step) if fills else slice(0)
+    checks = [(slots[atom.lhs.name], atom.op,
+               slots[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs)
+              for atom in atoms]
+    return inputs, fill, repeats, checks
 
 
 def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, list[FilterAtom]]]:
@@ -327,45 +367,3 @@ def _estimate(pattern: TriplePattern, atoms: tuple[FilterAtom, ...],
         if not isinstance(atom.rhs, Var) and atom.lhs.name in names:
             estimate *= _SELECTIVITY[atom.op]
     return estimate
-
-
-def _resolved(term: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
-    if isinstance(term, Var):
-        return binding.get(term.name, term)
-    return term
-
-
-def _unify(pattern: TriplePattern, triple, binding: dict[str, Term]) -> dict[str, Term] | None:
-    extended = dict(binding)
-    for term, value in (
-        (pattern.s, triple.subject),
-        (pattern.p, triple.predicate),
-        (pattern.o, triple.object),
-    ):
-        if isinstance(term, Var):
-            bound = extended.get(term.name)
-            if bound is None:
-                extended[term.name] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extended
-
-
-def _all_hold(atoms: list[FilterAtom], binding: dict[str, Term]) -> bool | None:
-    """True when every atom holds, else the verdict of the first that does not."""
-    for atom in atoms:
-        verdict = _atom_holds(atom, binding)
-        if not verdict:
-            return verdict
-    return True
-
-
-def _atom_holds(atom: FilterAtom, binding: dict[str, Term]) -> bool | None:
-    """True/False per the typed comparison rules, None when incomparable."""
-    lhs = binding[atom.lhs.name]
-    rhs = binding[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs
-    if not isinstance(lhs, TypedLiteral) or not isinstance(rhs, TypedLiteral):
-        return None
-    return compare(atom.op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype)

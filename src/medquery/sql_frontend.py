@@ -251,7 +251,7 @@ def parse_view_select(text: str) -> SqlQuery:
 
     Unqualified field names are allowed and resolve to the single FROM
     table. Joins are rejected; ``wrappers.view_plan`` checks the view
-    against its source table.
+    against its source table, including a name qualified by another table.
     """
     parser = _Parser(text, allow_unqualified=True)
     select, tables, on_conds, where_conds = parser.parse_query()
@@ -260,11 +260,7 @@ def parse_view_select(text: str) -> SqlQuery:
     base = tables[0]
 
     def qualify(fld: QualifiedField) -> QualifiedField:
-        if fld.table == "":
-            return QualifiedField(base, fld.field)
-        if fld.table != base:
-            raise UnknownTableError(f"view references table '{fld.table}', not '{base}'")
-        return fld
+        return QualifiedField(base, fld.field) if fld.table == "" else fld
 
     select = [qualify(f) for f in select]
     where = [

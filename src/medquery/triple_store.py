@@ -9,6 +9,8 @@ of building the matches. Triples arrive one at a time through ``insert``
 ``load_rows``, which fills both indexes straight from rows of cells whose
 (subject, predicate) pairs cannot repeat, so it builds no ``Triple``, probes
 for no duplicate and keeps each object slot as a 1-tuple rather than a set.
+``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple that
+``match`` returns for it.
 
 ``TripleStore.union`` joins stores with disjoint subjects and predicates
 (the per-table segments of the integrated view) without copying their
@@ -25,8 +27,8 @@ sort key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dtypes import Dtype, is_canonical
 from .errors import NtParseError
@@ -64,8 +66,7 @@ class TypedLiteral:
 Term = Union[Iri, TypedLiteral]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
@@ -166,8 +167,7 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
-        triples = (Triple(*t) for t in self._match_raw(None, None, None))
-        return iter(sorted(triples, key=_triple_key))
+        return iter(sorted(map(Triple._make, self._match_raw(None, None, None)), key=_triple_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
@@ -217,9 +217,9 @@ class TripleStore:
                 spo[subject] = by_pred
                 self._size += len(by_pred)
 
-    def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[Triple]:
-        """All triples unifying with the pattern (None is a wildcard), unordered."""
-        return [Triple(subj, pred, obj) for subj, pred, obj in self._match_raw(s, p, o)]
+    def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[tuple[Iri, Iri, Term]]:
+        """All triples unifying with the pattern (None is a wildcard), unordered, as tuples."""
+        return list(self._match_raw(s, p, o))
 
     def count(self, s: Iri | None, p: Iri | None, o: Term | None) -> int:
         """``len(self.match(s, p, o))``, summed from index entry sizes."""

@@ -224,6 +224,8 @@ def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend
         raise IoError(f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare")
     dtypes = {f.name: f.dtype for f in base.fields}
     for fld in sql_frontend.referenced_fields(query):
+        if fld.table != base.name:
+            raise IoError(f"view reads table '{fld.table}', which is not its FROM table '{base.name}'")
         if fld.field not in dtypes:
             raise IoError(f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare")
     for cond in query.filters:

@@ -327,7 +327,8 @@ VIEW_BASE_FIELDS = (
     SourceFieldDef("KEY", Dtype.INTEGER), SourceFieldDef("S", Dtype.STRING),
     SourceFieldDef("N", Dtype.DECIMAL), SourceFieldDef("B", Dtype.BOOLEAN),
 )
-_VIEW_FAULTS = ("none", "none", "parse", "table", "field", "shape", "cycle", "filter")
+_VIEW_FAULTS = ("none", "none", "parse", "table", "field", "qualifier", "shape", "cycle",
+                "filter")
 # per dtype, a literal that never compares with it, and an operator to use it with
 _INCOMPARABLE = {
     Dtype.INTEGER: ("'a'", "="), Dtype.DECIMAL: ("true", "!="),
@@ -341,8 +342,9 @@ def view_projects(draw) -> tuple[str, str, dict[str, str]]:
 
     A view reads BASE or another view (itself included, which makes chains and
     cycles). Most are well formed; the others carry one fault: SQL that does
-    not parse, an undeclared base table or field, a projection other than the
-    declared fields, a read of itself, or a filter whose sides never compare.
+    not parse, an undeclared base table or field, a field qualified by another
+    table, a projection other than the declared fields, a read of itself, or a
+    filter whose sides never compare.
     """
     names = [f"V{i}" for i in range(draw(st.integers(1, 4)))]
     declared = {"BASE": VIEW_BASE_FIELDS}
@@ -368,6 +370,8 @@ def view_projects(draw) -> tuple[str, str, dict[str, str]]:
                 select.append("NOPE")
             else:
                 where.append("NOPE = 1")
+        elif fault == "qualifier":
+            where.append("OTHER.KEY = 1")
         elif fault == "shape":
             select.append(draw(st.sampled_from(available)).name)
         elif fault == "filter":

@@ -65,14 +65,12 @@ def enumerate_rdql(query: RdqlQuery, store: TripleStore) -> list[tuple]:
     across patterns, must bind to one term: an assignment that gives it two
     different values is rejected.
     """
-    triples = list(store.match(None, None, None))
+    triples = list(store)
     results: list[tuple] = []
 
     def bind(pattern, triple, env):
         new_env = dict(env)
-        for term, value in ((pattern.s, triple.subject),
-                            (pattern.p, triple.predicate),
-                            (pattern.o, triple.object)):
+        for term, value in zip((pattern.s, pattern.p, pattern.o), triple):
             if isinstance(term, Var):
                 if new_env.setdefault(term.name, value) != value:
                     return None

@@ -254,6 +254,8 @@ def test_view_shape_error_lists_columns_with_their_dtypes(tmp_path, capsys):
     ("SELECT ID FROM GRADE", "view reads table 'GRADE', which 'uni' does not declare"),
     ("SELECT ID FROM STUDENT WHERE NOPE > 1",
      "view reads field 'NOPE', which 'uni.STUDENT' does not declare"),
+    ("SELECT ID FROM STUDENT WHERE GRADE.AVERAGE > 1",
+     "view reads table 'GRADE', which is not its FROM table 'STUDENT'"),
     ("SELECT ID FROM STUDENT WHERE FIRSTNAME > 3",
      "view filter STUDENT.FIRSTNAME > 3 can never hold: > does not compare string with integer"),
     ("SELECT ID FROM RICH", "view reference cycle through 'uni.RICH'"),

@@ -127,8 +127,9 @@ def test_match_wildcards():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_match_agrees_with_linear_scan(seed):
-    def key(x):
-        return (x.subject.value, x.predicate.value, format_term(x.object))
+    def key(triple):
+        s, p, o = triple
+        return (s.value, p.value, format_term(o))
 
     rng = random.Random(seed)
     store = random_store(rng, 200)
@@ -202,8 +203,7 @@ def test_export_orders_by_key_and_escapes_each_literal():
         return f'"{text}"^^<http://www.w3.org/2001/XMLSchema#{term.dtype.value}>'
 
     # documented order: (subject IRI, predicate IRI, object text), not whole lines
-    keys = sorted((x.subject.value, x.predicate.value, render(x.object))
-                  for x in store.match(None, None, None))
+    keys = sorted((s.value, p.value, render(o)) for s, p, o in store.match(None, None, None))
     lines = [f"<{s}> <{p}> {o} .\n" for s, p, o in keys]
     assert sorted(lines) != lines
     text = export_ntriples(store)
