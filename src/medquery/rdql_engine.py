@@ -18,7 +18,12 @@ Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
 does), checks each constraint atom as soon as its variables are bound, and
 projects onto the selected variables. Each step is compiled once to fixed
-variable slots, so a partial answer is a plain tuple of terms. The order
+variable slots, so a partial answer is a plain tuple of terms. A step
+that scans a constant predicate for a new subject and a new object, and
+whose first constraint compares that object with a numeric literal by
+``<``, ``<=``, ``=``, ``>=`` or ``>``, reads only the triples that atom
+does not reject, as a ``Range`` read of ``TripleStore.match``; the atom
+and the step's other atoms are still checked on each of them. The order
 ranks patterns by estimated size: the triples matching their constant terms,
 times a fixed selectivity for each atom comparing one of their variables
 with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dtypes import IDENTIFIER_RE, Dtype, canonicalize, compare
+from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, canonicalize, compare
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
@@ -42,7 +47,8 @@ from .errors import (
 )
 from .iris import dtype_from_iri
 from .scanner import Scanner
-from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
+from .triple_store import (Iri, Range, Term, TripleStore, TypedLiteral, format_term, scan_iri,
+                           scan_quoted)
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
@@ -303,7 +309,11 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom],
     variable an earlier step bound, or None where this step binds. ``fill``
     slices a matched triple at each new variable's first position, and
     ``repeats`` pairs each later position of one with its first. ``checks``
-    has a ``(slot, op, slot or literal)`` for each atom.
+    has a ``(slot, op, slot or literal)`` for each atom. When s and o are
+    new and p is constant, and the first check compares o's variable with a
+    numeric literal, the o input is that check as a :class:`Range`: match
+    then leaves out only triples that the check would reject without a
+    warning.
     """
     bound = len(slots)
     inputs, fills, repeats = [], [], []
@@ -323,6 +333,11 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom],
     checks = [(slots[atom.lhs.name], atom.op,
                slots[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs)
               for atom in atoms]
+    if inputs[0] is None and isinstance(inputs[1], Iri) and inputs[2] is None and checks:
+        slot, op, rhs = checks[0]
+        if (slot == slots[pattern.o.name] and op != "!=" and isinstance(rhs, TypedLiteral)
+                and rhs.dtype in NUMERIC_DTYPES):
+            inputs[2] = Range(op, rhs)
     return inputs, fill, repeats, checks
 
 

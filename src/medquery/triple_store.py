@@ -4,18 +4,28 @@ Terms are IRIs or typed literals (no blank nodes, no untyped literals).
 The store keeps set semantics over triples and maintains SPO and POS
 indexes: a pattern with a bound subject is answered from SPO, any other
 from POS. ``count`` adds up the sizes of the same index entries instead
-of building the matches. Triples arrive one at a time through ``insert``
-(the path of :func:`import_ntriples`) or a table at a time through
+of building the matches, and each predicate's POS entry keeps its triple
+count, so sizing a predicate is O(1). Triples arrive one at a time through
+``insert`` (the path of :func:`import_ntriples`) or a table at a time through
 ``load_rows``, which fills both indexes straight from rows of cells whose
 (subject, predicate) pairs cannot repeat, so it builds no ``Triple``, probes
 for no duplicate and keeps each object slot as a 1-tuple rather than a set.
 ``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple that
 ``match`` returns for it.
 
+``match(None, p, Range(op, literal))`` is a range read: the triples of
+``p`` whose object is not numeric, plus the numeric ones for which
+``object op literal`` holds under :func:`dtypes.compare`. It finds them by
+``bisect`` over ``p``'s numeric objects sorted by exact ``Decimal`` value.
+That order is built on the first range read of ``p`` and kept in its POS
+entry until ``insert`` or ``load_rows`` writes to ``p``.
+
 ``TripleStore.union`` joins stores with disjoint subjects and predicates
 (the per-table segments of the integrated view) without copying their
-triples: the union shares their index entries. Before its first write, a
-union copies those entries, so writing to it never changes a segment.
+triples: the union shares their index entries, and so each segment's
+predicate counts and value orders: a segment is sorted once, however many
+unions read it. Before its first write, a union copies those entries, so
+writing to it never changes a segment.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -27,13 +37,16 @@ sort key.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .dtypes import Dtype, is_canonical
+from .dtypes import NUMERIC_DTYPES, Dtype, is_canonical
 from .errors import NtParseError
 from .iris import dtype_from_iri, dtype_iri
 
+_RANGE_OPS = frozenset({"<", "<=", "=", ">=", ">"})
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _BLANKS = re.compile(r"[ \t]*")
 
@@ -70,6 +83,40 @@ class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
+
+
+class Range(NamedTuple):
+    """The objects ``o`` with ``o op literal``; ``op`` is ``<``, ``<=``, ``=``, ``>=`` or ``>``."""
+
+    op: str
+    literal: TypedLiteral
+
+
+def _is_numeric(term: Term) -> bool:
+    return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
+
+
+def _value(literal: TypedLiteral) -> Decimal:
+    return Decimal(literal.lexical)
+
+
+class _Objects(dict):
+    """One predicate's POS entry: object -> subjects, with the triple count in
+    ``size`` and, once a range read has built it, the objects by value in ``order``."""
+
+    __slots__ = ("size", "order")
+
+    def __init__(self, entries=()) -> None:
+        super().__init__(entries)
+        self.size = sum(map(len, self.values()))
+        self.order: tuple[list[TypedLiteral], list[Term]] | None = None
+
+    def by_value(self) -> tuple[list[TypedLiteral], list[Term]]:
+        """The numeric objects in ascending value, and the other objects."""
+        if self.order is None:
+            self.order = (sorted(filter(_is_numeric, self), key=_value),
+                          [o for o in self if not _is_numeric(o)])
+        return self.order
 
 
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
@@ -136,7 +183,7 @@ class TripleStore:
         self._size = 0
         # object slots are sets, or 1-tuples where load_rows filled them
         self._spo: dict[Iri, dict[Iri, set[Term] | tuple[Term]]] = {}
-        self._pos: dict[Iri, dict[Term, set[Iri]]] = {}
+        self._pos: dict[Iri, _Objects] = {}  # each maps object -> set of subjects
         self._shared = False  # index entries belong to the stores of a union
 
     @classmethod
@@ -158,7 +205,7 @@ class TripleStore:
         if self._shared:
             self._spo = {s: {p: set(objects) for p, objects in by_pred.items()}
                          for s, by_pred in self._spo.items()}
-            self._pos = {p: {o: set(subjects) for o, subjects in by_obj.items()}
+            self._pos = {p: _Objects((o, set(subjects)) for o, subjects in by_obj.items())
                          for p, by_obj in self._pos.items()}
             self._shared = False
 
@@ -186,7 +233,10 @@ class TripleStore:
         if isinstance(objects, tuple):  # a slot load_rows filled
             objects = by_pred[t.predicate] = set(objects)
         objects.add(t.object)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
+        by_obj = self._pos.setdefault(t.predicate, _Objects())
+        by_obj.setdefault(t.object, set()).add(t.subject)
+        by_obj.size += 1
+        by_obj.order = None
         self._size += 1
         return True
 
@@ -203,7 +253,7 @@ class TripleStore:
             raise ValueError("load_rows needs distinct predicates")
         self._own()
         spo = self._spo
-        pos_entries = [self._pos.setdefault(p, {}) for p in predicates]
+        pos_entries = [self._pos.setdefault(p, _Objects()) for p in predicates]
         for subject, cells in rows:
             if subject in spo:
                 raise ValueError(f"subject already in the store: {subject.value}")
@@ -216,9 +266,20 @@ class TripleStore:
             if by_pred:
                 spo[subject] = by_pred
                 self._size += len(by_pred)
+        for by_obj in pos_entries:
+            by_obj.size = sum(map(len, by_obj.values()))
+            by_obj.order = None
 
-    def match(self, s: Iri | None, p: Iri | None, o: Term | None) -> list[tuple[Iri, Iri, Term]]:
-        """All triples unifying with the pattern (None is a wildcard), unordered, as tuples."""
+    def match(self, s: Iri | None, p: Iri | None,
+              o: Term | Range | None) -> list[tuple[Iri, Iri, Term]]:
+        """All triples unifying with the pattern (None is a wildcard), unordered, as tuples.
+
+        With ``o`` a :class:`Range`, ``s`` must be None and ``p`` an IRI, and
+        the range's literal numeric: the answer leaves out exactly the triples
+        of ``p`` whose object is numeric and fails ``object op literal``.
+        """
+        if isinstance(o, Range):
+            return self._match_range(s, p, o)
         return list(self._match_raw(s, p, o))
 
     def count(self, s: Iri | None, p: Iri | None, o: Term | None) -> int:
@@ -229,12 +290,28 @@ class TripleStore:
             if o is None:
                 return sum(map(len, object_sets))
             return sum(o in objects for objects in object_sets)
-        if p is None and o is None:
-            return self._size
-        by_objs = [self._pos.get(p, {})] if p is not None else self._pos.values()
         if o is None:
-            return sum(len(subjects) for by_obj in by_objs for subjects in by_obj.values())
+            if p is None:
+                return self._size
+            return self._pos[p].size if p in self._pos else 0
+        by_objs = [self._pos.get(p, {})] if p is not None else self._pos.values()
         return sum(len(by_obj.get(o, ())) for by_obj in by_objs)
+
+    def _match_range(self, s, p, o: Range) -> list[tuple[Iri, Iri, Term]]:
+        if (s is not None or not isinstance(p, Iri) or o.op not in _RANGE_OPS
+                or o.literal.dtype not in NUMERIC_DTYPES):
+            raise ValueError(f"a range read needs (None, IRI, numeric Range), not {(s, p, o)!r}")
+        by_obj = self._pos.get(p)
+        if not by_obj:
+            return []
+        numeric, others = by_obj.by_value()
+        value = _value(o.literal)
+        left = bisect_left(numeric, value, key=_value)
+        right = bisect_right(numeric, value, key=_value)
+        start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
+                       ">=": (left, len(numeric)), ">": (right, len(numeric))}[o.op]
+        return [(subj, p, obj) for objects in (numeric[start:stop], others)
+                for obj in objects for subj in by_obj[obj]]
 
     def _match_raw(self, s, p, o):
         if s is not None and p is not None and o is not None:

@@ -413,8 +413,14 @@ def random_store(rng: random.Random, max_triples: int) -> TripleStore:
     return store
 
 
-def random_rdql_query(rng: random.Random, store: TripleStore) -> RdqlQuery:
-    """Connected conjunctive queries that an exhaustive oracle can afford."""
+def random_rdql_query(rng: random.Random, store: TripleStore, max_patterns: int = 5) -> RdqlQuery:
+    """Connected conjunctive queries that an exhaustive oracle can afford.
+
+    Some patterns use one variable at every variable position and at the
+    object, such as ``(?x <p> ?x)`` or ``(?x ?x ?x)``. Some queries lead
+    with an atom comparing an object variable with a numeric literal, so
+    the step binding that variable checks it first and can read a range.
+    """
     triples = list(store)  # canonical order, so a seed always picks the same terms
     subjects = sorted({t.subject for t in triples}, key=lambda i: i.value)
     predicates = sorted({t.predicate for t in triples}, key=lambda i: i.value)
@@ -439,7 +445,7 @@ def random_rdql_query(rng: random.Random, store: TripleStore) -> RdqlQuery:
         dtype = rng.choice(_DATA_DTYPES)
         return TypedLiteral(rand_value(rng, dtype), dtype)
 
-    n_patterns = rng.randrange(1, 6)
+    n_patterns = rng.randrange(1, max_patterns + 1)
     for i in range(n_patterns):
         s = subject_term(first=(i == 0))
         if predicates and rng.random() < 0.85:
@@ -447,6 +453,10 @@ def random_rdql_query(rng: random.Random, store: TripleStore) -> RdqlQuery:
         else:
             p = Var(rng.choice(var_pool))
         o = object_term()
+        if rng.random() < 0.2:  # one variable repeated within the pattern
+            name = s.name if isinstance(s, Var) else rng.choice(var_pool)
+            s, p, o = (Var(name) if isinstance(term, Var) or position == 2 else term
+                       for position, term in enumerate((s, p, o)))
         pattern = TriplePattern(s, p, o)
         patterns.append(pattern)
         for term in (s, p, o):
@@ -467,6 +477,11 @@ def random_rdql_query(rng: random.Random, store: TripleStore) -> RdqlQuery:
             dtype = rng.choice(_DATA_DTYPES)
             rhs = TypedLiteral(rand_value(rng, dtype), dtype)
         filters.append(FilterAtom(lhs, op, rhs))
+    object_vars = [pattern.o.name for pattern in patterns if isinstance(pattern.o, Var)]
+    if object_vars and rng.random() < 0.4:
+        dtype = rng.choice([Dtype.INTEGER, Dtype.DECIMAL])
+        filters.insert(0, FilterAtom(Var(rng.choice(object_vars)), rng.choice(["<", "<=", "=", ">=", ">"]),
+                                     TypedLiteral(rand_value(rng, dtype), dtype)))
 
     select = tuple(Var(name) for name in rng.sample(used_vars, rng.randrange(1, min(3, len(used_vars)) + 1)))
     return RdqlQuery(select, tuple(patterns), tuple(filters))

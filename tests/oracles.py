@@ -68,33 +68,58 @@ def enumerate_rdql(query: RdqlQuery, store: TripleStore) -> list[tuple]:
     triples = list(store)
     results: list[tuple] = []
 
-    def bind(pattern, triple, env):
-        new_env = dict(env)
-        for term, value in zip((pattern.s, pattern.p, pattern.o), triple):
-            if isinstance(term, Var):
-                if new_env.setdefault(term.name, value) != value:
-                    return None
-            elif term != value:
-                return None
-        return new_env
-
     def walk(index, env):
         if index == len(query.patterns):
-            for atom in query.filters:
-                rhs = env[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs
-                if compare_terms(atom.op, env[atom.lhs.name], rhs) is not True:
-                    return
-            results.append(tuple(env[v.name] for v in query.select))
+            if all(_verdict(atom, env) is True for atom in query.filters):
+                results.append(tuple(env[v.name] for v in query.select))
             return
         pattern = query.patterns[index]
         for triple in triples:
-            new_env = bind(pattern, triple, env)
+            new_env = _bind(pattern, triple, env)
             if new_env is not None:
                 walk(index + 1, new_env)
 
     walk(0, {})
     results.sort(key=lambda row: tuple(format_term(t) for t in row))
     return results
+
+
+def single_pattern_warnings(query: RdqlQuery, store: TripleStore) -> int:
+    """``cross_type_warnings`` of a one-pattern query, counted from its definition.
+
+    Every binding of the pattern meets the atoms in query order and counts
+    once when the first atom that does not hold is incomparable. With more
+    patterns the count would depend on the join order, so none is offered.
+    """
+    (pattern,) = query.patterns
+    warnings = 0
+    for triple in store:
+        env = _bind(pattern, triple, {})
+        if env is None:
+            continue
+        for atom in query.filters:
+            verdict = _verdict(atom, env)
+            if verdict is not True:
+                warnings += verdict is None
+                break
+    return warnings
+
+
+def _bind(pattern, triple, env):
+    """``env`` extended by the pattern's variables, or None when the triple does not fit."""
+    new_env = dict(env)
+    for term, value in zip((pattern.s, pattern.p, pattern.o), triple):
+        if isinstance(term, Var):
+            if new_env.setdefault(term.name, value) != value:
+                return None
+        elif term != value:
+            return None
+    return new_env
+
+
+def _verdict(atom, env):
+    rhs = env[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs
+    return compare_terms(atom.op, env[atom.lhs.name], rhs)
 
 
 def relational_eval(query: SqlQuery, tables) -> Counter:

@@ -179,6 +179,20 @@ def test_insert_into_a_returned_store_changes_no_later_answer(fig2_paths):
     assert _rows(execute_query(project, FIG2_SQL)) == FIG2_ANSWER
 
 
+def test_insert_into_a_returned_store_changes_no_later_ranged_answer(fig2_paths):
+    project = open_project(*fig2_paths)
+    debt = Iri(property_iri("STUDENT", "DEBT"))
+    query = rdql_engine.parse_rdql(f"SELECT ?r WHERE (?r {debt} ?d) AND ?d > 2000")
+    store = build_triples(materialize_required(project, ["STUDENT"]))
+    before = rdql_engine.evaluate(query, store).rows  # orders the segment's DEBT objects
+    ann = Iri(subject_iri("STUDENT", 0))
+    assert before and (ann,) not in before
+    assert store.insert(Triple(ann, debt, TypedLiteral("9999", Dtype.INTEGER)))
+    assert sorted(rdql_engine.evaluate(query, store).rows, key=str) == sorted(before + [(ann,)], key=str)
+    again = build_triples(materialize_required(project, ["STUDENT"]))
+    assert rdql_engine.evaluate(query, again).rows == before
+
+
 @pytest.fixture
 def derivations(monkeypatch):
     """Counts of ``TripleStore.load_rows`` and ``dtypes.canonicalize`` calls from here on."""

@@ -23,7 +23,7 @@ from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, import
 
 from conftest import FIG2_RDQL
 from generators import random_rdql_query, random_store
-from oracles import enumerate_rdql
+from oracles import compare_terms, enumerate_rdql, single_pattern_warnings
 
 
 def lit(lexical, dtype=Dtype.INTEGER):
@@ -281,23 +281,54 @@ def test_fig2_join_matches_linearly_many_triples(monkeypatch):
 
 
 def test_selective_scan_matches_few_triples(monkeypatch):
-    """A scan keeping k of n rows reads the constrained column, then 2 triples per kept row."""
+    """A scan keeping k of n rows reads the k triples its atom keeps, then 2 per kept row."""
     n = 2000
-    table = "http://integratedDB/STUDENT"
+    debts = [lit(str(i * 37 % 5000)) for i in range(n)]
+    # scan_export's credit scan, with credit 3 once written as the decimal 3.0
+    credits = [lit("3.0", Dtype.DECIMAL) if i == 7 else lit(str(i % 10 + 1)) for i in range(n)]
+    for table, key, label, column, values, atom in [
+        ("STUDENT", "ID", "NAME", "DEBT", debts, "> 4800"),
+        ("COURSE", "CODE", "TITLE", "CREDITS", credits, "= 3"),
+    ]:
+        ns = f"http://integratedDB/{table}"
+        store = TripleStore()
+        for i, value in enumerate(values):
+            row = Iri(f"{ns}/row/{i}")
+            store.insert(Triple(row, Iri(f"{ns}#{key}"), lit(str(i))))
+            store.insert(Triple(row, Iri(f"{ns}#{label}"), lit(f"N{i}", Dtype.STRING)))
+            store.insert(Triple(row, Iri(f"{ns}#{column}"), value))
+        op, bound = atom.split()
+        expected = sorted((str(i), f"N{i}") for i, value in enumerate(values)
+                          if compare_terms(op, value, lit(bound)))
+        k = len(expected)
+        with monkeypatch.context() as patch:
+            # the constrained pattern goes first and reads k triples, then each
+            # kept row reads its key and its label: one triple of slack per pattern
+            tally = _count_matched(patch, 3 * k + 3)
+            result = evaluate(parse_rdql(
+                f"SELECT ?{key}, ?{label} WHERE (?r <{ns}#{key}> ?{key}), "
+                f"(?r <{ns}#{label}> ?{label}), (?r <{ns}#{column}> ?V) AND ?V {atom}"
+            ), store)
+        assert sorted(tuple(t.lexical for t in row) for row in result.rows) == expected, atom
+        assert 3 * k <= tally["matched"] <= 3 * k + 3, atom
+    assert ("7", "N7") in expected  # 3.0 = 3 by value, though not by term
+
+
+def test_ranged_reads_see_later_inserts():
     store = TripleStore()
-    for i in range(n):
-        row = Iri(f"{table}/row/{i}")
-        store.insert(Triple(row, Iri(f"{table}#ID"), lit(str(i))))
-        store.insert(Triple(row, Iri(f"{table}#NAME"), lit(f"N{i}", Dtype.STRING)))
-        store.insert(Triple(row, Iri(f"{table}#DEBT"), lit(str(i * 37 % 5000))))
-    expected = sorted((str(i), f"N{i}") for i in range(n) if i * 37 % 5000 > 4800)
-    tally = _count_matched(monkeypatch, n + 2 * len(expected))
-    result = evaluate(parse_rdql(
-        f"SELECT ?ID, ?NAME WHERE (?r <{table}#ID> ?ID), (?r <{table}#NAME> ?NAME), "
-        f"(?r <{table}#DEBT> ?DEBT) AND ?DEBT > 4800"
-    ), store)
-    assert sorted(tuple(t.lexical for t in row) for row in result.rows) == expected
-    assert 3 * len(expected) <= tally["matched"] <= n + 2 * len(expected)
+    p = Iri("http://x/p")
+    for i in range(20):
+        store.insert(Triple(Iri(f"http://x/s{i}"), p, lit(str(i))))
+    query = parse_rdql("SELECT ?s, ?v WHERE (?s <http://x/p> ?v) AND ?v >= 15 && ?v < 18")
+    assert [row[1].lexical for row in evaluate(query, store).rows] == ["15", "16", "17"]
+    # an in-range decimal, an out-of-range integer and a string, after the
+    # first range read has ordered the predicate's objects
+    for i, obj in enumerate([lit("16.5", Dtype.DECIMAL), lit("40"), lit("16", Dtype.STRING)]):
+        store.insert(Triple(Iri(f"http://x/t{i}"), p, obj))
+    result = evaluate(query, store)
+    assert result.rows == enumerate_rdql(query, store)
+    assert sorted(row[1].lexical for row in result.rows) == ["15", "16", "16.5", "17"]
+    assert result.cross_type_warnings == 1  # the string, incomparable with 15
 
 
 def test_join_order_independence():
@@ -327,3 +358,15 @@ def test_matches_exhaustive_enumeration(seed):
     query = random_rdql_query(rng, store)
     result = evaluate(query, store)
     assert result.rows == enumerate_rdql(query, store)
+    if len(query.patterns) == 1:
+        assert result.cross_type_warnings == single_pattern_warnings(query, store)
+
+
+def test_single_pattern_warnings_match_the_oracle():
+    for seed in range(300):
+        rng = random.Random(3000 + seed)
+        store = random_store(rng, 120)
+        query = random_rdql_query(rng, store, max_patterns=1)
+        result = evaluate(query, store)
+        assert result.rows == enumerate_rdql(query, store), seed
+        assert result.cross_type_warnings == single_pattern_warnings(query, store), seed

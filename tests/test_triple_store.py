@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from medquery import triple_store
 from medquery.dtypes import Dtype
 from medquery.errors import NtParseError
 from medquery.triple_store import (
     Iri,
+    Range,
     Triple,
     TripleStore,
     TypedLiteral,
@@ -16,7 +19,7 @@ from medquery.triple_store import (
 )
 
 from generators import random_store
-from oracles import scan_match
+from oracles import compare_terms, scan_match
 
 
 def t(s, p, o):
@@ -125,12 +128,13 @@ def test_match_wildcards():
     assert store.match(Iri(S), Iri(P), LIT) == [triples[0]]
 
 
+def _key(triple):
+    s, p, o = triple
+    return (s.value, p.value, format_term(o))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_match_agrees_with_linear_scan(seed):
-    def key(triple):
-        s, p, o = triple
-        return (s.value, p.value, format_term(o))
-
     rng = random.Random(seed)
     store = random_store(rng, 200)
     triples = list(store)
@@ -141,7 +145,7 @@ def test_match_agrees_with_linear_scan(seed):
         s = rng.choice(subjects) if rng.random() < 0.5 else None
         p = rng.choice(predicates) if rng.random() < 0.5 else None
         o = rng.choice(objects) if rng.random() < 0.5 else None
-        assert sorted(store.match(s, p, o), key=key) == sorted(scan_match(triples, s, p, o), key=key)
+        assert sorted(store.match(s, p, o), key=_key) == sorted(scan_match(triples, s, p, o), key=_key)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -158,6 +162,91 @@ def test_count_agrees_with_match(seed):
             for mask in itertools.product((False, True), repeat=3):
                 s, p, o = (term if keep else None for term, keep in zip(terms, mask))
                 assert store.count(s, p, o) == len(store.match(s, p, o)), (s, p, o)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_range_match_agrees_with_linear_scan(seed):
+    rng = random.Random(700 + seed)
+    store = random_store(rng, 200)
+    # equal values in both numeric dtypes, beside random_store's 4.0 and 4
+    for i, lexical in enumerate(["2", "2.0", "-1", "-1.0", "7.5"]):
+        dtype = Dtype.DECIMAL if "." in lexical else Dtype.INTEGER
+        store.insert(t(f"http://example/s{i}", f"http://example/p{i % 5}",
+                       TypedLiteral(lexical, dtype)))
+    triples = list(store)
+    literals = [TypedLiteral(x, Dtype.INTEGER) for x in ("-2", "0", "2", "4", "8")] + [
+        TypedLiteral(x, Dtype.DECIMAL) for x in ("-1.0", "1.5", "2.0", "4.0", "9.5")]
+    for p, op, literal in itertools.product(sorted({t_.predicate for t_ in triples}, key=str),
+                                            ["<", "<=", "=", ">=", ">"], literals):
+        # every triple of p but those whose object compares False
+        expected = [t_ for t_ in scan_match(triples, None, p, None)
+                    if compare_terms(op, t_.object, literal) is not False]
+        found = store.match(None, p, Range(op, literal))
+        assert sorted(found, key=_key) == sorted(expected, key=_key), (p, op, literal)
+    assert store.match(None, Iri("http://example/absent"), Range("<", literals[0])) == []
+
+
+def test_range_match_needs_a_bare_predicate_and_a_numeric_literal():
+    store = TripleStore()
+    store.insert(t(S, P, LIT))
+    for s, p, o in [(Iri(S), Iri(P), Range("<", LIT)), (None, None, Range("<", LIT)),
+                    (None, Iri(P), Range("!=", LIT)),
+                    (None, Iri(P), Range("<", TypedLiteral("7", Dtype.STRING)))]:
+        with pytest.raises(ValueError):
+            store.match(s, p, o)
+
+
+def test_a_segment_is_ordered_once_for_every_union_reading_it(monkeypatch):
+    n = 500
+    segment = _table_segment("T", [[TypedLiteral(str(i * 7 % n), Dtype.INTEGER), None]
+                                   for i in range(n)])
+    predicate, bound = Iri("http://x/T#A"), Range(">", TypedLiteral(str(n - 10), Dtype.INTEGER))
+    assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+    calls = []
+    value = triple_store._value
+    monkeypatch.setattr(triple_store, "_value", lambda term: calls.append(term) or value(term))
+    for _ in range(3):
+        assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+    # the literal and two binary searches per read, no sort
+    assert len(calls) <= 3 * (1 + 2 * math.ceil(math.log2(n + 1)))
+    # a write drops the written store's order; the segment keeps its own
+    written = TripleStore.union([segment])
+    written.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
+    assert len(written.match(None, predicate, bound)) == 10
+    written.load_rows([predicate], [(Iri(f"http://x/T/row/{n}"), [TypedLiteral(str(n + 1), Dtype.INTEGER)])])
+    assert len(written.match(None, predicate, bound)) == 11
+    assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_predicate_sizes_follow_inserts_loads_and_unions(seed):
+    rng = random.Random(800 + seed)
+    values = [None, LIT, TypedLiteral("8", Dtype.INTEGER), TypedLiteral("a", Dtype.STRING)]
+
+    def segment(table):
+        return _table_segment(table, [[rng.choice(values), rng.choice(values)]
+                                      for _ in range(rng.randrange(8))])
+
+    stores = [segment(table) for table in "TUV"]
+    stores.append(TripleStore.union(stores[:2]))
+    stores.append(TripleStore.union([stores[-1], segment("W")]))
+    for _ in range(30):
+        # a union reads its stores' entries, so only stores that no union reads are written
+        store = rng.choice(stores[2:])
+        if rng.random() < 0.7:
+            table = rng.choice("TUVW")
+            store.insert(t(f"http://x/{table}/row/{rng.randrange(10)}",
+                           f"http://x/{table}#{rng.choice('AB')}", rng.choice(values[1:])))
+        else:
+            table = f"X{rng.randrange(1000)}"
+            store.load_rows([Iri(f"http://x/{table}#A")],
+                            [(Iri(f"http://x/{table}/row/0"), [rng.choice(values)])])
+        for store in stores:
+            triples = list(store)
+            for predicate in {triple.predicate for triple in triples} | {Iri("http://x/T#A")}:
+                assert store.count(None, predicate, None) == len(
+                    scan_match(triples, None, predicate, None)) == len(
+                    store.match(None, predicate, None)), predicate
 
 
 def test_export_line_format():
