@@ -38,7 +38,8 @@ NUMERIC_DTYPES = frozenset({Dtype.INTEGER, Dtype.DECIMAL})
 _INTEGER_INPUT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_INPUT = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+|[0-9]+\.)")
 _CANONICAL_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
-_CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)\.(0|[0-9]*[1-9])")
+# zero has the one canonical form 0.0, never -0.0
+_CANONICAL_DECIMAL = re.compile(r"(?!-0\.0$)-?(0|[1-9][0-9]*)\.(0|[0-9]*[1-9])")
 
 
 def is_identifier(name: str) -> bool:

@@ -24,8 +24,8 @@ entry until ``insert`` or ``load_rows`` writes to ``p``.
 (the per-table segments of the integrated view) without copying their
 triples: the union shares their index entries, and so each segment's
 predicate counts and value orders: a segment is sorted once, however many
-unions read it. Before its first write, a union copies those entries, so
-writing to it never changes a segment.
+unions read it. Before its first write, a union copies those entries, and
+so does each of its stores: writing to either never changes the other.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -184,7 +184,7 @@ class TripleStore:
         # object slots are sets, or 1-tuples where load_rows filled them
         self._spo: dict[Iri, dict[Iri, set[Term] | tuple[Term]]] = {}
         self._pos: dict[Iri, _Objects] = {}  # each maps object -> set of subjects
-        self._shared = False  # index entries belong to the stores of a union
+        self._shared = False  # index entries are read by a union, or belong to its stores
 
     @classmethod
     def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
@@ -197,7 +197,8 @@ class TripleStore:
         if (len(joined._spo) != sum(len(s._spo) for s in stores)
                 or len(joined._pos) != sum(len(s._pos) for s in stores)):
             raise ValueError("union needs stores with disjoint subjects and predicates")
-        joined._shared = True
+        for store in (joined, *stores):
+            store._shared = True
         return joined
 
     def _own(self) -> None:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from medquery.dtypes import COMPARISON_OPS, Dtype, canonicalize, compare, is_canonical
@@ -71,6 +71,22 @@ def test_decimal_canonical_is_idempotent(value):
     lex = canonicalize(str(value), Dtype.DECIMAL)
     assert is_canonical(lex, Dtype.DECIMAL)
     assert canonicalize(lex, Dtype.DECIMAL) == lex
+
+
+@given(st.sampled_from([Dtype.INTEGER, Dtype.DECIMAL, Dtype.BOOLEAN]),
+       st.from_regex(r" ?[+-]?[0-9]{0,3}\.?[0-9]{0,3} ?|true|True", fullmatch=True))
+@example(Dtype.DECIMAL, "-0.0")
+@example(Dtype.DECIMAL, "-0")
+@example(Dtype.DECIMAL, "+0.0")
+@example(Dtype.DECIMAL, "0.0")
+@example(Dtype.INTEGER, "-0")
+@example(Dtype.INTEGER, "0")
+def test_canonical_exactly_when_canonicalize_keeps_the_text(dtype, text):
+    try:
+        kept = canonicalize(text, dtype) == text
+    except ValueError:
+        kept = False
+    assert is_canonical(text, dtype) is kept
 
 
 def test_numeric_compare_crosses_integer_and_decimal():

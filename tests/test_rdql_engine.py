@@ -80,6 +80,8 @@ def test_quoted_literal_unescapes_like_ntriples():
     ('"open', "unterminated literal"),
     ("<http://o", "unterminated IRI"),
     ("<o>", "IRI must be absolute"),
+    # zero is written 0.0 only, so the value has one term
+    ('"-0.0"^^<http://www.w3.org/2001/XMLSchema#decimal>', "'-0.0' is not canonical decimal"),
 ])
 def test_term_errors_read_alike_in_rdql_and_ntriples(term, message):
     with pytest.raises(RdqlParseError, match=re.escape(message)):

@@ -30,6 +30,64 @@ def test_two_table_join_conversion_golden(schema):
     assert len(ast.filters) == 1
 
 
+@pytest.fixture
+def three_table_schema(tmp_path):
+    """Fig. 2's schema plus DEBTOR(ID, DEBT), drawn from the student source."""
+    from conftest import SCHEMA_XML, write_project
+    from medquery.descriptors import parse_project
+
+    debtor = """<table name="DEBTOR">
+    <field name="ID" type="integer" source="uni" sourcetable="STUDENT" sourcefield="ID"/>
+    <field name="DEBT" type="integer" source="uni" sourcetable="STUDENT" sourcefield="DEBT"/>
+  </table>
+  <relation"""
+    schema_xml = SCHEMA_XML.replace("<relation", debtor, 1)
+    return parse_project(*write_project(tmp_path, schema_xml=schema_xml)).schema
+
+
+@pytest.mark.parametrize("sql, rdql", [
+    # a chain whose two ends are selected: B.Y takes A.X's variable, and the
+    # join that would merge two selected fields stays an atom
+    ("SELECT STUDENT.ID, DEBTOR.ID FROM STUDENT, GRADE, DEBTOR "
+     "ON STUDENT.ID = GRADE.STUDENTID AND GRADE.STUDENTID = DEBTOR.ID",
+     """SELECT ?STUDENT_ID, ?DEBTOR_ID
+        WHERE
+        (?tbl_0 <http://integratedDB/STUDENT#ID> ?STUDENT_ID),
+        (?tbl_2 <http://integratedDB/DEBTOR#ID> ?DEBTOR_ID),
+        (?tbl_1 <http://integratedDB/GRADE#STUDENTID> ?STUDENT_ID)
+        AND ?STUDENT_ID = ?DEBTOR_ID"""),
+    # an unselected class of three fields shares one fresh variable
+    ("SELECT STUDENT.FIRSTNAME FROM STUDENT, GRADE, DEBTOR "
+     "ON STUDENT.ID = GRADE.STUDENTID AND DEBTOR.ID = GRADE.STUDENTID",
+     """SELECT ?FIRSTNAME
+        WHERE
+        (?tbl_0 <http://integratedDB/STUDENT#FIRSTNAME> ?FIRSTNAME),
+        (?tbl_0 <http://integratedDB/STUDENT#ID> ?fld_0),
+        (?tbl_1 <http://integratedDB/GRADE#STUDENTID> ?fld_0),
+        (?tbl_2 <http://integratedDB/DEBTOR#ID> ?fld_0)"""),
+    # unselected classes are numbered by their first field in the query
+    ("SELECT GRADE.AVERAGE FROM STUDENT, GRADE, DEBTOR "
+     "ON DEBTOR.DEBT = STUDENT.DEBT AND STUDENT.ID = GRADE.STUDENTID WHERE DEBTOR.ID > 1",
+     """SELECT ?AVERAGE
+        WHERE
+        (?tbl_1 <http://integratedDB/GRADE#AVERAGE> ?AVERAGE),
+        (?tbl_2 <http://integratedDB/DEBTOR#DEBT> ?fld_0),
+        (?tbl_0 <http://integratedDB/STUDENT#DEBT> ?fld_0),
+        (?tbl_0 <http://integratedDB/STUDENT#ID> ?fld_1),
+        (?tbl_1 <http://integratedDB/GRADE#STUDENTID> ?fld_1),
+        (?tbl_2 <http://integratedDB/DEBTOR#ID> ?fld_2)
+        AND ?fld_2 > 1"""),
+    # a field joined to itself is one class already: no atom
+    ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID = STUDENT.ID",
+     "SELECT ?ID\nWHERE\n(?tbl_0 <http://integratedDB/STUDENT#ID> ?ID)"),
+], ids=["chain_with_selected_ends", "unselected_class_of_three", "two_unselected_classes",
+        "field_joined_to_itself"])
+def test_join_class_goldens(three_table_schema, sql, rdql):
+    text, ast = convert(parse_sql(sql, three_table_schema), three_table_schema)
+    assert normalize(text) == normalize(rdql)
+    assert parse_rdql(text) == ast
+
+
 def test_single_field_degenerate_case(schema):
     text, ast = convert(parse_sql("SELECT STUDENT.ID FROM STUDENT", schema), schema)
     assert normalize(text) == normalize(

@@ -69,11 +69,15 @@ def test_union_answers_like_one_store_and_copies_before_a_write():
     two = TypedLiteral("2", Dtype.STRING)
     segments = [_table_segment("T", [[one, two], [one, None]]),
                 _table_segment("U", [[None, one], [two, two], [one, one]])]
-    exports = [export_ntriples(segment) for segment in segments]
     union = TripleStore.union(segments)
     reference = TripleStore()
     for triple in itertools.chain(*segments):
         reference.insert(triple)
+    # a segment copies its entries before a write too, so the union reads as before
+    segments[0].insert(Triple(Iri("http://x/T/row/5"), Iri("http://x/T#A"), two))
+    segments[1].insert(Triple(Iri("http://x/U/row/0"), Iri("http://x/U#A"), one))
+    exports = [export_ntriples(segment) for segment in segments]
+    assert len(list(union)) == 8 and union.count(None, Iri("http://x/T#A"), None) == 2
     assert union == reference and reference == union and len(union) == 8
     subjects = [None, *{triple.subject for triple in reference}, Iri("http://x/T/row/9")]
     predicates = [None, *{triple.predicate for triple in reference}]
@@ -86,7 +90,7 @@ def test_union_answers_like_one_store_and_copies_before_a_write():
     union.load_rows([Iri("http://x/V#A")], [(Iri("http://x/V/row/0"), [one])])
     assert len(union) == 10 and union.count(None, Iri("http://x/T#B"), None) == 2
     assert [export_ntriples(segment) for segment in segments] == exports
-    assert len(TripleStore.union(segments)) == 8
+    assert len(TripleStore.union(segments)) == 10
 
 
 def test_union_refuses_stores_that_share_a_subject_or_predicate():
@@ -231,8 +235,7 @@ def test_predicate_sizes_follow_inserts_loads_and_unions(seed):
     stores.append(TripleStore.union(stores[:2]))
     stores.append(TripleStore.union([stores[-1], segment("W")]))
     for _ in range(30):
-        # a union reads its stores' entries, so only stores that no union reads are written
-        store = rng.choice(stores[2:])
+        store = rng.choice(stores)
         if rng.random() < 0.7:
             table = rng.choice("TUVW")
             store.insert(t(f"http://x/{table}/row/{rng.randrange(10)}",
