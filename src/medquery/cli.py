@@ -96,6 +96,8 @@ def cmd_query(sources: str, schema: str, query_text: str, lang: str, out_format:
         sys.stdout.write(export_ntriples(result_triples(result)))
     if log_level != "quiet":
         print(f"# extraction+query time: {elapsed_ms} ms", file=sys.stderr)
+        if result.cross_type_warnings:
+            print(f"# incomparable comparisons: {result.cross_type_warnings}", file=sys.stderr)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Value vocabulary shared across the mediator.
 
 All data flowing through the system is typed with one of four dtypes and
-carried as a canonical lexical string:
+carried as its canonical lexical string, the text :func:`canonicalize` keeps:
 
   integer  optional sign followed by digits, no leading zeros ("-3", "0", "27")
   decimal  optional sign, digits '.' digits, no redundant zeros ("2.5", "0.0")
@@ -37,9 +37,6 @@ NUMERIC_DTYPES = frozenset({Dtype.INTEGER, Dtype.DECIMAL})
 # ASCII digits only: re's \d also matches the digits of other scripts
 _INTEGER_INPUT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_INPUT = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+|[0-9]+\.)")
-_CANONICAL_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
-# zero has the one canonical form 0.0, never -0.0
-_CANONICAL_DECIMAL = re.compile(r"(?!-0\.0$)-?(0|[1-9][0-9]*)\.(0|[0-9]*[1-9])")
 
 
 def is_identifier(name: str) -> bool:
@@ -88,15 +85,11 @@ def canonicalize(text: str, dtype: Dtype) -> str:
 
 
 def is_canonical(lexical: str, dtype: Dtype) -> bool:
-    if dtype is Dtype.STRING:
-        return True
-    if dtype is Dtype.INTEGER:
-        return bool(_CANONICAL_INTEGER.fullmatch(lexical))
-    if dtype is Dtype.DECIMAL:
-        return bool(_CANONICAL_DECIMAL.fullmatch(lexical))
-    if dtype is Dtype.BOOLEAN:
-        return lexical in ("true", "false")
-    return False
+    """Whether :func:`canonicalize` keeps ``lexical`` unchanged."""
+    try:
+        return canonicalize(lexical, dtype) == lexical
+    except ValueError:
+        return False
 
 
 _OPS = {

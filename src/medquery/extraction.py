@@ -39,11 +39,11 @@ from .descriptors import (
     SourceFieldDef,
 )
 from .dtypes import Dtype, canonicalize
-from .errors import NoRelationPathError, TypeCoercionError, UnknownTableError
+from .errors import NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
 from .triple_store import Iri, TripleStore, TypedLiteral
-from .wrappers import AccessLog, Cell, Row, Table, fetch_table
+from .wrappers import AccessLog, Cell, Row, Table, coerce, fetch_table
 
 logger = logging.getLogger(__name__)
 
@@ -240,15 +240,6 @@ def _derive(op: DerivedOp, values: list[Cell]) -> Cell:
     return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)
 
 
-def _convert(cell: Cell, target: Dtype, row_number: int, field_name: str) -> Cell:
-    if cell is None or cell.dtype is target:
-        return cell  # canonicalize is the identity on canonical input
-    try:
-        return TypedLiteral(canonicalize(cell.lexical, target), target)
-    except ValueError:
-        raise TypeCoercionError(row_number, field_name, cell.lexical) from None
-
-
 def materialize_integrated_table(project: Project, table_name: str,
                                  fetch: FetchFn = fetch_table,
                                  log: AccessLog | None = None) -> Table:
@@ -279,7 +270,8 @@ def materialize_integrated_table(project: Project, table_name: str,
         # converted row by row so an error names the first bad row, then field
         fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)
         rows = tuple(
-            tuple(_convert(cell, fdef.dtype, number, fdef.name)
+            tuple(cell if cell is None or cell.dtype is fdef.dtype
+                  else coerce(cell.lexical, fdef, number)
                   for cell, fdef in zip(cells, tdef.fields))
             for number, cells in enumerate(zip(*columns), start=1)
         )

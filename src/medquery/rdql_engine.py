@@ -11,8 +11,9 @@ Concrete syntax::
 Patterns are parenthesized subject/predicate/object terms; terms are
 variables, angle-bracketed IRIs or quoted literals with an optional
 ``^^<datatype>`` (string by default). Constraint atoms compare a variable
-against a variable or a literal; bare numerals and ``true``/``false`` are
-typed literals.
+against a variable or a literal; bare numerals, whose sign may stand apart
+from them (``- 5``), and ``true``/``false`` in any case are typed literals,
+read as SQL reads them (``Scanner.bare_literal``).
 
 Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
@@ -34,12 +35,11 @@ canonical order, so equal queries over equal stores render identically.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, canonicalize, compare
+from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, compare
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
@@ -49,9 +49,6 @@ from .iris import dtype_from_iri
 from .scanner import Scanner
 from .triple_store import (Iri, Range, Term, TripleStore, TypedLiteral, format_term, scan_iri,
                            scan_quoted)
-
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+")
 
 # share of a pattern's candidates expected to pass an atom comparing one of
 # its variables with a literal
@@ -163,19 +160,10 @@ class _Scanner(Scanner):
             return self.variable()
         if ch == '"':
             return self.quoted_literal()
-        if self.keyword("TRUE"):
-            return TypedLiteral("true", Dtype.BOOLEAN)
-        if self.keyword("FALSE"):
-            return TypedLiteral("false", Dtype.BOOLEAN)
-        match = _DECIMAL_RE.match(self.text, self.pos)
-        if match:
-            self.pos = match.end()
-            return TypedLiteral(canonicalize(match.group(), Dtype.DECIMAL), Dtype.DECIMAL)
-        match = _INTEGER_RE.match(self.text, self.pos)
-        if match:
-            self.pos = match.end()
-            return TypedLiteral(canonicalize(match.group(), Dtype.INTEGER), Dtype.INTEGER)
-        self.fail("expected variable or literal")
+        literal = self.bare_literal()
+        if literal is None:
+            self.fail("expected variable or literal")
+        return literal
 
 
 def parse_rdql(text: str) -> RdqlQuery:
@@ -272,13 +260,8 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
         inputs, fill, repeats, checks = _compile(pattern, atoms, slots)
         next_bindings: list[tuple[Term, ...]] = []
         for binding in bindings:
-            s, p, o = [binding[x] if isinstance(x, int) else x for x in inputs]
-            s_arg = s if isinstance(s, Iri) else None
-            p_arg = p if isinstance(p, Iri) else None
-            matched = store.match(s_arg, p_arg, o)
-            if s is not s_arg or p is not p_arg:  # a literal where match takes only an IRI
-                matched = [t for t in matched if s in (None, t[0]) and p in (None, t[1])]
-            for triple in matched:
+            terms = [binding[x] if isinstance(x, int) else x for x in inputs]
+            for triple in store.match(*terms):
                 if repeats and any(triple[i] != triple[j] for i, j in repeats):
                     continue
                 extended = binding + triple[fill]

@@ -2,18 +2,22 @@
 
 Both query languages are read left to right straight from the text, with no
 token list: a parser subclasses :class:`Scanner`, sets ``error`` to its own
-:class:`ParseError` subclass and adds readers for its own terms. Every
-reader skips leading whitespace, so a fault is reported at the offset of the
-first character that does not fit.
+:class:`ParseError` subclass and adds readers for its own terms. The shared
+readers cover words, keywords, comparison operators and bare constants
+(``TRUE``, ``FALSE`` and numbers). Every reader skips leading whitespace, so
+a fault is reported at the offset of the first character that does not fit.
 """
 
 from __future__ import annotations
 
 import re
 
+from .dtypes import Dtype, canonicalize
 from .errors import ParseError
+from .triple_store import TypedLiteral
 
 _WORD_RE = re.compile(r"\w+")  # \w is str.isalnum() or "_"
+NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts' digits
 
 
 class Scanner:
@@ -76,3 +80,23 @@ class Scanner:
                 self.pos += len(op)
                 return op
         self.fail("expected comparison operator")
+
+    def bare_literal(self) -> TypedLiteral | None:
+        """Move past TRUE or FALSE in any case, or a number, and return it; None if there is none.
+
+        A number's sign may stand apart from it, and a sign with no number after it is a fault.
+        """
+        word = self.word()
+        if word.upper() in ("TRUE", "FALSE"):
+            self.pos += len(word)
+            return TypedLiteral(word.upper().lower(), Dtype.BOOLEAN)
+        sign = self.text[self.pos] if self.text.startswith(("+", "-"), self.pos) else ""
+        self.pos += len(sign)
+        self.skip_ws()
+        number = NUMBER_RE.match(self.text, self.pos)
+        if number:
+            self.pos = number.end()
+            dtype = Dtype.DECIMAL if "." in number.group() else Dtype.INTEGER
+            return TypedLiteral(canonicalize(sign + number.group(), dtype), dtype)
+        if sign:
+            self.fail("expected numeric literal")

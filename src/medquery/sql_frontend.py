@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .descriptors import IntegratedSchema
-from .dtypes import Dtype, canonicalize
+from .dtypes import Dtype
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
-from .scanner import Scanner
+from .scanner import NUMBER_RE, Scanner
 from .triple_store import TypedLiteral
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -43,11 +43,10 @@ _KEYWORDS = {  # reserved: never an identifier
     "ORDER", "GROUP", "BY", "HAVING", "LIMIT", "UNION", "DISTINCT",
     "TRUE", "FALSE", *_AGGREGATES,
 }
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts' digits
 # characters that may start a token, besides letters and the "!" of "!="
 _TOKEN_CHARS = frozenset("_0123456789'.,()*+-/=<>")
 # one token, for quoting in an error message; a string is quoted without its quotes
-_TOKEN_RE = re.compile(rf"'([^']*)'|{_NUMBER_RE.pattern}|\w+|[!<>]=|.", re.DOTALL)
+_TOKEN_RE = re.compile(rf"'([^']*)'|{NUMBER_RE.pattern}|\w+|[!<>]=|.", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -192,20 +191,7 @@ class _Parser(Scanner):
                 self.fail("unterminated string literal")
             lexical, self.pos = self.text[self.pos + 1:end], end + 1
             return TypedLiteral(lexical, Dtype.STRING)
-        for word in ("TRUE", "FALSE"):
-            if self.keyword(word):
-                return TypedLiteral(word.lower(), Dtype.BOOLEAN)
-        sign = ch if ch in ("+", "-") else ""
-        self.pos += len(sign)
-        self.skip_ws()
-        number = _NUMBER_RE.match(self.text, self.pos)
-        if number:
-            self.pos = number.end()
-            dtype = Dtype.DECIMAL if "." in number.group() else Dtype.INTEGER
-            return TypedLiteral(canonicalize(sign + number.group(), dtype), dtype)
-        if sign:
-            self.fail("expected numeric literal")
-        return self.field()
+        return self.bare_literal() or self.field()
 
 
 def _is_join(cond: Condition) -> bool:

@@ -271,19 +271,20 @@ class TripleStore:
             by_obj.size = sum(map(len, by_obj.values()))
             by_obj.order = None
 
-    def match(self, s: Iri | None, p: Iri | None,
+    def match(self, s: Term | None, p: Term | None,
               o: Term | Range | None) -> list[tuple[Iri, Iri, Term]]:
         """All triples unifying with the pattern (None is a wildcard), unordered, as tuples.
 
-        With ``o`` a :class:`Range`, ``s`` must be None and ``p`` an IRI, and
-        the range's literal numeric: the answer leaves out exactly the triples
-        of ``p`` whose object is numeric and fails ``object op literal``.
+        A literal subject or predicate matches nothing. With ``o`` a
+        :class:`Range`, ``s`` must be None and ``p`` an IRI, and the range's
+        literal numeric: the answer leaves out exactly the triples of ``p``
+        whose object is numeric and fails ``object op literal``.
         """
         if isinstance(o, Range):
             return self._match_range(s, p, o)
         return list(self._match_raw(s, p, o))
 
-    def count(self, s: Iri | None, p: Iri | None, o: Term | None) -> int:
+    def count(self, s: Term | None, p: Term | None, o: Term | None) -> int:
         """``len(self.match(s, p, o))``, summed from index entry sizes."""
         if s is not None:
             by_pred = self._spo.get(s, {})

@@ -34,6 +34,7 @@ from . import sql_frontend
 from .descriptors import (
     DataSourceDescriptor,
     FileBinding,
+    IntegratedFieldDef,
     Project,
     SourceFieldDef,
     SourceTableDef,
@@ -77,7 +78,8 @@ class AccessLog:
         return tuple(self._entries)
 
 
-def _coerce(text: str, field: SourceFieldDef, row_number: int) -> Cell:
+def coerce(text: str, field: SourceFieldDef | IntegratedFieldDef, row_number: int) -> Cell:
+    """Cell text read as ``field``'s dtype: missing if empty, else its canonical literal."""
     if text == "":
         return None
     try:
@@ -117,7 +119,7 @@ def _parse_tabular(data: bytes, table: SourceTableDef, path: Path) -> tuple[Row,
         if len(cells) != len(header):
             raise IoError(f"'{path}' row {number}: expected {len(header)} cells, found {len(cells)}")
         rows.append(tuple(
-            _coerce(cells[pos], field, number)
+            coerce(cells[pos], field, number)
             for pos, field in zip(positions, table.fields)
         ))
     return tuple(rows)
@@ -157,7 +159,7 @@ def _parse_xml(document: bytes, table: SourceTableDef, path: Path) -> tuple[Row,
             element_name = binding.field_elements.get(field.name)
             element = record.find(element_name) if element_name else None
             text = element.text or "" if element is not None else ""
-            cells.append(_coerce(text.strip(), field, number))
+            cells.append(coerce(text.strip(), field, number))
         rows.append(tuple(cells))
     return tuple(rows)
 

@@ -30,6 +30,21 @@ def test_query_exits_0_with_the_answer(fig2_paths, capsys):
     assert out == "FIRSTNAME|LASTNAME|AVERAGE|DEBT\nBob|L|12|2500\n"
 
 
+@pytest.mark.parametrize("query, out, note", [
+    ("SELECT STUDENT.FIRSTNAME FROM STUDENT WHERE STUDENT.FIRSTNAME > 3",
+     "FIRSTNAME\n", "# incomparable comparisons: 2"),  # one per student
+    (FIG2_SQL, "FIRSTNAME|LASTNAME|AVERAGE|DEBT\nBob|L|12|2500\n", None),
+], ids=["string-against-number", "clean"])
+def test_query_reports_incomparable_comparisons(fig2_paths, capsys, monkeypatch, query, out, note):
+    monkeypatch.delenv("MEDQUERY_LOG", raising=False)
+    sources, schema = fig2_paths
+    code = main(["query", "--sources", str(sources), "--schema", str(schema), "--query", query])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, out)
+    notes = [line for line in captured.err.splitlines() if "incomparable" in line]
+    assert notes == ([note] if note else [])
+
+
 def test_unknown_field_exits_1(fig2_paths, capsys):
     code, out = _run(capsys, "query", fig2_paths, "--query", "SELECT STUDENT.NOPE FROM STUDENT")
     assert (code, out) == (1, "")

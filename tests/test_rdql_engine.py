@@ -8,6 +8,7 @@ from medquery.dtypes import Dtype
 from medquery.errors import (
     NtParseError,
     RdqlParseError,
+    SqlParseError,
     UnboundFilterVarError,
     UnboundSelectVarError,
 )
@@ -19,6 +20,7 @@ from medquery.rdql_engine import (
     evaluate,
     parse_rdql,
 )
+from medquery.sql_frontend import parse_view_select
 from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, import_ntriples
 
 from conftest import FIG2_RDQL
@@ -98,6 +100,32 @@ def test_typed_literal_and_boolean_atoms():
     assert query.filters[0].rhs == lit("2.5", Dtype.DECIMAL)
     assert query.filters[1].rhs == lit("a", Dtype.STRING)
     assert query.filters[2].rhs == lit("true", Dtype.BOOLEAN)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("5", lit("5")),
+    ("+5", lit("5")),
+    ("- 5", lit("-5")),
+    ("007", lit("7")),
+    ("2.50", lit("2.5", Dtype.DECIMAL)),
+    ("-0.0", lit("0.0", Dtype.DECIMAL)),
+    ("TRUE", lit("true", Dtype.BOOLEAN)),
+    ("false", lit("false", Dtype.BOOLEAN)),
+    ("FAL\u017fE", lit("false", Dtype.BOOLEAN)),  # long s: "\u017f".upper() == "S"
+])
+def test_sql_and_rdql_read_bare_constants_alike(text, expected):
+    sql = parse_view_select(f"SELECT A FROM T WHERE A > {text}")
+    rdql = parse_rdql(f"SELECT ?a WHERE (?t <http://p> ?a) AND ?a > {text}")
+    assert sql.filters[0].rhs == rdql.filters[0].rhs == expected
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_view_select, "SELECT A FROM T WHERE A > - x", SqlParseError),
+    (parse_rdql, "SELECT ?a WHERE (?t <http://p> ?a) AND ?a > - x", RdqlParseError),
+], ids=["sql", "rdql"])
+def test_a_sign_without_a_number_fails_alike(parse, text, error):
+    with pytest.raises(error, match="expected numeric literal"):
+        parse(text)
 
 
 def _student_grade_store():

@@ -130,6 +130,9 @@ def test_match_wildcards():
     assert len(store.match(None, Iri(P), None)) == 2
     assert len(store.match(None, None, LIT)) == 2
     assert store.match(Iri(S), Iri(P), LIT) == [triples[0]]
+    # no triple has a literal subject or predicate
+    for s, p, o in ((LIT, None, None), (None, LIT, None), (LIT, LIT, LIT)):
+        assert store.match(s, p, o) == [] and store.count(s, p, o) == 0, (s, p, o)
 
 
 def _key(triple):
