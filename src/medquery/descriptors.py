@@ -67,7 +67,7 @@ import shlex
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 from .dtypes import IDENTIFIER_RE, Dtype
@@ -223,6 +223,10 @@ class Project:
     - ``("path", source, table)`` and ``("view", source, table)``: a file or
       XML table's path and a view's checked SQL, from no inputs
       (``wrappers.fetch_table`` and ``wrappers.view_plan``);
+    - ``("view sql", source, table)``: a view's parsed SQL, or the error
+      its parse raised, from no inputs; and ``("view cycles", source)``:
+      the names of the source's views that lie on a cycle of views, from
+      no inputs (``wrappers.view_plan``);
     - ``("source", source, table)``: a file or XML table from its bytes, a
       view from its base ``Table`` (``wrappers.fetch_table``);
     - ``("integrated", name)``: an integrated table and its multi-match
@@ -231,8 +235,9 @@ class Project:
       (``extraction.materialize_integrated_table``);
     - ``("triples", name)``: an integrated table's triples from that table
       (``extraction.build_triples``);
-    - ``("join edges",)``: the schema's join graph, from no inputs, since
-      the schema never changes (``extraction._Materializer``).
+    - ``("relations",)``: the schema's join graph and its first derived
+      relation per target field, from no inputs, since the schema never
+      changes (``extraction._Materializer``).
 
     A call that raises leaves its slot as it was. A slot is replaced whole,
     so callers sharing a project may derive a slot twice but never read a
@@ -274,6 +279,71 @@ def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
             ref, f"table '{ref.source}.{ref.table}' has no field '{ref.field}'"
         )
     return fdef
+
+
+# --- graphs over descriptor names: ``edges`` maps a node to its successors ---
+
+
+def shortest_walk(edges: Mapping[Any, Iterable[Any]], start: Any, goal: Any) -> list[Any] | None:
+    """The nodes of a shortest walk of one or more steps from ``start`` to ``goal``, or None.
+
+    Breadth first, so ties go to successors in ``edges`` order; a walk from
+    ``start`` to itself is a shortest cycle through it.
+    """
+    parent = {start: start}
+    frontier = [start]
+    for node in frontier:  # grows while it is read: the breadth-first queue
+        for succ in edges.get(node, ()):
+            if succ == goal:
+                walk = [succ, node]
+                while walk[-1] != start:
+                    walk.append(parent[walk[-1]])
+                return walk[::-1]
+            if succ not in parent:
+                parent[succ] = node
+                frontier.append(succ)
+    return None
+
+
+def strong_components(edges: Mapping[Any, Iterable[Any]]) -> list[list[Any]]:
+    """The strongly connected components of ``edges``, by Tarjan's algorithm (1972), iteratively.
+
+    Roots go in ``edges`` order and successors in theirs; a successor that
+    is not a key has no successors.
+    """
+    index: dict[Any, int] = {}
+    lowlink: dict[Any, int] = {}
+    stack: list[Any] = []  # visited nodes whose component is not complete
+    on_stack: set[Any] = set()
+    components: list[list[Any]] = []
+
+    def visit(node: Any) -> tuple[Any, Iterator[Any]]:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(edges.get(node, ()))
+
+    for root in edges:
+        work = [] if root in index else [visit(root)]  # the depth-first path
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    work.append(visit(succ))
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            else:  # every successor is done
+                work.pop()
+                if work:
+                    lowlink[work[-1][0]] = min(lowlink[work[-1][0]], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    components.append(component)
+    return components
 
 
 # --- parsing ---------------------------------------------------------------

@@ -32,11 +32,11 @@ from typing import Callable, Iterable
 from .descriptors import (
     DerivedOp,
     DerivedRelation,
-    EqualityRelation,
     FieldRef,
     IntegratedSchema,
     Project,
     SourceFieldDef,
+    shortest_walk,
 )
 from .dtypes import Dtype, canonicalize
 from .errors import NoRelationPathError, UnknownTableError
@@ -83,27 +83,24 @@ def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
 # --- join graph over source tables ------------------------------------------
 
 _Node = tuple[str, str]
+# one traversal step: the fields on the side already materialized, and the
+# corresponding fields of the far table whose rows match them
+_Hop = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class _Hop:
-    """One traversal step: rows of ``table`` matching on the paired fields."""
+def _relations(project: Project) -> tuple[dict[_Node, dict[_Node, _Hop]],
+                                          dict[FieldRef, DerivedRelation]]:
+    """The join graph over source tables, and the first derived relation per target.
 
-    table: _Node
-    near_fields: tuple[str, ...]  # fields on the side already materialized
-    far_fields: tuple[str, ...]   # corresponding fields on ``table``
-
-
-def _join_edges(project: Project) -> dict[_Node, list[_Hop]]:
-    """Adjacency over source tables from usable equality relations.
-
-    A relation is usable as a join edge when each side sits entirely in one
-    source table and the sides differ; both directions are added, in
-    descriptor order.
+    An equality relation joins two tables, both ways, when each side sits
+    entirely in one of them and they differ. Between two tables the first
+    such relation in descriptor order is the hop.
     """
-    edges: dict[_Node, list[_Hop]] = {}
+    edges: dict[_Node, dict[_Node, _Hop]] = {}
+    derived_by_target: dict[FieldRef, DerivedRelation] = {}
     for relation in project.schema.relations:
-        if not isinstance(relation, EqualityRelation):
+        if isinstance(relation, DerivedRelation):
+            derived_by_target.setdefault(relation.target, relation)
             continue
         if not relation.lhs or len(relation.lhs) != len(relation.rhs):
             continue
@@ -116,37 +113,9 @@ def _join_edges(project: Project) -> dict[_Node, list[_Hop]]:
             continue
         lhs_fields = tuple(r.field for r in relation.lhs)
         rhs_fields = tuple(r.field for r in relation.rhs)
-        edges.setdefault(left, []).append(_Hop(right, lhs_fields, rhs_fields))
-        edges.setdefault(right, []).append(_Hop(left, rhs_fields, lhs_fields))
-    return edges
-
-
-def _chain_to(edges: dict[_Node, list[_Hop]], start: _Node, goal: _Node) -> list[_Hop] | None:
-    """Shortest hop sequence from start to goal; BFS keeps descriptor-order ties."""
-    if start == goal:
-        return []
-    parents: dict[_Node, tuple[_Node, _Hop]] = {}
-    frontier = [start]
-    visited = {start}
-    while frontier:
-        next_frontier: list[_Node] = []
-        for node in frontier:
-            for hop in edges.get(node, ()):
-                if hop.table in visited:
-                    continue
-                visited.add(hop.table)
-                parents[hop.table] = (node, hop)
-                if hop.table == goal:
-                    chain: list[_Hop] = []
-                    at = goal
-                    while at != start:
-                        at, hop_back = parents[at]
-                        chain.append(hop_back)
-                    chain.reverse()
-                    return chain
-                next_frontier.append(hop.table)
-        frontier = next_frontier
-    return None
+        edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
+        edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
+    return edges, derived_by_target
 
 
 # --- column builder -----------------------------------------------------------
@@ -161,13 +130,10 @@ class _Materializer:
         self.project = project
         self.fetch = fetch
         self.log = log
-        self.edges = project.derive(("join edges",), (), lambda: _join_edges(project))
+        self.edges, self.derived_by_target = project.derive(
+            ("relations",), (), lambda: _relations(project))
         self.cache: dict[_Node, Table] = {}  # every table fetched, in fetch order: the read record
         self.warnings: list[tuple] = []  # the arguments of each multi-match warning
-        self.derived_by_target: dict[FieldRef, DerivedRelation] = {}
-        for relation in project.schema.relations:
-            if isinstance(relation, DerivedRelation):
-                self.derived_by_target.setdefault(relation.target, relation)
 
     def table(self, node: _Node) -> Table:
         if node not in self.cache:
@@ -188,8 +154,9 @@ class _Materializer:
                         for operand in derived.operands]
             return [_derive(derived.op, [cells[i] for cells in operands])
                     for i in range(len(master_table.rows))]
-        chain = _chain_to(self.edges, master, node)
-        if chain is None:
+        # the shortest chain of hops, ties to the first hop in descriptor order
+        walk = shortest_walk(self.edges, master, node)
+        if walk is None:
             raise NoRelationPathError(
                 field_name,
                 f"no equality relation connects {ref.source}.{ref.table} "
@@ -199,17 +166,18 @@ class _Materializer:
         # were first reached: far rows in source order under each near row
         reached = [[row] for row in master_table.rows]
         current = master_table
-        for hop in chain:
+        for near, far in zip(walk, walk[1:]):
             if not any(reached):
                 return [None] * len(reached)  # later tables are not fetched
-            far_table = self.table(hop.table)
+            near_fields, far_fields = self.edges[near][far]
+            far_table = self.table(far)
             by_key: dict[tuple[Cell, ...], list[Row]] = {}
-            far_columns = [far_table.column(f) for f in hop.far_fields]
+            far_columns = [far_table.column(f) for f in far_fields]
             for far_row in far_table.rows:
                 key = tuple(far_row[c] for c in far_columns)
                 if all(k is not None for k in key):  # a missing cell matches nothing
                     by_key.setdefault(key, []).append(far_row)
-            near_columns = [current.column(f) for f in hop.near_fields]
+            near_columns = [current.column(f) for f in near_fields]
             reached = [
                 list(dict.fromkeys(
                     far_row for row in rows

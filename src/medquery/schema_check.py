@@ -9,12 +9,13 @@ A schema is accepted when none of these checks produce an error finding:
   ARITY_MISMATCH      equality sides differ in length, or a derived relation
                       has fewer than two operands
   CYCLIC_DERIVATION   the target -> operand graph over derived relations
-                      contains a cycle
+                      contains a cycle: one finding per strongly connected
+                      component, showing a shortest cycle
   INVALID_VIEW        a view cannot fetch: its SQL does not parse, reads a
                       table or field its data source does not declare,
                       filters on a comparison that never holds, projects
                       other fields (names and dtypes, in order) than it
-                      declares, or reads itself through a chain of views
+                      declares, or lies on a cycle of views
                       (``wrappers.view_plan`` decides, for fetch too)
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
@@ -22,13 +23,14 @@ sources are allowed to be broader than the schema.
 
 All problems are reported as findings, never raised, and the report is a
 pure, deterministic function of the project: findings appear in descriptor
-document order.
+document order. Both graph searches, derivation cycles here and view cycles
+in ``wrappers``, are the shared ``descriptors.strong_components`` and
+``descriptors.shortest_walk``; neither recurses, so no graph is too deep.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .descriptors import (
@@ -39,6 +41,8 @@ from .descriptors import (
     Project,
     ViewBinding,
     resolve_field_ref,
+    shortest_walk,
+    strong_components,
 )
 from .dtypes import NUMERIC_DTYPES, Dtype
 from .errors import IoError, UnresolvedFieldRefError
@@ -166,102 +170,30 @@ def check_schema(project: Project) -> SatisfiabilityReport:
 
 
 def _cycle_findings(project: Project) -> list[Finding]:
-    """One CYCLIC_DERIVATION error per strongly connected derivation cycle."""
-    order: list[FieldRef] = []
-    edges: dict[FieldRef, list[FieldRef]] = {}
+    """One CYCLIC_DERIVATION error per strongly connected derivation cycle.
+
+    Each shows a shortest cycle through its field named first (by relation,
+    then by name); they come in that field's relation order.
+    """
+    edges: dict[FieldRef, list[FieldRef]] = {}  # target -> operands
     first_relation: dict[FieldRef, int] = {}
-
-    def node(ref: FieldRef, index: int) -> None:
-        if ref not in edges:
-            edges[ref] = []
-            order.append(ref)
-            first_relation[ref] = index
-
     for index, relation in enumerate(project.schema.relations, start=1):
-        if not isinstance(relation, DerivedRelation):
-            continue
-        node(relation.target, index)
-        for operand in relation.operands:
-            node(operand, index)
-            if operand not in edges[relation.target]:
-                edges[relation.target].append(operand)
+        if isinstance(relation, DerivedRelation):
+            for ref in (relation.target, *relation.operands):
+                edges.setdefault(ref, [])
+                first_relation.setdefault(ref, index)
+            edges[relation.target].extend(relation.operands)
 
-    sccs = _tarjan_sccs(order, edges)
-    cyclic = [
-        scc for scc in sccs
-        if len(scc) > 1 or (len(scc) == 1 and scc[0] in edges[scc[0]])
+    starts = [
+        min(component, key=lambda ref: (first_relation[ref], str(ref)))
+        for component in strong_components(edges)
+        if len(component) > 1 or component[0] in edges[component[0]]
     ]
-    cyclic.sort(key=lambda scc: min(first_relation[ref] for ref in scc))
-
-    findings = []
-    for scc in cyclic:
-        members = set(scc)
-        start = min(scc, key=lambda ref: (first_relation[ref], str(ref)))
-        # the shortest cycle through start: breadth-first over the component's
-        # edges, in edge order, until a node with an edge back to start
-        came_from: dict[FieldRef, FieldRef] = {}
-        queue = deque([start])
-        while start not in edges[queue[0]]:
-            current = queue.popleft()
-            for succ in edges[current]:
-                if succ in members and succ not in came_from and succ != start:
-                    came_from[succ] = current
-                    queue.append(succ)
-        path = [queue[0]]
-        while path[-1] != start:
-            path.append(came_from[path[-1]])
-        rendered = " -> ".join(str(ref) for ref in [*reversed(path), start])
-        findings.append(Finding(
+    return [
+        Finding(
             Severity.ERROR, FindingCode.CYCLIC_DERIVATION,
             f"schema/relation[{first_relation[start]}]",
-            f"derivation cycle: {rendered}",
-        ))
-    return findings
-
-
-def _tarjan_sccs(order: list[FieldRef], edges: dict[FieldRef, list[FieldRef]]) -> list[list[FieldRef]]:
-    index_of: dict[FieldRef, int] = {}
-    lowlink: dict[FieldRef, int] = {}
-    on_stack: set[FieldRef] = set()
-    stack: list[FieldRef] = []
-    sccs: list[list[FieldRef]] = []
-    counter = 0
-
-    for root in order:
-        if root in index_of:
-            continue
-        work: list[tuple[FieldRef, int]] = [(root, 0)]
-        while work:
-            node, child_index = work.pop()
-            if child_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            successors = edges[node]
-            while child_index < len(successors):
-                succ = successors[child_index]
-                child_index += 1
-                if succ not in index_of:
-                    work.append((node, child_index))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if recurse:
-                continue
-            if lowlink[node] == index_of[node]:
-                scc: list[FieldRef] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return sccs
+            "derivation cycle: " + " -> ".join(map(str, shortest_walk(edges, start, start))),
+        )
+        for start in sorted(starts, key=first_relation.__getitem__)
+    ]

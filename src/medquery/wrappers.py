@@ -17,7 +17,9 @@ Each fetch reads the source's bytes again, and runs an XML transform again
 (an external command is never assumed to be deterministic). Parsing those
 bytes, and selecting a view's rows from its base table, go through
 :meth:`~medquery.descriptors.Project.derive`, which states when a result is
-reused. So do a table's path and a view's checked SQL, once per project.
+reused. So do, once per project, a table's path, a view's parsed and its
+checked SQL, and which of a source's views lie on a cycle of views; so
+``validate`` and fetch are linear in the length of a chain of views.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .descriptors import (
     SourceTableDef,
     ViewBinding,
     XmlBinding,
+    strong_components,
 )
 from .dtypes import canonicalize, comparable, compare
 from .errors import IoError, MedQueryError, TypeCoercionError, UnknownFieldError, UnknownTableError
@@ -168,7 +171,8 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     """Fetch one declared table as a typed snapshot.
 
     Appends (source, table) to the access log exactly once per call; view
-    bindings additionally log the tables they read underneath.
+    bindings additionally log the tables they read underneath, the view
+    first, then its base, and so on down the chain.
 
     A file or XML table is read on every call and an XML transform run on
     every call; its path, parsing and view selection go through
@@ -181,27 +185,34 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     tdef = src.table(table)
     if tdef is None:
         raise UnknownTableError(f"data source '{source}' has no table '{table}'")
-    if log is not None:
-        log.append(source, table)
+
+    views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # from ``table`` down
+    while True:
+        if log is not None:
+            log.append(source, tdef.name)
+        if not isinstance(tdef.binding, ViewBinding):
+            break
+        query = view_plan(project, src, tdef)
+        views.append((tdef, query))
+        tdef = src.table(query.from_tables[0])  # declared: view_plan checked it
 
     binding = tdef.binding
-    if isinstance(binding, ViewBinding):
-        query = view_plan(project, src, tdef)
-        base = fetch_table(project, source, query.from_tables[0], log)
-        return project.derive(("source", source, table), (base,),
-                              lambda: _view(tdef, base, query))
     # an absolute location or file path replaces what comes before it
     parts = (src.location, binding.path) if isinstance(binding, FileBinding) else (src.location,)
-    path = project.derive(("path", source, table), (), lambda: Path(project.base_dir, *parts))
+    path = project.derive(("path", source, tdef.name), (), lambda: Path(project.base_dir, *parts))
     data = _read_bytes(path)
     if isinstance(binding, FileBinding):
         parse = _parse_tabular
     else:
         parse = _parse_xml
         if binding.transform is not None:
-            data = _run_transform(binding.transform, data, f"table '{table}'")
-    return project.derive(("source", source, table), (data,),
-                          lambda: Table(table, tdef.fields, parse(data, tdef, path)))
+            data = _run_transform(binding.transform, data, f"table '{tdef.name}'")
+    base = project.derive(("source", source, tdef.name), (data,),
+                          lambda: Table(tdef.name, tdef.fields, parse(data, tdef, path)))
+    for view, query in reversed(views):
+        base = project.derive(("source", source, view.name), (base,),
+                              lambda: _view(view, base, query))
+    return base
 
 
 def view_plan(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
@@ -210,17 +221,42 @@ def view_plan(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef)
     The one view rule, for ``fetch_table`` and ``check_schema`` alike: the
     SQL parses, ``src`` declares the table and every field it reads, each
     filter's dtypes are :func:`~medquery.dtypes.comparable`, it projects the
-    declared fields in order, and no chain of views leads back to it. A view
-    that only leads into a faulty view passes; fetching it fails there.
+    declared fields in order, and it does not lie on a cycle of views. A
+    view that only leads into a faulty view passes; fetching it fails there.
     """
-    return project.derive(("view", src.name, tdef.name), (), lambda: _check_view(src, tdef))
+    return project.derive(("view", src.name, tdef.name), (),
+                          lambda: _check_view(project, src, tdef))
 
 
-def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
-    try:
-        query = sql_frontend.parse_view_select(tdef.binding.query)
-    except MedQueryError as exc:
-        raise IoError(f"view SQL does not parse: {exc}") from None
+def _parsed(project: Project, src: DataSourceDescriptor,
+            tdef: SourceTableDef) -> sql_frontend.SqlQuery | MedQueryError:
+    """View ``tdef``'s SQL parsed, or the error its parse raised; parsed once per project."""
+    def parse() -> sql_frontend.SqlQuery | MedQueryError:
+        try:
+            return sql_frontend.parse_view_select(tdef.binding.query)
+        except MedQueryError as exc:
+            return exc.with_traceback(None)  # kept: hold no parser frames
+    return project.derive(("view sql", src.name, tdef.name), (), parse)
+
+
+def _view_cycles(project: Project, src: DataSourceDescriptor) -> set[str]:
+    """The names of ``src``'s views that lie on a cycle of views, each reading the next."""
+    edges: dict[str, list[str]] = {}  # a view -> the table it reads; none if it does not parse
+    for tdef in src.tables:
+        if isinstance(tdef.binding, ViewBinding):
+            query = _parsed(project, src, tdef)
+            edges[tdef.name] = [] if isinstance(query, MedQueryError) else [query.from_tables[0]]
+    return {
+        name for component in strong_components(edges)
+        if len(component) > 1 or component[0] in edges.get(component[0], ())
+        for name in component
+    }
+
+
+def _check_view(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
+    query = _parsed(project, src, tdef)
+    if isinstance(query, MedQueryError):
+        raise IoError(f"view SQL does not parse: {query}")
     base = src.table(query.from_tables[0])
     if base is None:
         raise IoError(f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare")
@@ -241,17 +277,10 @@ def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend
     declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
     if shown != declared:
         raise IoError(f"view '{tdef.name}' projects [{shown}] but declares [{declared}]")
-
-    # follow the chain of base views: one that comes back to tdef never reaches a file
-    node, seen = base, set()
-    while node is not None and isinstance(node.binding, ViewBinding) and node.name not in seen:
-        if node.name == tdef.name:
-            raise IoError(f"view reference cycle through '{src.name}.{tdef.name}'")
-        seen.add(node.name)
-        try:
-            node = src.table(sql_frontend.parse_view_select(node.binding.query).from_tables[0])
-        except MedQueryError:  # that view's own fault, reported for it
-            node = None
+    # a view on a cycle never reaches a file; one that reads a file is on none
+    if isinstance(base.binding, ViewBinding) and tdef.name in project.derive(
+            ("view cycles", src.name), (), lambda: _view_cycles(project, src)):
+        raise IoError(f"view reference cycle through '{src.name}.{tdef.name}'")
     return query
 
 

@@ -338,3 +338,39 @@ def dfs_has_cycle(edges: dict) -> bool:
         return False
 
     return any(color[node] == WHITE and visit(node) for node in list(edges))
+
+
+def reachable(edges: dict, start) -> set:
+    """Every node reached from ``start`` by one or more steps, by an explicit stack."""
+    seen: set = set()
+    todo = list(edges.get(start, ()))
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(edges.get(node, ()))
+    return seen
+
+
+def cyclic_components(edges: dict) -> list[frozenset]:
+    """The node sets on some cycle, grouped by mutual reachability, by brute force."""
+    reach = {node: reachable(edges, node) for node in edges}
+    return list(dict.fromkeys(
+        frozenset(other for other in reach if other in reach[node] and node in reach[other])
+        for node in edges if node in reach[node]
+    ))
+
+
+def shortest_cycle_length(edges: dict, start):
+    """The fewest steps from ``start`` back to itself, trying every simple path."""
+    def walks(node, depth, seen):
+        """Whether a simple path of ``depth`` steps leads from ``node`` back to ``start``."""
+        if depth == 1:
+            return start in edges.get(node, ())
+        return any(walks(succ, depth - 1, seen | {succ})
+                   for succ in edges.get(node, ()) if succ not in seen)
+
+    for depth in range(1, len(edges) + 1):
+        if walks(start, depth, {start}):
+            return depth
+    return None

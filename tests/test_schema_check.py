@@ -1,4 +1,5 @@
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from medquery.wrappers import fetch_table
 
 from conftest import write_project
 from generators import view_projects
-from oracles import dfs_has_cycle
+from oracles import cyclic_components, dfs_has_cycle, shortest_cycle_length
 
 
 def ref(field: str) -> FieldRef:
@@ -173,25 +174,71 @@ def _random_derived_relations(rng, n_fields=6, n_relations=8):
     return names, relations
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(100))
 def test_cycle_detection_matches_dfs_oracle(seed):
     rng = random.Random(seed)
-    names, relations = _random_derived_relations(rng)
+    # fewer fields make sparser graphs, with longer cycles
+    names, relations = _random_derived_relations(rng, n_fields=rng.randrange(3, 9))
     report = check_schema(project_with(relations, field_names=names))
     flagged = FindingCode.CYCLIC_DERIVATION in codes(report)
 
     edges = {ref(n): [] for n in names}
-    for relation in relations:
+    first_relation = {}
+    for index, relation in enumerate(relations, start=1):
+        for field in (relation.target, *relation.operands):
+            first_relation.setdefault(field, index)
         for operand in relation.operands:
             edges[relation.target].append(operand)
     assert flagged == dfs_has_cycle(edges)
 
-    # every rendered step is a real target -> operand edge
-    for finding in report.findings:
-        if finding.code is FindingCode.CYCLIC_DERIVATION:
-            path = finding.message.removeprefix("derivation cycle: ").split(" -> ")
-            for target, operand in zip(path, path[1:]):
-                assert operand in [str(o) for o in edges[FieldRef(*target.split("."))]]
+    # one finding per cyclic component, in the order of the relation that
+    # first names the component's first-declared field
+    components = cyclic_components(edges)
+    cyclic = [f for f in report.findings if f.code is FindingCode.CYCLIC_DERIVATION]
+    starts, found = [], []
+    for finding in cyclic:
+        path = [FieldRef(*step.split("."))
+                for step in finding.message.removeprefix("derivation cycle: ").split(" -> ")]
+        # every rendered step is a real target -> operand edge
+        for target, operand in zip(path, path[1:]):
+            assert operand in edges[target]
+        start = path[0]
+        (component,) = [c for c in components if start in c]
+        assert start == min(component, key=lambda f: (first_relation[f], str(f)))
+        assert path[-1] == start
+        assert len(path) - 1 == shortest_cycle_length(edges, start)
+        assert finding.location == f"schema/relation[{first_relation[start]}]"
+        starts.append(start)
+        found.append(component)
+    assert len(found) == len(components) and set(found) == set(components)
+    locations = [first_relation[start] for start in starts]
+    assert locations == sorted(locations)
+
+
+def _named_fields(count):
+    return [f"F{i}" for i in range(count)]
+
+
+def test_a_derivation_chain_deeper_than_the_recursion_limit_has_no_cycle():
+    names = _named_fields(2001)
+    assert len(names) > sys.getrecursionlimit()
+    relations = [
+        DerivedRelation(ref(names[i]), DerivedOp.ADD, (ref(names[i + 1]), ref(names[i + 1])))
+        for i in range(2000)]
+    report = check_schema(project_with(relations, field_names=names))
+    assert report.findings == ()
+
+
+def test_a_ring_deeper_than_the_recursion_limit_is_one_cycle():
+    names = _named_fields(2000)
+    assert len(names) > sys.getrecursionlimit()
+    relations = [DerivedRelation(ref(name), DerivedOp.ADD, (ref(names[i - 1]), ref(names[i - 1])))
+                 for i, name in enumerate(names)]
+    report = check_schema(project_with(relations, field_names=names))
+    ring = [names[0], *reversed(names)]
+    assert [str(f) for f in report.findings] == [
+        "error CYCLIC_DERIVATION schema/relation[1]: derivation cycle: "
+        + " -> ".join(f"s.T.{name}" for name in ring)]
 
 
 def test_cycle_path_follows_edges():
@@ -200,6 +247,19 @@ def test_cycle_path_follows_edges():
         DerivedRelation(ref("A"), DerivedOp.ADD, (ref("B"), ref("D"))),
         DerivedRelation(ref("B"), DerivedOp.ADD, (ref("C"), ref("A"))),
         DerivedRelation(ref("C"), DerivedOp.ADD, (ref("B"), ref("D"))),
+    ]
+    report = check_schema(project_with(relations))
+    cyclic = [f for f in report.findings if f.code is FindingCode.CYCLIC_DERIVATION]
+    assert [f.message for f in cyclic] == ["derivation cycle: s.T.A -> s.T.B -> s.T.A"]
+
+
+def test_cycle_path_is_a_shortest_cycle():
+    # A -> C -> D -> A is found first depth first; A -> B -> A is shorter
+    relations = [
+        DerivedRelation(ref("A"), DerivedOp.ADD, (ref("B"), ref("C"))),
+        DerivedRelation(ref("C"), DerivedOp.ADD, (ref("D"), ref("D"))),
+        DerivedRelation(ref("D"), DerivedOp.ADD, (ref("A"), ref("A"))),
+        DerivedRelation(ref("B"), DerivedOp.ADD, (ref("A"), ref("A"))),
     ]
     report = check_schema(project_with(relations))
     cyclic = [f for f in report.findings if f.code is FindingCode.CYCLIC_DERIVATION]

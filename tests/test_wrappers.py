@@ -8,10 +8,12 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from medquery import sql_frontend, wrappers
+from medquery.cli import main
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
 from medquery.errors import IoError, TypeCoercionError, UnknownTableError
 from medquery.mediator import open_project
+from medquery.schema_check import check_schema
 from medquery.triple_store import TypedLiteral
 from medquery.wrappers import AccessLog, fetch_table
 
@@ -289,6 +291,80 @@ def test_view_cycle_detected(tmp_path):
     with pytest.raises(IoError) as info:
         fetch_table(project, "uni", "A")
     assert "cycle" in str(info.value)
+
+
+def test_a_view_leading_into_a_cycle_fails_there(tmp_path):
+    sources = """<datasources>
+      <datasource name="uni" kind="tabular" location=".">
+        <table name="A">
+          <field name="X" type="integer"/>
+          <view>SELECT X FROM B</view>
+        </table>
+        <table name="B">
+          <field name="X" type="integer"/>
+          <view>SELECT X FROM C</view>
+        </table>
+        <table name="C">
+          <field name="X" type="integer"/>
+          <view>SELECT X FROM B</view>
+        </table>
+      </datasource>
+    </datasources>"""
+    schema = """<schema name="s">
+      <table name="A">
+        <field name="X" type="integer" source="uni" sourcetable="A" sourcefield="X"/>
+      </table>
+    </schema>"""
+    project = parse_project(*write_project(tmp_path, sources, schema, files={}))
+    src = project.source("uni")
+    assert wrappers.view_plan(project, src, src.table("A")).from_tables == ("B",)
+    assert [f.location for f in check_schema(project).errors] == [
+        f"datasources/datasource[uni]/table[{name}]" for name in "BC"]
+    log = AccessLog()
+    with pytest.raises(IoError, match=r"^view reference cycle through 'uni\.B'$"):
+        fetch_table(project, "uni", "A", log)
+    assert log.entries == (("uni", "A"), ("uni", "B"))
+
+
+def _view_chain(count: int) -> tuple[str, str]:
+    """Descriptors of ``count`` chained views over the file table BASE.
+
+    V0 reads BASE, V1 reads V0, and so on; the integrated table reads the last.
+    """
+    views = "".join(
+        f'<table name="V{i}"><field name="X" type="integer"/>'
+        f'<view>SELECT X FROM {f"V{i - 1}" if i else "BASE"}</view></table>\n'
+        for i in range(count))
+    sources = f"""<datasources><datasource name="s" kind="tabular" location=".">
+      <table name="BASE"><field name="X" type="integer"/><file path="base.txt"/></table>
+      {views}</datasource></datasources>"""
+    schema = f"""<schema name="g"><table name="I">
+      <field name="X" type="integer" source="s" sourcetable="V{count - 1}" sourcefield="X"/>
+    </table></schema>"""
+    return sources, schema
+
+
+def test_a_long_chain_of_views_checks_and_fetches_in_linear_work(tmp_path, monkeypatch, capsys):
+    # deeper than the default recursion limit, so a recursive walk would fail
+    count = 2000
+    paths = write_project(tmp_path, *_view_chain(count), files={"base.txt": "X\n1\n2\n"})
+    assert main(["validate", "--sources", str(paths[0]), "--schema", str(paths[1])]) == 0
+    # BASE and every view but the last are unmapped
+    assert capsys.readouterr().out.endswith(f"0 errors, {count} warnings\n")
+
+    parses = []
+    parse = sql_frontend.parse_view_select
+    monkeypatch.setattr(sql_frontend, "parse_view_select",
+                        lambda text: parses.append(text) or parse(text))
+    project = parse_project(*paths)
+    assert check_schema(project).accepted
+    assert len(parses) == count  # each view's SQL once, not once per view it leads to
+
+    log = AccessLog()
+    table = fetch_table(project, "s", f"V{count - 1}", log)
+    assert [row[0].lexical for row in table.rows] == ["1", "2"]
+    assert log.entries == (*(("s", f"V{i}") for i in reversed(range(count))), ("s", "BASE"))
+    assert len(parses) == count
 
 
 def test_view_sql_is_parsed_once_per_project(tmp_path, monkeypatch):
