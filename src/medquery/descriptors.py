@@ -355,6 +355,8 @@ def _parse_root(text: str | bytes, expected_tag: str) -> ET.Element:
     except ET.ParseError as exc:
         line, column = exc.position  # MalformedXmlError puts the line in front
         raise MalformedXmlError(f"{ErrorString(exc.code)}: column {column}", line) from None
+    except (LookupError, ValueError) as exc:  # an encoding Python has no text codec for
+        raise MalformedXmlError(f"cannot decode the declared encoding: {exc}") from None
     if root.tag != expected_tag:
         raise MalformedXmlError(f"expected root <{expected_tag}>, found <{root.tag}>")
     return root

@@ -1,25 +1,23 @@
 """Materialize integrated tables lazily and turn them into RDF triples.
 
-Only the integrated tables a query touches are built, column by column. The
-first integrated field names the master source table; every master row
-becomes one integrated row. A field mapped into the master table is that
-column of it. A field whose mapping is the target of a derived relation adds
-or concatenates its operand columns. Any other field is looked up by
-following declared equality relations from the master table (transitively,
-shortest chain first, descriptor order breaking ties); each hop indexes the
-far table once in a dict from key to rows, so a column is linear in the
-rows it reads.
+Only the integrated tables a query touches are built. The first integrated
+field names the master source table; every master row becomes one
+integrated row. A field mapped into the master table is that column of it.
+A field whose mapping is the target of a derived relation adds or
+concatenates its operand columns. Any other field is looked up by following
+declared equality relations from the master table (transitively, shortest
+chain first, descriptor order breaking ties). A materialization makes each
+column and follows each hop once, indexing a hop's far table by key: work
+linear in the rows read. It loops, never recursing, so no chain is too deep.
 
 A lookup that matches nothing leaves the cell missing; one that matches
-several rows takes the first in source order, and each looked-up field logs
-one warning with the number of master rows that did so. Missing cells
-produce no triple, so such rows simply fail triple patterns over that
-property.
+several rows takes the first in source order, and each source field looked
+up logs one warning with the number of master rows that did so. Missing
+cells produce no triple, so such rows fail triple patterns over that property.
 
 Both steps go through :meth:`~medquery.descriptors.Project.derive`, which
 states when a result is reused. On reuse an integrated table's multi-match
-warnings are logged again, so every call logs what a fresh materialization
-would.
+warnings are logged again, as a fresh materialization would log them.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .descriptors import (
     shortest_walk,
 )
 from .dtypes import Dtype, canonicalize
-from .errors import NoRelationPathError, UnknownTableError
+from .errors import MedQueryError, NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
 from .triple_store import Iri, TripleStore, TypedLiteral
@@ -69,10 +67,8 @@ def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
     for pattern in query.patterns:
         if isinstance(pattern.p, Var):
             names.update(t.name for t in schema.tables)
-            continue
-        if isinstance(pattern.p, Iri):
-            table, _ = split_property_iri(pattern.p.value)
-            names.add(table)
+        elif isinstance(pattern.p, Iri):
+            names.add(split_property_iri(pattern.p.value)[0])
     ordered = [t.name for t in schema.tables if t.name in names]
     if len(ordered) != len(names):
         unknown = sorted(names.difference(ordered))
@@ -83,8 +79,7 @@ def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
 # --- join graph over source tables ------------------------------------------
 
 _Node = tuple[str, str]
-# one traversal step: the fields on the side already materialized, and the
-# corresponding fields of the far table whose rows match them
+# one hop: the near table's key fields, and the far table's fields that match them
 _Hop = tuple[tuple[str, ...], tuple[str, ...]]
 
 
@@ -104,15 +99,11 @@ def _relations(project: Project) -> tuple[dict[_Node, dict[_Node, _Hop]],
             continue
         if not relation.lhs or len(relation.lhs) != len(relation.rhs):
             continue
-        lhs_tables = {(r.source, r.table) for r in relation.lhs}
-        rhs_tables = {(r.source, r.table) for r in relation.rhs}
-        if len(lhs_tables) != 1 or len(rhs_tables) != 1:
+        sides = [{(r.source, r.table) for r in side} for side in (relation.lhs, relation.rhs)]
+        if len(sides[0]) != 1 or len(sides[1]) != 1 or sides[0] == sides[1]:
             continue
-        left, right = next(iter(lhs_tables)), next(iter(rhs_tables))
-        if left == right:
-            continue
-        lhs_fields = tuple(r.field for r in relation.lhs)
-        rhs_fields = tuple(r.field for r in relation.rhs)
+        (left,), (right,) = sides
+        lhs_fields, rhs_fields = [tuple(r.field for r in side) for side in (relation.lhs, relation.rhs)]
         edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
         edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
     return edges, derived_by_target
@@ -120,55 +111,66 @@ def _relations(project: Project) -> tuple[dict[_Node, dict[_Node, _Hop]],
 
 # --- column builder -----------------------------------------------------------
 
-
 _MULTI_MATCH = ("%d master rows match several rows of %s.%s for field %s; "
                 "keeping the first in source order")
 
 
 class _Materializer:
-    def __init__(self, project: Project, fetch: FetchFn, log: AccessLog | None):
-        self.project = project
-        self.fetch = fetch
-        self.log = log
-        self.edges, self.derived_by_target = project.derive(
-            ("relations",), (), lambda: _relations(project))
+    def __init__(self, project: Project, master: _Node, fetch: FetchFn, log: AccessLog | None):
+        self.read = lambda node: fetch(project, node[0], node[1], log)
+        self.master = master
+        self.edges, self.derived_by_target = project.derive(("relations",), (), lambda: _relations(project))
         self.cache: dict[_Node, Table] = {}  # every table fetched, in fetch order: the read record
         self.warnings: list[tuple] = []  # the arguments of each multi-match warning
+        self.columns: dict[FieldRef, list[Cell]] = {}  # the raw cells of each field built
+        # per table walked to, per master row: the distinct rows reached, in first-reached order
+        self.reached: dict[_Node, list[list[Row]]] = {}
 
     def table(self, node: _Node) -> Table:
         if node not in self.cache:
-            self.cache[node] = self.fetch(self.project, node[0], node[1], self.log)
+            self.cache[node] = self.read(node)
         return self.cache[node]
 
-    def column(self, ref: FieldRef, master: _Node, field_name: str,
-               stack: tuple[FieldRef, ...] = ()) -> list[Cell]:
+    def column(self, ref: FieldRef, field_name: str) -> list[Cell]:
         """The raw cells of ``ref`` for every master row, in master row order."""
-        master_table = self.table(master)
-        node = (ref.source, ref.table)
-        if node == master:
-            index = master_table.column(ref.field)
-            return [row[index] for row in master_table.rows]
-        derived = self.derived_by_target.get(ref)
-        if derived is not None and ref not in stack:
-            operands = [self.column(operand, master, field_name, stack + (ref,))
-                        for operand in derived.operands]
-            return [_derive(derived.op, [cells[i] for cells in operands])
-                    for i in range(len(master_table.rows))]
+        path = {ref: None}  # fields waiting for an operand, each an operand of the one before
+        while ref not in self.columns:
+            top = next(reversed(path))
+            derived = (top.source, top.table) != self.master and self.derived_by_target.get(top)
+            if not derived:
+                self.columns[top] = self.lookup(top, field_name)
+                path.popitem()
+                continue
+            waiting = next((op for op in derived.operands if op not in self.columns), None)
+            if waiting in path:  # only on a project that check_schema did not accept
+                raise MedQueryError(f"derivation cycle through {waiting}")
+            if waiting is not None:
+                path[waiting] = None
+                continue
+            operands = [self.columns[op] for op in derived.operands]
+            self.columns[top] = [_derive(derived.op, [cells[i] for cells in operands])
+                                 for i in range(len(self.table(self.master).rows))]
+            path.popitem()
+        return self.columns[ref]
+
+    def lookup(self, ref: FieldRef, field_name: str) -> list[Cell]:
+        """``ref`` in the first row each master row reaches; missing where it reaches none."""
+        master, node = self.master, (ref.source, ref.table)
         # the shortest chain of hops, ties to the first hop in descriptor order
-        walk = shortest_walk(self.edges, master, node)
+        walk = [master] if node == master else shortest_walk(self.edges, master, node)
         if walk is None:
-            raise NoRelationPathError(
-                field_name,
-                f"no equality relation connects {ref.source}.{ref.table} "
-                f"to master table {master[0]}.{master[1]}",
-            )
-        # per master row, the distinct rows reached so far, in the order they
-        # were first reached: far rows in source order under each near row
-        reached = [[row] for row in master_table.rows]
-        current = master_table
+            raise NoRelationPathError(field_name, f"no equality relation connects {node[0]}."
+                                      f"{node[1]} to master table {master[0]}.{master[1]}")
+        if master not in self.reached:
+            self.reached[master] = [[row] for row in self.table(master).rows]
+        # one breadth-first search gives every walk, so the walk to a table on
+        # this one is its prefix: walks share the hops they have in common
         for near, far in zip(walk, walk[1:]):
-            if not any(reached):
-                return [None] * len(reached)  # later tables are not fetched
+            reached = self.reached[near]
+            if far in self.reached or not any(reached):
+                # followed already; or no master row reaches ``near``, so ``far`` is not fetched
+                self.reached.setdefault(far, reached)
+                continue
             near_fields, far_fields = self.edges[near][far]
             far_table = self.table(far)
             by_key: dict[tuple[Cell, ...], list[Row]] = {}
@@ -177,20 +179,19 @@ class _Materializer:
                 key = tuple(far_row[c] for c in far_columns)
                 if all(k is not None for k in key):  # a missing cell matches nothing
                     by_key.setdefault(key, []).append(far_row)
-            near_columns = [current.column(f) for f in near_fields]
-            reached = [
-                list(dict.fromkeys(
-                    far_row for row in rows
-                    for far_row in by_key.get(tuple(row[c] for c in near_columns), ())
-                ))
-                for rows in reached
-            ]
-            current = far_table
+            near_columns = [self.cache[near].column(f) for f in near_fields]
+            self.reached[far] = [list(dict.fromkeys(
+                far_row for row in rows
+                for far_row in by_key.get(tuple(row[c] for c in near_columns), ())))
+                for rows in reached]
+        reached = self.reached[node]
         several = sum(len(rows) > 1 for rows in reached)
         if several:
-            self.warnings.append((several, current.name, ref.field, field_name))
+            self.warnings.append((several, node[1], ref.field, field_name))
             logger.warning(_MULTI_MATCH, *self.warnings[-1])
-        index = current.column(ref.field)
+        if not any(reached):
+            return [None] * len(reached)  # ``node`` may not have been fetched
+        index = self.cache[node].column(ref.field)
         return [rows[0][index] if rows else None for rows in reached]
 
 
@@ -224,16 +225,15 @@ def materialize_integrated_table(project: Project, table_name: str,
     if tdef is None:
         raise UnknownTableError(f"integrated schema has no table '{table_name}'")
     key = ("integrated", table_name)
-    materializer = _Materializer(project, fetch, log)
+    master = (tdef.fields[0].mapping.source, tdef.fields[0].mapping.table)
+    materializer = _Materializer(project, master, fetch, log)
     slot = project._memo.get(key)
     if slot is not None and all(materializer.table(node) == read for node, read in slot[0]):
         table, warnings = slot[1]
         for args in warnings:
             logger.warning(_MULTI_MATCH, *args)
     else:
-        master_ref = tdef.fields[0].mapping
-        master: _Node = (master_ref.source, master_ref.table)
-        columns = [materializer.column(fdef.mapping, master, fdef.name) for fdef in tdef.fields]
+        columns = [materializer.column(fdef.mapping, fdef.name) for fdef in tdef.fields]
         # the integrated table carries the integrated names and dtypes; cells are
         # converted row by row so an error names the first bad row, then field
         fields = tuple(SourceFieldDef(fdef.name, fdef.dtype) for fdef in tdef.fields)

@@ -19,7 +19,9 @@ A schema is accepted when none of these checks produce an error finding:
                       (``wrappers.view_plan`` decides, for fetch too)
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
-sources are allowed to be broader than the schema.
+sources are allowed to be broader than the schema. A table that a mapping
+or relation names is referenced, and so is each table a referenced view
+reads, directly or through other views.
 
 All problems are reported as findings, never raised, and the report is a
 pure, deterministic function of the project: findings appear in descriptor
@@ -45,8 +47,8 @@ from .descriptors import (
     strong_components,
 )
 from .dtypes import NUMERIC_DTYPES, Dtype
-from .errors import IoError, UnresolvedFieldRefError
-from .wrappers import view_plan
+from .errors import IoError, MedQueryError, UnresolvedFieldRefError
+from .wrappers import view_plan, view_sql
 
 
 class Severity(str, enum.Enum):
@@ -151,6 +153,17 @@ def check_schema(project: Project) -> SatisfiabilityReport:
                     f"derived relation has {len(relation.operands)} operand(s), needs at least 2")
 
     findings.extend(_cycle_findings(project))
+
+    # what a referenced view reads, directly or through other views, is referenced too
+    for source, table in list(referenced):
+        src = project.source(source)
+        tdef = src.table(table) if src is not None else None
+        while tdef is not None and isinstance(tdef.binding, ViewBinding):
+            query = view_sql(project, src, tdef)
+            if isinstance(query, MedQueryError) or (source, query.from_tables[0]) in referenced:
+                break  # it does not parse, or its table is counted: a cycle of views ends here
+            referenced.add((source, query.from_tables[0]))
+            tdef = src.table(query.from_tables[0])
 
     for src in project.sources:
         for table in src.tables:

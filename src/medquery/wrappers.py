@@ -154,6 +154,8 @@ def _parse_xml(document: bytes, table: SourceTableDef, path: Path) -> tuple[Row,
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         raise IoError(f"'{path}': not well-formed XML: {exc}") from None
+    except (LookupError, ValueError) as exc:  # an encoding Python has no text codec for
+        raise IoError(f"'{path}': cannot decode the declared encoding: {exc}") from None
 
     rows: list[Row] = []
     for number, record in enumerate(root.iter(binding.record_element), start=1):
@@ -228,8 +230,8 @@ def view_plan(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef)
                           lambda: _check_view(project, src, tdef))
 
 
-def _parsed(project: Project, src: DataSourceDescriptor,
-            tdef: SourceTableDef) -> sql_frontend.SqlQuery | MedQueryError:
+def view_sql(project: Project, src: DataSourceDescriptor,
+             tdef: SourceTableDef) -> sql_frontend.SqlQuery | MedQueryError:
     """View ``tdef``'s SQL parsed, or the error its parse raised; parsed once per project."""
     def parse() -> sql_frontend.SqlQuery | MedQueryError:
         try:
@@ -244,7 +246,7 @@ def _view_cycles(project: Project, src: DataSourceDescriptor) -> set[str]:
     edges: dict[str, list[str]] = {}  # a view -> the table it reads; none if it does not parse
     for tdef in src.tables:
         if isinstance(tdef.binding, ViewBinding):
-            query = _parsed(project, src, tdef)
+            query = view_sql(project, src, tdef)
             edges[tdef.name] = [] if isinstance(query, MedQueryError) else [query.from_tables[0]]
     return {
         name for component in strong_components(edges)
@@ -254,7 +256,7 @@ def _view_cycles(project: Project, src: DataSourceDescriptor) -> set[str]:
 
 
 def _check_view(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
-    query = _parsed(project, src, tdef)
+    query = view_sql(project, src, tdef)
     if isinstance(query, MedQueryError):
         raise IoError(f"view SQL does not parse: {query}")
     base = src.table(query.from_tables[0])

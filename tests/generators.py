@@ -178,6 +178,24 @@ def random_project(rng: random.Random, directory: Path,
                     DerivedOp.ADD,
                     tuple(FieldRef(src_name, foreign_name, n) for n in numeric),
                 ))
+                if rng.random() < 0.6:
+                    # an operand that is itself derived, sometimes repeated
+                    operands = rng.choice([("DSUM", "DSUM"), ("DSUM", numeric[1]),
+                                           (numeric[0], "DSUM", "DSUM")])
+                    foreign_fields.append(SourceFieldDef("DSUM2", Dtype.INTEGER))
+                    relations.append(DerivedRelation(
+                        FieldRef(src_name, foreign_name, "DSUM2"),
+                        DerivedOp.ADD,
+                        tuple(FieldRef(src_name, foreign_name, n) for n in operands),
+                    ))
+                if rng.random() < 0.3:
+                    # a derived target in the master table: the master column wins
+                    relations.append(DerivedRelation(
+                        FieldRef(src_name, master_name, "KEY"),
+                        DerivedOp.ADD,
+                        (FieldRef(src_name, foreign_name, "DSUM"),
+                         FieldRef(src_name, foreign_name, numeric[0])),
+                    ))
 
         view_base = None
         if not use_xml and has_foreign and rng.random() < 0.25:

@@ -179,6 +179,33 @@ def test_descriptor_bytes_decode_as_declared(fig2_paths, capsys, declared, code)
     assert _run(capsys, "validate", fig2_paths)[0] == code
 
 
+# encodings the XML parser cannot use: unknown, not a text codec, multi-byte
+# outside expat's own, and one whose decoder refuses the parser's error handler
+UNUSABLE_ENCODINGS = ["UTF-80", "rot13", "utf-7", "idna"]
+
+
+@pytest.mark.parametrize("declared", UNUSABLE_ENCODINGS)
+def test_descriptor_in_an_unusable_encoding_is_a_descriptor_error(fig2_paths, capsys, declared):
+    sources, _ = fig2_paths
+    sources.write_text(SOURCES_XML.replace('encoding="UTF-8"', f'encoding="{declared}"'),
+                       encoding="ascii")
+    code = main(["validate", "--sources", str(sources), "--schema", str(fig2_paths[1])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("medquery: descriptor error: cannot decode the declared encoding: ")
+
+
+@pytest.mark.parametrize("declared", UNUSABLE_ENCODINGS)
+def test_xml_source_in_an_unusable_encoding_is_an_io_error(tmp_path, capsys, declared):
+    feed = f'<?xml version="1.0" encoding="{declared}"?><students><student><id>1</id></student></students>'
+    paths = write_project(tmp_path, XML_SOURCES, XML_SCHEMA, files={"feed.xml": feed})
+    code = main(["extract", "--sources", str(paths[0]), "--schema", str(paths[1]), "--table", "STUDENT"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("medquery: '")
+    assert ": cannot decode the declared encoding: " in captured.err
+
+
 JOIN_SQL = ("SELECT STUDENT.FIRSTNAME, GRADE.AVERAGE FROM STUDENT, GRADE "
             "ON STUDENT.ID=GRADE.STUDENTID")
 

@@ -1,4 +1,4 @@
-"""Materialization: cell path, dtype conversion, coercion errors, the oracle."""
+"""Materialization: cell path, dtype conversion, coercion errors, the oracle, deep shapes."""
 
 import itertools
 import logging
@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from medquery.descriptors import parse_project
-from medquery.errors import TypeCoercionError
+from medquery import extraction
+from medquery.cli import main
+from medquery.descriptors import DerivedRelation, parse_project
+from medquery.errors import MedQueryError, TypeCoercionError
 from medquery.extraction import build_triples, materialize_integrated_table, materialize_required
 from medquery.iris import property_iri, subject_iri
 from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, export_ntriples
-from medquery.wrappers import AccessLog, fetch_table
+from medquery.wrappers import AccessLog, Table, fetch_table
 
 from conftest import COMBINED_SCHEMA_XML, SOURCES_XML, THREE_STUDENTS, write_project
 from generators import random_project
@@ -125,6 +127,23 @@ def test_materialization_agrees_with_nested_loop_oracle(tmp_path, first_seed):
             assert data.tables[name] == materialize_table(project, name), (seed, name)
 
 
+def test_generated_projects_cover_derived_chains_and_master_targets(tmp_path):
+    """The seeds the oracle differential runs hold each shape the column loop orders."""
+    shapes = {"derived operand": 0, "repeated operand": 0, "master target": 0}
+    for seed in range(200):
+        schema = random_project(random.Random(seed), tmp_path / str(seed)).project.schema
+        derived = {r.target: r for r in schema.relations if isinstance(r, DerivedRelation)}
+        mapped = {f.mapping for table in schema.tables for f in table.fields}
+        masters = {(t.fields[0].mapping.source, t.fields[0].mapping.table) for t in schema.tables}
+        for target, relation in derived.items():
+            if (target.source, target.table) in masters:
+                shapes["master target"] += 1
+            elif target in mapped:
+                shapes["derived operand"] += any(op in derived for op in relation.operands)
+                shapes["repeated operand"] += len(set(relation.operands)) < len(relation.operands)
+    assert all(shapes.values()), shapes
+
+
 @pytest.mark.parametrize("first_seed", range(0, 60, 20))
 def test_build_triples_equals_inserting_each_cell(tmp_path, first_seed):
     missing = 0
@@ -201,3 +220,124 @@ def test_multi_match_warns_once_per_field_with_the_row_count(tmp_path, caplog):
     message = warnings[0].getMessage()
     assert message.startswith("2 master rows ")
     assert "keeping the first in source order" in message
+
+
+# --- deep shapes, counted: each column and each hop is made once ---------------
+
+def _derived_chain_paths(tmp_path, links, repeated, students="ID|G\n1|5\n2|-3\n4|0\n"):
+    """STUDENT(ID, G) and a chain of derived CALC fields, F0 integrated beside ID.
+
+    F{i} = F{i+1} + ID (or F{i+1} + F{i+1} when ``repeated``), and the last
+    link reads G: F0 is G + links * ID (or 2**links * G).
+    """
+    calc = "".join(f'<field name="F{i}" type="integer"/>' for i in range(links))
+    sources = f"""<datasources><datasource name="uni" kind="tabular" location=".">
+      <table name="STUDENT"><field name="ID" type="integer"/><field name="G" type="integer"/>
+        <file path="students.txt"/></table>
+      <table name="CALC">{calc}<file path="calc.txt"/></table>
+    </datasource></datasources>"""
+
+    def ref(tag, field):
+        table = "STUDENT" if field in ("ID", "G") else "CALC"
+        return f'<{tag} source="uni" table="{table}" field="{field}"/>'
+
+    relations = []
+    for i in range(links):
+        below = f"F{i + 1}" if i + 1 < links else "G"
+        relations.append(f'<relation kind="derived" op="add">{ref("target", f"F{i}")}'
+                         f'{ref("operand", below)}{ref("operand", below if repeated else "ID")}'
+                         '</relation>')
+    schema = f"""<schema name="s"><table name="STUDENT">
+      <field name="ID" type="integer" source="uni" sourcetable="STUDENT" sourcefield="ID"/>
+      <field name="F0" type="integer" source="uni" sourcetable="CALC" sourcefield="F0"/>
+    </table>{''.join(relations)}</schema>"""
+    files = {"students.txt": students, "calc.txt": "|".join(f"F{i}" for i in range(links)) + "\n"}
+    return write_project(tmp_path, sources, schema, files)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+def test_a_2000_link_derived_chain_derives_each_cell_once(tmp_path, monkeypatch, repeated):
+    links = 2000
+    project = parse_project(*_derived_chain_paths(tmp_path, links, repeated))
+    calls = 0
+    derive = extraction._derive
+
+    def counting_derive(op, values):
+        nonlocal calls
+        calls += 1
+        return derive(op, values)
+
+    monkeypatch.setattr(extraction, "_derive", counting_derive)
+    table = materialize_integrated_table(project, "STUDENT")
+    students = [(1, 5), (2, -3), (4, 0)]
+    assert [row[1].lexical for row in table.rows] == [
+        str(2 ** links * g if repeated else g + links * i) for i, g in students]
+    assert calls == links * len(students)  # once per (derived field, row)
+
+
+def test_extract_on_a_1200_link_derived_chain_exits_0(tmp_path, capsys):
+    sources, schema = _derived_chain_paths(tmp_path, 1200, repeated=False)
+    assert main(["extract", "--sources", str(sources), "--schema", str(schema),
+                 "--table", "STUDENT"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert '<http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#F0> ' \
+        '"2397"^^<http://www.w3.org/2001/XMLSchema#integer> .' in lines
+
+
+def test_an_unchecked_derivation_cycle_raises_a_classified_error(tmp_path):
+    sources, schema = _derived_chain_paths(tmp_path, 3, repeated=False)
+    # F2 reads F0 instead of G: F0 -> F1 -> F2 -> F0, which check_schema refuses
+    schema.write_text(schema.read_text().replace(
+        '<operand source="uni" table="STUDENT" field="G"/>',
+        '<operand source="uni" table="CALC" field="F0"/>'))
+    with pytest.raises(MedQueryError, match="^derivation cycle through uni.CALC.F0$"):
+        materialize_integrated_table(parse_project(sources, schema), "STUDENT")
+
+
+CHAIN_SOURCES = """<datasources><datasource name="uni" kind="tabular" location=".">
+  <table name="STUDENT"><field name="ID" type="integer"/><file path="students.txt"/></table>
+  <table name="GRADE"><field name="STUDENTID" type="integer"/><field name="CID" type="integer"/>
+    <file path="grades.txt"/></table>
+  <table name="COURSE"><field name="CID" type="integer"/><field name="TITLE" type="string"/>
+    <field name="CREDITS" type="integer"/><field name="LEVEL" type="integer"/>
+    <file path="courses.txt"/></table>
+</datasource></datasources>"""
+
+CHAIN_SCHEMA = """<schema name="s"><table name="STUDENT">
+  <field name="ID" type="integer" source="uni" sourcetable="STUDENT" sourcefield="ID"/>
+  <field name="TITLE" type="string" source="uni" sourcetable="COURSE" sourcefield="TITLE"/>
+  <field name="CREDITS" type="integer" source="uni" sourcetable="COURSE" sourcefield="CREDITS"/>
+  <field name="LEVEL" type="integer" source="uni" sourcetable="COURSE" sourcefield="LEVEL"/>
+</table>
+<relation kind="equality"><lhs><ref source="uni" table="STUDENT" field="ID"/></lhs>
+  <rhs><ref source="uni" table="GRADE" field="STUDENTID"/></rhs></relation>
+<relation kind="equality"><lhs><ref source="uni" table="GRADE" field="CID"/></lhs>
+  <rhs><ref source="uni" table="COURSE" field="CID"/></rhs></relation>
+</schema>"""
+
+
+def test_three_fields_behind_one_two_hop_chain_index_each_hop_once(tmp_path):
+    files = {"students.txt": "ID\n1\n2\n3\n",
+             "grades.txt": "STUDENTID|CID\n1|10\n2|20\n2|10\n",
+             "courses.txt": "CID|TITLE|CREDITS|LEVEL\n10|Logic|6|1\n20|Sets|3|2\n"}
+    project = parse_project(*write_project(tmp_path, CHAIN_SOURCES, CHAIN_SCHEMA, files))
+    reads: dict[str, int] = {}
+
+    class CountedRows(tuple):
+        """Rows that count how often they are read through: once per index built."""
+
+        def __iter__(self):
+            reads[self.table] = reads.get(self.table, 0) + 1
+            return super().__iter__()
+
+    def fetch(project, source, table, log=None):
+        fetched = fetch_table(project, source, table, log)
+        rows = CountedRows(fetched.rows)
+        rows.table = table
+        return Table(fetched.name, fetched.fields, rows)
+
+    table = materialize_integrated_table(project, "STUDENT", fetch=fetch)
+    assert reads == {"STUDENT": 1, "GRADE": 1, "COURSE": 1}
+    assert [[cell.lexical if cell else None for cell in row] for row in table.rows] == [
+        ["1", "Logic", "6", "1"], ["2", "Sets", "3", "2"], ["3", None, None, None]]
+    assert table == materialize_table(project, "STUDENT")

@@ -139,6 +139,42 @@ def test_relation_reference_counts_as_mapped():
     assert FindingCode.UNMAPPED_TABLE not in codes(report)
 
 
+def _view_chain_project(views: dict[str, str]) -> Project:
+    """Source s: file STUDENT(ID, DEBT), file SPARE, and ``views`` by name; BROKE is mapped."""
+    fields = (SourceFieldDef("ID", Dtype.INTEGER), SourceFieldDef("DEBT", Dtype.INTEGER))
+    tables = [SourceTableDef("STUDENT", fields, FileBinding("students.txt")),
+              SourceTableDef("SPARE", fields, FileBinding("spare.txt"))]
+    tables += [SourceTableDef(name, fields, ViewBinding(sql)) for name, sql in views.items()]
+    source = DataSourceDescriptor("s", SourceKind.TABULAR, ".", None, tuple(tables))
+    mapping = IntegratedFieldDef("ID", Dtype.INTEGER, FieldRef("s", "BROKE", "ID"))
+    schema = IntegratedSchema("g", (IntegratedTableDef("BROKE", (mapping,)),), ())
+    return Project((source,), schema)
+
+
+def _unmapped(report) -> list[str]:
+    return [f.location for f in report.findings if f.code is FindingCode.UNMAPPED_TABLE]
+
+
+def test_tables_a_mapped_view_reads_through_views_are_referenced():
+    report = check_schema(_view_chain_project({
+        "RICH": "SELECT ID, DEBT FROM STUDENT WHERE DEBT < 1000",
+        "BROKE": "SELECT ID, DEBT FROM RICH WHERE DEBT > 2000",
+    }))
+    assert report.accepted
+    assert _unmapped(report) == ["datasources/datasource[s]/table[SPARE]"]
+
+
+def test_the_referenced_view_walk_ends_on_a_cycle_of_views():
+    report = check_schema(_view_chain_project({
+        "A": "SELECT ID, DEBT FROM BROKE", "BROKE": "SELECT ID, DEBT FROM A",
+        "C": "SELECT ID, DEBT FROM STUDENT",
+    }))
+    assert [f.location for f in report.errors] == [
+        f"datasources/datasource[s]/table[{name}]" for name in ("A", "BROKE")]
+    assert _unmapped(report) == [
+        f"datasources/datasource[s]/table[{name}]" for name in ("STUDENT", "SPARE", "C")]
+
+
 def test_report_is_deterministic(fig2_project):
     bad = EqualityRelation(
         (FieldRef("uni", "STUDENT", "ID"), FieldRef("uni", "STUDENT", "DEBT")),

@@ -349,8 +349,8 @@ def test_a_long_chain_of_views_checks_and_fetches_in_linear_work(tmp_path, monke
     count = 2000
     paths = write_project(tmp_path, *_view_chain(count), files={"base.txt": "X\n1\n2\n"})
     assert main(["validate", "--sources", str(paths[0]), "--schema", str(paths[1])]) == 0
-    # BASE and every view but the last are unmapped
-    assert capsys.readouterr().out.endswith(f"0 errors, {count} warnings\n")
+    # the mapped last view reads BASE through every other view, so none is unmapped
+    assert capsys.readouterr().out == "0 errors, 0 warnings\n"
 
     parses = []
     parse = sql_frontend.parse_view_select
