@@ -54,7 +54,7 @@ take no child). Names and references are identifiers; ``type``, ``kind`` and ``o
 ``transform`` splits, shell-style, into at least one word. Field mappings
 are resolved at parse time; relation references are deliberately left to
 the satisfiability checker so that it can report them as findings. So is a
-view's SQL: ``wrappers.view_plan`` parses and checks it, and the checker
+view's SQL: ``wrappers.source_plan`` parses and checks it, and the checker
 reports a view that does not parse or does not fit its base table.
 """
 
@@ -220,13 +220,8 @@ class Project:
     again. Keys name their layer first, so no data source or table name can
     make two layers share a slot:
 
-    - ``("path", source, table)`` and ``("view", source, table)``: a file or
-      XML table's path and a view's checked SQL, from no inputs
-      (``wrappers.fetch_table`` and ``wrappers.view_plan``);
-    - ``("view sql", source, table)``: a view's parsed SQL, or the error
-      its parse raised, from no inputs; and ``("view cycles", source)``:
-      the names of the source's views that lie on a cycle of views, from
-      no inputs (``wrappers.view_plan``);
+    - ``("plan", source)``: what fetching each of the source's tables
+      reads, from no inputs (``wrappers.source_plan``);
     - ``("source", source, table)``: a file or XML table from its bytes, a
       view from its base ``Table`` (``wrappers.fetch_table``);
     - ``("integrated", name)``: an integrated table and its multi-match

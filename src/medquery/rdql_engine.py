@@ -336,31 +336,32 @@ def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, lis
     does), so a join key is bound before the pattern it joins on. Ties go
     to the earlier pattern.
     """
-    estimates = [_estimate(pattern, query.filters, store) for pattern in query.patterns]
+    variables = [_pattern_variables(pattern) for pattern in query.patterns]
+    estimates = [_estimate(pattern, names, query.filters, store)
+                 for pattern, names in zip(query.patterns, variables)]
     remaining = list(range(len(query.patterns)))
     bound: set[str] = set()
     pending = list(query.filters)
     steps: list[tuple[TriplePattern, list[FilterAtom]]] = []
     while remaining:
-        connected = [i for i in remaining if _pattern_variables(query.patterns[i]) & bound]
+        connected = [i for i in remaining if variables[i] & bound]
         best = min(connected or remaining, key=lambda i: (estimates[i], i))
         remaining.remove(best)
-        bound |= _pattern_variables(query.patterns[best])
+        bound |= variables[best]
         ready = [atom for atom in pending if _atom_variables(atom) <= bound]
         pending = [atom for atom in pending if not _atom_variables(atom) <= bound]
         steps.append((query.patterns[best], ready))
     return steps
 
 
-def _estimate(pattern: TriplePattern, atoms: tuple[FilterAtom, ...],
+def _estimate(pattern: TriplePattern, names: set[str], atoms: tuple[FilterAtom, ...],
               store: TripleStore) -> Fraction:
-    """Candidate triples times the selectivity of each atom on a literal."""
+    """Candidate triples times the selectivity of each atom on one of ``names`` and a literal."""
     estimate = Fraction(store.count(
         pattern.s if isinstance(pattern.s, Iri) else None,
         pattern.p if isinstance(pattern.p, Iri) else None,
         pattern.o if not isinstance(pattern.o, Var) else None,
     ))
-    names = _pattern_variables(pattern)
     for atom in atoms:
         if not isinstance(atom.rhs, Var) and atom.lhs.name in names:
             estimate *= _SELECTIVITY[atom.op]

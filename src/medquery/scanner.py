@@ -26,6 +26,7 @@ class Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._word = (-1, "")  # (offset, word) last read; parsers try one word as several keywords
 
     def fail(self, message: str):
         raise self.error(message, self.pos)
@@ -60,10 +61,11 @@ class Scanner:
         or ``_`` (``str.isalpha``/``str.isalnum``, so not only ASCII).
         """
         self.skip_ws()
-        match = _WORD_RE.match(self.text, self.pos)
-        if match and (match.group()[0].isalpha() or match.group()[0] == "_"):
-            return match.group()
-        return ""
+        if self._word[0] != self.pos:  # each offset is read once
+            match = _WORD_RE.match(self.text, self.pos)
+            found = match.group() if match else ""
+            self._word = (self.pos, found if found[:1].isalpha() or found[:1] == "_" else "")
+        return self._word[1]
 
     def keyword(self, word: str) -> bool:
         """Move past the word at the cursor if it is ``word`` in any case."""

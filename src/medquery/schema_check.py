@@ -16,7 +16,7 @@ A schema is accepted when none of these checks produce an error finding:
                       filters on a comparison that never holds, projects
                       other fields (names and dtypes, in order) than it
                       declares, or lies on a cycle of views
-                      (``wrappers.view_plan`` decides, for fetch too)
+                      (``wrappers.source_plan`` decides, for fetch too)
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
 sources are allowed to be broader than the schema. A table that a mapping
@@ -25,9 +25,9 @@ reads, directly or through other views.
 
 All problems are reported as findings, never raised, and the report is a
 pure, deterministic function of the project: findings appear in descriptor
-document order. Both graph searches, derivation cycles here and view cycles
-in ``wrappers``, are the shared ``descriptors.strong_components`` and
-``descriptors.shortest_walk``; neither recurses, so no graph is too deep.
+document order. View faults and the tables a view reads come from one plan
+per source; derivation cycles here, like view cycles there, are found by the
+shared ``descriptors.strong_components``, which does not recurse.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .descriptors import (
     strong_components,
 )
 from .dtypes import NUMERIC_DTYPES, Dtype
-from .errors import IoError, MedQueryError, UnresolvedFieldRefError
-from .wrappers import view_plan, view_sql
+from .errors import UnresolvedFieldRefError
+from .wrappers import PlannedView, source_plan
 
 
 class Severity(str, enum.Enum):
@@ -158,21 +158,20 @@ def check_schema(project: Project) -> SatisfiabilityReport:
     for source, table in list(referenced):
         src = project.source(source)
         tdef = src.table(table) if src is not None else None
-        while tdef is not None and isinstance(tdef.binding, ViewBinding):
-            query = view_sql(project, src, tdef)
-            if isinstance(query, MedQueryError) or (source, query.from_tables[0]) in referenced:
-                break  # it does not parse, or its table is counted: a cycle of views ends here
-            referenced.add((source, query.from_tables[0]))
-            tdef = src.table(query.from_tables[0])
+        is_view = tdef is not None and isinstance(tdef.binding, ViewBinding)
+        plan = source_plan(project, src) if is_view else {}  # none for a file or XML table
+        while isinstance(view := plan.get(table), PlannedView) and view.base is not None:
+            table = view.base
+            if (source, table) in referenced:
+                break  # a cycle of views ends here
+            referenced.add((source, table))
 
     for src in project.sources:
         for table in src.tables:
             loc = f"datasources/datasource[{src.name}]/table[{table.name}]"
-            if isinstance(table.binding, ViewBinding):
-                try:
-                    view_plan(project, src, table)
-                except IoError as exc:
-                    err(FindingCode.INVALID_VIEW, loc, str(exc))
+            view = source_plan(project, src)[table.name] if isinstance(table.binding, ViewBinding) else None
+            if view is not None and view.fault is not None:
+                err(FindingCode.INVALID_VIEW, loc, view.fault)
             if (src.name, table.name) not in referenced:
                 findings.append(Finding(
                     Severity.WARNING, FindingCode.UNMAPPED_TABLE, loc,

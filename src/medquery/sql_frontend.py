@@ -119,16 +119,12 @@ class _Parser(Scanner):
             self.fail("expected FROM")
         tables = [self.from_item()]
         on_conds: list[Condition] = []
-        while True:
-            if self.take(","):
-                tables.append(self.from_item())
-            elif self.keyword("JOIN"):
-                tables.append(self.from_item())
+        while (join := self.keyword("JOIN")) or self.take(","):
+            tables.append(self.from_item())
+            if join:
                 if not self.keyword("ON"):
                     self.fail("expected ON")
                 on_conds.extend(self.condition_list())
-            else:
-                break
         if self.keyword("ON"):
             on_conds.extend(self.condition_list())
 
@@ -236,7 +232,7 @@ def parse_view_select(text: str) -> SqlQuery:
     """Parse a wrapper-side view definition: one table, projection, filters.
 
     Unqualified field names are allowed and resolve to the single FROM
-    table. Joins are rejected; ``wrappers.view_plan`` checks the view
+    table. Joins are rejected; ``wrappers.source_plan`` checks the view
     against its source table, including a name qualified by another table.
     """
     parser = _Parser(text, allow_unqualified=True)

@@ -17,9 +17,9 @@ Each fetch reads the source's bytes again, and runs an XML transform again
 (an external command is never assumed to be deterministic). Parsing those
 bytes, and selecting a view's rows from its base table, go through
 :meth:`~medquery.descriptors.Project.derive`, which states when a result is
-reused. So do, once per project, a table's path, a view's parsed and its
-checked SQL, and which of a source's views lie on a cycle of views; so
-``validate`` and fetch are linear in the length of a chain of views.
+reused. So does, once per project, a source's plan (:func:`source_plan`):
+each table's path, or its view's parsed SQL and fault, from one pass over
+the source; so ``validate`` and fetch are linear in a chain of views.
 """
 
 from __future__ import annotations
@@ -177,31 +177,31 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     first, then its base, and so on down the chain.
 
     A file or XML table is read on every call and an XML transform run on
-    every call; its path, parsing and view selection go through
-    ``Project.derive``. A view that :func:`view_plan` rejects raises its
-    ``IoError``.
+    every call; parsing and view selection go through ``Project.derive``.
+    What each table reads comes from :func:`source_plan`, and the first view
+    down the chain that cannot fetch raises its fault as an ``IoError``.
     """
     src = project.source(source)
     if src is None:
         raise UnknownTableError(f"unknown data source '{source}'")
-    tdef = src.table(table)
-    if tdef is None:
+    plan = source_plan(project, src)
+    if table not in plan:
         raise UnknownTableError(f"data source '{source}' has no table '{table}'")
 
     views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # from ``table`` down
     while True:
         if log is not None:
-            log.append(source, tdef.name)
-        if not isinstance(tdef.binding, ViewBinding):
+            log.append(source, table)
+        view = plan[table]
+        if not isinstance(view, PlannedView):
             break
-        query = view_plan(project, src, tdef)
-        views.append((tdef, query))
-        tdef = src.table(query.from_tables[0])  # declared: view_plan checked it
+        if view.fault is not None:
+            raise IoError(view.fault)
+        views.append((src.table(table), view.query))
+        table = view.base  # declared: a view that reads no declared table has a fault
 
+    path, tdef = plan[table], src.table(table)
     binding = tdef.binding
-    # an absolute location or file path replaces what comes before it
-    parts = (src.location, binding.path) if isinstance(binding, FileBinding) else (src.location,)
-    path = project.derive(("path", source, tdef.name), (), lambda: Path(project.base_dir, *parts))
     data = _read_bytes(path)
     if isinstance(binding, FileBinding):
         parse = _parse_tabular
@@ -217,73 +217,79 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     return base
 
 
-def view_plan(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
-    """The parse of view ``tdef``, checked once per project; ``IoError`` if it cannot fetch.
+@dataclass(frozen=True)
+class PlannedView:
+    """A view in a source plan: the table its SQL reads, that SQL parsed, and why it cannot fetch.
 
-    The one view rule, for ``fetch_table`` and ``check_schema`` alike: the
-    SQL parses, ``src`` declares the table and every field it reads, each
-    filter's dtypes are :func:`~medquery.dtypes.comparable`, it projects the
-    declared fields in order, and it does not lie on a cycle of views. A
-    view that only leads into a faulty view passes; fetching it fails there.
+    ``base`` and ``query`` are None if the SQL does not parse, ``fault`` if the view can fetch.
     """
-    return project.derive(("view", src.name, tdef.name), (),
-                          lambda: _check_view(project, src, tdef))
+
+    base: str | None
+    query: sql_frontend.SqlQuery | None
+    fault: str | None
 
 
-def view_sql(project: Project, src: DataSourceDescriptor,
-             tdef: SourceTableDef) -> sql_frontend.SqlQuery | MedQueryError:
-    """View ``tdef``'s SQL parsed, or the error its parse raised; parsed once per project."""
-    def parse() -> sql_frontend.SqlQuery | MedQueryError:
-        try:
-            return sql_frontend.parse_view_select(tdef.binding.query)
-        except MedQueryError as exc:
-            return exc.with_traceback(None)  # kept: hold no parser frames
-    return project.derive(("view sql", src.name, tdef.name), (), parse)
+def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path | PlannedView]:
+    """What fetching each table of ``src`` reads, decided once per project.
+
+    A file or XML table maps to the path it reads, a view to a
+    :class:`PlannedView`. Each view's SQL is parsed once, then one search
+    finds the cycles of views. The one view rule, for ``fetch_table`` and
+    ``check_schema`` alike: the SQL parses, ``src`` declares the table and
+    every field it reads, each filter's dtypes are
+    :func:`~medquery.dtypes.comparable`, it projects the declared fields in
+    order, and it does not lie on a cycle of views. A view that only leads
+    into a faulty view passes; fetching it fails there.
+    """
+    def build() -> dict[str, Path | PlannedView]:
+        plan: dict[str, Path | PlannedView] = {}
+        views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # each view that parses
+        for tdef in src.tables:
+            binding = tdef.binding
+            if isinstance(binding, ViewBinding):
+                try:
+                    views.append((tdef, sql_frontend.parse_view_select(binding.query)))
+                except MedQueryError as exc:
+                    plan[tdef.name] = PlannedView(None, None, f"view SQL does not parse: {exc}")
+            else:  # an absolute location or file path replaces what comes before it
+                parts = (src.location, binding.path) if isinstance(binding, FileBinding) else (src.location,)
+                plan[tdef.name] = Path(project.base_dir, *parts)
+        edges = {tdef.name: [query.from_tables[0]] for tdef, query in views}
+        cycles = {name for component in strong_components(edges)
+                  if len(component) > 1 or component[0] in edges.get(component[0], ())
+                  for name in component}
+        for tdef, query in views:
+            plan[tdef.name] = PlannedView(query.from_tables[0], query,
+                                          _check_view(src, tdef, query, tdef.name in cycles))
+        return plan
+    return project.derive(("plan", src.name), (), build)
 
 
-def _view_cycles(project: Project, src: DataSourceDescriptor) -> set[str]:
-    """The names of ``src``'s views that lie on a cycle of views, each reading the next."""
-    edges: dict[str, list[str]] = {}  # a view -> the table it reads; none if it does not parse
-    for tdef in src.tables:
-        if isinstance(tdef.binding, ViewBinding):
-            query = view_sql(project, src, tdef)
-            edges[tdef.name] = [] if isinstance(query, MedQueryError) else [query.from_tables[0]]
-    return {
-        name for component in strong_components(edges)
-        if len(component) > 1 or component[0] in edges.get(component[0], ())
-        for name in component
-    }
-
-
-def _check_view(project: Project, src: DataSourceDescriptor, tdef: SourceTableDef) -> sql_frontend.SqlQuery:
-    query = view_sql(project, src, tdef)
-    if isinstance(query, MedQueryError):
-        raise IoError(f"view SQL does not parse: {query}")
+def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef, query: sql_frontend.SqlQuery,
+                on_cycle: bool) -> str | None:
+    """Why view ``tdef``, parsed as ``query``, cannot fetch; None if it can."""
     base = src.table(query.from_tables[0])
     if base is None:
-        raise IoError(f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare")
+        return f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare"
     dtypes = {f.name: f.dtype for f in base.fields}
     for fld in sql_frontend.referenced_fields(query):
         if fld.table != base.name:
-            raise IoError(f"view reads table '{fld.table}', which is not its FROM table '{base.name}'")
+            return f"view reads table '{fld.table}', which is not its FROM table '{base.name}'"
         if fld.field not in dtypes:
-            raise IoError(f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare")
+            return f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare"
     for cond in query.filters:
         lhs = dtypes[cond.lhs.field]
         rhs = cond.rhs.dtype if isinstance(cond.rhs, TypedLiteral) else dtypes[cond.rhs.field]
         if not comparable(cond.op, lhs, rhs):
-            raise IoError(f"view filter {cond} can never hold: "
-                          f"{cond.op} does not compare {lhs.value} with {rhs.value}")
+            return (f"view filter {cond} can never hold: "
+                    f"{cond.op} does not compare {lhs.value} with {rhs.value}")
     # names are identifiers, so "name dtype" compares as the pair does
     shown = ", ".join(f"{f.field} {dtypes[f.field].value}" for f in query.select)
     declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
     if shown != declared:
-        raise IoError(f"view '{tdef.name}' projects [{shown}] but declares [{declared}]")
-    # a view on a cycle never reaches a file; one that reads a file is on none
-    if isinstance(base.binding, ViewBinding) and tdef.name in project.derive(
-            ("view cycles", src.name), (), lambda: _view_cycles(project, src)):
-        raise IoError(f"view reference cycle through '{src.name}.{tdef.name}'")
-    return query
+        return f"view '{tdef.name}' projects [{shown}] but declares [{declared}]"
+    # a view on a cycle never reaches a file
+    return f"view reference cycle through '{src.name}.{tdef.name}'" if on_cycle else None
 
 
 def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Table:

@@ -1,9 +1,11 @@
 """The CLI's exit-code contract (0 ok, 1 domain error, 2 descriptor or file error)."""
 
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from medquery.iris import result_property_iri, result_subject_iri
 from medquery.triple_store import import_ntriples
 
 from conftest import FIG2_SQL, SCHEMA_XML, SOURCES_XML, write_project
+from generators import random_project, random_sql_text
 
 
 def _run(capsys, command, paths, *extra):
@@ -343,3 +346,34 @@ def test_validate_accepts_a_view_that_fits(tmp_path, capsys):
     code, out = _run(capsys, "validate", _view_paths(tmp_path, "SELECT ID FROM STUDENT WHERE DEBT > 1"))
     assert code == 0
     assert "INVALID_VIEW" not in out
+
+
+# --- the exit contract under mutated inputs -----------------------------------
+
+# spans spliced into a descriptor or data file: delimiters, markup, a NUL, a
+# lone surrogate (written as bytes that are not UTF-8), a number too long for
+# int(), a character reference past Unicode, and a document type declaring an entity
+MUTATION_SPANS = ["|", "<", "&", "\x00", "\ud800", "9" * 5000, "&#x110000;",
+                  '<!DOCTYPE d [<!ENTITY e "x">]>']
+
+
+def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
+    codes = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        generated = random_project(rng, tmp_path / str(seed))
+        query = random_sql_text(rng, generated.project)
+        table = generated.project.schema.tables[0].name
+        victim = rng.choice(sorted((tmp_path / str(seed)).iterdir()))
+        text = victim.read_text(encoding="utf-8")
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(MUTATION_SPANS) + text[at:]
+        victim.write_bytes(text.encode("utf-8", "surrogatepass"))
+        paths = ("--sources", str(generated.sources_path), "--schema", str(generated.schema_path))
+        for command in (["validate"], ["extract", "--table", table], ["query", "--query", query]):
+            code = main([command[0], *paths, *command[1:]])  # an escaped exception fails the test
+            capsys.readouterr()
+            assert code in (0, 1, 2), (seed, command)
+            codes[code] += 1
+    assert min(codes[code] for code in (0, 1, 2)) > 0  # each outcome is reached

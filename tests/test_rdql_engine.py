@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from medquery import rdql_engine
 from medquery.dtypes import Dtype
 from medquery.errors import (
     NtParseError,
@@ -400,3 +401,18 @@ def test_single_pattern_warnings_match_the_oracle():
         result = evaluate(query, store)
         assert result.rows == enumerate_rdql(query, store), seed
         assert result.cross_type_warnings == single_pattern_warnings(query, store), seed
+
+
+def test_a_deep_query_plans_each_pattern_once(monkeypatch):
+    # at every step the planner once recomputed the variables of every
+    # pattern left, a quadratic number of calls
+    n = 500
+    store = TripleStore()
+    store.insert(Triple(Iri("http://x/s"), Iri("http://x/p"), lit("1")))
+    query = parse_rdql("SELECT ?s WHERE " + ", ".join(f"(?s <http://x/p> ?o{i})" for i in range(n)))
+    calls = []
+    pattern_variables = rdql_engine._pattern_variables
+    monkeypatch.setattr(rdql_engine, "_pattern_variables",
+                        lambda pattern: calls.append(pattern) or pattern_variables(pattern))
+    assert evaluate(query, store).rows == [(Iri("http://x/s"),)]
+    assert len(calls) <= 2 * n

@@ -1,5 +1,6 @@
 import pytest
 
+from medquery import scanner
 from medquery.dtypes import Dtype
 from medquery.errors import (
     SqlParseError,
@@ -210,3 +211,23 @@ def test_view_select_keeps_intra_table_equality_as_filter():
     query = parse_view_select("SELECT ID FROM T WHERE A = B")
     assert query.join_conds == ()
     assert len(query.filters) == 1
+
+
+@pytest.mark.parametrize("parse", [
+    lambda schema: parse_sql(FIG2_SQL, schema),
+    lambda schema: parse_view_select("SELECT ID, NAME, DEBT FROM STUDENT WHERE DEBT > 2000"),
+], ids=["fig2", "view"])
+def test_a_parse_reads_the_word_at_each_offset_once(schema, monkeypatch, parse):
+    # JOIN, ON and WHERE are probed at one offset, and a select item's first
+    # word is probed for an aggregate before it is read as a field
+    offsets = []
+    word_re = scanner._WORD_RE
+
+    class CountingWordRe:
+        def match(self, string, pos):
+            offsets.append(pos)
+            return word_re.match(string, pos)
+
+    monkeypatch.setattr(scanner, "_WORD_RE", CountingWordRe())
+    parse(schema)
+    assert offsets and len(offsets) == len(set(offsets))

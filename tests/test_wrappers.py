@@ -317,7 +317,8 @@ def test_a_view_leading_into_a_cycle_fails_there(tmp_path):
     </schema>"""
     project = parse_project(*write_project(tmp_path, sources, schema, files={}))
     src = project.source("uni")
-    assert wrappers.view_plan(project, src, src.table("A")).from_tables == ("B",)
+    a = wrappers.source_plan(project, src)["A"]
+    assert (a.base, a.fault) == ("B", None)
     assert [f.location for f in check_schema(project).errors] == [
         f"datasources/datasource[uni]/table[{name}]" for name in "BC"]
     log = AccessLog()
@@ -377,6 +378,25 @@ def test_view_sql_is_parsed_once_per_project(tmp_path, monkeypatch):
     for _ in range(5):
         assert [row[0].lexical for row in fetch_table(project, "uni", "RICH").rows] == ["2", "3"]
     assert len(parses) == 1
+
+
+def test_a_source_plan_is_built_once_per_project_and_only_for_views(tmp_path, monkeypatch):
+    searches = []  # each plan built runs one cycle search
+    search = wrappers.strong_components
+    monkeypatch.setattr(wrappers, "strong_components",
+                        lambda edges: searches.append(dict(edges)) or search(edges))
+    for directory in ("views", "files"):
+        (tmp_path / directory).mkdir()
+    files = {"students.txt": "ID|DEBT\n1|1500\n2|2500\n3|3000\n"}
+    project = open_project(*write_project(tmp_path / "views", VIEW_SOURCES, VIEW_SCHEMA, files))
+    for table in ("RICH", "STUDENT", "RICH"):
+        fetch_table(project, "uni", table)
+    assert check_schema(project).accepted
+    assert searches == [{"RICH": ["STUDENT"]}]
+
+    searches.clear()
+    assert check_schema(parse_project(*write_project(tmp_path / "files"))).accepted
+    assert searches == []  # a schema over files alone asks for no plan
 
 
 @pytest.mark.parametrize("seed", range(6))
