@@ -339,13 +339,13 @@ def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, lis
     variables = [_pattern_variables(pattern) for pattern in query.patterns]
     estimates = [_estimate(pattern, names, query.filters, store)
                  for pattern, names in zip(query.patterns, variables)]
-    remaining = list(range(len(query.patterns)))
+    # ranked once, smallest estimate first; the sort is stable, so ties keep query order
+    remaining = sorted(range(len(query.patterns)), key=estimates.__getitem__)
     bound: set[str] = set()
     pending = list(query.filters)
     steps: list[tuple[TriplePattern, list[FilterAtom]]] = []
     while remaining:
-        connected = [i for i in remaining if variables[i] & bound]
-        best = min(connected or remaining, key=lambda i: (estimates[i], i))
+        best = next((i for i in remaining if variables[i] & bound), remaining[0])
         remaining.remove(best)
         bound |= variables[best]
         ready = [atom for atom in pending if _atom_variables(atom) <= bound]

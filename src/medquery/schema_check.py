@@ -161,7 +161,7 @@ def check_schema(project: Project) -> SatisfiabilityReport:
         is_view = tdef is not None and isinstance(tdef.binding, ViewBinding)
         plan = source_plan(project, src) if is_view else {}  # none for a file or XML table
         while isinstance(view := plan.get(table), PlannedView) and view.base is not None:
-            table = view.base
+            table = view.base.name
             if (source, table) in referenced:
                 break  # a cycle of views ends here
             referenced.add((source, table))

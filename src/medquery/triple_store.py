@@ -30,8 +30,9 @@ so does each of its stores: writing to either never changes the other.
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
 syntax), which makes them diffable even though RDF itself is unordered.
-An export renders each triple's object once and writes its line from that
-sort key.
+An export walks the SPO index itself, renders each triple's object once
+(escaping only a literal that holds a character needing it), sorts those
+keys and writes each line from its key.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class _Objects(dict):
 
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_LITERAL_TAILS = {dtype: f'"^^<{dtype_iri(dtype)}>' for dtype in Dtype}
 
 
 def scan_iri(text: str, pos: int) -> tuple[Iri, int]:
@@ -166,10 +168,20 @@ def scan_quoted(text: str, pos: int) -> tuple[str, int]:
 
 
 def format_term(term: Term) -> str:
-    """Render a term in N-Triples syntax; doubles as the canonical sort key."""
+    """Render a term in N-Triples syntax; doubles as the canonical sort key.
+
+    A lexical form is translated only when it holds a character that needs
+    an escape (backslash, double quote, line feed or carriage return); any
+    other text, tabs and non-ASCII characters included, is written as it
+    is. The closing ``"^^<datatype>`` comes from a table built once per
+    :class:`~medquery.dtypes.Dtype`.
+    """
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    return f'"{term.lexical.translate(_ESCAPES)}"^^<{dtype_iri(term.dtype)}>'
+    lexical = term.lexical
+    if "\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical:
+        lexical = lexical.translate(_ESCAPES)
+    return '"' + lexical + _LITERAL_TAILS[term.dtype]
 
 
 def _triple_key(t: Triple) -> tuple[str, str, str]:
@@ -345,9 +357,10 @@ class TripleStore:
 
 def export_ntriples(store: TripleStore) -> str:
     """Serialize the store, one triple per line, in canonical order."""
-    triples = store._match_raw(None, None, None)
-    keys = sorted((s.value, p.value, format_term(o)) for s, p, o in triples)
-    return "".join(f"<{s}> <{p}> {o} .\n" for s, p, o in keys)
+    keys = [(s.value, p.value, format_term(o))
+            for s, by_pred in store._spo.items() for p, objects in by_pred.items() for o in objects]
+    keys.sort()
+    return "".join([f"<{s}> <{p}> {o} .\n" for s, p, o in keys])
 
 
 def import_ntriples(text: str) -> TripleStore:

@@ -18,8 +18,9 @@ Each fetch reads the source's bytes again, and runs an XML transform again
 bytes, and selecting a view's rows from its base table, go through
 :meth:`~medquery.descriptors.Project.derive`, which states when a result is
 reused. So does, once per project, a source's plan (:func:`source_plan`):
-each table's path, or its view's parsed SQL and fault, from one pass over
-the source; so ``validate`` and fetch are linear in a chain of views.
+each table's path, or its view's definition, base, parsed SQL and fault,
+from one pass over the source; so ``validate`` and fetch are linear in a
+chain of views, and a fetch looks no view up by name.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
     if table not in plan:
         raise UnknownTableError(f"data source '{source}' has no table '{table}'")
 
-    views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # from ``table`` down
+    views: list[PlannedView] = []  # from ``table`` down
     while True:
         if log is not None:
             log.append(source, table)
@@ -197,10 +198,10 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
             break
         if view.fault is not None:
             raise IoError(view.fault)
-        views.append((src.table(table), view.query))
-        table = view.base  # declared: a view that reads no declared table has a fault
+        views.append(view)
+        table = view.base.name  # declared: a view that reads no declared table has a fault
 
-    path, tdef = plan[table], src.table(table)
+    path, tdef = plan[table], views[-1].base if views else src.table(table)
     binding = tdef.binding
     data = _read_bytes(path)
     if isinstance(binding, FileBinding):
@@ -211,20 +212,23 @@ def fetch_table(project: Project, source: str, table: str, log: AccessLog | None
             data = _run_transform(binding.transform, data, f"table '{tdef.name}'")
     base = project.derive(("source", source, tdef.name), (data,),
                           lambda: Table(tdef.name, tdef.fields, parse(data, tdef, path)))
-    for view, query in reversed(views):
-        base = project.derive(("source", source, view.name), (base,),
-                              lambda: _view(view, base, query))
+    for view in reversed(views):
+        base = project.derive(("source", source, view.table.name), (base,),
+                              lambda: _view(view.table, base, view.query))
     return base
 
 
 @dataclass(frozen=True)
 class PlannedView:
-    """A view in a source plan: the table its SQL reads, that SQL parsed, and why it cannot fetch.
+    """A view in a source plan: its definition, the table its SQL reads, that
+    SQL parsed, and why it cannot fetch.
 
-    ``base`` and ``query`` are None if the SQL does not parse, ``fault`` if the view can fetch.
+    ``query`` is None if the SQL does not parse, ``base`` also if it reads
+    no declared table, and ``fault`` if the view can fetch.
     """
 
-    base: str | None
+    table: SourceTableDef
+    base: SourceTableDef | None
     query: sql_frontend.SqlQuery | None
     fault: str | None
 
@@ -243,6 +247,7 @@ def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path |
     """
     def build() -> dict[str, Path | PlannedView]:
         plan: dict[str, Path | PlannedView] = {}
+        tables = {tdef.name: tdef for tdef in src.tables}
         views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # each view that parses
         for tdef in src.tables:
             binding = tdef.binding
@@ -250,7 +255,7 @@ def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path |
                 try:
                     views.append((tdef, sql_frontend.parse_view_select(binding.query)))
                 except MedQueryError as exc:
-                    plan[tdef.name] = PlannedView(None, None, f"view SQL does not parse: {exc}")
+                    plan[tdef.name] = PlannedView(tdef, None, None, f"view SQL does not parse: {exc}")
             else:  # an absolute location or file path replaces what comes before it
                 parts = (src.location, binding.path) if isinstance(binding, FileBinding) else (src.location,)
                 plan[tdef.name] = Path(project.base_dir, *parts)
@@ -259,16 +264,17 @@ def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path |
                   if len(component) > 1 or component[0] in edges.get(component[0], ())
                   for name in component}
         for tdef, query in views:
-            plan[tdef.name] = PlannedView(query.from_tables[0], query,
-                                          _check_view(src, tdef, query, tdef.name in cycles))
+            base = tables.get(query.from_tables[0])
+            plan[tdef.name] = PlannedView(tdef, base, query,
+                                          _check_view(src, tdef, query, base, tdef.name in cycles))
         return plan
     return project.derive(("plan", src.name), (), build)
 
 
 def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef, query: sql_frontend.SqlQuery,
-                on_cycle: bool) -> str | None:
-    """Why view ``tdef``, parsed as ``query``, cannot fetch; None if it can."""
-    base = src.table(query.from_tables[0])
+                base: SourceTableDef | None, on_cycle: bool) -> str | None:
+    """Why view ``tdef``, parsed as ``query`` to read ``base`` (None if
+    ``src`` does not declare it), cannot fetch; None if it can."""
     if base is None:
         return f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare"
     dtypes = {f.name: f.dtype for f in base.fields}

@@ -25,6 +25,18 @@ WHERE
 AND ?DEBT > 2000
 """
 
+# what ``medquery extract --table STUDENT`` prints for the project write_project writes
+FIG2_STUDENT_NTRIPLES = """\
+<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#DEBT> "1500"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#FIRSTNAME> "Ann"^^<http://www.w3.org/2001/XMLSchema#string> .
+<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#ID> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#LASTNAME> "K"^^<http://www.w3.org/2001/XMLSchema#string> .
+<http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#DEBT> "2500"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#FIRSTNAME> "Bob"^^<http://www.w3.org/2001/XMLSchema#string> .
+<http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#ID> "2"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#LASTNAME> "L"^^<http://www.w3.org/2001/XMLSchema#string> .
+"""
+
 SOURCES_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <datasources>
   <datasource name="uni" kind="tabular" location=".">

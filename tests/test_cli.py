@@ -17,7 +17,7 @@ from medquery.extraction import build_triples, materialize_required
 from medquery.iris import result_property_iri, result_subject_iri
 from medquery.triple_store import import_ntriples
 
-from conftest import FIG2_SQL, SCHEMA_XML, SOURCES_XML, write_project
+from conftest import FIG2_SQL, FIG2_STUDENT_NTRIPLES, SCHEMA_XML, SOURCES_XML, write_project
 from generators import random_project, random_sql_text
 
 
@@ -109,7 +109,7 @@ def test_missing_file_exits_2(fig2_paths, capsys):
 
 def test_extract_roundtrips_through_import(fig2_paths, capsys):
     code, out = _run(capsys, "extract", fig2_paths, "--table", "STUDENT")
-    assert code == 0
+    assert (code, out) == (0, FIG2_STUDENT_NTRIPLES)
     expected = build_triples(materialize_required(parse_project(*fig2_paths), ["STUDENT"]))
     assert len(expected) == 8
     assert import_ntriples(out) == expected

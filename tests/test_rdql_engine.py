@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -405,8 +407,9 @@ def test_single_pattern_warnings_match_the_oracle():
 
 def test_a_deep_query_plans_each_pattern_once(monkeypatch):
     # at every step the planner once recomputed the variables of every
-    # pattern left, a quadratic number of calls
-    n = 500
+    # pattern left, and compared the estimates of every pattern left: both
+    # a quadratic number of calls
+    n = 2000
     store = TripleStore()
     store.insert(Triple(Iri("http://x/s"), Iri("http://x/p"), lit("1")))
     query = parse_rdql("SELECT ?s WHERE " + ", ".join(f"(?s <http://x/p> ?o{i})" for i in range(n)))
@@ -414,5 +417,11 @@ def test_a_deep_query_plans_each_pattern_once(monkeypatch):
     pattern_variables = rdql_engine._pattern_variables
     monkeypatch.setattr(rdql_engine, "_pattern_variables",
                         lambda pattern: calls.append(pattern) or pattern_variables(pattern))
+    comparisons = []
+    for name in ("__lt__", "__eq__"):
+        compare = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, compare=compare:
+                            comparisons.append(a) or compare(a, b))
     assert evaluate(query, store).rows == [(Iri("http://x/s"),)]
     assert len(calls) <= 2 * n
+    assert len(comparisons) <= n * math.log2(n)

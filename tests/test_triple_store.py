@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medquery import triple_store
-from medquery.dtypes import Dtype
+from medquery.dtypes import Dtype, canonicalize
 from medquery.errors import NtParseError
 from medquery.triple_store import (
     Iri,
@@ -289,22 +291,63 @@ def test_export_orders_by_key_and_escapes_each_literal():
         store.insert(t(subject, P + "/q", Iri("http://x/a")))
         store.insert(t(subject, P + "/q", TypedLiteral("-3", Dtype.INTEGER)))
 
-    def render(term):  # the object in N-Triples syntax, escaped here by hand
-        if isinstance(term, Iri):
-            return f"<{term.value}>"
-        text = term.lexical
-        for char, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r")):
-            text = text.replace(char, escaped)
-        return f'"{text}"^^<http://www.w3.org/2001/XMLSchema#{term.dtype.value}>'
-
-    # documented order: (subject IRI, predicate IRI, object text), not whole lines
-    keys = sorted((s.value, p.value, render(o)) for s, p, o in store.match(None, None, None))
-    lines = [f"<{s}> <{p}> {o} .\n" for s, p, o in keys]
+    lines = export_by_hand(store)
     assert sorted(lines) != lines
     text = export_ntriples(store)
     assert text == "".join(lines)
     assert "\t" in text and "\u6f22" in text  # tabs and non-ASCII text stay raw
     assert import_ntriples(text) == store
+
+
+def render_by_hand(term):
+    """The term in N-Triples syntax, escaped here by hand."""
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    text = term.lexical
+    for char, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r")):
+        text = text.replace(char, escaped)
+    return f'"{text}"^^<http://www.w3.org/2001/XMLSchema#{term.dtype.value}>'
+
+
+def export_by_hand(store):
+    """The export's lines, in the documented order: by (subject IRI, predicate
+    IRI, object text), not by whole line."""
+    keys = sorted((s.value, p.value, render_by_hand(o)) for s, p, o in store.match(None, None, None))
+    return [f"<{s}> <{p}> {o} .\n" for s, p, o in keys]
+
+
+# characters that need an escape, a tab, other control characters, digits and
+# signs that numeric dtypes read, and non-ASCII text up to a lone surrogate
+_WEIGHTED = '\\"\n\r\t\x00\x1b\x7f\x85\u2028-+.0159\u00e9\u6f22\U0001F600\ud800'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(["true", " FALSE "]),
+                          st.text(st.one_of(st.sampled_from(_WEIGHTED), st.characters()), max_size=10)),
+                min_size=1, max_size=8))
+def test_rendering_agrees_with_the_hand_escaper_for_both_slot_shapes(texts):
+    # one row per text, one cell per dtype that reads it, None where none does;
+    # load_rows keeps 1-tuple slots, insert keeps sets
+    predicates = [Iri(f"http://x/T#{dtype.value}") for dtype in Dtype]
+    rows = []
+    for number, text in enumerate(texts):
+        cells = []
+        for dtype in Dtype:
+            try:
+                cells.append(None if text is None else TypedLiteral(canonicalize(text, dtype), dtype))
+            except ValueError:  # text the dtype does not read
+                cells.append(None)
+        rows.append((Iri(f"http://x/T/row/{number}"), cells))
+    loaded, inserted = TripleStore(), TripleStore()
+    loaded.load_rows(predicates, rows)
+    for subject, cells in rows:
+        for predicate, cell in zip(predicates, cells):
+            if cell is not None:
+                assert format_term(cell) == render_by_hand(cell)
+                inserted.insert(Triple(subject, predicate, cell))
+    text = export_ntriples(loaded)
+    assert text == export_ntriples(inserted) == "".join(export_by_hand(inserted))
+    assert import_ntriples(text) == loaded == inserted
 
 
 def test_iri_objects_roundtrip():

@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from medquery import sql_frontend, wrappers
+from medquery import descriptors, sql_frontend, wrappers
 from medquery.cli import main
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
@@ -318,7 +318,7 @@ def test_a_view_leading_into_a_cycle_fails_there(tmp_path):
     project = parse_project(*write_project(tmp_path, sources, schema, files={}))
     src = project.source("uni")
     a = wrappers.source_plan(project, src)["A"]
-    assert (a.base, a.fault) == ("B", None)
+    assert (a.base.name, a.fault) == ("B", None)
     assert [f.location for f in check_schema(project).errors] == [
         f"datasources/datasource[uni]/table[{name}]" for name in "BC"]
     log = AccessLog()
@@ -366,6 +366,13 @@ def test_a_long_chain_of_views_checks_and_fetches_in_linear_work(tmp_path, monke
     assert [row[0].lexical for row in table.rows] == ["1", "2"]
     assert log.entries == (*(("s", f"V{i}") for i in reversed(range(count))), ("s", "BASE"))
     assert len(parses) == count
+
+    # a warm fetch finds each view's definition in the plan, not by a scan of the source's tables
+    lookups = []
+    named = descriptors._named
+    monkeypatch.setattr(descriptors, "_named", lambda items, name: lookups.append(name) or named(items, name))
+    assert fetch_table(project, "s", f"V{count - 1}") is table
+    assert len(lookups) <= 2
 
 
 def test_view_sql_is_parsed_once_per_project(tmp_path, monkeypatch):
