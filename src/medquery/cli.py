@@ -25,13 +25,7 @@ import time
 import xml.etree.ElementTree as ET
 
 from . import sql_to_rdql
-from .descriptors import (
-    DerivedRelation,
-    EqualityRelation,
-    IntegratedSchema,
-    parse_project,
-    serialize_schema,
-)
+from .descriptors import EqualityRelation, IntegratedSchema, parse_project, serialize_schema
 from .errors import (
     DuplicateNameError,
     MalformedXmlError,
@@ -149,24 +143,16 @@ def render_dot(schema: IntegratedSchema) -> str:
         fields = "\\l".join(f"{f.name} : {f.dtype.value}" for f in table.fields)
         lines.append(f'  "{table.name}" [label="{{{table.name}|{fields}\\l}}"];')
     for relation in schema.relations:
-        if isinstance(relation, EqualityRelation):
-            label = "="
-            left = _touching_tables(schema, relation.lhs)
-            right = _touching_tables(schema, relation.rhs)
-        else:
-            assert isinstance(relation, DerivedRelation)
-            label = relation.op.value
-            left = _touching_tables(schema, [relation.target])
-            right = _touching_tables(schema, relation.operands)
-        drawn: set[frozenset[str]] = set()
+        equality = isinstance(relation, EqualityRelation)
+        label = "=" if equality else relation.op.value
+        sides = (relation.lhs, relation.rhs) if equality else ([relation.target], relation.operands)
+        left, right = (_touching_tables(schema, refs) for refs in sides)
+        drawn: dict[frozenset[str], tuple[str, str]] = {}  # each pair of tables, as first met
         for a in left:
             for b in right:
-                if a == b:
-                    continue
-                key = frozenset((a, b))
-                if key not in drawn:
-                    drawn.add(key)
-                    lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
+                if a != b:
+                    drawn.setdefault(frozenset((a, b)), (a, b))
+        lines.extend(f'  "{a}" -- "{b}" [label="{label}"];' for a, b in drawn.values())
     lines.append("}")
     return "".join(line + "\n" for line in lines)
 

@@ -56,6 +56,12 @@ are resolved at parse time; relation references are deliberately left to
 the satisfiability checker so that it can report them as findings. So is a
 view's SQL: ``wrappers.source_plan`` parses and checks it, and the checker
 reports a view that does not parse or does not fit its base table.
+
+Every lookup by name (``source``, ``table``, ``field_def``) reads one dict per
+owner, built from its element tuple on first use and kept outside its fields,
+so equality, hash, repr and ``asdict`` ignore it. A parser collects elements
+in a dict, where a membership test rejects a repeated name; tuples keep
+document order.
 """
 
 from __future__ import annotations
@@ -77,11 +83,13 @@ from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefErr
 # --- domain types ----------------------------------------------------------
 
 
-def _named(items: Iterable[Any], name: str) -> Any:
-    for item in items:
-        if item.name == name:
-            return item
-    return None
+def _named(owner: Any, elements: tuple[Any, ...], name: str) -> Any:
+    """The element of ``owner``'s ``elements`` named ``name``, or None: the one name index."""
+    index = owner.__dict__.get("_names")
+    if index is None:
+        index = {element.name: element for element in elements}
+        object.__setattr__(owner, "_names", index)
+    return index.get(name)
 
 
 class SourceKind(str, enum.Enum):
@@ -139,7 +147,7 @@ class SourceTableDef:
     binding: Binding
 
     def field_def(self, name: str) -> SourceFieldDef | None:
-        return _named(self.fields, name)
+        return _named(self, self.fields, name)
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,7 @@ class DataSourceDescriptor:
     tables: tuple[SourceTableDef, ...]
 
     def table(self, name: str) -> SourceTableDef | None:
-        return _named(self.tables, name)
+        return _named(self, self.tables, name)
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ class IntegratedTableDef:
     fields: tuple[IntegratedFieldDef, ...]
 
     def field_def(self, name: str) -> IntegratedFieldDef | None:
-        return _named(self.fields, name)
+        return _named(self, self.fields, name)
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,7 @@ class IntegratedSchema:
     relations: tuple[Relation, ...]
 
     def table(self, name: str) -> IntegratedTableDef | None:
-        return _named(self.tables, name)
+        return _named(self, self.tables, name)
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,7 @@ class Project:
 
     ``base_dir`` anchors relative source locations to the directory of the
     data-source descriptor file; it is excluded from structural equality.
+    ``source`` and the lookups under it read the name index (module docstring).
 
     ``derive`` is the one memo rule of the pipeline, a build system's
     verifying trace; a ``make`` reads only its inputs and the descriptors.
@@ -253,7 +262,7 @@ class Project:
         return value
 
     def source(self, name: str) -> DataSourceDescriptor | None:
-        return _named(self.sources, name)
+        return _named(self, self.sources, name)
 
 
 def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
@@ -405,10 +414,10 @@ def _attrs(el: ET.Element, where: str, names: list[str], allowed: Iterable[str] 
     return values
 
 
-def _add_unique(items: list[Any], item: Any, kind: str, context: str = "") -> None:
-    if _named(items, item.name) is not None:
+def _add_unique(items: dict[str, Any], item: Any, kind: str, context: str = "") -> None:
+    if item.name in items:
         raise DuplicateNameError(kind, item.name, context)
-    items.append(item)
+    items[item.name] = item
 
 
 def _parse_source_table(el: ET.Element, source_name: str, kind: SourceKind) -> SourceTableDef:
@@ -416,7 +425,7 @@ def _parse_source_table(el: ET.Element, source_name: str, kind: SourceKind) -> S
     where = f"datasource '{source_name}' table '{name}'"
     _attrs(el, where, [], ["name"])
 
-    fields: list[SourceFieldDef] = []
+    fields: dict[str, SourceFieldDef] = {}
     binding: Binding | None = None
     for child in el:
         if child.tag == "field":
@@ -436,9 +445,9 @@ def _parse_source_table(el: ET.Element, source_name: str, kind: SourceKind) -> S
         raise MalformedXmlError(f"{where}: xml sources take xmlbinding elements")
     if isinstance(binding, XmlBinding):
         for mapped in binding.field_elements:
-            if _named(fields, mapped) is None:
+            if mapped not in fields:
                 raise MalformedXmlError(f"{where}: xml map names undeclared field '{mapped}'")
-    return SourceTableDef(name, tuple(fields), binding)
+    return SourceTableDef(name, tuple(fields.values()), binding)
 
 
 def _parse_binding(el: ET.Element, where: str) -> Binding:
@@ -472,7 +481,7 @@ def _parse_binding(el: ET.Element, where: str) -> Binding:
 
 
 def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
-    sources: list[DataSourceDescriptor] = []
+    sources: dict[str, DataSourceDescriptor] = {}
     root = _parse_root(text, "datasources")
     _attrs(root, "datasources", [])
     for el in root:
@@ -483,7 +492,7 @@ def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
         kind, location = _attrs(el, where, ["kind", "location"], ["name"])
 
         credentials: Credentials | None = None
-        tables: list[SourceTableDef] = []
+        tables: dict[str, SourceTableDef] = {}
         for child in el:
             if child.tag == "credentials":
                 if credentials is not None:
@@ -493,9 +502,9 @@ def parse_sources_xml(text: str | bytes) -> tuple[DataSourceDescriptor, ...]:
                 _add_unique(tables, _parse_source_table(child, name, kind), "table", where)
             else:
                 raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
-        _add_unique(sources, DataSourceDescriptor(name, kind, location, credentials, tuple(tables)),
+        _add_unique(sources, DataSourceDescriptor(name, kind, location, credentials, tuple(tables.values())),
                     "datasource")
-    return tuple(sources)
+    return tuple(sources.values())
 
 
 def _parse_ref(el: ET.Element, where: str) -> FieldRef:
@@ -546,14 +555,14 @@ def parse_schema_xml(text: str | bytes) -> IntegratedSchema:
     root = _parse_root(text, "schema")
     (name,) = _attrs(root, "schema", ["name"])
 
-    tables: list[IntegratedTableDef] = []
+    tables: dict[str, IntegratedTableDef] = {}
     relations: list[Relation] = []
     for el in root:
         if el.tag == "table":
             (tname,) = _attrs(el, "schema", ["name"], el.keys())
             where = f"integrated table '{tname}'"
             _attrs(el, where, [], ["name"])
-            fields: list[IntegratedFieldDef] = []
+            fields: dict[str, IntegratedFieldDef] = {}
             for child in el:
                 if child.tag != "field":
                     raise MalformedXmlError(f"{where}: unexpected element <{child.tag}>")
@@ -562,12 +571,12 @@ def parse_schema_xml(text: str | bytes) -> IntegratedSchema:
                 _add_unique(fields, IntegratedFieldDef(fname, dtype, FieldRef(*ref)), "field", where)
             if not fields:
                 raise MalformedXmlError(f"{where}: integrated table has no fields")
-            _add_unique(tables, IntegratedTableDef(tname, tuple(fields)), "integrated table")
+            _add_unique(tables, IntegratedTableDef(tname, tuple(fields.values())), "integrated table")
         elif el.tag == "relation":
             relations.append(_parse_relation(el, len(relations) + 1))
         else:
             raise MalformedXmlError(f"unexpected element <{el.tag}> under <schema>")
-    return IntegratedSchema(name, tuple(tables), tuple(relations))
+    return IntegratedSchema(name, tuple(tables.values()), tuple(relations))
 
 
 def parse_project(source_desc_path: str | Path, schema_desc_path: str | Path) -> Project:

@@ -217,9 +217,7 @@ def parse_sql(text: str, schema: IntegratedSchema) -> SqlQuery:
     for fld in referenced_fields(query):
         if fld.table not in seen:
             raise UnknownTableError(f"'{fld}' references a table missing from FROM")
-        table = schema.table(fld.table)
-        assert table is not None
-        if table.field_def(fld.field) is None:
+        if schema.table(fld.table).field_def(fld.field) is None:  # FROM names declared tables
             raise UnknownFieldError(f"integrated table '{fld.table}' has no field '{fld.field}'")
     used = {fld.table for fld in referenced_fields(query)}
     for name in tables:

@@ -2,15 +2,19 @@
 
 The translation works field by field:
 
-  1. every FROM entry k gets the table variable ``?tbl_k``;
-  2. every selected field T.F gets ``?F`` (or ``?T_F`` for every field
+  1. every selected field T.F gets ``?F`` (or ``?T_F`` for every field
      whose bare name is selected from more than one table);
+  2. every FROM entry k gets the table variable ``?tbl_k``;
   3. every field occurring anywhere in the query yields exactly one triple
      pattern ``(?tbl_k <http://integratedDB/T#F> ?var)``. The equality
      joins group the fields into classes, and each class shares one
      variable: that of the selected field it holds, or else a fresh
      ``?fld_j``, numbered in order of the class's first field in the query;
   4. the remaining conditions become comparison atoms in the AND clause.
+
+Names are claimed in that order, and a name already claimed takes the first
+free suffix ``_2``, ``_3``, ...; so distinct classes and tables never share
+a variable, even where a field is named ``fld_0``, ``tbl_0`` or ``T_F``.
 
 A join between two classes that each hold a selected field merges nothing:
 the equality moves into the AND clause instead, so every variable stays
@@ -31,17 +35,12 @@ from .triple_store import Iri, TypedLiteral
 
 def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
     """Pure function from a validated SQL AST to (RDQL text, RDQL AST)."""
-    from_index = {name: k for k, name in enumerate(query.from_tables)}
     # distinct fields in first-occurrence order drive pattern order
     fields = list(dict.fromkeys(referenced_fields(query)))
-    var_of, residual_joins = _variables(query, fields)
+    var_of, table_var, residual_joins = _variables(query, fields)
 
     patterns = tuple(
-        TriplePattern(
-            Var(f"tbl_{from_index[field.table]}"),
-            Iri(property_iri(field.table, field.field)),
-            var_of[field],
-        )
+        TriplePattern(table_var[field.table], Iri(property_iri(field.table, field.field)), var_of[field])
         for field in fields
     )
 
@@ -56,15 +55,26 @@ def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
 
 
 def _variables(query: SqlQuery, fields: list[QualifiedField]
-               ) -> tuple[dict[QualifiedField, Var], list[Condition]]:
-    """Each field's variable, and the joins left for the AND clause."""
-    selected = set(query.select)
+               ) -> tuple[dict[QualifiedField, Var], dict[str, Var], list[Condition]]:
+    """Each field's variable, each table's, and the joins left for the AND clause."""
+    taken: set[str] = set()
+
+    def claim(name: str) -> str:
+        unique, suffix = name, 1
+        while unique in taken:
+            suffix += 1
+            unique = f"{name}_{suffix}"
+        taken.add(unique)
+        return unique
+
+    selected = dict.fromkeys(query.select)
     tables_per_name = Counter(field.field for field in selected)
     # a class is [its variable's name, or None, *its fields]
     classes = {field: [None, field] for field in fields}
     for field in selected:
         qualified = tables_per_name[field.field] > 1
-        classes[field][0] = f"{field.table}_{field.field}" if qualified else field.field
+        classes[field][0] = claim(f"{field.table}_{field.field}" if qualified else field.field)
+    table_var = {name: Var(claim(f"tbl_{k}")) for k, name in enumerate(query.from_tables)}
 
     residual_joins = []
     for cond in query.join_conds:
@@ -85,9 +95,9 @@ def _variables(query: SqlQuery, fields: list[QualifiedField]
     fresh = 0
     for field in fields:
         if classes[field][0] is None:
-            classes[field][0] = f"fld_{fresh}"
+            classes[field][0] = claim(f"fld_{fresh}")
             fresh += 1
-    return {field: Var(cls[0]) for field, cls in classes.items()}, residual_joins
+    return {field: Var(cls[0]) for field, cls in classes.items()}, table_var, residual_joins
 
 
 def _render_atom_rhs(rhs: Var | TypedLiteral) -> str:
@@ -100,14 +110,9 @@ def _render_atom_rhs(rhs: Var | TypedLiteral) -> str:
 
 
 def _render(ast: RdqlQuery) -> str:
-    lines = ["SELECT " + ", ".join(f"?{v.name}" for v in ast.select), "WHERE"]
-    for i, pattern in enumerate(ast.patterns):
-        assert isinstance(pattern.p, Iri)
-        assert isinstance(pattern.s, Var) and isinstance(pattern.o, Var)
-        line = f"(?{pattern.s.name} <{pattern.p.value}> ?{pattern.o.name})"
-        if i < len(ast.patterns) - 1:
-            line += ","
-        lines.append(line)
+    # every pattern convert makes is (?table <property> ?variable)
+    lines = ["SELECT " + ", ".join(f"?{v.name}" for v in ast.select), "WHERE",
+             ",\n".join(f"(?{p.s.name} <{p.p.value}> ?{p.o.name})" for p in ast.patterns)]
     if ast.filters:
         rendered = [
             f"?{atom.lhs.name} {atom.op} {_render_atom_rhs(atom.rhs)}"

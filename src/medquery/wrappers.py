@@ -247,7 +247,6 @@ def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path |
     """
     def build() -> dict[str, Path | PlannedView]:
         plan: dict[str, Path | PlannedView] = {}
-        tables = {tdef.name: tdef for tdef in src.tables}
         views: list[tuple[SourceTableDef, sql_frontend.SqlQuery]] = []  # each view that parses
         for tdef in src.tables:
             binding = tdef.binding
@@ -264,7 +263,7 @@ def source_plan(project: Project, src: DataSourceDescriptor) -> dict[str, Path |
                   if len(component) > 1 or component[0] in edges.get(component[0], ())
                   for name in component}
         for tdef, query in views:
-            base = tables.get(query.from_tables[0])
+            base = src.table(query.from_tables[0])
             plan[tdef.name] = PlannedView(tdef, base, query,
                                           _check_view(src, tdef, query, base, tdef.name in cycles))
         return plan
@@ -277,20 +276,19 @@ def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef, query: sql_fron
     ``src`` does not declare it), cannot fetch; None if it can."""
     if base is None:
         return f"view reads table '{query.from_tables[0]}', which '{src.name}' does not declare"
-    dtypes = {f.name: f.dtype for f in base.fields}
     for fld in sql_frontend.referenced_fields(query):
         if fld.table != base.name:
             return f"view reads table '{fld.table}', which is not its FROM table '{base.name}'"
-        if fld.field not in dtypes:
+        if base.field_def(fld.field) is None:
             return f"view reads field '{fld.field}', which '{src.name}.{base.name}' does not declare"
     for cond in query.filters:
-        lhs = dtypes[cond.lhs.field]
-        rhs = cond.rhs.dtype if isinstance(cond.rhs, TypedLiteral) else dtypes[cond.rhs.field]
+        lhs = base.field_def(cond.lhs.field).dtype
+        rhs = (cond.rhs if isinstance(cond.rhs, TypedLiteral) else base.field_def(cond.rhs.field)).dtype
         if not comparable(cond.op, lhs, rhs):
             return (f"view filter {cond} can never hold: "
                     f"{cond.op} does not compare {lhs.value} with {rhs.value}")
     # names are identifiers, so "name dtype" compares as the pair does
-    shown = ", ".join(f"{f.field} {dtypes[f.field].value}" for f in query.select)
+    shown = ", ".join(f"{f.field} {base.field_def(f.field).dtype.value}" for f in query.select)
     declared = ", ".join(f"{f.name} {f.dtype.value}" for f in tdef.fields)
     if shown != declared:
         return f"view '{tdef.name}' projects [{shown}] but declares [{declared}]"

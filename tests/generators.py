@@ -247,7 +247,10 @@ def random_project(rng: random.Random, directory: Path,
         )]
         for _ in range(rng.randrange(1, 5)):
             table_name, fdef = rng.choice(candidates)
-            name = fdef.name if rng.random() < 0.7 else f"{fdef.name}_{len(int_fields)}"
+            draw = rng.random()
+            # now and then a name the SQL translation also makes up for a variable
+            name = (fdef.name if draw < 0.7 else f"{fdef.name}_{len(int_fields)}" if draw < 0.9
+                    else ("tbl_0", "fld_0", f"I{g}_KEY")[len(int_fields) % 3])
             if any(f.name == name for f in int_fields):
                 continue
             int_fields.append(IntegratedFieldDef(

@@ -1,5 +1,6 @@
 """The CLI's exit-code contract (0 ok, 1 domain error, 2 descriptor or file error)."""
 
+import io
 import os
 import random
 import subprocess
@@ -12,12 +13,15 @@ import pytest
 
 import medquery
 from medquery.cli import main
-from medquery.descriptors import parse_project
+from medquery.descriptors import parse_project, parse_schema_xml
 from medquery.extraction import build_triples, materialize_required
-from medquery.iris import result_property_iri, result_subject_iri
+from medquery.errors import MedQueryError
+from medquery.iris import property_iri, result_property_iri, result_subject_iri
+from medquery.sql_frontend import parse_sql
+from medquery.sql_to_rdql import convert
 from medquery.triple_store import import_ntriples
 
-from conftest import FIG2_SQL, FIG2_STUDENT_NTRIPLES, SCHEMA_XML, SOURCES_XML, write_project
+from conftest import FIG2_RDQL, FIG2_SQL, FIG2_STUDENT_NTRIPLES, SCHEMA_XML, SOURCES_XML, write_project
 from generators import random_project, random_sql_text
 
 
@@ -31,6 +35,29 @@ def test_query_exits_0_with_the_answer(fig2_paths, capsys):
     code, out = _run(capsys, "query", fig2_paths, "--query", FIG2_SQL)
     assert code == 0
     assert out == "FIRSTNAME|LASTNAME|AVERAGE|DEBT\nBob|L|12|2500\n"
+
+
+def test_convert_prints_the_fig2_rdql(fig2_paths, capsys):
+    assert _run(capsys, "convert", fig2_paths, "--query", FIG2_SQL) == (0, FIG2_RDQL)
+
+
+def test_show_schema_as_xml_reparses_to_the_same_schema(fig2_paths, capsys):
+    code, out = _run(capsys, "show-schema", fig2_paths, "--format", "xml")
+    assert code == 0
+    assert parse_schema_xml(out.encode("utf-8")) == parse_project(*fig2_paths).schema
+
+
+FIG2_DOT = r"""graph integrated_schema {
+  node [shape=record];
+  "STUDENT" [label="{STUDENT|ID : integer\lFIRSTNAME : string\lLASTNAME : string\lDEBT : integer\l}"];
+  "GRADE" [label="{GRADE|STUDENTID : integer\lAVERAGE : integer\l}"];
+  "STUDENT" -- "GRADE" [label="="];
+}
+"""
+
+
+def test_show_schema_as_dot_draws_fig2(fig2_paths, capsys):
+    assert _run(capsys, "show-schema", fig2_paths, "--format", "dot") == (0, FIG2_DOT)
 
 
 @pytest.mark.parametrize("query, out, note", [
@@ -357,6 +384,23 @@ MUTATION_SPANS = ["|", "<", "&", "\x00", "\ud800", "9" * 5000, "&#x110000;",
                   '<!DOCTYPE d [<!ENTITY e "x">]>']
 
 
+# spans spliced into a query text: quotes, variable and IRI marks, punctuation,
+# operators, keywords out of place, a NUL, a lone surrogate (what argv decoding
+# makes of a byte that is not UTF-8), a long number, and spans that may leave
+# the query well formed (white space, a digit, an underscore)
+QUERY_SPANS = ["'", '"', "?", "<", ">", "(", ")", ",", ".", "&&", "\\", "#", "\x00", "\udcff",
+               "9" * 5000, "1.5e3", " AND ", " WHERE ", " FROM ", "SELECT ", " ON ",
+               " ", "\n\t", "0", "_"]
+
+
+def _spliced(rng, text, spans):
+    """``text`` with one to three of ``spans`` inserted at random places."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(spans) + text[at:]
+    return text
+
+
 def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
     codes = Counter()
     for seed in range(150):
@@ -365,10 +409,7 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
         query = random_sql_text(rng, generated.project)
         table = generated.project.schema.tables[0].name
         victim = rng.choice(sorted((tmp_path / str(seed)).iterdir()))
-        text = victim.read_text(encoding="utf-8")
-        for _ in range(rng.randint(1, 3)):
-            at = rng.randrange(len(text) + 1)
-            text = text[:at] + rng.choice(MUTATION_SPANS) + text[at:]
+        text = _spliced(rng, victim.read_text(encoding="utf-8"), MUTATION_SPANS)
         victim.write_bytes(text.encode("utf-8", "surrogatepass"))
         paths = ("--sources", str(generated.sources_path), "--schema", str(generated.schema_path))
         for command in (["validate"], ["extract", "--table", table], ["query", "--query", query]):
@@ -377,3 +418,26 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
             assert code in (0, 1, 2), (seed, command)
             codes[code] += 1
     assert min(codes[code] for code in (0, 1, 2)) > 0  # each outcome is reached
+
+
+def test_mutated_queries_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
+    # stderr as the interpreter opens it, so an error naming a lone surrogate prints escaped
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(io.BytesIO(), "utf-8", "backslashreplace"))
+    codes = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        generated = random_project(rng, tmp_path / str(seed))
+        schema = generated.project.schema
+        sql = random_sql_text(rng, generated.project)
+        try:
+            rdql, _ = convert(parse_sql(sql, schema), schema)
+        except MedQueryError:  # a FROM table that no field names
+            rdql = f"SELECT ?x WHERE (?s <{property_iri(schema.tables[0].name, 'KEY')}> ?x)"
+        paths = ("--sources", str(generated.sources_path), "--schema", str(generated.schema_path))
+        for text in (_spliced(rng, sql, QUERY_SPANS), _spliced(rng, rdql, QUERY_SPANS)):
+            for lang in ("sql", "rdql"):
+                code = main(["query", *paths, "--query", text, "--lang", lang])  # nothing escapes
+                capsys.readouterr()
+                assert code in (0, 1, 2), (seed, lang, text)
+                codes[code] += 1
+    assert codes[0] > 0 and codes[1] > 0, codes

@@ -12,6 +12,7 @@ from medquery.descriptors import DerivedRelation, parse_project
 from medquery.errors import MedQueryError, TypeCoercionError
 from medquery.extraction import build_triples, materialize_integrated_table, materialize_required
 from medquery.iris import property_iri, subject_iri
+from medquery.schema_check import check_schema
 from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, export_ntriples
 from medquery.wrappers import AccessLog, Table, fetch_table
 
@@ -114,6 +115,18 @@ def test_derived_add_of_small_decimals_is_fixed_point(tmp_path, a, total):
     assert (
         '<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#TOTAL> '
         f'"{total}"^^<{XSD}decimal> .'
+    ) in _extract(project).splitlines()
+
+
+def test_a_whole_sum_is_an_integer_even_where_a_string_field_reads_it(tmp_path):
+    # 3 + 4 is the integer 7, so the string field reads "7", not the decimal's "7.0"
+    files = {"students.txt": "ID|A|B\n1|3|4\n", "calc.txt": "TOTAL\n"}
+    schema = ADD_SCHEMA.replace('name="TOTAL" type="decimal"', 'name="TOTAL" type="string"')
+    project = parse_project(*write_project(tmp_path, ADD_SOURCES, schema, files))
+    assert check_schema(project).accepted
+    assert (
+        '<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#TOTAL> '
+        f'"7"^^<{XSD}string> .'
     ) in _extract(project).splitlines()
 
 

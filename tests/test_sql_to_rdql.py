@@ -228,3 +228,58 @@ def test_selected_join_evaluates_like_handwritten_rdql(schema):
     )
     assert evaluate(ast, store).rows == evaluate(by_hand, store).rows
     assert [(t.lexical) for t in evaluate(ast, store).rows[0]] == ["2", "12"]
+
+
+# T, U and V name fields after the variables the translation makes up
+COLLIDING_FILES = {"t.txt": "ID|fld_0|tbl_0\n1|a|p\n2|b|q\n", "u.txt": "ID|X\n1|x1\n2|x2\n",
+                   "v.txt": "ID|T_ID\n1|v1\n2|v2\n"}
+COLLIDING_FIELDS = {"T": {"ID": "integer", "fld_0": "string", "tbl_0": "string"},
+                    "U": {"ID": "integer", "X": "string"}, "V": {"ID": "integer", "T_ID": "string"}}
+
+
+@pytest.fixture
+def colliding_project(tmp_path):
+    from conftest import write_project
+    from medquery.mediator import open_project
+
+    def fields(table, mapped):
+        return "".join(f'<field name="{name}" type="{dtype}"'
+                       + (f' source="s" sourcetable="{table}" sourcefield="{name}"/>' if mapped else "/>")
+                       for name, dtype in COLLIDING_FIELDS[table].items())
+
+    sources = ('<datasources><datasource name="s" kind="tabular" location=".">'
+               + "".join(f'<table name="{t}">{fields(t, False)}<file path="{t.lower()}.txt"/></table>'
+                         for t in COLLIDING_FIELDS)
+               + "</datasource></datasources>")
+    schema = ('<schema name="c">' + "".join(f'<table name="{t}">{fields(t, True)}</table>'
+                                            for t in COLLIDING_FIELDS) + "</schema>")
+    return open_project(*write_project(tmp_path, sources, schema, COLLIDING_FILES))
+
+
+def _answer(project, sql):
+    from medquery.mediator import execute_query
+
+    result = execute_query(project, sql)
+    return result.columns, [[term.lexical for term in row] for row in result.rows]
+
+
+def test_a_join_class_does_not_take_a_selected_field_named_like_a_fresh_variable(colliding_project):
+    sql = "SELECT T.fld_0, U.X FROM T, U ON T.ID = U.ID"
+    text, _ = convert(parse_sql(sql, colliding_project.schema), colliding_project.schema)
+    assert "(?tbl_0 <http://integratedDB/T#ID> ?fld_0_2)" in text
+    assert _answer(colliding_project, sql) == (["fld_0", "X"], [["a", "x1"], ["b", "x2"]])
+
+
+def test_a_table_does_not_take_a_selected_field_named_like_a_table_variable(colliding_project):
+    sql = "SELECT T.tbl_0 FROM T"
+    text, _ = convert(parse_sql(sql, colliding_project.schema), colliding_project.schema)
+    assert text == "SELECT ?tbl_0\nWHERE\n(?tbl_0_2 <http://integratedDB/T#tbl_0> ?tbl_0)\n"
+    assert _answer(colliding_project, sql) == (["tbl_0"], [["p"], ["q"]])
+
+
+def test_a_selected_field_does_not_take_the_qualified_name_of_another(colliding_project):
+    sql = "SELECT T.ID, U.ID, V.T_ID FROM T, U, V ON T.ID = U.ID AND U.ID = V.ID"
+    _, ast = convert(parse_sql(sql, colliding_project.schema), colliding_project.schema)
+    assert [v.name for v in ast.select] == ["T_ID", "U_ID", "T_ID_2"]
+    assert _answer(colliding_project, sql) == (["T_ID", "U_ID", "T_ID_2"],
+                                               [["1", "1", "v1"], ["2", "2", "v2"]])

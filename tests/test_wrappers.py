@@ -12,7 +12,7 @@ from medquery.cli import main
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
 from medquery.errors import IoError, TypeCoercionError, UnknownTableError
-from medquery.mediator import open_project
+from medquery.mediator import execute_query, open_project
 from medquery.schema_check import check_schema
 from medquery.triple_store import TypedLiteral
 from medquery.wrappers import AccessLog, fetch_table
@@ -370,9 +370,55 @@ def test_a_long_chain_of_views_checks_and_fetches_in_linear_work(tmp_path, monke
     # a warm fetch finds each view's definition in the plan, not by a scan of the source's tables
     lookups = []
     named = descriptors._named
-    monkeypatch.setattr(descriptors, "_named", lambda items, name: lookups.append(name) or named(items, name))
+    monkeypatch.setattr(descriptors, "_named",
+                        lambda owner, elements, name: lookups.append(name) or named(owner, elements, name))
     assert fetch_table(project, "s", f"V{count - 1}") is table
     assert len(lookups) <= 2
+
+
+def _equality_chain(count: int) -> tuple[str, str]:
+    """Descriptors of file tables T0..T{count-1}, all reading t.txt, joined T0.K = T1.K = ...
+
+    The integrated table takes K from T0 and V from the last table.
+    """
+    tables = "".join(f'<table name="T{i}"><field name="K" type="integer"/>'
+                     f'<field name="V" type="string"/><file path="t.txt"/></table>\n'
+                     for i in range(count))
+    relations = "".join(
+        f'<relation kind="equality"><lhs><ref source="s" table="T{i}" field="K"/></lhs>'
+        f'<rhs><ref source="s" table="T{i + 1}" field="K"/></rhs></relation>\n'
+        for i in range(count - 1))
+    sources = f"""<datasources><datasource name="s" kind="tabular" location=".">
+      {tables}</datasource></datasources>"""
+    schema = f"""<schema name="g"><table name="I">
+      <field name="K" type="integer" source="s" sourcetable="T0" sourcefield="K"/>
+      <field name="V" type="string" source="s" sourcetable="T{count - 1}" sourcefield="V"/>
+    </table>{relations}</schema>"""
+    return sources, schema
+
+
+@pytest.mark.parametrize("descriptors_of, count, column", [
+    (_equality_chain, 2000, "V"), (_view_chain, 4000, "X")])
+def test_name_lookups_visit_each_declared_element_a_bounded_number_of_times(
+        tmp_path, monkeypatch, descriptors_of, count, column):
+    visits = []  # one item per declared element a name lookup visits
+    named = descriptors._named
+
+    def counting(*args):  # the arguments end with the elements and the name
+        *owner, elements, name = args
+        return named(*owner, (visits.append(1) or element for element in elements), name)
+
+    monkeypatch.setattr(descriptors, "_named", counting)
+    paths = write_project(tmp_path, *descriptors_of(count), files={"t.txt": "K|V\n1|a\n2|b\n",
+                                                                    "base.txt": "X\n1\n2\n"})
+    project = open_project(*paths)
+    result = execute_query(project, f"SELECT I.{column} FROM I")
+    assert [row[0].lexical for row in result.rows] == (["a", "b"] if column == "V" else ["1", "2"])
+    declared = (len(project.sources) + len(project.schema.tables)
+                + sum(len(t.fields) for t in project.schema.tables)
+                + sum(len(s.tables) + sum(len(t.fields) for t in s.tables) for s in project.sources))
+    # each owner's index is built once, from its elements: linear in the declarations
+    assert len(visits) <= declared <= 3 * count + 5
 
 
 def test_view_sql_is_parsed_once_per_project(tmp_path, monkeypatch):
