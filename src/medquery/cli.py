@@ -25,7 +25,7 @@ import time
 import xml.etree.ElementTree as ET
 
 from . import sql_to_rdql
-from .descriptors import EqualityRelation, IntegratedSchema, parse_project, serialize_schema
+from .descriptors import EqualityRelation, FieldRef, IntegratedSchema, parse_project, serialize_schema
 from .errors import (
     DuplicateNameError,
     MalformedXmlError,
@@ -139,14 +139,17 @@ def result_triples(result: ResultSet) -> TripleStore:
 def render_dot(schema: IntegratedSchema) -> str:
     """Entity-relationship sketch: one node per table, one edge per relation."""
     lines = ["graph integrated_schema {", "  node [shape=record];"]
-    for table in schema.tables:
+    owners: dict[FieldRef, set[int]] = {}  # each mapped ref -> the tables mapping a field onto it
+    for index, table in enumerate(schema.tables):
         fields = "\\l".join(f"{f.name} : {f.dtype.value}" for f in table.fields)
         lines.append(f'  "{table.name}" [label="{{{table.name}|{fields}\\l}}"];')
+        for f in table.fields:
+            owners.setdefault(f.mapping, set()).add(index)
     for relation in schema.relations:
         equality = isinstance(relation, EqualityRelation)
         label = "=" if equality else relation.op.value
         sides = (relation.lhs, relation.rhs) if equality else ([relation.target], relation.operands)
-        left, right = (_touching_tables(schema, refs) for refs in sides)
+        left, right = (_touching_tables(schema, owners, refs) for refs in sides)
         drawn: dict[frozenset[str], tuple[str, str]] = {}  # each pair of tables, as first met
         for a in left:
             for b in right:
@@ -157,10 +160,9 @@ def render_dot(schema: IntegratedSchema) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _touching_tables(schema: IntegratedSchema, refs) -> list[str]:
-    """Integrated tables having a field mapped onto any of the given refs."""
-    refs = set(refs)
-    return [t.name for t in schema.tables if any(f.mapping in refs for f in t.fields)]
+def _touching_tables(schema: IntegratedSchema, owners: dict[FieldRef, set[int]], refs) -> list[str]:
+    """Integrated tables having a field mapped onto any of the given refs, in schema order."""
+    return [schema.tables[i].name for i in sorted(set().union(*(owners.get(r, ()) for r in refs)))]
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -228,14 +230,15 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_query(*paths, _query_text(args), args.lang, args.out, level)
         return cmd_extract(*paths, args.table)
     except _DESCRIPTOR_ERRORS as exc:
-        print(f"medquery: descriptor error: {exc}", file=sys.stderr)
-        return 2
+        message, status = f"descriptor error: {exc}", 2
     except (OSError, UnicodeDecodeError) as exc:  # also an undecodable --query-file
-        print(f"medquery: {exc}", file=sys.stderr)
-        return 2
+        message, status = str(exc), 2
     except MedQueryError as exc:
-        print(f"medquery: {exc}", file=sys.stderr)
-        return 1
+        message, status = str(exc), 1
+    # escaped for stderr's encoding: argv decoding leaves lone surrogates in echoed query text
+    encoding = sys.stderr.encoding or "utf-8"
+    print(f"medquery: {message}".encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,12 +19,12 @@ Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
 does), checks each constraint atom as soon as its variables are bound, and
 projects onto the selected variables. Each step is compiled once to fixed
-variable slots, so a partial answer is a plain tuple of terms. A step
-that scans a constant predicate for a new subject and a new object, and
-whose first constraint compares that object with a numeric literal by
-``<``, ``<=``, ``=``, ``>=`` or ``>``, reads only the triples that atom
-does not reject, as a ``Range`` read of ``TripleStore.match``; the atom
-and the step's other atoms are still checked on each of them. The order
+variable slots and a ``TripleStore.reader``, so a partial answer is a
+plain tuple of terms. A step that scans a constant predicate for a new
+subject and a new object, and whose first constraint compares that object
+with a numeric literal by ``<``, ``<=``, ``=``, ``>=`` or ``>``, reads
+once, by a ``Range`` read, only the triples that atom does not reject; the
+atom is checked again only on a non-numeric object. The order
 ranks patterns by estimated size: the triples matching their constant terms,
 times a fixed selectivity for each atom comparing one of their variables
 with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, compare
 from .errors import (
@@ -47,8 +47,8 @@ from .errors import (
 )
 from .iris import dtype_from_iri
 from .scanner import Scanner
-from .triple_store import (Iri, Range, Term, TripleStore, TypedLiteral, format_term, scan_iri,
-                           scan_quoted)
+from .triple_store import (Iri, Range, Term, TripleStore, TypedLiteral, format_term, is_numeric,
+                           scan_iri, scan_quoted)
 
 # share of a pattern's candidates expected to pass an atom comparing one of
 # its variables with a literal
@@ -244,9 +244,9 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     """Conjunctive match with early constraint checks, projection, sorting.
 
     Patterns are joined in :func:`_plan` order, each step compiled once by
-    :func:`_compile`. A binding is a tuple with one slot per variable bound
-    so far, and a step extends it with a slice of each ``(s, p, o)`` that
-    ``TripleStore.match`` returns. Each constraint atom is checked in the
+    :func:`_compile` to ``TripleStore.reader``. A binding is a tuple with
+    one slot per variable bound so far, extended by each tuple of new terms
+    the step's reader returns for it. Each constraint atom is checked in the
     step that binds its last variable; the result does not depend on the
     order. Rows are sorted over their terms' N-Triples text and duplicates
     are kept. A selected or constraint variable that no pattern binds
@@ -257,14 +257,13 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     bindings: list[tuple[Term, ...]] = [()]
     warnings = 0
     for pattern, atoms in _plan(query, store):
-        inputs, fill, repeats, checks = _compile(pattern, atoms, slots)
         next_bindings: list[tuple[Term, ...]] = []
-        for binding in bindings:
-            terms = [binding[x] if isinstance(x, int) else x for x in inputs]
-            for triple in store.match(*terms):
-                if repeats and any(triple[i] != triple[j] for i, j in repeats):
-                    continue
-                extended = binding + triple[fill]
+        for read, checks in _compile(pattern, atoms, slots, store):
+            extensions = [binding + row for binding in bindings for row in read(binding)]
+            if not checks:
+                next_bindings += extensions
+                continue
+            for extended in extensions:
                 for lhs, op, rhs in checks:
                     a, b = extended[lhs], extended[rhs] if isinstance(rhs, int) else rhs
                     both = isinstance(a, TypedLiteral) and isinstance(b, TypedLiteral)
@@ -284,35 +283,26 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     return ResultSet(columns, rows, warnings)
 
 
-def _compile(pattern: TriplePattern, atoms: list[FilterAtom],
-             slots: dict[str, int]) -> tuple[list, slice, list, list]:
-    """One plan step as ``(inputs, fill, repeats, checks)``; adds its new variables to ``slots``.
+def _compile(pattern: TriplePattern, atoms: list[FilterAtom], slots: dict[str, int],
+             store: TripleStore) -> list[tuple[Callable, list]]:
+    """One plan step as ``(read, checks)`` pairs; adds its new variables to ``slots``.
 
-    ``inputs`` holds, for each of s, p and o, a constant term, the slot of a
-    variable an earlier step bound, or None where this step binds. ``fill``
-    slices a matched triple at each new variable's first position, and
-    ``repeats`` pairs each later position of one with its first. ``checks``
-    has a ``(slot, op, slot or literal)`` for each atom. When s and o are
-    new and p is constant, and the first check compares o's variable with a
-    numeric literal, the o input is that check as a :class:`Range`: match
-    then leaves out only triples that the check would reject without a
-    warning.
+    ``read`` is ``store.reader`` of the pattern's constants, earlier steps'
+    slots and None where this step binds, keeping only the matches whose
+    repeats of a new variable agree. ``checks`` has a ``(slot, op, slot or
+    literal)`` for each atom. When s and o are new, p is constant and the
+    first check compares o with a numeric literal, o is read as that
+    :class:`Range`, once; the range decided the check exactly on a numeric
+    object, so those matches come with the other checks only.
     """
-    bound = len(slots)
-    inputs, fills, repeats = [], [], []
-    for position, term in enumerate((pattern.s, pattern.p, pattern.o)):
-        if not isinstance(term, Var):
-            inputs.append(term)
-            continue
-        slot = slots.setdefault(term.name, len(slots))
-        inputs.append(slot if slot < bound else None)
-        if slot - bound >= len(fills):
-            fills.append(position)
-        elif slot >= bound:
-            repeats.append((position, fills[slot - bound]))
-    # increasing positions among 0, 1, 2 are evenly spaced: (0, 2) is [0:3:2]
-    step = fills[1] - fills[0] if len(fills) > 1 else 1
-    fill = slice(fills[0], fills[-1] + 1, step) if fills else slice(0)
+    bound, inputs, free = len(slots), [], []  # free: the slot of each term this step binds
+    for term in (pattern.s, pattern.p, pattern.o):
+        if isinstance(term, Var):
+            term = slots.setdefault(term.name, len(slots))
+            if term >= bound:
+                free.append(term)
+                term = None
+        inputs.append(term)
     checks = [(slots[atom.lhs.name], atom.op,
                slots[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs)
               for atom in atoms]
@@ -321,7 +311,17 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom],
         if (slot == slots[pattern.o.name] and op != "!=" and isinstance(rhs, TypedLiteral)
                 and rhs.dtype in NUMERIC_DTYPES):
             inputs[2] = Range(op, rhs)
-    return inputs, fill, repeats, checks
+    read = whole = store.reader(*inputs)
+    if len(free) > len(slots) - bound:  # a new variable repeats: keep the matches that agree
+        first = [free.index(slot) for slot in range(bound, len(slots))]
+        read = lambda binding: [tuple([row[k] for k in first]) for row in whole(binding)
+                                if all(row[k] == row[first[slot - bound]] for k, slot in enumerate(free))]
+    if not isinstance(inputs[2], Range):
+        return [(read, checks)]
+    rows = read(())  # each row ends with o's term
+    numeric = [row for row in rows if is_numeric(row[-1])]
+    others = [row for row in rows if not is_numeric(row[-1])]
+    return [(lambda binding: numeric, checks[1:]), (lambda binding: others, checks)]
 
 
 def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, list[FilterAtom]]]:

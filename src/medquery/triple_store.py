@@ -2,14 +2,15 @@
 
 Terms are IRIs or typed literals (no blank nodes, no untyped literals).
 The store keeps set semantics over triples and maintains SPO and POS
-indexes: a pattern with a bound subject is answered from SPO, any other
-from POS. ``count`` adds up the sizes of the same index entries instead
-of building the matches, and each predicate's POS entry keeps its triple
-count, so sizing a predicate is O(1). Triples arrive one at a time through
-``insert`` (the path of :func:`import_ntriples`) or a table at a time through
-``load_rows``, which fills both indexes straight from rows of cells whose
-(subject, predicate) pairs cannot repeat, so it builds no ``Triple``, probes
-for no duplicate and keeps each object slot as a 1-tuple rather than a set.
+indexes. ``reader`` picks a pattern's index once, for every binding of a
+join step, and ``match`` reads through it. ``count`` adds up the sizes of
+the same index entries instead of building the matches, and each
+predicate's POS entry keeps its triple count, so sizing a predicate is
+O(1). Triples arrive one at a time through ``insert`` (the path of
+:func:`import_ntriples`) or a table at a time through ``load_rows``, which
+fills both indexes straight from rows of cells whose (subject, predicate)
+pairs cannot repeat, so it builds no ``Triple``, probes for no duplicate
+and keeps each object slot as a 1-tuple rather than a set.
 ``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple that
 ``match`` returns for it.
 
@@ -41,7 +42,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dtypes import NUMERIC_DTYPES, Dtype, is_canonical
 from .errors import NtParseError
@@ -50,6 +51,7 @@ from .iris import dtype_from_iri, dtype_iri
 _RANGE_OPS = frozenset({"<", "<=", "=", ">=", ">"})
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _BLANKS = re.compile(r"[ \t]*")
+_NOTHING: dict = {}  # the index entry of an absent term; never written
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +95,7 @@ class Range(NamedTuple):
     literal: TypedLiteral
 
 
-def _is_numeric(term: Term) -> bool:
+def is_numeric(term: Term) -> bool:
     return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
 
 
@@ -115,8 +117,8 @@ class _Objects(dict):
     def by_value(self) -> tuple[list[TypedLiteral], list[Term]]:
         """The numeric objects in ascending value, and the other objects."""
         if self.order is None:
-            self.order = (sorted(filter(_is_numeric, self), key=_value),
-                          [o for o in self if not _is_numeric(o)])
+            self.order = (sorted(filter(is_numeric, self), key=_value),
+                          [o for o in self if not is_numeric(o)])
         return self.order
 
 
@@ -227,14 +229,14 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
-        return iter(sorted(map(Triple._make, self._match_raw(None, None, None)), key=_triple_key))
+        return iter(sorted(map(Triple._make, self.reader(None, None, None)(())), key=_triple_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
         # no slot repeats an object, so equal sizes and one inclusion suffice
         return self._size == other._size and all(
-            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self._match_raw(None, None, None))
+            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self.reader(None, None, None)(()))
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only when it was not already present."""
@@ -287,31 +289,63 @@ class TripleStore:
               o: Term | Range | None) -> list[tuple[Iri, Iri, Term]]:
         """All triples unifying with the pattern (None is a wildcard), unordered, as tuples.
 
-        A literal subject or predicate matches nothing. With ``o`` a
-        :class:`Range`, ``s`` must be None and ``p`` an IRI, and the range's
-        literal numeric: the answer leaves out exactly the triples of ``p``
-        whose object is numeric and fails ``object op literal``.
+        A literal subject or predicate matches nothing. With ``o`` a :class:`Range`,
+        ``s`` must be None and ``p`` an IRI, and the range's literal numeric: the
+        answer leaves out exactly the triples of ``p`` whose object is numeric and
+        fails ``object op literal``. Read by :meth:`reader`, constants put back.
         """
-        if isinstance(o, Range):
-            return self._match_range(s, p, o)
-        return list(self._match_raw(s, p, o))
+        free = [i for i, term in enumerate((s, p, o)) if term is None or isinstance(term, Range)]
+        return [tuple([row[free.index(i)] if i in free else term for i, term in enumerate((s, p, o))])
+                for row in self.reader(s, p, o)(())]
+
+    def reader(self, s, p, o) -> Callable[[tuple], list[tuple]]:
+        """The access path of a pattern, chosen once: a map from a binding to its matches.
+
+        Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` index of
+        a term in the binding, or None where it is free; ``o`` may be a free
+        :class:`Range`. A match holds a triple's free terms, in s, p, o order.
+        The path is SPO for a known subject, POS for a constant predicate (its
+        entry looked up here) and a known object, the range read, or a scan; a
+        pattern that takes no term from the binding is read here, once.
+        """
+        if isinstance(p, Iri) and isinstance(s, int) and o is None:
+            return lambda binding: [(x,) for x in self._spo.get(binding[s], _NOTHING).get(p, ())]
+        if isinstance(p, Iri) and s is None and isinstance(o, int):
+            by_obj = self._pos.get(p, _NOTHING)
+            return lambda binding: [(x,) for x in by_obj.get(binding[o], ())]
+        pattern = (s, p, o)
+
+        def read(binding: tuple) -> list[tuple]:
+            s, p, o = [binding[term] if isinstance(term, int) else term for term in pattern]
+            entries = self._entries(s, p)
+            if s is not None:
+                if o is None:
+                    return [(x,) if p is not None else (q, x) for q, objects in entries for x in objects]
+                return [() if p is not None else (q,) for q, objects in entries if o in objects]
+            if o is not None:
+                return [(x,) if p is not None else (x, q)
+                        for q, by_obj in entries for x in by_obj.get(o, ())]
+            return [(x, y) if p is not None else (x, q, y)
+                    for q, by_obj in entries for y, subjects in by_obj.items() for x in subjects]
+        if isinstance(o, Range) or not any(isinstance(term, int) for term in pattern):
+            rows = self._match_range(s, p, o) if isinstance(o, Range) else read(())
+            return lambda binding: rows
+        return read
 
     def count(self, s: Term | None, p: Term | None, o: Term | None) -> int:
         """``len(self.match(s, p, o))``, summed from index entry sizes."""
+        if s is None and o is None:
+            return self._size if p is None else self._pos[p].size if p in self._pos else 0
         if s is not None:
-            by_pred = self._spo.get(s, {})
-            object_sets = [by_pred.get(p, ())] if p is not None else by_pred.values()
-            if o is None:
-                return sum(map(len, object_sets))
-            return sum(o in objects for objects in object_sets)
-        if o is None:
-            if p is None:
-                return self._size
-            return self._pos[p].size if p in self._pos else 0
-        by_objs = [self._pos.get(p, {})] if p is not None else self._pos.values()
-        return sum(len(by_obj.get(o, ())) for by_obj in by_objs)
+            return sum(len(objects) if o is None else o in objects for _, objects in self._entries(s, p))
+        return sum(len(by_obj.get(o, ())) for _, by_obj in self._entries(s, p))
 
-    def _match_range(self, s, p, o: Range) -> list[tuple[Iri, Iri, Term]]:
+    def _entries(self, s: Term | None, p: Term | None):
+        """``(predicate, SPO object slot)`` pairs of a known ``s``, else ``(predicate, POS entry)``."""
+        index = self._spo.get(s, _NOTHING) if s is not None else self._pos
+        return [(p, index.get(p, _NOTHING))] if p is not None else index.items()
+
+    def _match_range(self, s, p, o: Range) -> list[tuple[Iri, Term]]:
         if (s is not None or not isinstance(p, Iri) or o.op not in _RANGE_OPS
                 or o.literal.dtype not in NUMERIC_DTYPES):
             raise ValueError(f"a range read needs (None, IRI, numeric Range), not {(s, p, o)!r}")
@@ -324,35 +358,8 @@ class TripleStore:
         right = bisect_right(numeric, value, key=_value)
         start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
                        ">=": (left, len(numeric)), ">": (right, len(numeric))}[o.op]
-        return [(subj, p, obj) for objects in (numeric[start:stop], others)
+        return [(subj, obj) for objects in (numeric[start:stop], others)
                 for obj in objects for subj in by_obj[obj]]
-
-    def _match_raw(self, s, p, o):
-        if s is not None and p is not None and o is not None:
-            if o in self._spo.get(s, {}).get(p, ()):
-                yield (s, p, o)
-            return
-        if s is not None:
-            by_pred = self._spo.get(s, {})
-            preds = [p] if p is not None else list(by_pred)
-            for pred in preds:
-                for obj in by_pred.get(pred, ()):
-                    if o is None or obj == o:
-                        yield (s, pred, obj)
-            return
-        if p is not None or o is not None:
-            preds = [p] if p is not None else list(self._pos)
-            for pred in preds:
-                by_obj = self._pos.get(pred, {})
-                objs = [o] if o is not None else list(by_obj)
-                for obj in objs:
-                    for subj in by_obj.get(obj, ()):
-                        yield (subj, pred, obj)
-            return
-        for subj, by_pred in self._spo.items():
-            for pred, objs in by_pred.items():
-                for obj in objs:
-                    yield (subj, pred, obj)
 
 
 def export_ntriples(store: TripleStore) -> str:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import medquery
-from medquery.cli import main
-from medquery.descriptors import parse_project, parse_schema_xml
+from medquery.cli import main, render_dot
+from medquery.descriptors import (EqualityRelation, FieldRef, IntegratedFieldDef, IntegratedSchema,
+                                   IntegratedTableDef, parse_project, parse_schema_xml)
+from medquery.dtypes import Dtype
 from medquery.extraction import build_triples, materialize_required
 from medquery.errors import MedQueryError
 from medquery.iris import property_iri, result_property_iri, result_subject_iri
@@ -58,6 +60,36 @@ FIG2_DOT = r"""graph integrated_schema {
 
 def test_show_schema_as_dot_draws_fig2(fig2_paths, capsys):
     assert _run(capsys, "show-schema", fig2_paths, "--format", "dot") == (0, FIG2_DOT)
+
+
+def test_dot_rendering_visits_each_field_a_bounded_number_of_times():
+    # 2,000 one-field tables over a 1,999-link equality chain: each relation
+    # side once scanned every table's fields, a quadratic walk
+    count = 2000
+    visits = []
+
+    class Fields(tuple):
+        def __iter__(self):
+            visits.append(len(self))
+            if sum(visits) > 2 * count:  # fail before the quadratic walk runs its course
+                raise AssertionError(f"field visits exceed {2 * count}")
+            return super().__iter__()
+
+    refs = [FieldRef("s", f"T{i}", "K") for i in range(count)]
+    tables = tuple(IntegratedTableDef(f"I{i}", Fields([IntegratedFieldDef("K", Dtype.INTEGER, ref)]))
+                   for i, ref in enumerate(refs))
+    relations = tuple(EqualityRelation((refs[i],), (refs[i + 1],)) for i in range(count - 1))
+    dot = render_dot(IntegratedSchema("g", tables, relations))
+    assert dot.count(" -- ") == count - 1
+    assert '  "I0" -- "I1" [label="="];\n' in dot and f'"I{count - 2}" -- "I{count - 1}"' in dot
+
+
+def test_dot_draws_each_side_of_a_relation_in_schema_order():
+    refs = [FieldRef("s", f"T{i}", "K") for i in range(3)]
+    tables = tuple(IntegratedTableDef(f"I{i}", (IntegratedFieldDef("K", Dtype.INTEGER, ref),))
+                   for i, ref in enumerate(refs))
+    dot = render_dot(IntegratedSchema("g", tables, (EqualityRelation((refs[2], refs[0]), (refs[1],)),)))
+    assert dot.endswith('  "I0" -- "I1" [label="="];\n  "I2" -- "I1" [label="="];\n}\n')
 
 
 @pytest.mark.parametrize("query, out, note", [
@@ -418,6 +450,17 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
             assert code in (0, 1, 2), (seed, command)
             codes[code] += 1
     assert min(codes[code] for code in (0, 1, 2)) > 0  # each outcome is reached
+
+
+def test_an_error_echoing_a_lone_surrogate_exits_1_on_a_strict_stderr(fig2_paths, monkeypatch):
+    # a byte that is not UTF-8 reaches --query as a lone surrogate, which a
+    # strict stderr cannot encode; the error names it escaped
+    written = io.BytesIO()
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(written, "utf-8", "strict", write_through=True))
+    query = "SELECT ?x WHERE (?x <http://a\udcff> ?y)"
+    assert main(["query", "--sources", str(fig2_paths[0]), "--schema", str(fig2_paths[1]),
+                 "--query", query, "--lang", "rdql"]) == 1
+    assert written.getvalue() == b"medquery: not an integrated property IRI: http://a\\udcff\n"
 
 
 def test_mutated_queries_keep_the_exit_contract(tmp_path, capsys, monkeypatch):

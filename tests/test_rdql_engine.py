@@ -24,7 +24,7 @@ from medquery.rdql_engine import (
     parse_rdql,
 )
 from medquery.sql_frontend import parse_view_select
-from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, import_ntriples
+from medquery.triple_store import Iri, Range, Triple, TripleStore, TypedLiteral, import_ntriples
 
 from conftest import FIG2_RDQL
 from generators import random_rdql_query, random_store
@@ -282,18 +282,23 @@ def _fig2_store(n):
 
 
 def _count_matched(monkeypatch, bound):
-    """Make ``TripleStore.match`` tally the triples it returns in ``tally["matched"]``."""
+    """Make the readers of ``TripleStore.reader`` tally the matches they return in ``tally["matched"]``."""
     tally = {"matched": 0}
-    match = TripleStore.match
+    reader = TripleStore.reader
 
-    def counting_match(self, s, p, o):
-        found = match(self, s, p, o)
-        tally["matched"] += len(found)
-        if tally["matched"] > bound:  # fail before a cross product is built
-            raise AssertionError(f"match returned more than {bound} triples")
-        return found
+    def counting_reader(self, s, p, o):
+        read = reader(self, s, p, o)
 
-    monkeypatch.setattr(TripleStore, "match", counting_match)
+        def counting_read(binding):
+            found = read(binding)
+            tally["matched"] += len(found)
+            if tally["matched"] > bound:  # fail before a cross product is built
+                raise AssertionError(f"readers returned more than {bound} matches")
+            return found
+
+        return counting_read
+
+    monkeypatch.setattr(TripleStore, "reader", counting_reader)
     return tally
 
 
@@ -403,6 +408,95 @@ def test_single_pattern_warnings_match_the_oracle():
         result = evaluate(query, store)
         assert result.rows == enumerate_rdql(query, store), seed
         assert result.cross_type_warnings == single_pattern_warnings(query, store), seed
+
+
+def _segmented(rng, store):
+    """``store``'s triples as the mediator loads them: ``load_rows`` segments joined by a union.
+
+    Each predicate falls into one of two segments at random. A segment's
+    subjects are renamed apart from the other's, and so is an IRI object,
+    which may name a subject; the k-th object of one subject and predicate
+    goes to that subject's k-th row, so each object slot is a 1-tuple.
+    Returns the union and an ``insert``-built store of the same triples.
+    """
+    sides = {p: int(rng.random() < 0.5) for p in {triple.predicate for triple in store}}
+    rows: tuple[dict, dict] = ({}, {})  # per segment: row subject -> {predicate: object}
+    for s, p, o in store:
+        side = sides[p]
+        o = Iri(f"{o.value}/{side}/0") if isinstance(o, Iri) else o
+        k = 0
+        while p in rows[side].setdefault(Iri(f"{s.value}/{side}/{k}"), {}):
+            k += 1
+        rows[side][Iri(f"{s.value}/{side}/{k}")][p] = o
+    segments, reference = [], TripleStore()
+    for segment_rows in rows:
+        predicates = sorted({p for cells in segment_rows.values() for p in cells}, key=lambda p: p.value)
+        segment = TripleStore()
+        segment.load_rows(predicates, [(s, [cells.get(p) for p in predicates])
+                                       for s, cells in segment_rows.items() if cells])
+        segments.append(segment)
+        for s, cells in segment_rows.items():
+            for p, o in cells.items():
+                reference.insert(Triple(s, p, o))
+    return TripleStore.union(segments), reference
+
+
+def test_matches_exhaustive_enumeration_on_loaded_segments():
+    answered = warned = 0
+    for seed in range(200):
+        rng = random.Random(5000 + seed)
+        store, reference = _segmented(rng, random_store(rng, 120))
+        assert store == reference, seed
+        for max_patterns in (5, 1):
+            query = random_rdql_query(rng, store, max_patterns=max_patterns)
+            result = evaluate(query, store)
+            assert result.rows == enumerate_rdql(query, reference), (seed, max_patterns)
+            if len(query.patterns) == 1:
+                assert result.cross_type_warnings == single_pattern_warnings(query, reference), seed
+            answered += bool(result.rows)
+            warned += bool(result.cross_type_warnings)
+    assert answered >= 20 and warned >= 20, (answered, warned)
+
+
+def test_each_plan_step_chooses_its_read_once(monkeypatch):
+    store = _fig2_store(2000)
+    chosen = []
+    reader = TripleStore.reader
+    monkeypatch.setattr(TripleStore, "reader",
+                        lambda self, *pattern: chosen.append(pattern) or reader(self, *pattern))
+    monkeypatch.setattr(TripleStore, "match", lambda *args: pytest.fail("evaluate called match"))
+    result = evaluate(parse_rdql(FIG2_RDQL), store)
+    assert len(result.rows) == sum(1 for i in range(2000) if i % 10 and i * 37 % 4000 > 2000)
+    # one choice per pattern, however many bindings each step extends; the
+    # debt pattern goes first, as a range read
+    assert len(chosen) == 6
+    assert isinstance(chosen[0][2], Range)
+
+
+def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
+    n = 2000
+    ns = "http://integratedDB/STUDENT"
+    debts = [lit(str(i * 37 % 5000)) for i in range(n)]
+    debts[3], debts[5] = lit("many", Dtype.STRING), Iri(f"{ns}/row/0")
+    store = TripleStore()
+    for i, debt in enumerate(debts):
+        row = Iri(f"{ns}/row/{i}")
+        store.insert(Triple(row, Iri(f"{ns}#ID"), lit(str(i))))
+        store.insert(Triple(row, Iri(f"{ns}#DEBT"), debt))
+    calls = []
+    compare = rdql_engine.compare
+    monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
+    result = evaluate(parse_rdql(f"SELECT ?ID WHERE (?r <{ns}#ID> ?ID), (?r <{ns}#DEBT> ?V) "
+                                 f"AND ?V > 4800 && ?V != 4837"), store)
+    kept = [i for i, debt in enumerate(debts)
+            if isinstance(debt, TypedLiteral) and debt.dtype is Dtype.INTEGER and int(debt.lexical) > 4800]
+    assert sorted(int(row[0].lexical) for row in result.rows) == [
+        i for i in kept if debts[i].lexical != "4837"]
+    # the range read decided ?V > 4800 on each numeric debt it kept, so only
+    # the string meets that atom in a comparison (the IRI is incomparable
+    # without one), and ?V != 4837 is compared once per kept debt
+    assert len(calls) == 1 + len(kept)
+    assert result.cross_type_warnings == 2
 
 
 def test_a_deep_query_plans_each_pattern_once(monkeypatch):

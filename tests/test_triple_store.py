@@ -157,6 +157,32 @@ def test_match_agrees_with_linear_scan(seed):
         assert sorted(store.match(s, p, o), key=_key) == sorted(scan_match(triples, s, p, o), key=_key)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_reader_agrees_with_linear_scan(seed):
+    """Each position constant, taken from the binding or free; the free terms of each match."""
+    rng = random.Random(900 + seed)
+    store = random_store(rng, 200)
+    triples = list(store)
+    terms_of = triples or [t(S, P, LIT)]  # an empty store matches nothing
+    for _ in range(200):
+        # the binding holds one triple's terms, so a position read from it often matches
+        binding = tuple(rng.choice(terms_of)) + (rng.choice(terms_of).object,)
+        pattern = []
+        for position in range(3):
+            roll = rng.random()
+            if roll < 0.4:
+                pattern.append(None)
+            elif roll < 0.8:
+                pattern.append(position if rng.random() < 0.8 else rng.randrange(4))
+            else:
+                pattern.append(rng.choice(terms_of)[position])
+        terms = [binding[x] if isinstance(x, int) else x for x in pattern]
+        free = [i for i, x in enumerate(pattern) if x is None]
+        expected = [tuple(triple[i] for i in free) for triple in scan_match(triples, *terms)]
+        found = store.reader(*pattern)(binding)
+        assert sorted(map(str, found)) == sorted(map(str, expected)), pattern
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_count_agrees_with_match(seed):
     rng = random.Random(500 + seed)
