@@ -36,7 +36,7 @@ from .descriptors import (
     SourceFieldDef,
     shortest_walk,
 )
-from .dtypes import Dtype, canonicalize
+from .dtypes import Dtype
 from .errors import MedQueryError, NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
@@ -206,7 +206,7 @@ def _derive(op: DerivedOp, values: list[Cell]) -> Cell:
         total = sum(Decimal(v.lexical) for v in values)
     dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
     # fixed point: str() switches to exponent notation (1E-7) for small sums
-    return TypedLiteral(canonicalize(format(total, "f"), dtype), dtype)
+    return TypedLiteral.canonical(format(total, "f"), dtype)
 
 
 def materialize_integrated_table(project: Project, table_name: str,

@@ -19,24 +19,25 @@ Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
 does), checks each constraint atom as soon as its variables are bound, and
 projects onto the selected variables. Each step is compiled once to fixed
-variable slots and a ``TripleStore.reader``, so a partial answer is a
-plain tuple of terms. A step that scans a constant predicate for a new
-subject and a new object, and whose first constraint compares that object
-with a numeric literal by ``<``, ``<=``, ``=``, ``>=`` or ``>``, reads
-once, by a ``Range`` read, only the triples that atom does not reject; the
-atom is checked again only on a non-numeric object. The order
-ranks patterns by estimated size: the triples matching their constant terms,
-times a fixed selectivity for each atom comparing one of their variables
-with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1
-for ``!=``; System R's defaults, Selinger et al., SIGMOD 1979). The answer
-does not depend on the order. Duplicates are kept and rows come back in a
-canonical order, so equal queries over equal stores render identically.
+variable slots and a ``TripleStore.reader`` step, which extends the whole
+list of partial answers (plain tuples of terms) at once. A step that scans
+a constant predicate for a new subject and a new object, and whose first
+constraint compares that object with a numeric literal by ``<``, ``<=``,
+``=``, ``>=`` or ``>``, reads once, by a ``Range`` read, only the triples
+that atom does not reject; the atom is checked again only on a non-numeric
+object. The order ranks patterns by estimated size: the triples matching
+their constant terms, times a fixed selectivity for each atom comparing one
+of their variables with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``,
+``>`` and ``>=``, 1 for ``!=``; System R's defaults, Selinger et al.,
+SIGMOD 1979). The answer does not depend on the order. Duplicates are kept
+and rows come back in a canonical order, so equal queries over equal stores
+render identically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, compare
@@ -47,13 +48,11 @@ from .errors import (
 )
 from .iris import dtype_from_iri
 from .scanner import Scanner
-from .triple_store import (Iri, Range, Term, TripleStore, TypedLiteral, format_term, is_numeric,
-                           scan_iri, scan_quoted)
+from .triple_store import Iri, Range, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
 
-# share of a pattern's candidates expected to pass an atom comparing one of
-# its variables with a literal
-_SELECTIVITY = {"=": Fraction(1, 10), "!=": Fraction(1), "<": Fraction(1, 3),
-                "<=": Fraction(1, 3), ">": Fraction(1, 3), ">=": Fraction(1, 3)}
+# 1 / the share of a pattern's candidates expected to pass an atom comparing
+# one of its variables with a literal
+_DENOMINATORS = {"=": 10, "!=": 1, "<": 3, "<=": 3, ">": 3, ">=": 3}
 
 
 @dataclass(frozen=True)
@@ -244,9 +243,9 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     """Conjunctive match with early constraint checks, projection, sorting.
 
     Patterns are joined in :func:`_plan` order, each step compiled once by
-    :func:`_compile` to ``TripleStore.reader``. A binding is a tuple with
-    one slot per variable bound so far, extended by each tuple of new terms
-    the step's reader returns for it. Each constraint atom is checked in the
+    :func:`_compile` to ``(read, checks)`` pairs. A binding is a tuple with
+    one slot per variable bound so far; ``read`` extends the whole list of
+    bindings by the step's new terms at once. Each constraint atom is checked in the
     step that binds its last variable; the result does not depend on the
     order. Rows are sorted over their terms' N-Triples text and duplicates
     are kept. A selected or constraint variable that no pattern binds
@@ -259,7 +258,7 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     for pattern, atoms in _plan(query, store):
         next_bindings: list[tuple[Term, ...]] = []
         for read, checks in _compile(pattern, atoms, slots, store):
-            extensions = [binding + row for binding in bindings for row in read(binding)]
+            extensions = read(bindings)
             if not checks:
                 next_bindings += extensions
                 continue
@@ -287,13 +286,12 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom], slots: dict[str, i
              store: TripleStore) -> list[tuple[Callable, list]]:
     """One plan step as ``(read, checks)`` pairs; adds its new variables to ``slots``.
 
-    ``read`` is ``store.reader`` of the pattern's constants, earlier steps'
-    slots and None where this step binds, keeping only the matches whose
-    repeats of a new variable agree. ``checks`` has a ``(slot, op, slot or
-    literal)`` for each atom. When s and o are new, p is constant and the
-    first check compares o with a numeric literal, o is read as that
-    :class:`Range`, once; the range decided the check exactly on a numeric
-    object, so those matches come with the other checks only.
+    ``read`` is the step of ``store.reader`` of the pattern's constants, earlier
+    steps' slots and None where this step binds, keeping the extended bindings
+    whose repeats of a new variable agree. ``checks`` has a ``(slot, op, slot or
+    literal)`` per atom. When s and o are two new variables, p is constant and the
+    first check compares o with a numeric literal, o is read once as that
+    :class:`Range`, which decides that check on numeric objects: they get the rest.
     """
     bound, inputs, free = len(slots), [], []  # free: the slot of each term this step binds
     for term in (pattern.s, pattern.p, pattern.o):
@@ -308,36 +306,37 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom], slots: dict[str, i
               for atom in atoms]
     if inputs[0] is None and isinstance(inputs[1], Iri) and inputs[2] is None and checks:
         slot, op, rhs = checks[0]
-        if (slot == slots[pattern.o.name] and op != "!=" and isinstance(rhs, TypedLiteral)
+        if (slot == free[1] != free[0] and op != "!=" and isinstance(rhs, TypedLiteral)
                 and rhs.dtype in NUMERIC_DTYPES):
             inputs[2] = Range(op, rhs)
     read = whole = store.reader(*inputs)
-    if len(free) > len(slots) - bound:  # a new variable repeats: keep the matches that agree
-        first = [free.index(slot) for slot in range(bound, len(slots))]
-        read = lambda binding: [tuple([row[k] for k in first]) for row in whole(binding)
-                                if all(row[k] == row[first[slot - bound]] for k, slot in enumerate(free))]
-    if not isinstance(inputs[2], Range):
-        return [(read, checks)]
-    rows = read(())  # each row ends with o's term
-    numeric = [row for row in rows if is_numeric(row[-1])]
-    others = [row for row in rows if not is_numeric(row[-1])]
-    return [(lambda binding: numeric, checks[1:]), (lambda binding: others, checks)]
+    if isinstance(inputs[2], Range):  # no binding's term goes in: the two lists are read once
+        numeric, others = read([()])
+        return [(lambda bindings: [b + e for b in bindings for e in numeric], checks[1:]),
+                (lambda bindings: [b + e for b in bindings for e in others], checks)]
+    if len(free) > len(slots) - bound:  # a new variable repeats: keep the extensions that agree
+        first = {slot: bound + free.index(slot) for slot in range(bound, len(slots))}
+        read = lambda bindings: [e[:bound] + tuple([e[k] for k in first.values()]) for e in whole(bindings)
+                                 if all(e[bound + k] == e[first[slot]] for k, slot in enumerate(free))]
+    return [(read, checks)]
 
 
 def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, list[FilterAtom]]]:
     """Greedy connected join order, each step with the atoms it completes.
 
     A pattern's estimated size is the number of triples matching its
-    constant terms, times ``_SELECTIVITY[op]`` for each atom comparing one
-    of its variables with a literal (System R's defaults: 1/10 for ``=``,
-    1/3 for the order comparisons, 1 for ``!=``). The first pattern is the
+    constant terms, divided by ``_DENOMINATORS[op]`` for each atom comparing
+    one of its variables with a literal (System R's defaults: 1/10 for
+    ``=``, 1/3 for the order comparisons, 1 for ``!=``), scaled by all those
+    atoms' denominators to an exact integer. The first pattern is the
     one with the smallest estimate. Each later one has the smallest among
     those sharing a variable already bound (among all the rest when none
     does), so a join key is bound before the pattern it joins on. Ties go
     to the earlier pattern.
     """
     variables = [_pattern_variables(pattern) for pattern in query.patterns]
-    estimates = [_estimate(pattern, names, query.filters, store)
+    scale = math.prod(_DENOMINATORS[atom.op] for atom in query.filters if not isinstance(atom.rhs, Var))
+    estimates = [_estimate(pattern, names, query.filters, scale, store)
                  for pattern, names in zip(query.patterns, variables)]
     # ranked once, smallest estimate first; the sort is stable, so ties keep query order
     remaining = sorted(range(len(query.patterns)), key=estimates.__getitem__)
@@ -354,15 +353,15 @@ def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, lis
     return steps
 
 
-def _estimate(pattern: TriplePattern, names: set[str], atoms: tuple[FilterAtom, ...],
-              store: TripleStore) -> Fraction:
-    """Candidate triples times the selectivity of each atom on one of ``names`` and a literal."""
-    estimate = Fraction(store.count(
+def _estimate(pattern: TriplePattern, names: set[str], atoms: tuple[FilterAtom, ...], scale: int,
+              store: TripleStore) -> int:
+    """``scale`` times the candidate triples, over each literal atom's denominator on ``names``."""
+    estimate = scale * store.count(
         pattern.s if isinstance(pattern.s, Iri) else None,
         pattern.p if isinstance(pattern.p, Iri) else None,
         pattern.o if not isinstance(pattern.o, Var) else None,
-    ))
+    )
     for atom in atoms:
         if not isinstance(atom.rhs, Var) and atom.lhs.name in names:
-            estimate *= _SELECTIVITY[atom.op]
+            estimate //= _DENOMINATORS[atom.op]
     return estimate

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .dtypes import Dtype, canonicalize
+from .dtypes import Dtype
 from .errors import ParseError
 from .triple_store import TypedLiteral
 
@@ -99,6 +99,6 @@ class Scanner:
         if number:
             self.pos = number.end()
             dtype = Dtype.DECIMAL if "." in number.group() else Dtype.INTEGER
-            return TypedLiteral(canonicalize(sign + number.group(), dtype), dtype)
+            return TypedLiteral.canonical(sign + number.group(), dtype)
         if sign:
             self.fail("expected numeric literal")

@@ -2,8 +2,9 @@
 
 Terms are IRIs or typed literals (no blank nodes, no untyped literals).
 The store keeps set semantics over triples and maintains SPO and POS
-indexes. ``reader`` picks a pattern's index once, for every binding of a
-join step, and ``match`` reads through it. ``count`` adds up the sizes of
+indexes. ``reader`` picks a pattern's index once per join step, for the
+whole list of its bindings, and ``match`` reads through it. Each predicate
+is one key object, held in its POS entry. ``count`` adds up the sizes of
 the same index entries instead of building the matches, and each
 predicate's POS entry keeps its triple count, so sizing a predicate is
 O(1). Triples arrive one at a time through ``insert`` (the path of
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .dtypes import NUMERIC_DTYPES, Dtype, is_canonical
+from .dtypes import NUMERIC_DTYPES, Dtype, canonicalize, is_canonical
 from .errors import NtParseError
 from .iris import dtype_from_iri, dtype_iri
 
@@ -75,6 +76,14 @@ class TypedLiteral:
         if not is_canonical(self.lexical, self.dtype):
             raise ValueError(f"{self.lexical!r} is not canonical {self.dtype.value}")
 
+    @classmethod
+    def canonical(cls, text: str, dtype: Dtype) -> TypedLiteral:
+        """The literal of ``canonicalize(text, dtype)``, which is not checked again."""
+        literal = object.__new__(cls)
+        object.__setattr__(literal, "lexical", canonicalize(text, dtype))
+        object.__setattr__(literal, "dtype", dtype)
+        return literal
+
     def __str__(self) -> str:
         return format_term(self)
 
@@ -104,13 +113,14 @@ def _value(literal: TypedLiteral) -> Decimal:
 
 
 class _Objects(dict):
-    """One predicate's POS entry: object -> subjects, with the triple count in
-    ``size`` and, once a range read has built it, the objects by value in ``order``."""
+    """One predicate's POS entry: object -> subjects, with the predicate's key object in ``key``, the
+    triple count in ``size`` and, once a range read has built it, the objects by value in ``order``."""
 
-    __slots__ = ("size", "order")
+    __slots__ = ("key", "size", "order")
 
-    def __init__(self, entries=()) -> None:
+    def __init__(self, key: Iri, entries=()) -> None:
         super().__init__(entries)
+        self.key = key
         self.size = sum(map(len, self.values()))
         self.order: tuple[list[TypedLiteral], list[Term]] | None = None
 
@@ -220,7 +230,7 @@ class TripleStore:
         if self._shared:
             self._spo = {s: {p: set(objects) for p, objects in by_pred.items()}
                          for s, by_pred in self._spo.items()}
-            self._pos = {p: _Objects((o, set(subjects)) for o, subjects in by_obj.items())
+            self._pos = {p: _Objects(p, ((o, set(subjects)) for o, subjects in by_obj.items()))
                          for p, by_obj in self._pos.items()}
             self._shared = False
 
@@ -229,26 +239,26 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
-        return iter(sorted(map(Triple._make, self.reader(None, None, None)(())), key=_triple_key))
+        return iter(sorted(map(Triple._make, self.reader(None, None, None)([()])), key=_triple_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
         # no slot repeats an object, so equal sizes and one inclusion suffice
         return self._size == other._size and all(
-            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self.reader(None, None, None)(()))
+            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self.reader(None, None, None)([()]))
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only when it was not already present."""
         self._own()
+        by_obj = self._pos.get(t.predicate) or self._pos.setdefault(t.predicate, _Objects(t.predicate))
         by_pred = self._spo.setdefault(t.subject, {})
-        objects = by_pred.setdefault(t.predicate, set())
+        objects = by_pred.setdefault(by_obj.key, set())
         if t.object in objects:
             return False
         if isinstance(objects, tuple):  # a slot load_rows filled
-            objects = by_pred[t.predicate] = set(objects)
+            objects = by_pred[by_obj.key] = set(objects)
         objects.add(t.object)
-        by_obj = self._pos.setdefault(t.predicate, _Objects())
         by_obj.setdefault(t.object, set()).add(t.subject)
         by_obj.size += 1
         by_obj.order = None
@@ -268,15 +278,15 @@ class TripleStore:
             raise ValueError("load_rows needs distinct predicates")
         self._own()
         spo = self._spo
-        pos_entries = [self._pos.setdefault(p, _Objects()) for p in predicates]
+        pos_entries = [self._pos.get(p) or self._pos.setdefault(p, _Objects(p)) for p in predicates]
         for subject, cells in rows:
             if subject in spo:
                 raise ValueError(f"subject already in the store: {subject.value}")
             by_pred: dict[Iri, tuple[Term]] = {}
-            for predicate, by_obj, cell in zip(predicates, pos_entries, cells):
+            for by_obj, cell in zip(pos_entries, cells):
                 if cell is None:
                     continue
-                by_pred[predicate] = (cell,)
+                by_pred[by_obj.key] = (cell,)
                 by_obj.setdefault(cell, set()).add(subject)
             if by_pred:
                 spo[subject] = by_pred
@@ -295,24 +305,31 @@ class TripleStore:
         fails ``object op literal``. Read by :meth:`reader`, constants put back.
         """
         free = [i for i, term in enumerate((s, p, o)) if term is None or isinstance(term, Range)]
+        found = self.reader(s, p, o)([()])
         return [tuple([row[free.index(i)] if i in free else term for i, term in enumerate((s, p, o))])
-                for row in self.reader(s, p, o)(())]
+                for row in (found[0] + found[1] if isinstance(o, Range) else found)]
 
-    def reader(self, s, p, o) -> Callable[[tuple], list[tuple]]:
-        """The access path of a pattern, chosen once: a map from a binding to its matches.
+    def reader(self, s, p, o) -> Callable[[list[tuple]], list]:
+        """A pattern's access path, chosen once: a step from a list of bindings to their extensions.
 
-        Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` index of
-        a term in the binding, or None where it is free; ``o`` may be a free
-        :class:`Range`. A match holds a triple's free terms, in s, p, o order.
-        The path is SPO for a known subject, POS for a constant predicate (its
-        entry looked up here) and a known object, the range read, or a scan; a
-        pattern that takes no term from the binding is read here, once.
+        Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` slot of a term
+        in a binding, or None where it is free; ``o`` may be a free :class:`Range`. The
+        step extends each binding, in input order, by the free terms (s, p, o order) of
+        each triple matching it, and probes a constant predicate by the store's own key.
+        The path is SPO for a known subject, POS for a known object, or a scan; a pattern
+        that takes no term from a binding, a range too, is read here, once. A range's
+        step gives two lists: the extensions by its numeric matches, then by the others.
         """
-        if isinstance(p, Iri) and isinstance(s, int) and o is None:
-            return lambda binding: [(x,) for x in self._spo.get(binding[s], _NOTHING).get(p, ())]
-        if isinstance(p, Iri) and s is None and isinstance(o, int):
-            by_obj = self._pos.get(p, _NOTHING)
-            return lambda binding: [(x,) for x in by_obj.get(binding[o], ())]
+        if isinstance(o, Range):
+            parts = self._match_range(s, p, o)
+            return lambda bindings: [[b + row for b in bindings for row in rows] for rows in parts]
+        if p is not None and not isinstance(p, int):
+            by_obj = self._pos.get(p) or _Objects(p)  # an empty entry: no triple has p
+            p, get = by_obj.key, self._spo.get
+            if isinstance(s, int) and o is None:
+                return lambda bindings: [b + (x,) for b in bindings for x in get(b[s], _NOTHING).get(p, ())]
+            if s is None and isinstance(o, int):
+                return lambda bindings: [b + (x,) for b in bindings for x in by_obj.get(b[o], ())]
         pattern = (s, p, o)
 
         def read(binding: tuple) -> list[tuple]:
@@ -327,10 +344,10 @@ class TripleStore:
                         for q, by_obj in entries for x in by_obj.get(o, ())]
             return [(x, y) if p is not None else (x, q, y)
                     for q, by_obj in entries for y, subjects in by_obj.items() for x in subjects]
-        if isinstance(o, Range) or not any(isinstance(term, int) for term in pattern):
-            rows = self._match_range(s, p, o) if isinstance(o, Range) else read(())
-            return lambda binding: rows
-        return read
+        if not any(isinstance(term, int) for term in pattern):
+            rows = read(())
+            return lambda bindings: [b + row for b in bindings for row in rows]
+        return lambda bindings: [b + row for b in bindings for row in read(b)]
 
     def count(self, s: Term | None, p: Term | None, o: Term | None) -> int:
         """``len(self.match(s, p, o))``, summed from index entry sizes."""
@@ -345,21 +362,20 @@ class TripleStore:
         index = self._spo.get(s, _NOTHING) if s is not None else self._pos
         return [(p, index.get(p, _NOTHING))] if p is not None else index.items()
 
-    def _match_range(self, s, p, o: Range) -> list[tuple[Iri, Term]]:
+    def _match_range(self, s, p, o: Range) -> tuple[list[tuple[Iri, Term]], list[tuple[Iri, Term]]]:
+        """The (subject, object) matches with a numeric object, and those with another object."""
         if (s is not None or not isinstance(p, Iri) or o.op not in _RANGE_OPS
                 or o.literal.dtype not in NUMERIC_DTYPES):
             raise ValueError(f"a range read needs (None, IRI, numeric Range), not {(s, p, o)!r}")
-        by_obj = self._pos.get(p)
-        if not by_obj:
-            return []
+        by_obj = self._pos.get(p) or _Objects(p)
         numeric, others = by_obj.by_value()
         value = _value(o.literal)
         left = bisect_left(numeric, value, key=_value)
         right = bisect_right(numeric, value, key=_value)
         start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
                        ">=": (left, len(numeric)), ">": (right, len(numeric))}[o.op]
-        return [(subj, obj) for objects in (numeric[start:stop], others)
-                for obj in objects for subj in by_obj[obj]]
+        return tuple([(subj, obj) for obj in objects for subj in by_obj[obj]]
+                     for objects in (numeric[start:stop], others))
 
 
 def export_ntriples(store: TripleStore) -> str:

@@ -45,7 +45,7 @@ from .descriptors import (
     XmlBinding,
     strong_components,
 )
-from .dtypes import canonicalize, comparable, compare
+from .dtypes import comparable, compare
 from .errors import IoError, MedQueryError, TypeCoercionError, UnknownFieldError, UnknownTableError
 from .triple_store import TypedLiteral
 
@@ -87,7 +87,7 @@ def coerce(text: str, field: SourceFieldDef | IntegratedFieldDef, row_number: in
     if text == "":
         return None
     try:
-        return TypedLiteral(canonicalize(text, field.dtype), field.dtype)
+        return TypedLiteral.canonical(text, field.dtype)
     except ValueError:
         raise TypeCoercionError(row_number, field.name, text) from None
 

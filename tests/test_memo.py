@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medquery import dtypes, extraction, rdql_engine, scanner, wrappers
+from medquery import dtypes, rdql_engine, triple_store
 from medquery.descriptors import parse_project
 from medquery.dtypes import Dtype
 from medquery.errors import MedQueryError, TypeCoercionError
@@ -208,7 +208,7 @@ def derivations(monkeypatch):
         return canonicalize(*args)
 
     monkeypatch.setattr(TripleStore, "load_rows", counting_load_rows)
-    for module in (dtypes, wrappers, extraction, scanner):
+    for module in (dtypes, triple_store):  # TypedLiteral.canonical calls it from triple_store
         monkeypatch.setattr(module, "canonicalize", counting_canonicalize)
     return calls
 

@@ -282,21 +282,30 @@ def _fig2_store(n):
 
 
 def _count_matched(monkeypatch, bound):
-    """Make the readers of ``TripleStore.reader`` tally the matches they return in ``tally["matched"]``."""
+    """Make the steps of ``TripleStore.reader`` tally the matches they return in ``tally["matched"]``.
+
+    Each step is applied to one binding at a time, and the tally checked
+    after each, so a join that outgrows ``bound`` fails before its cross
+    product is built. A range's step returns two lists, and both count.
+    """
     tally = {"matched": 0}
     reader = TripleStore.reader
 
     def counting_reader(self, s, p, o):
-        read = reader(self, s, p, o)
+        step = reader(self, s, p, o)
+        parts = 2 if isinstance(o, Range) else 1
 
-        def counting_read(binding):
-            found = read(binding)
-            tally["matched"] += len(found)
-            if tally["matched"] > bound:  # fail before a cross product is built
-                raise AssertionError(f"readers returned more than {bound} matches")
-            return found
+        def counting_step(bindings):
+            found = []
+            for binding in bindings:
+                found.append(step([binding]) if parts == 2 else [step([binding])])
+                tally["matched"] += sum(map(len, found[-1]))
+                if tally["matched"] > bound:
+                    raise AssertionError(f"steps returned more than {bound} matches")
+            extended = [[e for part in found for e in part[k]] for k in range(parts)]
+            return extended if parts == 2 else extended[0]
 
-        return counting_read
+        return counting_step
 
     monkeypatch.setattr(TripleStore, "reader", counting_reader)
     return tally
@@ -389,15 +398,36 @@ def test_adding_triples_is_monotone():
         assert before.count(row) <= after.count(row)
 
 
+def _enumeration_cases(seed):
+    """The stores and queries of ``test_matches_exhaustive_enumeration[seed]``.
+
+    Seed ``1000 + seed`` and 39 more, 25 apart; every other query has at
+    most two patterns, since random joins of more rarely answer.
+    """
+    for k in range(40):
+        rng = random.Random(1000 + seed + 25 * k)
+        store = random_store(rng, 120)
+        yield store, random_rdql_query(rng, store, max_patterns=2 if k % 2 else 5)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_matches_exhaustive_enumeration(seed):
-    rng = random.Random(1000 + seed)
-    store = random_store(rng, 120)
-    query = random_rdql_query(rng, store)
-    result = evaluate(query, store)
-    assert result.rows == enumerate_rdql(query, store)
-    if len(query.patterns) == 1:
-        assert result.cross_type_warnings == single_pattern_warnings(query, store)
+    for store, query in _enumeration_cases(seed):
+        result = evaluate(query, store)
+        assert result.rows == enumerate_rdql(query, store), query
+        if len(query.patterns) == 1:
+            assert result.cross_type_warnings == single_pattern_warnings(query, store), query
+
+
+def test_exhaustive_enumeration_compares_enough_answers():
+    """The 1,000 queries above must not all answer nothing, or their rows compare only empty lists."""
+    answered = joined = 0
+    for seed in range(25):
+        for store, query in _enumeration_cases(seed):
+            rows = evaluate(query, store).rows
+            answered += bool(rows)
+            joined += bool(rows) and len(query.patterns) > 1
+    assert answered >= 40 and joined >= 5, (answered, joined)
 
 
 def test_single_pattern_warnings_match_the_oracle():
@@ -512,10 +542,152 @@ def test_a_deep_query_plans_each_pattern_once(monkeypatch):
     monkeypatch.setattr(rdql_engine, "_pattern_variables",
                         lambda pattern: calls.append(pattern) or pattern_variables(pattern))
     comparisons = []
-    for name in ("__lt__", "__eq__"):
-        compare = getattr(Fraction, name)
-        monkeypatch.setattr(Fraction, name, lambda a, b, compare=compare:
-                            comparisons.append(a) or compare(a, b))
+
+    class Estimate(int):  # an int that counts the comparisons made on it
+        __hash__ = int.__hash__
+
+        def __lt__(self, other):
+            return comparisons.append(self) or int.__lt__(self, other)
+
+        def __eq__(self, other):
+            return comparisons.append(self) or int.__eq__(self, other)
+
+    estimate = rdql_engine._estimate
+    monkeypatch.setattr(rdql_engine, "_estimate", lambda *args: Estimate(estimate(*args)))
     assert evaluate(query, store).rows == [(Iri("http://x/s"),)]
     assert len(calls) <= 2 * n
-    assert len(comparisons) <= n * math.log2(n)
+    assert 0 < len(comparisons) <= n * math.log2(n)
+
+
+_SELECTIVITY = {"=": Fraction(1, 10), "!=": Fraction(1), "<": Fraction(1, 3),
+                "<=": Fraction(1, 3), ">": Fraction(1, 3), ">=": Fraction(1, 3)}
+
+
+def _fraction_plan(query, store):
+    """``_plan``'s greedy connected order, the estimates computed as exact fractions."""
+    variables = [{t.name for t in (p.s, p.p, p.o) if isinstance(t, Var)} for p in query.patterns]
+    estimates = []
+    for pattern, names in zip(query.patterns, variables):
+        estimate = Fraction(len(store.match(*(None if isinstance(t, Var) else t
+                                               for t in (pattern.s, pattern.p, pattern.o)))))
+        for atom in query.filters:
+            if not isinstance(atom.rhs, Var) and atom.lhs.name in names:
+                estimate *= _SELECTIVITY[atom.op]
+        estimates.append(estimate)
+    remaining = sorted(range(len(query.patterns)), key=estimates.__getitem__)
+    order, bound = [], set()
+    while remaining:
+        best = next((i for i in remaining if variables[i] & bound), remaining[0])
+        remaining.remove(best)
+        bound |= variables[best]
+        order.append(best)
+    return order
+
+
+def test_plan_orders_patterns_as_fraction_estimates_do(monkeypatch):
+    """Integer estimates give ``_plan`` the order of exact fractions, ties included."""
+    counts = []
+    count = TripleStore.count
+    monkeypatch.setattr(TripleStore, "count", lambda *args: counts.append(args) or count(*args))
+    literal_atoms = 0
+    for seed in range(300):
+        rng = random.Random(6000 + seed)
+        store = random_store(rng, 120)
+        query = random_rdql_query(rng, store, max_patterns=8)
+        names = sorted({v.name for p in query.patterns for v in (p.s, p.p, p.o) if isinstance(v, Var)})
+        extra = []
+        for _ in range(rng.choice([0, 5, 20, 30])):  # many atoms: a large common denominator
+            dtype = rng.choice([Dtype.INTEGER, Dtype.DECIMAL, Dtype.STRING])
+            extra.append(FilterAtom(Var(rng.choice(names)), rng.choice(["=", "!=", "<", "<=", ">", ">="]),
+                                    lit(str(rng.randrange(10)) + ".5" * (dtype is Dtype.DECIMAL), dtype)))
+        query = RdqlQuery(query.select, query.patterns, query.filters + tuple(extra))
+        literal_atoms = max(literal_atoms, sum(not isinstance(a.rhs, Var) for a in query.filters))
+        expected = [query.patterns[i] for i in _fraction_plan(query, store)]
+        counts.clear()
+        steps = rdql_engine._plan(query, store)
+        assert len(counts) == len(query.patterns), seed  # one count per pattern
+        # by identity: equal patterns of one query are told apart by their position
+        assert [id(pattern) for pattern, _ in steps] == [id(pattern) for pattern in expected], seed
+        assert sorted(id(atom) for _, atoms in steps for atom in atoms) == sorted(map(id, query.filters))
+    assert literal_atoms >= 20
+
+
+def _probe_counts(monkeypatch, store, query):
+    """Evaluate ``query``; count ``reader`` calls, step calls, compiled pairs and their reads,
+    and the ``Iri.__eq__`` calls made while a step runs."""
+    tally = {"reader": 0, "step": 0, "pairs": 0, "read": 0, "eq": 0, "probing": False}
+    reader, compile_step, iri_eq = TripleStore.reader, rdql_engine._compile, Iri.__eq__
+
+    def counting_reader(self, *pattern):
+        tally["reader"] += 1
+        step = reader(self, *pattern)
+
+        def counting_step(bindings):
+            tally["step"] += 1
+            tally["probing"] = True
+            try:
+                return step(bindings)
+            finally:
+                tally["probing"] = False
+
+        return counting_step
+
+    def counting_compile(*args):
+        pairs = compile_step(*args)
+        tally["pairs"] += len(pairs)
+
+        def counted(read):
+            return lambda bindings: tally.__setitem__("read", tally["read"] + 1) or read(bindings)
+
+        return [(counted(read), checks) for read, checks in pairs]
+
+    def counting_eq(a, b):
+        tally["eq"] += tally["probing"]
+        return iri_eq(a, b)
+
+    monkeypatch.setattr(TripleStore, "reader", counting_reader)
+    monkeypatch.setattr(rdql_engine, "_compile", counting_compile)
+    monkeypatch.setattr(Iri, "__eq__", counting_eq)
+    result = evaluate(query, store)
+    monkeypatch.undo()
+    return result, tally
+
+
+def test_each_step_reads_once_for_all_its_bindings(monkeypatch):
+    store = _fig2_store(2000)
+    query = parse_rdql(FIG2_RDQL)
+    result, tally = _probe_counts(monkeypatch, store, query)
+    assert result == evaluate(query, store)
+    assert len(result.rows) == sum(1 for i in range(2000) if i % 10 and i * 37 % 4000 > 2000)
+    # one reader and one step call per pattern; the range step's numeric and
+    # other matches make two (read, checks) pairs, each read called once
+    assert tally["reader"] == tally["step"] == len(query.patterns) == 6
+    assert tally["pairs"] == tally["read"] == 7
+
+
+def _fig2_segments(n):
+    """``_fig2_store(n)`` as the mediator builds it: a ``load_rows`` segment per table, joined by ``union``."""
+    student, grade = "http://integratedDB/STUDENT", "http://integratedDB/GRADE"
+    students, grades = TripleStore(), TripleStore()
+    students.load_rows([Iri(f"{student}#{column}") for column in ("ID", "FIRSTNAME", "LASTNAME", "DEBT")],
+                       [(Iri(f"{student}/row/{i}"), [lit(str(i)), lit(f"F{i}", Dtype.STRING),
+                                                     lit(f"L{i}", Dtype.STRING), lit(str(i * 37 % 4000))])
+                        for i in range(n)])
+    grades.load_rows([Iri(f"{grade}#STUDENTID"), Iri(f"{grade}#AVERAGE")],
+                     [(Iri(f"{grade}/row/{i}"), [lit(str(i)), lit(str(i % 20))]) for i in range(n) if i % 10])
+    return TripleStore.union([students, grades])
+
+
+def test_steps_find_constant_predicates_by_identity(monkeypatch):
+    """The store keys each predicate by one object, so no probe runs ``Iri.__eq__``.
+
+    ``_fig2_store`` inserts a new, equal ``Iri`` for each triple's predicate,
+    and the query parses its own.
+    """
+    for store in (_fig2_store(2000), _fig2_segments(2000)):
+        assert store == _fig2_store(2000)
+        for text in (FIG2_RDQL, "SELECT ?ID, ?A WHERE (?g <http://integratedDB/GRADE#STUDENTID> ?ID), "
+                                "(?g <http://integratedDB/GRADE#AVERAGE> ?A), (?s ?p ?ID)"):
+            result, tally = _probe_counts(monkeypatch, store, parse_rdql(text))
+            assert result.rows
+            assert tally["eq"] == 0, text

@@ -159,14 +159,16 @@ def test_match_agrees_with_linear_scan(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_reader_agrees_with_linear_scan(seed):
-    """Each position constant, taken from the binding or free; the free terms of each match."""
+    """Each position constant, taken from the bindings or free: the step extends
+    each binding, in input order, by the free terms of each of its matches."""
     rng = random.Random(900 + seed)
     store = random_store(rng, 200)
     triples = list(store)
     terms_of = triples or [t(S, P, LIT)]  # an empty store matches nothing
     for _ in range(200):
-        # the binding holds one triple's terms, so a position read from it often matches
-        binding = tuple(rng.choice(terms_of)) + (rng.choice(terms_of).object,)
+        # each binding holds one triple's terms, so a position read from it often matches
+        bindings = [tuple(rng.choice(terms_of)) + (rng.choice(terms_of).object,)
+                    for _ in range(rng.randrange(4))]
         pattern = []
         for position in range(3):
             roll = rng.random()
@@ -176,11 +178,16 @@ def test_reader_agrees_with_linear_scan(seed):
                 pattern.append(position if rng.random() < 0.8 else rng.randrange(4))
             else:
                 pattern.append(rng.choice(terms_of)[position])
-        terms = [binding[x] if isinstance(x, int) else x for x in pattern]
         free = [i for i, x in enumerate(pattern) if x is None]
-        expected = [tuple(triple[i] for i in free) for triple in scan_match(triples, *terms)]
-        found = store.reader(*pattern)(binding)
-        assert sorted(map(str, found)) == sorted(map(str, expected)), pattern
+        found = store.reader(*pattern)(bindings)
+        start = 0
+        for binding in bindings:
+            terms = [binding[x] if isinstance(x, int) else x for x in pattern]
+            expected = [tuple(triple[i] for i in free) for triple in scan_match(triples, *terms)]
+            extended, start = found[start:start + len(expected)], start + len(expected)
+            assert all(e[:len(binding)] == binding for e in extended), pattern
+            assert sorted(str(e[len(binding):]) for e in extended) == sorted(map(str, expected)), pattern
+        assert start == len(found), pattern
 
 
 @pytest.mark.parametrize("seed", range(20))

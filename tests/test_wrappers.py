@@ -7,9 +7,9 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from medquery import descriptors, sql_frontend, wrappers
+from medquery import descriptors, dtypes, sql_frontend, triple_store, wrappers
 from medquery.cli import main
-from medquery.descriptors import parse_project
+from medquery.descriptors import SourceFieldDef, parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
 from medquery.errors import IoError, TypeCoercionError, UnknownTableError
 from medquery.mediator import execute_query, open_project
@@ -490,14 +490,16 @@ def student_file(tmp_path):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Cells coerced by wrappers from here on, one list entry each."""
+    """Cells coerced by wrappers from here on, one list entry each.
+
+    ``coerce`` canonicalizes a cell once, through ``TypedLiteral.canonical``."""
     calls = []
 
     def counting(text, dtype):
         calls.append(text)
         return canonicalize(text, dtype)
 
-    monkeypatch.setattr(wrappers, "canonicalize", counting)
+    monkeypatch.setattr(triple_store, "canonicalize", counting)
     return calls
 
 
@@ -570,3 +572,24 @@ def test_access_log_counts_memoized_fetches(view_project):
         fetch_table(view_project, "uni", "STUDENT", log)
         fetch_table(view_project, "uni", "RICH", log)
     assert log.entries == (("uni", "STUDENT"), ("uni", "RICH"), ("uni", "STUDENT")) * 2
+
+
+def test_coercing_a_cell_canonicalizes_it_once(monkeypatch):
+    cells = [("007", Dtype.INTEGER), ("-0", Dtype.INTEGER), ("2.50", Dtype.DECIMAL),
+             ("+.5", Dtype.DECIMAL), (" TRUE ", Dtype.BOOLEAN), ("a b", Dtype.STRING)] * 50
+    expected = [TypedLiteral(canonicalize(text, dtype), dtype) for text, dtype in cells]
+    calls = []
+
+    def counting(text, dtype):
+        calls.append(text)
+        return canonicalize(text, dtype)
+
+    # wherever the name is looked up: the check of a literal's text runs through dtypes
+    for module in (dtypes, triple_store, wrappers):
+        monkeypatch.setattr(module, "canonicalize", counting, raising=False)
+    coerced = [wrappers.coerce(text, SourceFieldDef("F", dtype), 1) for text, dtype in cells]
+    assert coerced == expected
+    assert [hash(term) for term in coerced] == [hash(term) for term in expected]
+    assert len(calls) == len(cells)  # not once more in TypedLiteral's own check
+    with pytest.raises(TypeCoercionError):
+        wrappers.coerce("7x", SourceFieldDef("F", Dtype.INTEGER), 1)
