@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 import time
 import xml.etree.ElementTree as ET
@@ -41,6 +42,7 @@ from .sql_frontend import parse_sql
 from .triple_store import Iri, TripleStore, TypedLiteral, export_ntriples
 
 _DESCRIPTOR_ERRORS = (MalformedXmlError, DuplicateNameError, UnresolvedFieldRefError)
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
@@ -115,25 +117,26 @@ def render_result_table(result: ResultSet) -> str:
 
 
 def render_result_xml(result: ResultSet) -> str:
+    """The rows as XML; a value holding a character XML 1.0 forbids is refused."""
     root = ET.Element("results")
-    for row in result.rows:
+    for number, row in enumerate(result.rows, start=1):
         row_el = ET.SubElement(root, "row")
         for name, term in zip(result.columns, row):
-            col = ET.SubElement(row_el, "col", name=name)
-            col.text = _term_text(term)
+            text = _term_text(term)
+            if found := _NOT_XML_CHAR.search(text):
+                raise MedQueryError(f"row {number}, column {name}: XML 1.0 cannot hold U+{ord(found[0]):04X}")
+            ET.SubElement(row_el, "col", name=name).text = text
     ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="unicode") + "\n"
+    # a raw carriage return would read back as a line feed; only values can hold one
+    return ET.tostring(root, encoding="unicode").replace("\r", "&#13;") + "\n"
 
 
 def result_triples(result: ResultSet) -> TripleStore:
     # a repeated column repeats its variable's value, so its first copy suffices
     first = {name: result.columns.index(name) for name in result.columns}
-    store = TripleStore()
-    store.load_rows([Iri(result_property_iri(name)) for name in first], (
+    return TripleStore.from_rows([Iri(result_property_iri(name)) for name in first], (
         (Iri(result_subject_iri(index)), [row[column] for column in first.values()])
-        for index, row in enumerate(result.rows)
-    ))
-    return store
+        for index, row in enumerate(result.rows)))
 
 
 def render_dot(schema: IntegratedSchema) -> str:

@@ -260,23 +260,20 @@ def materialize_required(project: Project, names: Iterable[str],
 
 def _segment(name: str, table: Table) -> TripleStore:
     """The triples of integrated table ``name``: one subject per row, one triple per cell."""
-    segment = TripleStore()
-    predicates = [Iri(property_iri(name, f.name)) for f in table.fields]
-    segment.load_rows(predicates, (
-        (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)
-    ))
-    return segment
+    return TripleStore.from_rows([Iri(property_iri(name, f.name)) for f in table.fields], (
+        (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)))
 
 
 def build_triples(data: IntegratedData) -> TripleStore:
     """One subject per row, one triple per non-missing cell.
 
-    Each table's triples form one segment, bulk-loaded with
-    :meth:`TripleStore.load_rows` (table names key ``data.tables`` and field
+    Each table's triples form one segment, built by
+    :meth:`TripleStore.from_rows` (table names key ``data.tables`` and field
     names are unique within a table, so every (row subject, field predicate)
     pair occurs once) and derived through ``data.project``. Subjects and
     predicates carry the table name, so the segments are disjoint and the
-    returned store is their union.
+    returned store is their union. Every segment and union is sealed, so a
+    memoized segment reads the same to every query that shares it.
     """
     return TripleStore.union([
         data.project.derive(("triples", name), (table,), lambda: _segment(name, table))

@@ -30,7 +30,7 @@ from .dtypes import Dtype
 from .iris import property_iri
 from .rdql_engine import FilterAtom, RdqlQuery, TriplePattern, Var
 from .sql_frontend import Condition, QualifiedField, SqlQuery, referenced_fields
-from .triple_store import Iri, TypedLiteral
+from .triple_store import LEXICAL_ESCAPES, Iri, TypedLiteral
 
 
 def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
@@ -103,9 +103,8 @@ def _variables(query: SqlQuery, fields: list[QualifiedField]
 def _render_atom_rhs(rhs: Var | TypedLiteral) -> str:
     if isinstance(rhs, Var):
         return f"?{rhs.name}"
-    if rhs.dtype is Dtype.STRING:
-        escaped = rhs.lexical.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+    if rhs.dtype is Dtype.STRING:  # escaped as N-Triples escapes it, so a line break survives a text file
+        return '"' + rhs.lexical.translate(LEXICAL_ESCAPES) + '"'
     return rhs.lexical
 
 

@@ -7,27 +7,27 @@ whole list of its bindings, and ``match`` reads through it. Each predicate
 is one key object, held in its POS entry. ``count`` adds up the sizes of
 the same index entries instead of building the matches, and each
 predicate's POS entry keeps its triple count, so sizing a predicate is
-O(1). Triples arrive one at a time through ``insert`` (the path of
-:func:`import_ntriples`) or a table at a time through ``load_rows``, which
-fills both indexes straight from rows of cells whose (subject, predicate)
-pairs cannot repeat, so it builds no ``Triple``, probes for no duplicate
-and keeps each object slot as a 1-tuple rather than a set.
-``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple that
-``match`` returns for it.
+O(1). ``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple
+that ``match`` returns for it.
+
+One write rule: only ``insert`` writes, and only into an open store, one
+that ``TripleStore()`` made and nothing shares (the path of
+:func:`import_ntriples`). ``TripleStore.from_rows`` builds a table's store
+in one call from rows whose (subject, predicate) pairs cannot repeat, so
+it builds no ``Triple``, probes for no duplicate and keeps each object slot
+as a 1-tuple. ``TripleStore.union`` joins stores with disjoint subjects and
+predicates (the per-table segments of the integrated view) by sharing their
+index entries, and so each segment's predicate counts and value orders.
+Both seal what they build, and a union seals its stores too: ``insert`` on
+a sealed store raises ``ValueError``, so a memoized segment never changes.
 
 ``match(None, p, Range(op, literal))`` is a range read: the triples of
 ``p`` whose object is not numeric, plus the numeric ones for which
 ``object op literal`` holds under :func:`dtypes.compare`. It finds them by
 ``bisect`` over ``p``'s numeric objects sorted by exact ``Decimal`` value.
 That order is built on the first range read of ``p`` and kept in its POS
-entry until ``insert`` or ``load_rows`` writes to ``p``.
-
-``TripleStore.union`` joins stores with disjoint subjects and predicates
-(the per-table segments of the integrated view) without copying their
-triples: the union shares their index entries, and so each segment's
-predicate counts and value orders: a segment is sorted once, however many
-unions read it. Before its first write, a union copies those entries, and
-so does each of its stores: writing to either never changes the other.
+entry until ``insert`` writes to ``p``; a sealed segment is sorted once,
+however many unions read it.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -118,10 +118,9 @@ class _Objects(dict):
 
     __slots__ = ("key", "size", "order")
 
-    def __init__(self, key: Iri, entries=()) -> None:
-        super().__init__(entries)
+    def __init__(self, key: Iri) -> None:
         self.key = key
-        self.size = sum(map(len, self.values()))
+        self.size = 0
         self.order: tuple[list[TypedLiteral], list[Term]] | None = None
 
     def by_value(self) -> tuple[list[TypedLiteral], list[Term]]:
@@ -132,7 +131,8 @@ class _Objects(dict):
         return self.order
 
 
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+# the N-Triples escapes of a lexical form, which RDQL string literals share
+LEXICAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _LITERAL_TAILS = {dtype: f'"^^<{dtype_iri(dtype)}>' for dtype in Dtype}
 
@@ -192,7 +192,7 @@ def format_term(term: Term) -> str:
         return f"<{term.value}>"
     lexical = term.lexical
     if "\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical:
-        lexical = lexical.translate(_ESCAPES)
+        lexical = lexical.translate(LEXICAL_ESCAPES)
     return '"' + lexical + _LITERAL_TAILS[term.dtype]
 
 
@@ -201,18 +201,50 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 
 
 class TripleStore:
-    """Mutable while building, then typically treated as read-only."""
+    """A set of triples: open while ``insert`` builds it, sealed by :meth:`from_rows` or :meth:`union`."""
 
     def __init__(self) -> None:
         self._size = 0
-        # object slots are sets, or 1-tuples where load_rows filled them
+        # object slots are sets where insert filled them, 1-tuples where from_rows did
         self._spo: dict[Iri, dict[Iri, set[Term] | tuple[Term]]] = {}
         self._pos: dict[Iri, _Objects] = {}  # each maps object -> set of subjects
-        self._shared = False  # index entries are read by a union, or belong to its stores
+        self._sealed = False  # insert refuses: built by from_rows, or shared by a union
+
+    @classmethod
+    def from_rows(cls, predicates: Sequence[Iri],
+                  rows: Iterable[tuple[Iri, Sequence[Term | None]]]) -> TripleStore:
+        """A sealed store of a triple ``(subject, predicates[i], cells[i])`` per non-missing cell.
+
+        Each row is ``(subject, cells)`` with one cell per predicate; ``None``
+        is a missing cell. The predicates must be distinct and no subject may
+        repeat, so no triple can repeat: unlike :meth:`insert`, nothing is
+        probed cell by cell.
+        """
+        if len(set(predicates)) != len(predicates):
+            raise ValueError("from_rows needs distinct predicates")
+        store = cls()
+        spo, store._pos = store._spo, {p: _Objects(p) for p in predicates}
+        pos_entries = list(store._pos.values())
+        for subject, cells in rows:
+            if subject in spo:
+                raise ValueError(f"subject repeated in from_rows: {subject.value}")
+            by_pred: dict[Iri, tuple[Term]] = {}
+            for by_obj, cell in zip(pos_entries, cells):
+                if cell is None:
+                    continue
+                by_pred[by_obj.key] = (cell,)
+                by_obj.setdefault(cell, set()).add(subject)
+            if by_pred:
+                spo[subject] = by_pred
+                store._size += len(by_pred)
+        for by_obj in pos_entries:
+            by_obj.size = sum(map(len, by_obj.values()))
+        store._sealed = True
+        return store
 
     @classmethod
     def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
-        """A store of every triple of ``stores``, which share no subject or predicate."""
+        """A store of every triple of ``stores``, which share no subject or predicate; seals it and them."""
         joined = cls()
         for store in stores:
             joined._spo.update(store._spo)
@@ -222,17 +254,8 @@ class TripleStore:
                 or len(joined._pos) != sum(len(s._pos) for s in stores)):
             raise ValueError("union needs stores with disjoint subjects and predicates")
         for store in (joined, *stores):
-            store._shared = True
+            store._sealed = True
         return joined
-
-    def _own(self) -> None:
-        """Copy index entries shared with other stores before a write."""
-        if self._shared:
-            self._spo = {s: {p: set(objects) for p, objects in by_pred.items()}
-                         for s, by_pred in self._spo.items()}
-            self._pos = {p: _Objects(p, ((o, set(subjects)) for o, subjects in by_obj.items()))
-                         for p, by_obj in self._pos.items()}
-            self._shared = False
 
     def __len__(self) -> int:
         return self._size
@@ -249,51 +272,20 @@ class TripleStore:
             o in other._spo.get(s, {}).get(p, ()) for s, p, o in self.reader(None, None, None)([()]))
 
     def insert(self, t: Triple) -> bool:
-        """Add a triple; returns True only when it was not already present."""
-        self._own()
+        """Add a triple; returns True only when it was not already present. A sealed store refuses."""
+        if self._sealed:
+            raise ValueError("insert into a sealed store: built by from_rows, or shared by a union")
         by_obj = self._pos.get(t.predicate) or self._pos.setdefault(t.predicate, _Objects(t.predicate))
         by_pred = self._spo.setdefault(t.subject, {})
         objects = by_pred.setdefault(by_obj.key, set())
         if t.object in objects:
             return False
-        if isinstance(objects, tuple):  # a slot load_rows filled
-            objects = by_pred[by_obj.key] = set(objects)
         objects.add(t.object)
         by_obj.setdefault(t.object, set()).add(t.subject)
         by_obj.size += 1
         by_obj.order = None
         self._size += 1
         return True
-
-    def load_rows(self, predicates: Sequence[Iri],
-                  rows: Iterable[tuple[Iri, Sequence[Term | None]]]) -> None:
-        """Add a triple ``(subject, predicates[i], cells[i])`` per non-missing cell.
-
-        Each row is ``(subject, cells)`` with one cell per predicate; ``None``
-        is a missing cell. The predicates must be distinct and no subject may
-        be in the store already, so no triple can repeat: unlike
-        :meth:`insert`, nothing is probed cell by cell.
-        """
-        if len(set(predicates)) != len(predicates):
-            raise ValueError("load_rows needs distinct predicates")
-        self._own()
-        spo = self._spo
-        pos_entries = [self._pos.get(p) or self._pos.setdefault(p, _Objects(p)) for p in predicates]
-        for subject, cells in rows:
-            if subject in spo:
-                raise ValueError(f"subject already in the store: {subject.value}")
-            by_pred: dict[Iri, tuple[Term]] = {}
-            for by_obj, cell in zip(pos_entries, cells):
-                if cell is None:
-                    continue
-                by_pred[by_obj.key] = (cell,)
-                by_obj.setdefault(cell, set()).add(subject)
-            if by_pred:
-                spo[subject] = by_pred
-                self._size += len(by_pred)
-        for by_obj in pos_entries:
-            by_obj.size = sum(map(len, by_obj.values()))
-            by_obj.order = None
 
     def match(self, s: Term | None, p: Term | None,
               o: Term | Range | None) -> list[tuple[Iri, Iri, Term]]:

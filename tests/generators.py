@@ -441,6 +441,7 @@ def random_rdql_query(rng: random.Random, store: TripleStore, max_patterns: int 
     object, such as ``(?x <p> ?x)`` or ``(?x ?x ?x)``. Some queries lead
     with an atom comparing an object variable with a numeric literal, so
     the step binding that variable checks it first and can read a range.
+    Half the queries join triples of one subject, as a table row's fields do.
     """
     triples = list(store)  # canonical order, so a seed always picks the same terms
     subjects = sorted({t.subject for t in triples}, key=lambda i: i.value)
@@ -466,18 +467,30 @@ def random_rdql_query(rng: random.Random, store: TripleStore, max_patterns: int 
         dtype = rng.choice(_DATA_DTYPES)
         return TypedLiteral(rand_value(rng, dtype), dtype)
 
+    # half the queries read the triples of one subject, so their joins often answer: each
+    # pattern is one of that subject's triples, its object kept or made another variable
+    anchored = []
+    if triples and rng.random() < 0.5:
+        anchor = rng.choice(triples).subject
+        anchored = [t for t in triples if t.subject == anchor]
+        anchor_var = rng.choice(var_pool)
+        other_vars = [name for name in var_pool if name != anchor_var]
     n_patterns = rng.randrange(1, max_patterns + 1)
     for i in range(n_patterns):
-        s = subject_term(first=(i == 0))
-        if predicates and rng.random() < 0.85:
-            p: Var | Iri = rng.choice(predicates)
+        if anchored:
+            _, p, o = rng.choice(anchored)
+            s, o = Var(anchor_var), o if rng.random() < 0.5 else Var(rng.choice(other_vars))
         else:
-            p = Var(rng.choice(var_pool))
-        o = object_term()
-        if rng.random() < 0.2:  # one variable repeated within the pattern
-            name = s.name if isinstance(s, Var) else rng.choice(var_pool)
-            s, p, o = (Var(name) if isinstance(term, Var) or position == 2 else term
-                       for position, term in enumerate((s, p, o)))
+            s = subject_term(first=(i == 0))
+            if predicates and rng.random() < 0.85:
+                p = rng.choice(predicates)
+            else:
+                p = Var(rng.choice(var_pool))
+            o = object_term()
+            if rng.random() < 0.2:  # one variable repeated within the pattern
+                name = s.name if isinstance(s, Var) else rng.choice(var_pool)
+                s, p, o = (Var(name) if isinstance(term, Var) or position == 2 else term
+                           for position, term in enumerate((s, p, o)))
         pattern = TriplePattern(s, p, o)
         patterns.append(pattern)
         for term in (s, p, o):

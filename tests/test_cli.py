@@ -19,6 +19,8 @@ from medquery.dtypes import Dtype
 from medquery.extraction import build_triples, materialize_required
 from medquery.errors import MedQueryError
 from medquery.iris import property_iri, result_property_iri, result_subject_iri
+from medquery.mediator import execute_query, open_project
+from medquery.rdql_engine import parse_rdql
 from medquery.sql_frontend import parse_sql
 from medquery.sql_to_rdql import convert
 from medquery.triple_store import import_ntriples
@@ -270,6 +272,7 @@ def test_xml_source_in_an_unusable_encoding_is_an_io_error(tmp_path, capsys, dec
 
 JOIN_SQL = ("SELECT STUDENT.FIRSTNAME, GRADE.AVERAGE FROM STUDENT, GRADE "
             "ON STUDENT.ID=GRADE.STUDENTID")
+XML_QUERY = "SELECT STUDENT.FIRSTNAME FROM STUDENT"
 
 
 def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
@@ -301,6 +304,75 @@ def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
         (result_subject_iri(index), result_property_iri(column)): value
         for (index, column), value in expected.items()
     }
+
+
+@pytest.mark.parametrize("literal", ["a\rb", "a\r\nb", 'a\r"\\\n', 'a\\"y'])
+def test_converted_string_literals_survive_a_query_file(fig2_paths, capsys, tmp_path, literal):
+    # a carriage return written raw would read back from a text-mode file as a line feed
+    sql = f"SELECT STUDENT.FIRSTNAME FROM STUDENT WHERE STUDENT.LASTNAME < '{literal}'"
+    code, rdql = _run(capsys, "convert", fig2_paths, "--query", sql)
+    assert code == 0
+    path = tmp_path / "query.rdql"
+    path.write_text(rdql, encoding="utf-8")
+    schema = parse_project(*fig2_paths).schema
+    with open(path, encoding="utf-8") as handle:
+        assert parse_rdql(handle.read()).filters == convert(parse_sql(sql, schema), schema)[1].filters
+    answer = _run(capsys, "query", fig2_paths, "--query", sql)
+    assert answer == (0, "FIRSTNAME\nAnn\nBob\n")
+    assert _run(capsys, "query", fig2_paths, "--lang", "rdql", "--query-file", str(path)) == answer
+
+
+# every C0 control, U+FFFE and U+FFFF (XML 1.0 holds only tab, line feed and
+# carriage return of them), markup characters and text
+_XML_TEST_CHARS = [chr(c) for c in range(0x20)] + ["￾", "￿", "<", "&", "é", "a"]
+XML_STUDENT_SOURCES = """<datasources>
+  <datasource name="web" kind="xml" location="feed.xml">
+    <table name="STUDENT">
+      <field name="FIRSTNAME" type="string"/>
+      <xmlbinding record="student"><map field="FIRSTNAME" element="name"/></xmlbinding>
+    </table>
+  </datasource>
+</datasources>
+"""
+XML_STUDENT_SCHEMA = """<schema name="s">
+  <table name="STUDENT">
+    <field name="FIRSTNAME" type="string" source="web" sourcetable="STUDENT" sourcefield="FIRSTNAME"/>
+  </table>
+</schema>
+"""
+
+
+def _xml_forbids(text):
+    return any(c in "￾￿" or (c < " " and c not in "\t\n\r") for c in text)
+
+
+def test_xml_output_reads_back_each_value_or_exits_1(tmp_path, capsys):
+    outcomes = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        value = "x" + "".join(rng.choice(_XML_TEST_CHARS) for _ in range(rng.randint(1, 4))) + "x"
+        directory = tmp_path / str(seed)
+        directory.mkdir()
+        if "\r" in value or "\n" in value:  # a line break: an XML source, which holds no forbidden character
+            value = "".join(c for c in value if not _xml_forbids(c))
+            feed = "".join(f"&#{ord(c)};" for c in value)
+            paths = write_project(directory, XML_STUDENT_SOURCES, XML_STUDENT_SCHEMA,
+                                  {"feed.xml": f"<s><student><name>{feed}</name></student></s>"})
+        else:  # a pipe file, whose cells may hold any other character
+            paths = write_project(directory, files={"students.txt": f"ID|FIRSTNAME|LASTNAME|DEBT\n1|{value}|K|1\n",
+                                                    "grades.txt": ""})
+        assert [row[0].lexical for row in execute_query(open_project(*paths), XML_QUERY).rows] == [value]
+        code = main(["query", "--sources", str(paths[0]), "--schema", str(paths[1]),
+                     "--query", XML_QUERY, "--out", "xml"])
+        out, err = capsys.readouterr()
+        if _xml_forbids(value):
+            assert (code, out) == (1, ""), repr(value)
+            assert "row 1, column FIRSTNAME" in err, repr(value)
+        else:
+            assert code == 0, repr(value)
+            assert [col.text for col in ET.fromstring(out).iter("col")] == [value], repr(value)
+        outcomes[code, "\r" in value] += 1
+    assert len(outcomes) == 3, outcomes  # refused, read back with a carriage return, and without
 
 
 @pytest.mark.parametrize("command", [

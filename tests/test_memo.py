@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from medquery import dtypes, rdql_engine, triple_store
 from medquery.descriptors import parse_project
+from medquery.cli import result_triples
 from medquery.dtypes import Dtype
 from medquery.errors import MedQueryError, TypeCoercionError
 from medquery.extraction import build_triples, materialize_required
@@ -173,8 +174,10 @@ def test_insert_into_a_returned_store_changes_no_later_answer(fig2_paths):
     # Ann's DEBT of 1500 keeps her out of the Fig. 2 answer; a second DEBT would not
     ann_debt = Triple(Iri(subject_iri("STUDENT", 0)), Iri(property_iri("STUDENT", "DEBT")),
                       TypedLiteral("9999", Dtype.INTEGER))
-    assert store.insert(ann_debt)
-    assert ann_debt in set(store.match(None, None, None))
+    with pytest.raises(ValueError):  # the returned union is sealed
+        store.insert(ann_debt)
+    assert ann_debt not in set(store.match(None, None, None))
+    assert export_ntriples(store) == before
     assert export_ntriples(build_triples(materialize_required(project, ["STUDENT", "GRADE"]))) == before
     assert _rows(execute_query(project, FIG2_SQL)) == FIG2_ANSWER
 
@@ -187,27 +190,50 @@ def test_insert_into_a_returned_store_changes_no_later_ranged_answer(fig2_paths)
     before = rdql_engine.evaluate(query, store).rows  # orders the segment's DEBT objects
     ann = Iri(subject_iri("STUDENT", 0))
     assert before and (ann,) not in before
-    assert store.insert(Triple(ann, debt, TypedLiteral("9999", Dtype.INTEGER)))
-    assert sorted(rdql_engine.evaluate(query, store).rows, key=str) == sorted(before + [(ann,)], key=str)
+    with pytest.raises(ValueError):
+        store.insert(Triple(ann, debt, TypedLiteral("9999", Dtype.INTEGER)))
+    assert rdql_engine.evaluate(query, store).rows == before
     again = build_triples(materialize_required(project, ["STUDENT"]))
     assert rdql_engine.evaluate(query, again).rows == before
 
 
+def test_every_store_the_mediator_shares_refuses_writes(fig2_paths):
+    project = open_project(*fig2_paths)
+    answer = execute_query(project, JOIN_SQL)
+    data = materialize_required(project, ["STUDENT", "GRADE"])
+
+    def unmade():
+        raise AssertionError("the segment is not memoized")
+
+    segments = [project.derive(("triples", name), (table,), unmade) for name, table in data.tables.items()]
+    stores = [build_triples(data), *segments, result_triples(answer)]
+    exports = [export_ntriples(store) for store in stores]
+    for store in stores:
+        subject, predicate, obj = next(iter(store))
+        for new in (obj, TypedLiteral("9999", Dtype.INTEGER)):  # a present triple and a new one
+            with pytest.raises(ValueError):
+                store.insert(Triple(subject, predicate, new))
+    assert [export_ntriples(store) for store in stores] == exports
+    assert execute_query(project, JOIN_SQL) == answer
+    assert _rows(execute_query(project, FIG2_SQL)) == FIG2_ANSWER
+    assert export_ntriples(build_triples(materialize_required(project, ["STUDENT", "GRADE"]))) == exports[0]
+
+
 @pytest.fixture
 def derivations(monkeypatch):
-    """Counts of ``TripleStore.load_rows`` and ``dtypes.canonicalize`` calls from here on."""
+    """Counts of ``TripleStore.from_rows`` and ``dtypes.canonicalize`` calls from here on."""
     calls = Counter()
-    load_rows, canonicalize = TripleStore.load_rows, dtypes.canonicalize
+    from_rows, canonicalize = TripleStore.from_rows.__func__, dtypes.canonicalize
 
-    def counting_load_rows(store, *args):
-        calls["load_rows"] += 1
-        return load_rows(store, *args)
+    def counting_from_rows(cls, *args):
+        calls["from_rows"] += 1
+        return from_rows(cls, *args)
 
     def counting_canonicalize(*args):
         calls["canonicalize"] += 1
         return canonicalize(*args)
 
-    monkeypatch.setattr(TripleStore, "load_rows", counting_load_rows)
+    monkeypatch.setattr(TripleStore, "from_rows", classmethod(counting_from_rows))
     for module in (dtypes, triple_store):  # TypedLiteral.canonical calls it from triple_store
         monkeypatch.setattr(module, "canonicalize", counting_canonicalize)
     return calls
@@ -216,7 +242,7 @@ def derivations(monkeypatch):
 def test_a_repeated_query_derives_nothing_again(fig2_paths, derivations):
     project = open_project(*fig2_paths)
     first = execute_query(project, JOIN_SQL)
-    assert derivations["load_rows"] == 2
+    assert derivations["from_rows"] == 2
     assert derivations["canonicalize"] > 0
     derivations.clear()
     assert execute_query(project, JOIN_SQL) == first
@@ -231,7 +257,7 @@ def test_same_values_in_other_bytes_load_no_triples_again(fig2_paths, derivation
     derivations.clear()
     assert execute_query(project, FIG2_SQL) == first
     assert derivations["canonicalize"] > 0  # the new bytes are parsed
-    assert derivations["load_rows"] == 0
+    assert derivations["from_rows"] == 0
 
 
 @pytest.mark.parametrize("student_source, grade_source",

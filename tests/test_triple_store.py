@@ -42,31 +42,28 @@ def test_insert_is_set_semantics():
     assert len(store) == 2
 
 
-def test_load_rows_equals_inserts_and_refuses_repeats():
+def test_from_rows_equals_inserts_and_refuses_repeats():
     q = "http://x/q"
-    store = TripleStore()
-    store.load_rows([Iri(P), Iri(q)], [(Iri(S), [LIT, None]), (Iri("http://x/s2"), [None, None]),
-                                       (Iri("http://x/s3"), [LIT, LIT])])
+    store = TripleStore.from_rows([Iri(P), Iri(q)], [(Iri(S), [LIT, None]), (Iri("http://x/s2"), [None, None]),
+                                                     (Iri("http://x/s3"), [LIT, LIT])])
     reference = TripleStore()
     for triple in (t(S, P, LIT), t("http://x/s3", P, LIT), t("http://x/s3", q, LIT)):
         reference.insert(triple)
     assert store == reference and len(store) == 3
     assert store.count(None, Iri(P), LIT) == 2
     with pytest.raises(ValueError):
-        store.load_rows([Iri(P), Iri(P)], [])
-    with pytest.raises(ValueError):
-        store.load_rows([Iri(P)], [(Iri(S), [LIT])])
+        TripleStore.from_rows([Iri(P), Iri(P)], [])
+    with pytest.raises(ValueError):  # a subject repeated within the rows
+        TripleStore.from_rows([Iri(P)], [(Iri(S), [LIT]), (Iri(S), [TypedLiteral("8", Dtype.INTEGER)])])
 
 
 def _table_segment(table, rows):
-    """A store loaded like one integrated table's triples."""
-    store = TripleStore()
-    store.load_rows([Iri(f"http://x/{table}#{f}") for f in "AB"], [
+    """A store built like one integrated table's triples."""
+    return TripleStore.from_rows([Iri(f"http://x/{table}#{f}") for f in "AB"], [
         (Iri(f"http://x/{table}/row/{i}"), cells) for i, cells in enumerate(rows)])
-    return store
 
 
-def test_union_answers_like_one_store_and_copies_before_a_write():
+def test_union_answers_like_one_store_and_refuses_writes():
     one = TypedLiteral("1", Dtype.INTEGER)
     two = TypedLiteral("2", Dtype.STRING)
     segments = [_table_segment("T", [[one, two], [one, None]]),
@@ -75,9 +72,11 @@ def test_union_answers_like_one_store_and_copies_before_a_write():
     reference = TripleStore()
     for triple in itertools.chain(*segments):
         reference.insert(triple)
-    # a segment copies its entries before a write too, so the union reads as before
-    segments[0].insert(Triple(Iri("http://x/T/row/5"), Iri("http://x/T#A"), two))
-    segments[1].insert(Triple(Iri("http://x/U/row/0"), Iri("http://x/U#A"), one))
+    # the segments are sealed, so the union reads as before
+    with pytest.raises(ValueError):
+        segments[0].insert(Triple(Iri("http://x/T/row/5"), Iri("http://x/T#A"), two))
+    with pytest.raises(ValueError):
+        segments[1].insert(Triple(Iri("http://x/U/row/0"), Iri("http://x/U#A"), one))
     exports = [export_ntriples(segment) for segment in segments]
     assert len(list(union)) == 8 and union.count(None, Iri("http://x/T#A"), None) == 2
     assert union == reference and reference == union and len(union) == 8
@@ -87,12 +86,13 @@ def test_union_answers_like_one_store_and_copies_before_a_write():
         assert set(union.match(s, p, o)) == set(reference.match(s, p, o)), (s, p, o)
         assert union.count(s, p, o) == reference.count(s, p, o), (s, p, o)
 
-    extra = Triple(Iri("http://x/T/row/1"), Iri("http://x/T#B"), one)
-    assert union.insert(extra) and not union.insert(extra)
-    union.load_rows([Iri("http://x/V#A")], [(Iri("http://x/V/row/0"), [one])])
-    assert len(union) == 10 and union.count(None, Iri("http://x/T#B"), None) == 2
+    # so is the union, and a refused write changes nothing
+    with pytest.raises(ValueError):
+        union.insert(Triple(Iri("http://x/T/row/1"), Iri("http://x/T#B"), one))
+    assert len(union) == 8 and union.count(None, Iri("http://x/T#B"), None) == 1
+    assert union == reference
     assert [export_ntriples(segment) for segment in segments] == exports
-    assert len(TripleStore.union(segments)) == 10
+    assert len(TripleStore.union(segments)) == 8
 
 
 def test_union_refuses_stores_that_share_a_subject_or_predicate():
@@ -105,15 +105,14 @@ def test_union_refuses_stores_that_share_a_subject_or_predicate():
         TripleStore.union([store, shared_subject])
 
 
-def test_insert_beside_a_loaded_object_keeps_set_semantics():
+def test_insert_into_a_from_rows_store_raises():
     store = _table_segment("T", [[LIT, None]])
     subject, predicate = "http://x/T/row/0", "http://x/T#A"
-    assert store.insert(t(subject, predicate, LIT)) is False
-    assert store.insert(t(subject, predicate, TypedLiteral("8", Dtype.INTEGER))) is True
-    reference = TripleStore()
-    reference.insert(t(subject, predicate, TypedLiteral("8", Dtype.INTEGER)))
-    reference.insert(t(subject, predicate, LIT))
-    assert store == reference and len(store) == 2
+    before = export_ntriples(store)
+    for obj in (LIT, TypedLiteral("8", Dtype.INTEGER)):  # a present triple and a new one
+        with pytest.raises(ValueError):
+            store.insert(t(subject, predicate, obj))
+    assert export_ntriples(store) == before and len(store) == 1
     assert store.count(None, Iri(predicate), LIT) == 1
 
 
@@ -251,13 +250,19 @@ def test_a_segment_is_ordered_once_for_every_union_reading_it(monkeypatch):
         assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
     # the literal and two binary searches per read, no sort
     assert len(calls) <= 3 * (1 + 2 * math.ceil(math.log2(n + 1)))
-    # a write drops the written store's order; the segment keeps its own
+    # a union refuses a write, so the segment keeps its order
     written = TripleStore.union([segment])
-    written.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
-    assert len(written.match(None, predicate, bound)) == 10
-    written.load_rows([predicate], [(Iri(f"http://x/T/row/{n}"), [TypedLiteral(str(n + 1), Dtype.INTEGER)])])
-    assert len(written.match(None, predicate, bound)) == 11
+    with pytest.raises(ValueError):
+        written.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
+    assert len(written.match(None, predicate, bound)) == 9
     assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+    # an open store drops its order on a write
+    store = TripleStore()
+    for triple in segment:
+        store.insert(triple)
+    assert len(store.match(None, predicate, bound)) == 9
+    store.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
+    assert len(store.match(None, predicate, bound)) == 10
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -265,29 +270,38 @@ def test_predicate_sizes_follow_inserts_loads_and_unions(seed):
     rng = random.Random(800 + seed)
     values = [None, LIT, TypedLiteral("8", Dtype.INTEGER), TypedLiteral("a", Dtype.STRING)]
 
-    def segment(table):
-        return _table_segment(table, [[rng.choice(values), rng.choice(values)]
-                                      for _ in range(rng.randrange(8))])
-
-    stores = [segment(table) for table in "TUV"]
-    stores.append(TripleStore.union(stores[:2]))
-    stores.append(TripleStore.union([stores[-1], segment("W")]))
-    for _ in range(30):
-        store = rng.choice(stores)
-        if rng.random() < 0.7:
-            table = rng.choice("TUVW")
-            store.insert(t(f"http://x/{table}/row/{rng.randrange(10)}",
-                           f"http://x/{table}#{rng.choice('AB')}", rng.choice(values[1:])))
-        else:
-            table = f"X{rng.randrange(1000)}"
-            store.load_rows([Iri(f"http://x/{table}#A")],
-                            [(Iri(f"http://x/{table}/row/0"), [rng.choice(values)])])
+    def check(stores):
         for store in stores:
             triples = list(store)
             for predicate in {triple.predicate for triple in triples} | {Iri("http://x/T#A")}:
                 assert store.count(None, predicate, None) == len(
                     scan_match(triples, None, predicate, None)) == len(
                     store.match(None, predicate, None)), predicate
+
+    # an open store per table, inserted from a table's rows; writes go to open stores
+    # and loads make new segments, and only then are they unioned
+    opened = {table: TripleStore() for table in "TUVW"}
+    for table, store in opened.items():
+        for triple in _table_segment(table, [[rng.choice(values), rng.choice(values)]
+                                             for _ in range(rng.randrange(8))]):
+            store.insert(triple)
+    loaded = {}
+    for _ in range(30):
+        if rng.random() < 0.7:
+            table = rng.choice("TUVW")
+            opened[table].insert(t(f"http://x/{table}/row/{rng.randrange(10)}",
+                                   f"http://x/{table}#{rng.choice('AB')}", rng.choice(values[1:])))
+        else:
+            table = f"X{rng.randrange(1000)}"
+            loaded[table] = TripleStore.from_rows([Iri(f"http://x/{table}#A")],
+                                                  [(Iri(f"http://x/{table}/row/0"), [rng.choice(values)])])
+        check([*opened.values(), *loaded.values()])
+    unions = [TripleStore.union([opened["T"], opened["U"]])]
+    unions.append(TripleStore.union([unions[-1], opened["W"]]))
+    unions.append(TripleStore.union([opened["V"], *loaded.values()]))
+    check([*opened.values(), *loaded.values(), *unions])
+    with pytest.raises(ValueError):  # a union seals the open stores it reads
+        opened["T"].insert(t("http://x/T/row/0", "http://x/T#A", LIT))
 
 
 def test_export_line_format():
@@ -360,7 +374,7 @@ _WEIGHTED = '\\"\n\r\t\x00\x1b\x7f\x85\u2028-+.0159\u00e9\u6f22\U0001F600\ud800'
                 min_size=1, max_size=8))
 def test_rendering_agrees_with_the_hand_escaper_for_both_slot_shapes(texts):
     # one row per text, one cell per dtype that reads it, None where none does;
-    # load_rows keeps 1-tuple slots, insert keeps sets
+    # from_rows keeps 1-tuple slots, insert keeps sets
     predicates = [Iri(f"http://x/T#{dtype.value}") for dtype in Dtype]
     rows = []
     for number, text in enumerate(texts):
@@ -371,8 +385,7 @@ def test_rendering_agrees_with_the_hand_escaper_for_both_slot_shapes(texts):
             except ValueError:  # text the dtype does not read
                 cells.append(None)
         rows.append((Iri(f"http://x/T/row/{number}"), cells))
-    loaded, inserted = TripleStore(), TripleStore()
-    loaded.load_rows(predicates, rows)
+    loaded, inserted = TripleStore.from_rows(predicates, rows), TripleStore()
     for subject, cells in rows:
         for predicate, cell in zip(predicates, cells):
             if cell is not None:
