@@ -43,6 +43,7 @@ from .triple_store import Iri, TripleStore, TypedLiteral, export_ntriples
 
 _DESCRIPTOR_ERRORS = (MalformedXmlError, DuplicateNameError, UnresolvedFieldRefError)
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_TABLE_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "\n": "\\n", "\r": "\\r"})
 
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
@@ -111,8 +112,9 @@ def _term_text(term) -> str:
 
 
 def render_result_table(result: ResultSet) -> str:
+    """A ``|``-separated line per row, each value's backslash, ``|`` and line breaks escaped."""
     lines = ["|".join(result.columns)]
-    lines.extend("|".join(_term_text(t) for t in row) for row in result.rows)
+    lines.extend("|".join(_term_text(t).translate(_TABLE_ESCAPES) for t in row) for row in result.rows)
     return "".join(line + "\n" for line in lines)
 
 

@@ -270,10 +270,10 @@ def build_triples(data: IntegratedData) -> TripleStore:
     Each table's triples form one segment, built by
     :meth:`TripleStore.from_rows` (table names key ``data.tables`` and field
     names are unique within a table, so every (row subject, field predicate)
-    pair occurs once) and derived through ``data.project``. Subjects and
-    predicates carry the table name, so the segments are disjoint and the
-    returned store is their union. Every segment and union is sealed, so a
-    memoized segment reads the same to every query that shares it.
+    pair occurs once) and derived through ``data.project``. Predicates carry
+    the table name, so the segments share none, and the returned store is
+    their union. Every segment and union is sealed, so a memoized segment
+    reads the same to every query that shares it.
     """
     return TripleStore.union([
         data.project.derive(("triples", name), (table,), lambda: _segment(name, table))

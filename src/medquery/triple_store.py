@@ -1,38 +1,40 @@
 """In-memory RDF triple store with typed literals.
 
 Terms are IRIs or typed literals (no blank nodes, no untyped literals).
-The store keeps set semantics over triples and maintains SPO and POS
-indexes. ``reader`` picks a pattern's index once per join step, for the
-whole list of its bindings, and ``match`` reads through it. Each predicate
-is one key object, held in its POS entry. ``count`` adds up the sizes of
-the same index entries instead of building the matches, and each
-predicate's POS entry keeps its triple count, so sizing a predicate is
-O(1). ``Triple`` is a NamedTuple, equal to the plain ``(s, p, o)`` tuple
-that ``match`` returns for it.
+The store keeps set semantics over triples, split by predicate as in a
+vertically partitioned store: one map from each predicate to its entry,
+which holds subject -> objects, object -> subjects and the predicate's
+triple count, and nothing else is kept in step with it. ``reader`` picks
+a pattern's access path once per join step, for the whole list of its
+bindings; ``match`` reads through it, and ``count`` adds up entry sizes
+instead of building the matches, in O(1) for a predicate alone. A variable
+predicate with a known subject or object reads an index of the entries by
+those terms, built on first use and dropped by ``insert``. ``Triple`` is a
+NamedTuple, equal to the plain ``(s, p, o)`` tuple that ``match`` returns.
 
 One write rule: only ``insert`` writes, and only into an open store, one
 that ``TripleStore()`` made and nothing shares (the path of
 :func:`import_ntriples`). ``TripleStore.from_rows`` builds a table's store
 in one call from rows whose (subject, predicate) pairs cannot repeat, so
 it builds no ``Triple``, probes for no duplicate and keeps each object slot
-as a 1-tuple. ``TripleStore.union`` joins stores with disjoint subjects and
-predicates (the per-table segments of the integrated view) by sharing their
-index entries, and so each segment's predicate counts and value orders.
-Both seal what they build, and a union seals its stores too: ``insert`` on
-a sealed store raises ``ValueError``, so a memoized segment never changes.
+as a 1-tuple. ``TripleStore.union`` joins stores with disjoint predicates
+(the per-table segments of the integrated view) by sharing their entries,
+and so each segment's counts and value orders. Both seal what they build,
+and a union seals its stores too: ``insert`` on a sealed store raises
+``ValueError``, so a memoized segment never changes.
 
 ``match(None, p, Range(op, literal))`` is a range read: the triples of
 ``p`` whose object is not numeric, plus the numeric ones for which
 ``object op literal`` holds under :func:`dtypes.compare`. It finds them by
 ``bisect`` over ``p``'s numeric objects sorted by exact ``Decimal`` value.
-That order is built on the first range read of ``p`` and kept in its POS
+That order is built on the first range read of ``p`` and kept in its
 entry until ``insert`` writes to ``p``; a sealed segment is sorted once,
 however many unions read it.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
 syntax), which makes them diffable even though RDF itself is unordered.
-An export walks the SPO index itself, renders each triple's object once
+An export walks the predicate entries, renders each triple's object once
 (escaping only a literal that holds a character needing it), sorts those
 keys and writes each line from its key.
 """
@@ -52,7 +54,6 @@ from .iris import dtype_from_iri, dtype_iri
 _RANGE_OPS = frozenset({"<", "<=", "=", ">=", ">"})
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _BLANKS = re.compile(r"[ \t]*")
-_NOTHING: dict = {}  # the index entry of an absent term; never written
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,22 +113,24 @@ def _value(literal: TypedLiteral) -> Decimal:
     return Decimal(literal.lexical)
 
 
-class _Objects(dict):
-    """One predicate's POS entry: object -> subjects, with the predicate's key object in ``key``, the
-    triple count in ``size`` and, once a range read has built it, the objects by value in ``order``."""
+class _Entry:
+    """One predicate's triples: subject -> objects in ``by_subject`` (sets where insert filled them,
+    1-tuples where from_rows did), object -> subjects in ``by_object``, the triple count in ``size``
+    and, once a range read has built it, the objects by value in ``order``."""
 
-    __slots__ = ("key", "size", "order")
+    __slots__ = ("by_subject", "by_object", "size", "order")
 
-    def __init__(self, key: Iri) -> None:
-        self.key = key
+    def __init__(self) -> None:
+        self.by_subject: dict[Iri, set[Term] | tuple[Term]] = {}
+        self.by_object: dict[Term, set[Iri]] = {}
         self.size = 0
         self.order: tuple[list[TypedLiteral], list[Term]] | None = None
 
     def by_value(self) -> tuple[list[TypedLiteral], list[Term]]:
         """The numeric objects in ascending value, and the other objects."""
         if self.order is None:
-            self.order = (sorted(filter(is_numeric, self), key=_value),
-                          [o for o in self if not is_numeric(o)])
+            self.order = (sorted(filter(is_numeric, self.by_object), key=_value),
+                          [o for o in self.by_object if not is_numeric(o)])
         return self.order
 
 
@@ -204,10 +207,8 @@ class TripleStore:
     """A set of triples: open while ``insert`` builds it, sealed by :meth:`from_rows` or :meth:`union`."""
 
     def __init__(self) -> None:
-        self._size = 0
-        # object slots are sets where insert filled them, 1-tuples where from_rows did
-        self._spo: dict[Iri, dict[Iri, set[Term] | tuple[Term]]] = {}
-        self._pos: dict[Iri, _Objects] = {}  # each maps object -> set of subjects
+        self._preds: dict[Iri, _Entry] = {}
+        self._terms: tuple[dict, dict] | None = None  # the entries by subject and by object
         self._sealed = False  # insert refuses: built by from_rows, or shared by a union
 
     @classmethod
@@ -223,42 +224,35 @@ class TripleStore:
         if len(set(predicates)) != len(predicates):
             raise ValueError("from_rows needs distinct predicates")
         store = cls()
-        spo, store._pos = store._spo, {p: _Objects(p) for p in predicates}
-        pos_entries = list(store._pos.values())
+        entries = [store._preds.setdefault(p, _Entry()) for p in predicates]
+        seen: set[Iri] = set()
         for subject, cells in rows:
-            if subject in spo:
+            if subject in seen:
                 raise ValueError(f"subject repeated in from_rows: {subject.value}")
-            by_pred: dict[Iri, tuple[Term]] = {}
-            for by_obj, cell in zip(pos_entries, cells):
-                if cell is None:
-                    continue
-                by_pred[by_obj.key] = (cell,)
-                by_obj.setdefault(cell, set()).add(subject)
-            if by_pred:
-                spo[subject] = by_pred
-                store._size += len(by_pred)
-        for by_obj in pos_entries:
-            by_obj.size = sum(map(len, by_obj.values()))
+            seen.add(subject)
+            for entry, cell in zip(entries, cells):
+                if cell is not None:
+                    entry.by_subject[subject] = (cell,)
+                    entry.by_object.setdefault(cell, set()).add(subject)
+        for entry in entries:
+            entry.size = len(entry.by_subject)
         store._sealed = True
         return store
 
     @classmethod
     def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
-        """A store of every triple of ``stores``, which share no subject or predicate; seals it and them."""
+        """A store of every triple of ``stores``, which share no predicate; seals it and them."""
         joined = cls()
         for store in stores:
-            joined._spo.update(store._spo)
-            joined._pos.update(store._pos)
-            joined._size += store._size
-        if (len(joined._spo) != sum(len(s._spo) for s in stores)
-                or len(joined._pos) != sum(len(s._pos) for s in stores)):
-            raise ValueError("union needs stores with disjoint subjects and predicates")
+            joined._preds.update(store._preds)
+        if len(joined._preds) != sum(len(store._preds) for store in stores):
+            raise ValueError("union needs stores with disjoint predicates")
         for store in (joined, *stores):
             store._sealed = True
         return joined
 
     def __len__(self) -> int:
-        return self._size
+        return sum(entry.size for entry in self._preds.values())
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
@@ -268,23 +262,20 @@ class TripleStore:
         if not isinstance(other, TripleStore):
             return NotImplemented
         # no slot repeats an object, so equal sizes and one inclusion suffice
-        return self._size == other._size and all(
-            o in other._spo.get(s, {}).get(p, ()) for s, p, o in self.reader(None, None, None)([()]))
+        return len(self) == len(other) and all(other.count(*t) for t in self.reader(None, None, None)([()]))
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only when it was not already present. A sealed store refuses."""
         if self._sealed:
             raise ValueError("insert into a sealed store: built by from_rows, or shared by a union")
-        by_obj = self._pos.get(t.predicate) or self._pos.setdefault(t.predicate, _Objects(t.predicate))
-        by_pred = self._spo.setdefault(t.subject, {})
-        objects = by_pred.setdefault(by_obj.key, set())
+        entry = self._preds.get(t.predicate) or self._preds.setdefault(t.predicate, _Entry())
+        objects = entry.by_subject.setdefault(t.subject, set())
         if t.object in objects:
             return False
         objects.add(t.object)
-        by_obj.setdefault(t.object, set()).add(t.subject)
-        by_obj.size += 1
-        by_obj.order = None
-        self._size += 1
+        entry.by_object.setdefault(t.object, set()).add(t.subject)
+        entry.size += 1
+        entry.order = self._terms = None
         return True
 
     def match(self, s: Term | None, p: Term | None,
@@ -307,35 +298,39 @@ class TripleStore:
         Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` slot of a term
         in a binding, or None where it is free; ``o`` may be a free :class:`Range`. The
         step extends each binding, in input order, by the free terms (s, p, o order) of
-        each triple matching it, and probes a constant predicate by the store's own key.
-        The path is SPO for a known subject, POS for a known object, or a scan; a pattern
-        that takes no term from a binding, a range too, is read here, once. A range's
-        step gives two lists: the extensions by its numeric matches, then by the others.
+        each triple matching it. A constant predicate's entry is found here, once, and the
+        step reads its subject map for a known subject, its object map for a known object,
+        or scans it; a pattern that takes no term from a binding, a range too, is read here,
+        once. A range's step gives two lists: its numeric matches' extensions, then the rest.
         """
         if isinstance(o, Range):
             parts = self._match_range(s, p, o)
             return lambda bindings: [[b + row for b in bindings for row in rows] for rows in parts]
+        entries = None
         if p is not None and not isinstance(p, int):
-            by_obj = self._pos.get(p) or _Objects(p)  # an empty entry: no triple has p
-            p, get = by_obj.key, self._spo.get
+            entry = self._preds.get(p) or _Entry()  # an empty entry: no triple has p
             if isinstance(s, int) and o is None:
-                return lambda bindings: [b + (x,) for b in bindings for x in get(b[s], _NOTHING).get(p, ())]
+                get = entry.by_subject.get
+                return lambda bindings: [b + (x,) for b in bindings for x in get(b[s], ())]
             if s is None and isinstance(o, int):
-                return lambda bindings: [b + (x,) for b in bindings for x in by_obj.get(b[o], ())]
+                get = entry.by_object.get
+                return lambda bindings: [b + (x,) for b in bindings for x in get(b[o], ())]
+            entries = [(p, entry)]
         pattern = (s, p, o)
 
         def read(binding: tuple) -> list[tuple]:
             s, p, o = [binding[term] if isinstance(term, int) else term for term in pattern]
-            entries = self._entries(s, p)
+            found = entries or self._entries(s, p, o)
             if s is not None:
+                slots = [(q, entry.by_subject.get(s, ())) for q, entry in found]
                 if o is None:
-                    return [(x,) if p is not None else (q, x) for q, objects in entries for x in objects]
-                return [() if p is not None else (q,) for q, objects in entries if o in objects]
+                    return [(x,) if p is not None else (q, x) for q, objects in slots for x in objects]
+                return [() if p is not None else (q,) for q, objects in slots if o in objects]
             if o is not None:
                 return [(x,) if p is not None else (x, q)
-                        for q, by_obj in entries for x in by_obj.get(o, ())]
+                        for q, entry in found for x in entry.by_object.get(o, ())]
             return [(x, y) if p is not None else (x, q, y)
-                    for q, by_obj in entries for y, subjects in by_obj.items() for x in subjects]
+                    for q, entry in found for y, subjects in entry.by_object.items() for x in subjects]
         if not any(isinstance(term, int) for term in pattern):
             rows = read(())
             return lambda bindings: [b + row for b in bindings for row in rows]
@@ -344,36 +339,48 @@ class TripleStore:
     def count(self, s: Term | None, p: Term | None, o: Term | None) -> int:
         """``len(self.match(s, p, o))``, summed from index entry sizes."""
         if s is None and o is None:
-            return self._size if p is None else self._pos[p].size if p in self._pos else 0
+            return len(self) if p is None else self._preds[p].size if p in self._preds else 0
         if s is not None:
-            return sum(len(objects) if o is None else o in objects for _, objects in self._entries(s, p))
-        return sum(len(by_obj.get(o, ())) for _, by_obj in self._entries(s, p))
+            return sum(len(objects) if o is None else o in objects
+                       for objects in [entry.by_subject.get(s, ()) for _, entry in self._entries(s, p, o)])
+        return sum(len(entry.by_object.get(o, ())) for _, entry in self._entries(s, p, o))
 
-    def _entries(self, s: Term | None, p: Term | None):
-        """``(predicate, SPO object slot)`` pairs of a known ``s``, else ``(predicate, POS entry)``."""
-        index = self._spo.get(s, _NOTHING) if s is not None else self._pos
-        return [(p, index.get(p, _NOTHING))] if p is not None else index.items()
+    def _entries(self, s: Term | None, p: Term | None, o: Term | None):
+        """The ``(predicate, entry)`` pairs that can hold a triple of ``(s, p, o)``."""
+        if p is not None:
+            return [(p, self._preds[p])] if p in self._preds else []
+        if s is None and o is None:
+            return self._preds.items()
+        terms = self._terms
+        if terms is None:  # each pair by every subject and every object its entry holds
+            terms = ({}, {})
+            for pair in self._preds.items():
+                for index, held in zip(terms, (pair[1].by_subject, pair[1].by_object)):
+                    for term in held:
+                        index.setdefault(term, []).append(pair)
+            self._terms = terms  # assigned whole: a reader on another thread sees none of it or all of it
+        return terms[0].get(s, ()) if s is not None else terms[1].get(o, ())
 
     def _match_range(self, s, p, o: Range) -> tuple[list[tuple[Iri, Term]], list[tuple[Iri, Term]]]:
         """The (subject, object) matches with a numeric object, and those with another object."""
         if (s is not None or not isinstance(p, Iri) or o.op not in _RANGE_OPS
                 or o.literal.dtype not in NUMERIC_DTYPES):
             raise ValueError(f"a range read needs (None, IRI, numeric Range), not {(s, p, o)!r}")
-        by_obj = self._pos.get(p) or _Objects(p)
-        numeric, others = by_obj.by_value()
+        entry = self._preds.get(p) or _Entry()
+        numeric, others = entry.by_value()
         value = _value(o.literal)
         left = bisect_left(numeric, value, key=_value)
         right = bisect_right(numeric, value, key=_value)
         start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
                        ">=": (left, len(numeric)), ">": (right, len(numeric))}[o.op]
-        return tuple([(subj, obj) for obj in objects for subj in by_obj[obj]]
+        return tuple([(subj, obj) for obj in objects for subj in entry.by_object[obj]]
                      for objects in (numeric[start:stop], others))
 
 
 def export_ntriples(store: TripleStore) -> str:
     """Serialize the store, one triple per line, in canonical order."""
-    keys = [(s.value, p.value, format_term(o))
-            for s, by_pred in store._spo.items() for p, objects in by_pred.items() for o in objects]
+    keys = [(s.value, p.value, format_term(o)) for p, entry in store._preds.items()
+            for s, objects in entry.by_subject.items() for o in objects]
     keys.sort()
     return "".join([f"<{s}> <{p}> {o} .\n" for s, p, o in keys])
 

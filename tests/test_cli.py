@@ -375,6 +375,60 @@ def test_xml_output_reads_back_each_value_or_exits_1(tmp_path, capsys):
     assert len(outcomes) == 3, outcomes  # refused, read back with a carriage return, and without
 
 
+TWO_FIELD_SOURCES = """<datasources>
+  <datasource name="web" kind="xml" location="feed.xml">
+    <table name="STUDENT">
+      <field name="FIRSTNAME" type="string"/>
+      <field name="LASTNAME" type="string"/>
+      <xmlbinding record="student">
+        <map field="FIRSTNAME" element="first"/><map field="LASTNAME" element="last"/>
+      </xmlbinding>
+    </table>
+  </datasource>
+</datasources>
+"""
+TWO_FIELD_SCHEMA = """<schema name="s">
+  <table name="STUDENT">
+    <field name="FIRSTNAME" type="string" source="web" sourcetable="STUDENT" sourcefield="FIRSTNAME"/>
+    <field name="LASTNAME" type="string" source="web" sourcetable="STUDENT" sourcefield="LASTNAME"/>
+  </table>
+</schema>
+"""
+_TABLE_UNESCAPES = {"\\": "\\", "|": "|", "n": "\n", "r": "\r"}
+
+
+def _table_cells(line):
+    """A table line's cells: split at each unescaped ``|``, each escape undone."""
+    cells, cell, chars = [], [], iter(line)
+    for char in chars:
+        if char == "\\":
+            cell.append(_TABLE_UNESCAPES[next(chars)])
+        elif char == "|":
+            cells.append("".join(cell))
+            cell = []
+        else:
+            cell.append(char)
+    return cells + ["".join(cell)]
+
+
+def test_table_output_escapes_separators_and_line_breaks(tmp_path, capsys):
+    values = [("a|b", "x\ny"), ("back\\slash", "c\rr"), ("e\\|f", "g\\nh"), ("i\\", "|j|"), ("plain", "k")]
+    feed = "".join(f"<student><first>{first}</first><last>{last}</last></student>" for first, last in values)
+    paths = write_project(tmp_path, TWO_FIELD_SOURCES, TWO_FIELD_SCHEMA,
+                          {"feed.xml": "<s>" + feed.replace("\n", "&#10;").replace("\r", "&#13;") + "</s>"})
+    query = ["--query", "SELECT STUDENT.FIRSTNAME, STUDENT.LASTNAME FROM STUDENT"]
+    code, table = _run(capsys, "query", paths, *query)
+    assert code == 0
+    code, xml = _run(capsys, "query", paths, *query, "--out", "xml")
+    assert code == 0
+    header, *lines = table.split("\n")
+    assert header == "FIRSTNAME|LASTNAME" and lines.pop() == ""  # one line per row, each ended by LF
+    assert len(lines) == len(values)
+    cells = [[col.text for col in row] for row in ET.fromstring(xml)]
+    assert [_table_cells(line) for line in lines] == cells
+    assert sorted(map(tuple, cells)) == sorted(values)
+
+
 @pytest.mark.parametrize("command", [
     ["query", "--query", FIG2_SQL],
     ["query", "--query", JOIN_SQL, "--out", "ntriples"],

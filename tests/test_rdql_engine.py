@@ -24,7 +24,7 @@ from medquery.rdql_engine import (
     parse_rdql,
 )
 from medquery.sql_frontend import parse_view_select
-from medquery.triple_store import Iri, Range, Triple, TripleStore, TypedLiteral, import_ntriples
+from medquery.triple_store import Iri, Range, Triple, TripleStore, TypedLiteral, format_term, import_ntriples
 
 from conftest import FIG2_RDQL
 from generators import random_rdql_query, random_store
@@ -449,7 +449,9 @@ def _segmented(rng, store):
     goes to that subject's k-th row, so each object slot is a 1-tuple.
     Returns the union and an ``insert``-built store of the same triples.
     """
-    sides = {p: int(rng.random() < 0.5) for p in {triple.predicate for triple in store}}
+    # drawn in IRI order: a set's order follows the per-process string hash
+    sides = {p: int(rng.random() < 0.5)
+             for p in sorted({triple.predicate for triple in store}, key=lambda p: p.value)}
     rows: tuple[dict, dict] = ({}, {})  # per segment: row subject -> {predicate: object}
     for s, p, o in store:
         side = sides[p]
@@ -690,3 +692,61 @@ def test_steps_find_constant_predicates_by_identity(monkeypatch):
             result, tally = _probe_counts(monkeypatch, store, parse_rdql(text))
             assert result.rows
             assert tally["eq"] == 0, text
+
+
+_WIDE = "http://integratedDB/T"
+_VARIABLE_PREDICATE_QUERIES = {
+    "object": f"SELECT ?p WHERE (?x <{_WIDE}0#A> ?v), (?s ?p ?v)",
+    "subject": f"SELECT ?p WHERE (?s <{_WIDE}0#A> ?x), (?s ?p ?o)",
+}
+
+
+def _wide_segments(rows, predicates):
+    """``predicates`` predicates over one-table segments: T0's field A holds i in its i-th of
+    ``rows`` rows and its field B holds the same in the even rows; each other table Tk has one
+    row, whose field A holds k % rows."""
+    segments = [TripleStore.from_rows([Iri(f"{_WIDE}0#A"), Iri(f"{_WIDE}0#B")], [
+        (Iri(f"{_WIDE}0/row/{i}"), [lit(str(i)), None if i % 2 else lit(str(i))]) for i in range(rows)])]
+    return segments + [
+        TripleStore.from_rows([Iri(f"{_WIDE}{k}#A")], [(Iri(f"{_WIDE}{k}/row/0"), [lit(str(k % rows))])])
+        for k in range(1, predicates - 1)]
+
+
+def _variable_predicate_rows(shape, rows, predicates):
+    """The answer of that shape's query over ``_wide_segments(rows, predicates)``, worked out from
+    how they are built: T0#A once per row, T0#B once per even row and, for the bound object, each
+    Tk#A once."""
+    found = [f"{_WIDE}0#A"] * rows + [f"{_WIDE}0#B"] * ((rows + 1) // 2)
+    if shape == "object":
+        found += [f"{_WIDE}{k}#A" for k in range(1, predicates - 1)]
+    return sorted([(Iri(p),) for p in found], key=lambda row: format_term(row[0]))
+
+
+@pytest.mark.parametrize("shape", sorted(_VARIABLE_PREDICATE_QUERIES))
+def test_a_variable_predicate_step_hashes_terms_linearly(monkeypatch, shape):
+    """A variable predicate whose subject or object a binding holds reads the entries of that
+    term, not every predicate once per binding, in a fresh union as each query gets one."""
+    query = parse_rdql(_VARIABLE_PREDICATE_QUERIES[shape])
+    small = TripleStore.union(_wide_segments(10, 20))
+    expected = _variable_predicate_rows(shape, 10, 20)
+    assert evaluate(query, small).rows == enumerate_rdql(query, small) == expected
+
+    rows, predicates = 1000, 2000  # rows: the bindings of the first step
+    segments = _wide_segments(rows, predicates)
+    bound = 4 * (rows + sum(map(len, segments)))
+    hashes = 0
+
+    def counting(original):
+        def hash_term(term):
+            nonlocal hashes
+            hashes += 1
+            if hashes > bound:  # fail before a walk of every predicate per binding runs its course
+                raise AssertionError(f"terms hashed more than {bound} times")
+            return original(term)
+        return hash_term
+
+    with monkeypatch.context() as patched:
+        for cls in (Iri, TypedLiteral):
+            patched.setattr(cls, "__hash__", counting(cls.__hash__))
+        result = evaluate(query, TripleStore.union(segments))
+    assert result.rows == _variable_predicate_rows(shape, rows, predicates)

@@ -95,14 +95,39 @@ def test_union_answers_like_one_store_and_refuses_writes():
     assert len(TripleStore.union(segments)) == 8
 
 
-def test_union_refuses_stores_that_share_a_subject_or_predicate():
+def test_union_refuses_shared_predicates_and_joins_shared_subjects():
     store = _table_segment("T", [[LIT, LIT]])
     with pytest.raises(ValueError):
         TripleStore.union([store, _table_segment("T", [])])  # the same predicates
+    # a subject of both stores: each triple lives in its own predicate's entry
     shared_subject = TripleStore()
     shared_subject.insert(t("http://x/T/row/0", "http://x/q", LIT))
-    with pytest.raises(ValueError):
-        TripleStore.union([store, shared_subject])
+    shared_subject.insert(t("http://x/T/row/1", "http://x/q", Iri("http://x/T/row/0")))
+    union = TripleStore.union([store, shared_subject])
+    reference = TripleStore()
+    for triple in itertools.chain(store, shared_subject):
+        reference.insert(triple)
+    assert union == reference and len(union) == 4
+    subjects = [None, Iri("http://x/T/row/0"), Iri("http://x/T/row/1"), Iri("http://x/absent")]
+    predicates = [None, Iri("http://x/T#A"), Iri("http://x/T#B"), Iri("http://x/q")]
+    objects = [None, LIT, Iri("http://x/T/row/0"), TypedLiteral("8", Dtype.INTEGER)]
+    for s, p, o in itertools.product(subjects, predicates, objects):
+        expected = sorted(reference.match(s, p, o), key=_key)
+        assert sorted(union.match(s, p, o), key=_key) == expected, (s, p, o)
+        assert union.count(s, p, o) == reference.count(s, p, o) == len(expected), (s, p, o)
+
+
+def test_a_write_drops_the_index_of_variable_predicate_reads():
+    store = TripleStore()
+    store.insert(t(S, P, LIT))
+    for write in (t(S, "http://x/q", LIT), t("http://x/s2", P, LIT)):
+        assert store.count(None, None, LIT) == len(store)  # a variable-predicate read indexes the store
+        store.insert(write)
+        triples = list(store)
+        for s, o in ((Iri(S), None), (None, LIT), (Iri(write.subject.value), LIT)):
+            expected = sorted(scan_match(triples, s, None, o), key=_key)
+            assert sorted(store.match(s, None, o), key=_key) == expected, (write, s, o)
+            assert store.count(s, None, o) == len(expected), (write, s, o)
 
 
 def test_insert_into_a_from_rows_store_raises():
