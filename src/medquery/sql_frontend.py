@@ -21,8 +21,9 @@ The text is read left to right on the cursor the RDQL parser also uses
 (:mod:`medquery.scanner`), with no separate tokenizer. Identifiers start with
 a letter or ``_`` and go on with letters, digits or ``_``; keywords are not
 identifiers; numbers are ASCII ``[0-9]+(.[0-9]+)?`` and may carry a sign
-written apart from them. The first fault in reading order is reported,
-whether it is a malformed token or a construct out of place.
+written apart from them; a string is single-quoted, with ``''`` for a quote
+in it. The first fault in reading order is reported, whether it is a
+malformed token or a construct out of place.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ _KEYWORDS = {  # reserved: never an identifier
 }
 # characters that may start a token, besides letters and the "!" of "!="
 _TOKEN_CHARS = frozenset("_0123456789'.,()*+-/=<>")
+# a string literal, in which '' stands for one '
+_STRING_RE = re.compile(r"'((?:[^']|'')*)'(?!')")
 # one token, for quoting in an error message; a string is quoted without its quotes
-_TOKEN_RE = re.compile(rf"'([^']*)'|{NUMBER_RE.pattern}|\w+|[!<>]=|.", re.DOTALL)
+_TOKEN_RE = re.compile(rf"{_STRING_RE.pattern}|{NUMBER_RE.pattern}|\w+|[!<>]=|.", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ class Condition:
     rhs: Union[QualifiedField, TypedLiteral]
 
     def __str__(self) -> str:
-        """SQL text of the condition; string literals are single-quoted."""
+        """SQL text of the condition; string literals are single-quoted, each ' doubled."""
         rhs = self.rhs
         if isinstance(rhs, TypedLiteral):
-            rhs = f"'{rhs.lexical}'" if rhs.dtype is Dtype.STRING else rhs.lexical
+            rhs = "'" + rhs.lexical.replace("'", "''") + "'" if rhs.dtype is Dtype.STRING else rhs.lexical
         return f"{self.lhs} {self.op} {rhs}"
 
 
@@ -93,7 +96,7 @@ class _Parser(Scanner):
     def fail(self, message: str):
         """Raise at the cursor, naming a malformed token there in place of ``message``."""
         ch = self.peek()
-        if ch == "'" and self.text.find("'", self.pos + 1) < 0:
+        if ch == "'" and not _STRING_RE.match(self.text, self.pos):
             message = "unterminated string literal"
         elif ch and not (ch.isalpha() or ch in _TOKEN_CHARS or self.text.startswith("!=", self.pos)):
             message = f"unexpected character {ch!r}"
@@ -182,11 +185,11 @@ class _Parser(Scanner):
         if ch == "(":
             raise UnsupportedSqlError("subquery")
         if ch == "'":
-            end = self.text.find("'", self.pos + 1)
-            if end < 0:
+            string = _STRING_RE.match(self.text, self.pos)
+            if not string:
                 self.fail("unterminated string literal")
-            lexical, self.pos = self.text[self.pos + 1:end], end + 1
-            return TypedLiteral(lexical, Dtype.STRING)
+            self.pos = string.end()
+            return TypedLiteral(string.group(1).replace("''", "'"), Dtype.STRING)
         return self.bare_literal() or self.field()
 
 

@@ -7,10 +7,10 @@ which holds subject -> objects, object -> subjects and the predicate's
 triple count, and nothing else is kept in step with it. ``reader`` picks
 a pattern's access path once per join step, for the whole list of its
 bindings; ``match`` reads through it, and ``count`` adds up entry sizes
-instead of building the matches, in O(1) for a predicate alone. A variable
-predicate with a known subject or object reads an index of the entries by
-those terms, built on first use and dropped by ``insert``. ``Triple`` is a
-NamedTuple, equal to the plain ``(s, p, o)`` tuple that ``match`` returns.
+instead of building the matches, in O(1) for a predicate alone. A free
+predicate's step meets each entry once with the terms its bindings hold, so
+a store keeps only its entries and its seal. ``Triple`` is a NamedTuple,
+equal to the plain ``(s, p, o)`` tuple that ``match`` returns.
 
 One write rule: only ``insert`` writes, and only into an open store, one
 that ``TripleStore()`` made and nothing shares (the path of
@@ -204,11 +204,10 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 
 
 class TripleStore:
-    """A set of triples: open while ``insert`` builds it, sealed by :meth:`from_rows` or :meth:`union`."""
+    """Triples in one entry per predicate: open while ``insert`` builds it, else sealed."""
 
     def __init__(self) -> None:
         self._preds: dict[Iri, _Entry] = {}
-        self._terms: tuple[dict, dict] | None = None  # the entries by subject and by object
         self._sealed = False  # insert refuses: built by from_rows, or shared by a union
 
     @classmethod
@@ -275,7 +274,7 @@ class TripleStore:
         objects.add(t.object)
         entry.by_object.setdefault(t.object, set()).add(t.subject)
         entry.size += 1
-        entry.order = self._terms = None
+        entry.order = None
         return True
 
     def match(self, s: Term | None, p: Term | None,
@@ -298,9 +297,9 @@ class TripleStore:
         Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` slot of a term
         in a binding, or None where it is free; ``o`` may be a free :class:`Range`. The
         step extends each binding, in input order, by the free terms (s, p, o order) of
-        each triple matching it. A constant predicate's entry is found here, once, and the
-        step reads its subject map for a known subject, its object map for a known object,
-        or scans it; a pattern that takes no term from a binding, a range too, is read here,
+        each triple matching it. A constant predicate's entry is found here, once; a free
+        one's step walks each entry once, against the subjects (else objects) of all its
+        bindings. A pattern that takes no term from a binding, a range too, is read here,
         once. A range's step gives two lists: its numeric matches' extensions, then the rest.
         """
         if isinstance(o, Range):
@@ -318,9 +317,21 @@ class TripleStore:
             entries = [(p, entry)]
         pattern = (s, p, o)
 
-        def read(binding: tuple) -> list[tuple]:
-            s, p, o = [binding[term] if isinstance(term, int) else term for term in pattern]
-            found = entries or self._entries(s, p, o)
+        def select(rows: list[list]) -> list:
+            """Each row's (predicate, entry) pairs: its predicate's, else those holding its known term."""
+            if p is not None:
+                return [entries or [(row[1], self._preds.get(row[1]) or _Entry())] for row in rows]
+            if s is None and o is None:
+                return [self._preds.items()] * len(rows)
+            key = 0 if s is not None else 2
+            by_term = {row[key]: [] for row in rows}  # each term the rows hold -> the pairs holding it
+            for pair in self._preds.items():  # a semi-join: walk the smaller of the two key sets
+                small, large = sorted((by_term, pair[1].by_object if key else pair[1].by_subject), key=len)
+                for term in filter(large.__contains__, small):
+                    by_term[term].append(pair)
+            return [by_term[row[key]] for row in rows]
+
+        def read(s, p, o, found) -> list[tuple]:
             if s is not None:
                 slots = [(q, entry.by_subject.get(s, ())) for q, entry in found]
                 if o is None:
@@ -331,35 +342,22 @@ class TripleStore:
                         for q, entry in found for x in entry.by_object.get(o, ())]
             return [(x, y) if p is not None else (x, q, y)
                     for q, entry in found for y, subjects in entry.by_object.items() for x in subjects]
+
+        def step(bindings: list[tuple]) -> list[tuple]:
+            rows = [[b[term] if isinstance(term, int) else term for term in pattern] for b in bindings]
+            return [b + e for b, row, found in zip(bindings, rows, select(rows)) for e in read(*row, found)]
         if not any(isinstance(term, int) for term in pattern):
-            rows = read(())
-            return lambda bindings: [b + row for b in bindings for row in rows]
-        return lambda bindings: [b + row for b in bindings for row in read(b)]
+            once = step([()])
+            return lambda bindings: [b + e for b in bindings for e in once]
+        return step
 
     def count(self, s: Term | None, p: Term | None, o: Term | None) -> int:
-        """``len(self.match(s, p, o))``, summed from index entry sizes."""
-        if s is None and o is None:
-            return len(self) if p is None else self._preds[p].size if p in self._preds else 0
-        if s is not None:
-            return sum(len(objects) if o is None else o in objects
-                       for objects in [entry.by_subject.get(s, ()) for _, entry in self._entries(s, p, o)])
-        return sum(len(entry.by_object.get(o, ())) for _, entry in self._entries(s, p, o))
-
-    def _entries(self, s: Term | None, p: Term | None, o: Term | None):
-        """The ``(predicate, entry)`` pairs that can hold a triple of ``(s, p, o)``."""
-        if p is not None:
-            return [(p, self._preds[p])] if p in self._preds else []
-        if s is None and o is None:
-            return self._preds.items()
-        terms = self._terms
-        if terms is None:  # each pair by every subject and every object its entry holds
-            terms = ({}, {})
-            for pair in self._preds.items():
-                for index, held in zip(terms, (pair[1].by_subject, pair[1].by_object)):
-                    for term in held:
-                        index.setdefault(term, []).append(pair)
-            self._terms = terms  # assigned whole: a reader on another thread sees none of it or all of it
-        return terms[0].get(s, ()) if s is not None else terms[1].get(o, ())
+        """``len(self.match(s, p, o))``, summed over the entry of ``p``, or every entry when ``p`` is None."""
+        entries = self._preds.values() if p is None else [self._preds[p]] if p in self._preds else []
+        if s is None:
+            return sum(entry.size if o is None else len(entry.by_object.get(o, ())) for entry in entries)
+        return sum(len(objects) if o is None else o in objects
+                   for objects in [entry.by_subject.get(s, ()) for entry in entries])
 
     def _match_range(self, s, p, o: Range) -> tuple[list[tuple[Iri, Term]], list[tuple[Iri, Term]]]:
         """The (subject, object) matches with a numeric object, and those with another object."""

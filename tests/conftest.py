@@ -37,6 +37,17 @@ FIG2_STUDENT_NTRIPLES = """\
 <http://integratedDB/STUDENT/row/1> <http://integratedDB/STUDENT#LASTNAME> "L"^^<http://www.w3.org/2001/XMLSchema#string> .
 """
 
+# everything the RDF view holds about STUDENT's first row, and what ``medquery query --lang rdql``
+# prints for it on the project write_project writes
+FIG2_ROW_RDQL = "SELECT ?p, ?o WHERE (<http://integratedDB/STUDENT/row/0> ?p ?o)"
+FIG2_ROW_ANSWER = """\
+p|o
+http://integratedDB/STUDENT#DEBT|1500
+http://integratedDB/STUDENT#FIRSTNAME|Ann
+http://integratedDB/STUDENT#ID|1
+http://integratedDB/STUDENT#LASTNAME|K
+"""
+
 SOURCES_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <datasources>
   <datasource name="uni" kind="tabular" location=".">

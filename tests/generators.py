@@ -113,10 +113,11 @@ def _rows_text(rng: random.Random, fields: list[SourceFieldDef], n_rows: int) ->
     return "".join(line + "\n" for line in lines)
 
 
-def _xml_doc(rng: random.Random, tables: list[tuple[str, list[SourceFieldDef]]]) -> str:
+def _xml_doc(rng: random.Random, tables: list[tuple[str, list[SourceFieldDef]]],
+             n_records: int | None = None) -> str:
     parts = ["<data>"]
     for record, fields in tables:
-        for _ in range(rng.randrange(0, 16)):
+        for _ in range(rng.randrange(0, 16) if n_records is None else n_records):
             parts.append(f"  <{record}>")
             for f in fields:
                 miss_chance = 0.05 if f.name == "KEY" else 0.12
@@ -274,19 +275,21 @@ def random_project(rng: random.Random, directory: Path,
     return GenProject(sources_path, schema_path, project, reachable)
 
 
-def random_data_files(rng: random.Random, project: Project) -> dict[Path, str]:
-    """New random content for every data file of a generated project, by path."""
+def random_data_files(rng: random.Random, project: Project, n_rows: int | None = None) -> dict[Path, str]:
+    """New random content for every data file of a generated project, by path: ``n_rows`` rows
+    or records per source table, or a random number up to 20 (15 in an XML document)."""
     files: dict[Path, str] = {}
     base = Path(project.base_dir)
     for src in project.sources:
         if src.kind is SourceKind.XML:
             tables = [(t.binding.record_element, list(t.fields)) for t in src.tables]
-            files[base / src.location] = _xml_doc(rng, tables)
+            files[base / src.location] = _xml_doc(rng, tables, n_rows)
             continue
         for table in src.tables:
             if isinstance(table.binding, FileBinding):
                 path = base / src.location / table.binding.path
-                files[path] = _rows_text(rng, list(table.fields), rng.randrange(0, 21))
+                files[path] = _rows_text(rng, list(table.fields),
+                                         rng.randrange(0, 21) if n_rows is None else n_rows)
     return files
 
 

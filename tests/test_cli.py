@@ -25,7 +25,8 @@ from medquery.sql_frontend import parse_sql
 from medquery.sql_to_rdql import convert
 from medquery.triple_store import import_ntriples
 
-from conftest import FIG2_RDQL, FIG2_SQL, FIG2_STUDENT_NTRIPLES, SCHEMA_XML, SOURCES_XML, write_project
+from conftest import (FIG2_RDQL, FIG2_ROW_ANSWER, FIG2_ROW_RDQL, FIG2_SQL, FIG2_STUDENT_NTRIPLES, SCHEMA_XML,
+                      SOURCES_XML, write_project)
 from generators import random_project, random_sql_text
 
 
@@ -43,6 +44,10 @@ def test_query_exits_0_with_the_answer(fig2_paths, capsys):
 
 def test_convert_prints_the_fig2_rdql(fig2_paths, capsys):
     assert _run(capsys, "convert", fig2_paths, "--query", FIG2_SQL) == (0, FIG2_RDQL)
+
+
+def test_a_variable_predicate_query_prints_a_whole_row(fig2_paths, capsys):
+    assert _run(capsys, "query", fig2_paths, "--lang", "rdql", "--query", FIG2_ROW_RDQL) == (0, FIG2_ROW_ANSWER)
 
 
 def test_show_schema_as_xml_reparses_to_the_same_schema(fig2_paths, capsys):

@@ -7,12 +7,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from medquery.descriptors import parse_project
+from medquery.dtypes import Dtype
 from medquery.errors import UnsupportedSqlError
 from medquery.extraction import materialize_required
-from medquery.mediator import execute_query
+from medquery.iris import subject_iri
+from medquery.mediator import execute_query, open_project
 from medquery.sql_frontend import parse_sql
+from medquery.triple_store import Iri, TypedLiteral, format_term
 
-from generators import random_project, random_sql_text
+from conftest import write_project
+from generators import random_data_files, random_project, random_sql_text
 from oracles import relational_eval, result_counter
 
 SEEDS_PER_BLOCK = 20
@@ -70,3 +74,86 @@ def test_execute_query_agrees_with_relational_eval(tmp_path, first_seed):
             changed += answers[0] != answers[1]
     assert checked > rejected
     assert changed > 0  # the rewrites reach the answers
+
+
+def test_a_warm_variable_predicate_query_hashes_per_predicate_and_answer(tmp_path, monkeypatch):
+    """A query whose predicate is a variable, with a known subject and then a known object, reads
+    the entries that hold that term: its term hashes are bounded by the predicates and the
+    answers, not by the triples, although each query joins the memoized segments afresh."""
+    rng = random.Random(14)  # tabular and XML sources, one table over a two-hop chain
+    generated = random_project(rng, tmp_path, n_groups=3)
+    project = generated.project
+    for path, text in random_data_files(rng, project, n_rows=300).items():
+        path.write_text(text, encoding="utf-8")
+    predicates = sum(len(table.fields) for table in project.schema.tables)
+    subject = f"<{subject_iri(project.schema.tables[0].name, 0)}>"
+    row = execute_query(project, f"SELECT ?p, ?o WHERE ({subject} ?p ?o)", "rdql").rows
+    assert row  # the row has cells
+    queries = [f"SELECT ?p, ?o WHERE ({subject} ?p ?o)",
+               f"SELECT ?s, ?p WHERE (?s ?p {format_term(row[-1][1])})"]
+    for text in queries:
+        warm = execute_query(project, text, "rdql")
+        hashes = 0
+
+        def counting(original):
+            def hash_term(term):
+                nonlocal hashes
+                hashes += 1
+                return original(term)
+            return hash_term
+
+        with monkeypatch.context() as patched:
+            for cls in (Iri, TypedLiteral):
+                patched.setattr(cls, "__hash__", counting(cls.__hash__))
+            result = execute_query(project, text, "rdql")
+        assert result == warm and len(result.rows) > 0
+        assert hashes <= 4 * (predicates + len(result.rows)), (text, hashes, predicates, len(result.rows))
+
+
+APOSTROPHE_SOURCES = """<datasources>
+  <datasource name="web" kind="xml" location="feed.xml">
+    <table name="PERSON">
+      <field name="NAME" type="string"/>
+      <xmlbinding record="person"><map field="NAME" element="name"/></xmlbinding>
+    </table>
+  </datasource>
+  <datasource name="uni" kind="tabular" location=".">
+    <table name="STUDENT">
+      <field name="ID" type="integer"/>
+      <field name="NAME" type="string"/>
+      <file path="students.txt"/>
+    </table>
+    <table name="IRISH">
+      <field name="ID" type="integer"/>
+      <field name="NAME" type="string"/>
+      <view>SELECT ID, NAME FROM STUDENT WHERE NAME = 'O''Brien'</view>
+    </table>
+  </datasource>
+</datasources>
+"""
+APOSTROPHE_SCHEMA = """<schema name="s">
+  <table name="PERSON">
+    <field name="NAME" type="string" source="web" sourcetable="PERSON" sourcefield="NAME"/>
+  </table>
+  <table name="IRISH">
+    <field name="ID" type="integer" source="uni" sourcetable="IRISH" sourcefield="ID"/>
+    <field name="NAME" type="string" source="uni" sourcetable="IRISH" sourcefield="NAME"/>
+  </table>
+</schema>
+"""
+
+
+def test_sql_names_a_value_holding_an_apostrophe(tmp_path):
+    names = ["O'Brien", "OBrien", "O''Brien", "O'"]
+    feed = "".join(f"<person><name>{name}</name></person>" for name in names)
+    project = open_project(*write_project(tmp_path, APOSTROPHE_SOURCES, APOSTROPHE_SCHEMA, {
+        "feed.xml": f"<people>{feed}</people>",
+        "students.txt": "ID|NAME\n" + "".join(f"{i}|{name}\n" for i, name in enumerate(names)),
+    }))
+    sql = execute_query(project, "SELECT PERSON.NAME FROM PERSON WHERE PERSON.NAME = 'O''Brien'")
+    rdql = execute_query(project, "SELECT ?NAME WHERE (?r <http://integratedDB/PERSON#NAME> ?NAME) "
+                                  "AND ?NAME = \"O'Brien\"", "rdql")
+    assert sql.rows == rdql.rows == [(TypedLiteral("O'Brien", Dtype.STRING),)]
+    # the view's filter doubles the quote too, and fetches only that row
+    irish = execute_query(project, "SELECT IRISH.ID, IRISH.NAME FROM IRISH")
+    assert irish.rows == [(TypedLiteral("0", Dtype.INTEGER), TypedLiteral("O'Brien", Dtype.STRING))]

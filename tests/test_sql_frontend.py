@@ -167,11 +167,29 @@ def test_parse_errors_carry_positions(schema):
         ("SELECT STUDENT.ID ',' STUDENT.DEBT FROM STUDENT", 18, "expected FROM"),
         ("SELECT STUDENT'.'ID FROM STUDENT", 14, "must be table-qualified"),
         ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID = 1 'x'", 52, "unexpected input 'x'"),
+        # '' stands for a quote within a string: the first two never end, and the third is one token
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = 'O''Brien", 57,
+         "unterminated string literal"),
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = 'x''", 57,
+         "unterminated string literal"),
+        ("SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.ID = 1 'O''Brien'", 52,
+         "unexpected input \"O''Brien\""),
     ]:
         with pytest.raises(SqlParseError) as info:
             parse_sql(text, schema)
         assert info.value.position == position, text
         assert message in str(info.value), text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("'O''Brien'", "O'Brien"), ("''''", "'"), ("''", ""), ("'a'''", "a'"), ("'''b'", "'b"),
+])
+def test_a_doubled_quote_stands_for_one_quote(schema, text, value):
+    query = parse_sql(f"SELECT STUDENT.ID FROM STUDENT WHERE STUDENT.FIRSTNAME = {text}", schema)
+    cond = query.filters[0]
+    assert cond.rhs == TypedLiteral(value, Dtype.STRING)
+    assert str(cond) == f"STUDENT.FIRSTNAME = {text}"
+    assert parse_sql(f"SELECT STUDENT.ID FROM STUDENT WHERE {cond}", schema) == query
 
 
 def unparse(query: SqlQuery) -> str:
