@@ -23,9 +23,10 @@ variable slots and a ``TripleStore.reader`` step, which extends the whole
 list of partial answers (plain tuples of terms) at once. A step that scans
 a constant predicate for a new subject and a new object, and whose first
 constraint compares that object with a numeric literal by ``<``, ``<=``,
-``=``, ``>=`` or ``>``, reads once, by a ``Range`` read, only the triples
-that atom does not reject; the atom is checked again only on a non-numeric
-object. The order ranks patterns by estimated size: the triples matching
+``=``, ``>=`` or ``>``, reads once, by ``TripleStore.in_range``, only the
+triples whose numeric object passes that atom; each other triple of the
+predicate would fail it as incomparable, and is counted once per binding,
+not built. The order ranks patterns by estimated size: the triples matching
 their constant terms, times a fixed selectivity for each atom comparing one
 of their variables with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``,
 ``>`` and ``>=``, 1 for ``!=``; System R's defaults, Selinger et al.,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .iris import dtype_from_iri
 from .scanner import Scanner
-from .triple_store import Iri, Range, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
+from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
 
 # 1 / the share of a pattern's candidates expected to pass an atom comparing
 # one of its variables with a literal
@@ -97,7 +98,8 @@ class ResultSet:
     the atom's last variable, and its checks stop at the first atom that
     does not hold; so a binding that meets two incomparable atoms counts
     once, and a partial binding counts once however many rows it would have
-    joined into.
+    joined into. A range read counts, without making them, the incomparable
+    comparisons of its atom: one per binding and triple with a non-numeric object.
     """
 
     columns: list[str]
@@ -243,9 +245,9 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     """Conjunctive match with early constraint checks, projection, sorting.
 
     Patterns are joined in :func:`_plan` order, each step compiled once by
-    :func:`_compile` to ``(read, checks)`` pairs. A binding is a tuple with
-    one slot per variable bound so far; ``read`` extends the whole list of
-    bindings by the step's new terms at once. Each constraint atom is checked in the
+    :func:`_compile` to one read and its checks. A binding is a tuple with one
+    slot per variable bound so far; ``read`` extends the whole list of bindings
+    by the step's new terms at once. Each constraint atom is checked in the
     step that binds its last variable; the result does not depend on the
     order. Rows are sorted over their terms' N-Triples text and duplicates
     are kept. A selected or constraint variable that no pattern binds
@@ -256,12 +258,11 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
     bindings: list[tuple[Term, ...]] = [()]
     warnings = 0
     for pattern, atoms in _plan(query, store):
-        next_bindings: list[tuple[Term, ...]] = []
-        for read, checks in _compile(pattern, atoms, slots, store):
-            extensions = read(bindings)
-            if not checks:
-                next_bindings += extensions
-                continue
+        read, checks, incomparable = _compile(pattern, atoms, slots, store)
+        warnings += incomparable * len(bindings)
+        bindings = read(bindings)
+        if checks:
+            extensions, bindings = bindings, []
             for extended in extensions:
                 for lhs, op, rhs in checks:
                     a, b = extended[lhs], extended[rhs] if isinstance(rhs, int) else rhs
@@ -271,8 +272,7 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
                         warnings += verdict is None
                         break
                 else:
-                    next_bindings.append(extended)
-        bindings = next_bindings
+                    bindings.append(extended)
         if not bindings:
             break
 
@@ -283,15 +283,16 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
 
 
 def _compile(pattern: TriplePattern, atoms: list[FilterAtom], slots: dict[str, int],
-             store: TripleStore) -> list[tuple[Callable, list]]:
-    """One plan step as ``(read, checks)`` pairs; adds its new variables to ``slots``.
+             store: TripleStore) -> tuple[Callable, list, int]:
+    """One plan step as ``(read, checks, incomparable)``; adds its new variables to ``slots``.
 
     ``read`` is the step of ``store.reader`` of the pattern's constants, earlier
     steps' slots and None where this step binds, keeping the extended bindings
     whose repeats of a new variable agree. ``checks`` has a ``(slot, op, slot or
     literal)`` per atom. When s and o are two new variables, p is constant and the
-    first check compares o with a numeric literal, o is read once as that
-    :class:`Range`, which decides that check on numeric objects: they get the rest.
+    first check compares o with a numeric literal, that check is decided by one
+    :meth:`TripleStore.in_range` read, whose count of triples incomparable with it
+    is ``incomparable`` (else 0), per binding.
     """
     bound, inputs, free = len(slots), [], []  # free: the slot of each term this step binds
     for term in (pattern.s, pattern.p, pattern.o):
@@ -308,17 +309,14 @@ def _compile(pattern: TriplePattern, atoms: list[FilterAtom], slots: dict[str, i
         slot, op, rhs = checks[0]
         if (slot == free[1] != free[0] and op != "!=" and isinstance(rhs, TypedLiteral)
                 and rhs.dtype in NUMERIC_DTYPES):
-            inputs[2] = Range(op, rhs)
+            matches, incomparable = store.in_range(inputs[1], op, rhs)
+            return (lambda bindings: [b + e for b in bindings for e in matches]), checks[1:], incomparable
     read = whole = store.reader(*inputs)
-    if isinstance(inputs[2], Range):  # no binding's term goes in: the two lists are read once
-        numeric, others = read([()])
-        return [(lambda bindings: [b + e for b in bindings for e in numeric], checks[1:]),
-                (lambda bindings: [b + e for b in bindings for e in others], checks)]
     if len(free) > len(slots) - bound:  # a new variable repeats: keep the extensions that agree
         first = {slot: bound + free.index(slot) for slot in range(bound, len(slots))}
         read = lambda bindings: [e[:bound] + tuple([e[k] for k in first.values()]) for e in whole(bindings)
                                  if all(e[bound + k] == e[first[slot]] for k, slot in enumerate(free))]
-    return [(read, checks)]
+    return read, checks, 0
 
 
 def _plan(query: RdqlQuery, store: TripleStore) -> list[tuple[TriplePattern, list[FilterAtom]]]:

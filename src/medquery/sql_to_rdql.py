@@ -18,7 +18,10 @@ a variable, even where a field is named ``fld_0``, ``tbl_0`` or ``T_F``.
 
 A join between two classes that each hold a selected field merges nothing:
 the equality moves into the AND clause instead, so every variable stays
-bound by its own pattern and a class never holds two selected fields.
+bound by its own pattern and a class never holds two selected fields. So
+does a join of two fields of different dtypes: a shared variable joins by
+term, and equal values are equal terms only within one dtype (the integer
+``3`` and the decimal ``3.0`` are not), where the atom compares by value.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from .triple_store import LEXICAL_ESCAPES, Iri, TypedLiteral
 
 
 def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
-    """Pure function from a validated SQL AST to (RDQL text, RDQL AST)."""
+    """Pure function from a SQL AST validated against ``schema`` to (RDQL text, RDQL AST)."""
     # distinct fields in first-occurrence order drive pattern order
     fields = list(dict.fromkeys(referenced_fields(query)))
-    var_of, table_var, residual_joins = _variables(query, fields)
+    var_of, table_var, residual_joins = _variables(query, fields, schema)
 
     patterns = tuple(
         TriplePattern(table_var[field.table], Iri(property_iri(field.table, field.field)), var_of[field])
@@ -54,7 +57,7 @@ def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:
     return _render(ast), ast
 
 
-def _variables(query: SqlQuery, fields: list[QualifiedField]
+def _variables(query: SqlQuery, fields: list[QualifiedField], schema: IntegratedSchema
                ) -> tuple[dict[QualifiedField, Var], dict[str, Var], list[Condition]]:
     """Each field's variable, each table's, and the joins left for the AND clause."""
     taken: set[str] = set()
@@ -77,11 +80,12 @@ def _variables(query: SqlQuery, fields: list[QualifiedField]
     table_var = {name: Var(claim(f"tbl_{k}")) for k, name in enumerate(query.from_tables)}
 
     residual_joins = []
+    dtype = {f: schema.table(f.table).field_def(f.field).dtype for f in fields}
     for cond in query.join_conds:
         a, b = classes[cond.lhs], classes[cond.rhs]
         if a is b:
             continue
-        if a[0] is not None and b[0] is not None:
+        if (a[0] is not None and b[0] is not None) or dtype[cond.lhs] is not dtype[cond.rhs]:
             residual_joins.append(cond)
             continue
         if len(a) < len(b):

@@ -23,13 +23,14 @@ and so each segment's counts and value orders. Both seal what they build,
 and a union seals its stores too: ``insert`` on a sealed store raises
 ``ValueError``, so a memoized segment never changes.
 
-``match(None, p, Range(op, literal))`` is a range read: the triples of
-``p`` whose object is not numeric, plus the numeric ones for which
-``object op literal`` holds under :func:`dtypes.compare`. It finds them by
-``bisect`` over ``p``'s numeric objects sorted by exact ``Decimal`` value.
-That order is built on the first range read of ``p`` and kept in its
-entry until ``insert`` writes to ``p``; a sealed segment is sorted once,
-however many unions read it.
+``in_range(p, op, literal)`` is a range read: the (subject, object) pairs
+of ``p`` whose object is numeric and has ``object op literal`` under
+:func:`dtypes.compare`, found by ``bisect`` over ``p``'s numeric objects
+sorted by exact ``Decimal`` value, and the number of ``p``'s other
+triples, which that comparison cannot decide: it counts them and builds
+none. The order and the count are built on the first range read of ``p``
+and kept in its entry until ``insert`` writes to ``p``; a sealed segment
+is sorted once, however many unions read it.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -98,13 +99,6 @@ class Triple(NamedTuple):
     object: Term
 
 
-class Range(NamedTuple):
-    """The objects ``o`` with ``o op literal``; ``op`` is ``<``, ``<=``, ``=``, ``>=`` or ``>``."""
-
-    op: str
-    literal: TypedLiteral
-
-
 def is_numeric(term: Term) -> bool:
     return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
 
@@ -116,7 +110,7 @@ def _value(literal: TypedLiteral) -> Decimal:
 class _Entry:
     """One predicate's triples: subject -> objects in ``by_subject`` (sets where insert filled them,
     1-tuples where from_rows did), object -> subjects in ``by_object``, the triple count in ``size``
-    and, once a range read has built it, the objects by value in ``order``."""
+    and, once a range read has built it, the numeric objects by value in ``order``."""
 
     __slots__ = ("by_subject", "by_object", "size", "order")
 
@@ -124,13 +118,13 @@ class _Entry:
         self.by_subject: dict[Iri, set[Term] | tuple[Term]] = {}
         self.by_object: dict[Term, set[Iri]] = {}
         self.size = 0
-        self.order: tuple[list[TypedLiteral], list[Term]] | None = None
+        self.order: tuple[list[TypedLiteral], int] | None = None
 
-    def by_value(self) -> tuple[list[TypedLiteral], list[Term]]:
-        """The numeric objects in ascending value, and the other objects."""
+    def by_value(self) -> tuple[list[TypedLiteral], int]:
+        """The numeric objects in ascending value, and the number of triples with another object."""
         if self.order is None:
-            self.order = (sorted(filter(is_numeric, self.by_object), key=_value),
-                          [o for o in self.by_object if not is_numeric(o)])
+            numeric = sorted(filter(is_numeric, self.by_object), key=_value)
+            self.order = numeric, self.size - sum(len(self.by_object[o]) for o in numeric)
         return self.order
 
 
@@ -277,34 +271,25 @@ class TripleStore:
         entry.order = None
         return True
 
-    def match(self, s: Term | None, p: Term | None,
-              o: Term | Range | None) -> list[tuple[Iri, Iri, Term]]:
+    def match(self, s: Term | None, p: Term | None, o: Term | None) -> list[tuple[Iri, Iri, Term]]:
         """All triples unifying with the pattern (None is a wildcard), unordered, as tuples.
 
-        A literal subject or predicate matches nothing. With ``o`` a :class:`Range`,
-        ``s`` must be None and ``p`` an IRI, and the range's literal numeric: the
-        answer leaves out exactly the triples of ``p`` whose object is numeric and
-        fails ``object op literal``. Read by :meth:`reader`, constants put back.
+        A literal subject or predicate matches nothing. Read by :meth:`reader`, constants put back.
         """
-        free = [i for i, term in enumerate((s, p, o)) if term is None or isinstance(term, Range)]
-        found = self.reader(s, p, o)([()])
+        free = [i for i, term in enumerate((s, p, o)) if term is None]
         return [tuple([row[free.index(i)] if i in free else term for i, term in enumerate((s, p, o))])
-                for row in (found[0] + found[1] if isinstance(o, Range) else found)]
+                for row in self.reader(s, p, o)([()])]
 
     def reader(self, s, p, o) -> Callable[[list[tuple]], list]:
         """A pattern's access path, chosen once: a step from a list of bindings to their extensions.
 
         Each of ``s``, ``p`` and ``o`` is a constant term, the ``int`` slot of a term
-        in a binding, or None where it is free; ``o`` may be a free :class:`Range`. The
-        step extends each binding, in input order, by the free terms (s, p, o order) of
-        each triple matching it. A constant predicate's entry is found here, once; a free
-        one's step walks each entry once, against the subjects (else objects) of all its
-        bindings. A pattern that takes no term from a binding, a range too, is read here,
-        once. A range's step gives two lists: its numeric matches' extensions, then the rest.
+        in a binding, or None where it is free. The step extends each binding, in input
+        order, by the free terms (s, p, o order) of each triple matching it. A constant
+        predicate's entry is found here, once; a free one's step walks each entry once,
+        against the subjects (else objects) of all its bindings. A pattern that takes no
+        term from a binding is read here, once.
         """
-        if isinstance(o, Range):
-            parts = self._match_range(s, p, o)
-            return lambda bindings: [[b + row for b in bindings for row in rows] for rows in parts]
         entries = None
         if p is not None and not isinstance(p, int):
             entry = self._preds.get(p) or _Entry()  # an empty entry: no triple has p
@@ -359,20 +344,20 @@ class TripleStore:
         return sum(len(objects) if o is None else o in objects
                    for objects in [entry.by_subject.get(s, ()) for entry in entries])
 
-    def _match_range(self, s, p, o: Range) -> tuple[list[tuple[Iri, Term]], list[tuple[Iri, Term]]]:
-        """The (subject, object) matches with a numeric object, and those with another object."""
-        if (s is not None or not isinstance(p, Iri) or o.op not in _RANGE_OPS
-                or o.literal.dtype not in NUMERIC_DTYPES):
-            raise ValueError(f"a range read needs (None, IRI, numeric Range), not {(s, p, o)!r}")
+    def in_range(self, p: Iri, op: str, literal: TypedLiteral) -> tuple[list[tuple[Iri, Term]], int]:
+        """The (subject, object) pairs of ``p`` whose object is numeric and has ``object op literal``,
+        and the number of ``p``'s triples whose object is not numeric: compared with the numeric
+        ``literal`` by ``op`` (``<``, ``<=``, ``=``, ``>=`` or ``>``), each of those is incomparable."""
+        if op not in _RANGE_OPS or literal.dtype not in NUMERIC_DTYPES:
+            raise ValueError(f"a range read needs an order or = and a numeric literal, not {op} {literal}")
         entry = self._preds.get(p) or _Entry()
-        numeric, others = entry.by_value()
-        value = _value(o.literal)
+        numeric, incomparable = entry.by_value()
+        value = _value(literal)
         left = bisect_left(numeric, value, key=_value)
         right = bisect_right(numeric, value, key=_value)
         start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
-                       ">=": (left, len(numeric)), ">": (right, len(numeric))}[o.op]
-        return tuple([(subj, obj) for obj in objects for subj in entry.by_object[obj]]
-                     for objects in (numeric[start:stop], others))
+                       ">=": (left, len(numeric)), ">": (right, len(numeric))}[op]
+        return [(subj, obj) for obj in numeric[start:stop] for subj in entry.by_object[obj]], incomparable
 
 
 def export_ntriples(store: TripleStore) -> str:

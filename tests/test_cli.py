@@ -615,3 +615,32 @@ def test_mutated_queries_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
                 assert code in (0, 1, 2), (seed, lang, text)
                 codes[code] += 1
     assert codes[0] > 0 and codes[1] > 0, codes
+
+
+def test_a_field_no_relation_reaches_passes_validate_and_fails_the_query(tmp_path, capsys):
+    # GRADE.AVERAGE integrated into STUDENT with no relation between the two tables
+    schema = SCHEMA_XML.replace(
+        '</table>\n  <table name="GRADE">',
+        '<field name="AVERAGE" type="integer" source="reg" sourcetable="GRADE" sourcefield="AVERAGE"/>'
+        '</table>\n  <table name="GRADE">', 1)
+    schema = schema[:schema.index("  <relation")] + "</schema>\n"
+    paths = write_project(tmp_path, schema_xml=schema)
+    code, out = _run(capsys, "validate", paths)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("0 errors, ")
+    sources, schema_path = paths
+    code = main(["query", "--sources", str(sources), "--schema", str(schema_path),
+                 "--query", "SELECT STUDENT.ID FROM STUDENT"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("medquery: no relation path for field 'AVERAGE': no equality relation "
+                            "connects reg.GRADE to master table uni.STUDENT\n")
+
+
+def test_an_rdql_predicate_on_a_table_the_schema_lacks_exits_1(fig2_paths, capsys):
+    sources, schema = fig2_paths
+    code = main(["query", "--sources", str(sources), "--schema", str(schema), "--lang", "rdql", "--query",
+                 "SELECT ?x WHERE (?s <http://integratedDB/STUDENT#ID> ?x), (?s <http://integratedDB/NOPE#ID> ?x)"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "medquery: query references integrated table(s) ['NOPE'] not in the schema\n"

@@ -354,3 +354,49 @@ def test_three_fields_behind_one_two_hop_chain_index_each_hop_once(tmp_path):
     assert [[cell.lexical if cell else None for cell in row] for row in table.rows] == [
         ["1", "Logic", "6", "1"], ["2", "Sets", "3", "2"], ["3", None, None, None]]
     assert table == materialize_table(project, "STUDENT")
+
+
+CONCAT_SOURCES = """<datasources>
+  <datasource name="uni" kind="tabular" location=".">
+    <table name="STUDENT">
+      <field name="ID" type="integer"/>
+      <field name="FIRST" type="string"/>
+      <field name="LAST" type="string"/>
+      <file path="students.txt"/>
+    </table>
+    <table name="CALC">
+      <field name="FULL" type="string"/>
+      <file path="calc.txt"/>
+    </table>
+  </datasource>
+</datasources>
+"""
+
+# the concatenated target lives outside the master table, in CALC, which holds no row
+CONCAT_SCHEMA = """<schema name="s">
+  <table name="STUDENT">
+    <field name="ID" type="integer" source="uni" sourcetable="STUDENT" sourcefield="ID"/>
+    <field name="FULL" type="string" source="uni" sourcetable="CALC" sourcefield="FULL"/>
+  </table>
+  <relation kind="derived" op="concat">
+    <target source="uni" table="CALC" field="FULL"/>
+    <operand source="uni" table="STUDENT" field="FIRST"/>
+    <operand source="uni" table="STUDENT" field="LAST"/>
+  </relation>
+</schema>
+"""
+
+
+def test_derived_concat_joins_its_operands_and_misses_with_one(tmp_path):
+    files = {"students.txt": "ID|FIRST|LAST\n1|Ann|Lee\n2|Bob|\n3||Ng\n4|Di|O'Day\n", "calc.txt": "FULL\n"}
+    project = parse_project(*write_project(tmp_path, CONCAT_SOURCES, CONCAT_SCHEMA, files))
+    assert check_schema(project).accepted
+    table = materialize_integrated_table(project, "STUDENT")
+    # row 2 lacks LAST and row 3 FIRST, so their FULL is missing
+    assert [tuple(cell and cell.lexical for cell in row) for row in table.rows] == [
+        ("1", "AnnLee"), ("2", None), ("3", None), ("4", "DiO'Day")]
+    assert table == materialize_table(project, "STUDENT")
+    full = "<http://integratedDB/STUDENT#FULL>"
+    assert [line for line in _extract(project).splitlines() if full in line] == [
+        f'<http://integratedDB/STUDENT/row/{i}> {full} "{text}"^^<{XSD}string> .'
+        for i, text in [(0, "AnnLee"), (3, "DiO'Day")]]

@@ -13,6 +13,7 @@ from medquery.extraction import materialize_required
 from medquery.iris import subject_iri
 from medquery.mediator import execute_query, open_project
 from medquery.sql_frontend import parse_sql
+from medquery.sql_to_rdql import convert
 from medquery.triple_store import Iri, TypedLiteral, format_term
 
 from conftest import write_project
@@ -157,3 +158,50 @@ def test_sql_names_a_value_holding_an_apostrophe(tmp_path):
     # the view's filter doubles the quote too, and fetches only that row
     irish = execute_query(project, "SELECT IRISH.ID, IRISH.NAME FROM IRISH")
     assert irish.rows == [(TypedLiteral("0", Dtype.INTEGER), TypedLiteral("O'Brien", Dtype.STRING))]
+
+
+MIXED_SOURCES = """<datasources>
+  <datasource name="a" kind="tabular" location=".">
+    <table name="S">
+      <field name="ID" type="integer"/>
+      <field name="N" type="string"/>
+      <file path="s.txt"/>
+    </table>
+    <table name="G">
+      <field name="SID" type="decimal"/>
+      <field name="AV" type="integer"/>
+      <file path="g.txt"/>
+    </table>
+  </datasource>
+</datasources>
+"""
+MIXED_SCHEMA = """<schema name="s">
+  <table name="S">
+    <field name="ID" type="integer" source="a" sourcetable="S" sourcefield="ID"/>
+    <field name="N" type="string" source="a" sourcetable="S" sourcefield="N"/>
+  </table>
+  <table name="G">
+    <field name="SID" type="decimal" source="a" sourcetable="G" sourcefield="SID"/>
+    <field name="AV" type="integer" source="a" sourcetable="G" sourcefield="AV"/>
+  </table>
+</schema>
+"""
+
+
+@pytest.mark.parametrize("sql, expected, warnings", [
+    # 3 = 3.0 and 5 = 5.0 by value; 4 meets 4.5 and no other SID
+    ("SELECT S.ID, G.AV FROM S, G WHERE S.ID = G.SID", [("3", "12"), ("5", "9")], 0),
+    ("SELECT S.N, G.AV FROM S, G WHERE S.ID = G.SID", [("Ann", "12"), ("Cem", "9")], 0),
+    ("SELECT S.ID, G.SID FROM S, G WHERE S.ID = G.SID", [("3", "3.0"), ("5", "5.0")], 0),
+    # a string meets an integer in each of the 3 x 3 pairs, and never compares
+    ("SELECT S.ID FROM S, G WHERE S.N = G.AV", [], 9),
+])
+def test_a_join_of_two_dtypes_compares_by_value(tmp_path, sql, expected, warnings):
+    project = open_project(*write_project(tmp_path, MIXED_SOURCES, MIXED_SCHEMA, {
+        "s.txt": "ID|N\n3|Ann\n4|Bob\n5|Cem\n", "g.txt": "SID|AV\n3.0|12\n4.5|7\n5.0|9\n"}))
+    result = execute_query(project, sql)
+    assert sorted(tuple(term.lexical for term in row) for row in result.rows) == expected
+    assert result.cross_type_warnings == warnings
+    # the SQL answer is the RDQL answer of its conversion
+    rdql, _ = convert(parse_sql(sql, project.schema), project.schema)
+    assert execute_query(project, rdql, "rdql") == result

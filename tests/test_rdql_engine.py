@@ -24,7 +24,7 @@ from medquery.rdql_engine import (
     parse_rdql,
 )
 from medquery.sql_frontend import parse_view_select
-from medquery.triple_store import Iri, Range, Triple, TripleStore, TypedLiteral, format_term, import_ntriples
+from medquery.triple_store import Iri, Triple, TripleStore, TypedLiteral, format_term, import_ntriples
 
 from conftest import FIG2_RDQL
 from generators import random_rdql_query, random_store
@@ -282,32 +282,32 @@ def _fig2_store(n):
 
 
 def _count_matched(monkeypatch, bound):
-    """Make the steps of ``TripleStore.reader`` tally the matches they return in ``tally["matched"]``.
+    """Make the steps of ``TripleStore.reader`` and the reads of ``TripleStore.in_range`` tally the
+    matches they return in ``tally["matched"]``.
 
     Each step is applied to one binding at a time, and the tally checked
     after each, so a join that outgrows ``bound`` fails before its cross
-    product is built. A range's step returns two lists, and both count.
+    product is built.
     """
     tally = {"matched": 0}
-    reader = TripleStore.reader
+    reader, in_range = TripleStore.reader, TripleStore.in_range
+
+    def add(found):
+        tally["matched"] += len(found)
+        if tally["matched"] > bound:
+            raise AssertionError(f"steps returned more than {bound} matches")
+        return found
 
     def counting_reader(self, s, p, o):
         step = reader(self, s, p, o)
-        parts = 2 if isinstance(o, Range) else 1
+        return lambda bindings: [e for binding in bindings for e in add(step([binding]))]
 
-        def counting_step(bindings):
-            found = []
-            for binding in bindings:
-                found.append(step([binding]) if parts == 2 else [step([binding])])
-                tally["matched"] += sum(map(len, found[-1]))
-                if tally["matched"] > bound:
-                    raise AssertionError(f"steps returned more than {bound} matches")
-            extended = [[e for part in found for e in part[k]] for k in range(parts)]
-            return extended if parts == 2 else extended[0]
-
-        return counting_step
+    def counting_in_range(self, p, op, literal):
+        matches, incomparable = in_range(self, p, op, literal)
+        return add(matches), incomparable
 
     monkeypatch.setattr(TripleStore, "reader", counting_reader)
+    monkeypatch.setattr(TripleStore, "in_range", counting_in_range)
     return tally
 
 
@@ -490,17 +490,19 @@ def test_matches_exhaustive_enumeration_on_loaded_segments():
 
 def test_each_plan_step_chooses_its_read_once(monkeypatch):
     store = _fig2_store(2000)
-    chosen = []
-    reader = TripleStore.reader
+    chosen, ranged = [], []
+    reader, in_range = TripleStore.reader, TripleStore.in_range
     monkeypatch.setattr(TripleStore, "reader",
                         lambda self, *pattern: chosen.append(pattern) or reader(self, *pattern))
+    monkeypatch.setattr(TripleStore, "in_range",
+                        lambda self, *bound: ranged.append(bound) or in_range(self, *bound))
     monkeypatch.setattr(TripleStore, "match", lambda *args: pytest.fail("evaluate called match"))
     result = evaluate(parse_rdql(FIG2_RDQL), store)
     assert len(result.rows) == sum(1 for i in range(2000) if i % 10 and i * 37 % 4000 > 2000)
     # one choice per pattern, however many bindings each step extends; the
-    # debt pattern goes first, as a range read
-    assert len(chosen) == 6
-    assert isinstance(chosen[0][2], Range)
+    # debt pattern goes first, as a range read, and the other five get a reader
+    assert len(chosen) == 5
+    assert ranged == [(Iri("http://integratedDB/STUDENT#DEBT"), ">", lit("2000"))]
 
 
 def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
@@ -522,11 +524,29 @@ def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
             if isinstance(debt, TypedLiteral) and debt.dtype is Dtype.INTEGER and int(debt.lexical) > 4800]
     assert sorted(int(row[0].lexical) for row in result.rows) == [
         i for i in kept if debts[i].lexical != "4837"]
-    # the range read decided ?V > 4800 on each numeric debt it kept, so only
-    # the string meets that atom in a comparison (the IRI is incomparable
-    # without one), and ?V != 4837 is compared once per kept debt
-    assert len(calls) == 1 + len(kept)
+    # the range read decided ?V > 4800 on each numeric debt and counted the
+    # string and the IRI as incomparable, so no debt meets that atom in a
+    # comparison, and ?V != 4837 is compared once per kept debt
+    assert len(calls) == len(kept)
     assert result.cross_type_warnings == 2
+
+
+def test_a_range_read_counts_incomparable_triples_without_comparing_them(monkeypatch):
+    """A numeric atom on a string predicate, behind 50 bindings, compares nothing: each string
+    would be incomparable with the literal, so each is counted once per binding."""
+    store = TripleStore()
+    for i in range(50):
+        store.insert(Triple(Iri(f"http://x/a{i}"), Iri("http://x/q"), lit(str(i))))
+    for i in range(2000):
+        store.insert(Triple(Iri(f"http://x/s{i}"), Iri("http://x/p"), lit(f"N{i}", Dtype.STRING)))
+    calls = []
+    compare = rdql_engine.compare
+    monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
+    result = evaluate(parse_rdql("SELECT ?a WHERE (?a <http://x/q> ?b), (?s <http://x/p> ?v) AND ?v > 3"),
+                      store)
+    assert result.rows == []
+    assert calls == []
+    assert result.cross_type_warnings == 50 * 2000
 
 
 def test_a_deep_query_plans_each_pattern_once(monkeypatch):
@@ -613,9 +633,9 @@ def test_plan_orders_patterns_as_fraction_estimates_do(monkeypatch):
 
 
 def _probe_counts(monkeypatch, store, query):
-    """Evaluate ``query``; count ``reader`` calls, step calls, compiled pairs and their reads,
+    """Evaluate ``query``; count ``reader`` calls, step calls, compiled steps and their reads,
     and the ``Iri.__eq__`` calls made while a step runs."""
-    tally = {"reader": 0, "step": 0, "pairs": 0, "read": 0, "eq": 0, "probing": False}
+    tally = {"reader": 0, "step": 0, "compiled": 0, "read": 0, "eq": 0, "probing": False}
     reader, compile_step, iri_eq = TripleStore.reader, rdql_engine._compile, Iri.__eq__
 
     def counting_reader(self, *pattern):
@@ -633,13 +653,10 @@ def _probe_counts(monkeypatch, store, query):
         return counting_step
 
     def counting_compile(*args):
-        pairs = compile_step(*args)
-        tally["pairs"] += len(pairs)
-
-        def counted(read):
-            return lambda bindings: tally.__setitem__("read", tally["read"] + 1) or read(bindings)
-
-        return [(counted(read), checks) for read, checks in pairs]
+        read, checks, incomparable = compile_step(*args)
+        tally["compiled"] += 1
+        return (lambda bindings: tally.__setitem__("read", tally["read"] + 1) or read(bindings),
+                checks, incomparable)
 
     def counting_eq(a, b):
         tally["eq"] += tally["probing"]
@@ -659,10 +676,10 @@ def test_each_step_reads_once_for_all_its_bindings(monkeypatch):
     result, tally = _probe_counts(monkeypatch, store, query)
     assert result == evaluate(query, store)
     assert len(result.rows) == sum(1 for i in range(2000) if i % 10 and i * 37 % 4000 > 2000)
-    # one reader and one step call per pattern; the range step's numeric and
-    # other matches make two (read, checks) pairs, each read called once
-    assert tally["reader"] == tally["step"] == len(query.patterns) == 6
-    assert tally["pairs"] == tally["read"] == 7
+    # one reader and one step call per pattern but the debt pattern's, which
+    # is a range read; each compiled step is read once
+    assert tally["reader"] == tally["step"] == len(query.patterns) - 1 == 5
+    assert tally["compiled"] == tally["read"] == 6
 
 
 def _fig2_segments(n):

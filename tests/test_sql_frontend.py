@@ -249,3 +249,16 @@ def test_a_parse_reads_the_word_at_each_offset_once(schema, monkeypatch, parse):
     monkeypatch.setattr(scanner, "_WORD_RE", CountingWordRe())
     parse(schema)
     assert offsets and len(offsets) == len(set(offsets))
+
+
+@pytest.mark.parametrize("text, at", [
+    ("SELECT STUDENT.ID FROM STUDENT JOIN GRADE WHERE STUDENT.ID = GRADE.STUDENTID", "WHERE"),
+    ("SELECT STUDENT.ID FROM STUDENT JOIN GRADE", None),
+    ("SELECT STUDENT.ID FROM STUDENT JOIN GRADE, STUDENT ON STUDENT.ID = GRADE.STUDENTID", ","),
+])
+def test_a_join_without_on_is_a_parse_error(schema, text, at):
+    with pytest.raises(SqlParseError) as info:
+        parse_sql(text, schema)
+    # reported where ON should stand: the next token after the joined table, or the end
+    assert info.value.position == (len(text) if at is None else text.index(at))
+    assert "expected ON" in str(info.value)

@@ -11,7 +11,6 @@ from medquery.dtypes import Dtype, canonicalize
 from medquery.errors import NtParseError
 from medquery.triple_store import (
     Iri,
-    Range,
     Triple,
     TripleStore,
     TypedLiteral,
@@ -278,55 +277,62 @@ def test_range_match_agrees_with_linear_scan(seed):
         dtype = Dtype.DECIMAL if "." in lexical else Dtype.INTEGER
         store.insert(t(f"http://example/s{i}", f"http://example/p{i % 5}",
                        TypedLiteral(lexical, dtype)))
-    triples = list(store)
     literals = [TypedLiteral(x, Dtype.INTEGER) for x in ("-2", "0", "2", "4", "8")] + [
         TypedLiteral(x, Dtype.DECIMAL) for x in ("-1.0", "1.5", "2.0", "4.0", "9.5")]
-    for p, op, literal in itertools.product(sorted({t_.predicate for t_ in triples}, key=str),
-                                            ["<", "<=", "=", ">=", ">"], literals):
-        # every triple of p but those whose object compares False
-        expected = [t_ for t_ in scan_match(triples, None, p, None)
-                    if compare_terms(op, t_.object, literal) is not False]
-        found = store.match(None, p, Range(op, literal))
-        assert sorted(found, key=_key) == sorted(expected, key=_key), (p, op, literal)
-    assert store.match(None, Iri("http://example/absent"), Range("<", literals[0])) == []
+    incomparable = 0
+    for reading in (store, _segments_of(store)):
+        triples = list(reading)
+        for p, op, literal in itertools.product(sorted({t_.predicate for t_ in triples}, key=str),
+                                                ["<", "<=", "=", ">=", ">"], literals):
+            verdicts = [(s, o, compare_terms(op, o, literal)) for s, _, o in scan_match(triples, None, p, None)]
+            matches, count = reading.in_range(p, op, literal)
+            # the pairs whose comparison holds, and the number of comparisons that are incomparable
+            assert sorted(matches, key=_pair_key) == sorted([(s, o) for s, o, v in verdicts if v], key=_pair_key)
+            assert count == sum(v is None for _, _, v in verdicts), (p, op, literal)
+            incomparable += count
+        assert reading.in_range(Iri("http://example/absent"), "<", literals[0]) == ([], 0)
+    assert incomparable > 0
 
 
-def test_range_match_needs_a_bare_predicate_and_a_numeric_literal():
+def _pair_key(pair):
+    return (pair[0].value, format_term(pair[1]))
+
+
+def test_range_read_needs_an_order_or_equality_and_a_numeric_literal():
     store = TripleStore()
     store.insert(t(S, P, LIT))
-    for s, p, o in [(Iri(S), Iri(P), Range("<", LIT)), (None, None, Range("<", LIT)),
-                    (None, Iri(P), Range("!=", LIT)),
-                    (None, Iri(P), Range("<", TypedLiteral("7", Dtype.STRING)))]:
+    for op, literal in [("!=", LIT), ("<>", LIT), ("<", TypedLiteral("7", Dtype.STRING)),
+                        ("=", TypedLiteral("true", Dtype.BOOLEAN))]:
         with pytest.raises(ValueError):
-            store.match(s, p, o)
+            store.in_range(Iri(P), op, literal)
 
 
 def test_a_segment_is_ordered_once_for_every_union_reading_it(monkeypatch):
     n = 500
     segment = _table_segment("T", [[TypedLiteral(str(i * 7 % n), Dtype.INTEGER), None]
                                    for i in range(n)])
-    predicate, bound = Iri("http://x/T#A"), Range(">", TypedLiteral(str(n - 10), Dtype.INTEGER))
-    assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+    predicate, bound = Iri("http://x/T#A"), TypedLiteral(str(n - 10), Dtype.INTEGER)
+    assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
     calls = []
     value = triple_store._value
     monkeypatch.setattr(triple_store, "_value", lambda term: calls.append(term) or value(term))
     for _ in range(3):
-        assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+        assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
     # the literal and two binary searches per read, no sort
     assert len(calls) <= 3 * (1 + 2 * math.ceil(math.log2(n + 1)))
     # a union refuses a write, so the segment keeps its order
     written = TripleStore.union([segment])
     with pytest.raises(ValueError):
         written.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
-    assert len(written.match(None, predicate, bound)) == 9
-    assert len(TripleStore.union([segment]).match(None, predicate, bound)) == 9
+    assert len(written.in_range(predicate, ">", bound)[0]) == 9
+    assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
     # an open store drops its order on a write
     store = TripleStore()
     for triple in segment:
         store.insert(triple)
-    assert len(store.match(None, predicate, bound)) == 9
+    assert len(store.in_range(predicate, ">", bound)[0]) == 9
     store.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
-    assert len(store.match(None, predicate, bound)) == 10
+    assert len(store.in_range(predicate, ">", bound)[0]) == 10
 
 
 @pytest.mark.parametrize("seed", range(10))

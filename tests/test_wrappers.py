@@ -593,3 +593,18 @@ def test_coercing_a_cell_canonicalizes_it_once(monkeypatch):
     assert len(calls) == len(cells)  # not once more in TypedLiteral's own check
     with pytest.raises(TypeCoercionError):
         wrappers.coerce("7x", SourceFieldDef("F", Dtype.INTEGER), 1)
+
+
+@pytest.mark.parametrize("view_sql, kept", [
+    ("SELECT ID FROM STUDENT WHERE DEBT > ID", ["2"]),
+    ("SELECT ID FROM STUDENT WHERE DEBT >= ID", ["2", "3"]),
+    ("SELECT ID FROM STUDENT WHERE DEBT = ID", ["3"]),
+    ("SELECT ID FROM STUDENT WHERE ID != DEBT", ["1", "2"]),
+])
+def test_a_view_filter_compares_two_fields_of_one_row(tmp_path, view_sql, kept):
+    # row 1 has DEBT 0 < ID, row 2 DEBT 2500 > ID, row 3 DEBT = ID, and row 4 no DEBT,
+    # so no comparison with its DEBT holds
+    sources = VIEW_SOURCES.replace("SELECT ID FROM STUDENT WHERE DEBT &gt; 2000", escape(view_sql))
+    files = {"students.txt": "ID|DEBT\n1|0\n2|2500\n3|3\n4|\n"}
+    table = fetch_table(parse_project(*write_project(tmp_path, sources, VIEW_SCHEMA, files)), "uni", "RICH")
+    assert [row[0].lexical for row in table.rows] == kept
