@@ -16,7 +16,7 @@ from .descriptors import (
     resolve_field_ref,
     serialize_schema,
 )
-from .dtypes import Dtype
+from .dtypes import Dtype, Iri, TypedLiteral
 from .errors import MedQueryError
 from .extraction import (
     IntegratedData,
@@ -30,14 +30,7 @@ from .rdql_engine import RdqlQuery, ResultSet, evaluate, parse_rdql
 from .schema_check import SatisfiabilityReport, check_schema
 from .sql_frontend import SqlQuery, parse_sql
 from .sql_to_rdql import convert
-from .triple_store import (
-    Iri,
-    Triple,
-    TripleStore,
-    TypedLiteral,
-    export_ntriples,
-    import_ntriples,
-)
+from .triple_store import Triple, TripleStore, export_ntriples, import_ntriples
 from .wrappers import AccessLog, Table, fetch_table
 
 __version__ = "0.1.0"

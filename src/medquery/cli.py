@@ -27,6 +27,7 @@ import xml.etree.ElementTree as ET
 
 from . import sql_to_rdql
 from .descriptors import EqualityRelation, FieldRef, IntegratedSchema, parse_project, serialize_schema
+from .dtypes import Iri, TypedLiteral
 from .errors import (
     DuplicateNameError,
     MalformedXmlError,
@@ -39,7 +40,7 @@ from .mediator import execute_query, open_project
 from .rdql_engine import ResultSet
 from .schema_check import check_schema
 from .sql_frontend import parse_sql
-from .triple_store import Iri, TripleStore, TypedLiteral, export_ntriples
+from .triple_store import TripleStore, export_ntriples
 
 _DESCRIPTOR_ERRORS = (MalformedXmlError, DuplicateNameError, UnresolvedFieldRefError)
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")

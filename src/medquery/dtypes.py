@@ -1,4 +1,4 @@
-"""Value vocabulary shared across the mediator.
+"""Value vocabulary shared across the mediator: dtypes, RDF terms and their text.
 
 All data flowing through the system is typed with one of four dtypes and
 carried as its canonical lexical string, the text :func:`canonicalize` keeps:
@@ -10,6 +10,12 @@ carried as its canonical lexical string, the text :func:`canonicalize` keeps:
 
 Canonical forms make term equality coincide with value equality, which is
 what makes join matching over typed literals behave like relational joins.
+
+A value is a :class:`TypedLiteral`, a (canonical lexical, dtype) pair, from
+fetched cell to RDF object; an :class:`Iri` names subjects and predicates.
+:func:`format_term` writes either in N-Triples syntax, the text that RDQL
+shares (``scanner.Scanner`` reads it back), with the datatype as an XML
+Schema IRI (:func:`dtype_iri`, :func:`dtype_from_iri`).
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 import enum
 import operator
 import re
+from dataclasses import dataclass
 from decimal import Decimal
+from typing import Union
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -90,6 +98,80 @@ def is_canonical(lexical: str, dtype: Dtype) -> bool:
         return canonicalize(lexical, dtype) == lexical
     except ValueError:
         return False
+
+
+XSD_NS = "http://www.w3.org/2001/XMLSchema#"
+_DTYPE_IRI = {d: XSD_NS + d.value for d in Dtype}
+_IRI_DTYPE = {v: k for k, v in _DTYPE_IRI.items()}
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
+
+
+def dtype_iri(dtype: Dtype) -> str:
+    return _DTYPE_IRI[dtype]
+
+
+def dtype_from_iri(iri: str) -> Dtype:
+    try:
+        return _IRI_DTYPE[iri]
+    except KeyError:
+        raise ValueError(f"unknown datatype IRI: {iri}") from None
+
+
+@dataclass(frozen=True, slots=True)
+class Iri:
+    value: str
+
+    def __post_init__(self) -> None:
+        if not _SCHEME_RE.match(self.value):
+            raise ValueError(f"IRI must be absolute: {self.value!r}")
+
+    def __str__(self) -> str:
+        return f"<{self.value}>"
+
+
+@dataclass(frozen=True, slots=True)
+class TypedLiteral:
+    lexical: str
+    dtype: Dtype
+
+    def __post_init__(self) -> None:
+        if not is_canonical(self.lexical, self.dtype):
+            raise ValueError(f"{self.lexical!r} is not canonical {self.dtype.value}")
+
+    @classmethod
+    def canonical(cls, text: str, dtype: Dtype) -> TypedLiteral:
+        """The literal of ``canonicalize(text, dtype)``, which is not checked again."""
+        literal = object.__new__(cls)
+        object.__setattr__(literal, "lexical", canonicalize(text, dtype))
+        object.__setattr__(literal, "dtype", dtype)
+        return literal
+
+    def __str__(self) -> str:
+        return format_term(self)
+
+
+Term = Union[Iri, TypedLiteral]
+
+# the N-Triples escapes of a lexical form, which RDQL string literals share
+LEXICAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+_LITERAL_TAILS = {dtype: f'"^^<{dtype_iri(dtype)}>' for dtype in Dtype}
+
+
+def format_term(term: Term) -> str:
+    """Render a term in N-Triples syntax; doubles as the canonical sort key.
+
+    A lexical form is translated only when it holds a character that needs
+    an escape (backslash, double quote, line feed or carriage return); any
+    other text, tabs and non-ASCII characters included, is written as it
+    is. The closing ``"^^<datatype>`` comes from a table built once per
+    :class:`Dtype`.
+    """
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    lexical = term.lexical
+    if "\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical:
+        lexical = lexical.translate(LEXICAL_ESCAPES)
+    return '"' + lexical + _LITERAL_TAILS[term.dtype]
 
 
 _OPS = {

@@ -36,11 +36,11 @@ from .descriptors import (
     SourceFieldDef,
     shortest_walk,
 )
-from .dtypes import Dtype
+from .dtypes import Dtype, Iri, TypedLiteral
 from .errors import MedQueryError, NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
-from .triple_store import Iri, TripleStore, TypedLiteral
+from .triple_store import TripleStore
 from .wrappers import AccessLog, Cell, Row, Table, coerce, fetch_table
 
 logger = logging.getLogger(__name__)

@@ -1,20 +1,16 @@
 """IRI schemes used by the integrated RDF view.
 
 Materialized rows live under ``http://integratedDB/<table>/row/<n>`` and each
-field becomes the property ``http://integratedDB/<table>#<field>``. Literal
-datatypes use the XML Schema namespace.
+field becomes the property ``http://integratedDB/<table>#<field>``. The
+datatype IRIs of literals live with the literals, in ``dtypes``.
 """
 
 from __future__ import annotations
 
-from .dtypes import Dtype, is_identifier
+from .dtypes import is_identifier
 from .errors import MalformedPropertyIriError
 
 INTEGRATED_NS = "http://integratedDB/"
-XSD_NS = "http://www.w3.org/2001/XMLSchema#"
-
-_DTYPE_IRI = {d: XSD_NS + d.value for d in Dtype}
-_IRI_DTYPE = {v: k for k, v in _DTYPE_IRI.items()}
 
 
 def property_iri(table: str, field: str) -> str:
@@ -46,13 +42,3 @@ def split_property_iri(iri: str) -> tuple[str, str]:
             return table, field
     raise MalformedPropertyIriError(f"not an integrated property IRI: {iri}")
 
-
-def dtype_iri(dtype: Dtype) -> str:
-    return _DTYPE_IRI[dtype]
-
-
-def dtype_from_iri(iri: str) -> Dtype:
-    try:
-        return _IRI_DTYPE[iri]
-    except KeyError:
-        raise ValueError(f"unknown datatype IRI: {iri}") from None

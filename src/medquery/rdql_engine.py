@@ -41,15 +41,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, compare
+from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, Iri, Term, TypedLiteral, compare, format_term
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
     UnboundSelectVarError,
 )
-from .iris import dtype_from_iri
 from .scanner import Scanner
-from .triple_store import Iri, Term, TripleStore, TypedLiteral, format_term, scan_iri, scan_quoted
+from .triple_store import TripleStore
 
 # 1 / the share of a pattern's candidates expected to pass an atom comparing
 # one of its variables with a literal
@@ -111,7 +110,7 @@ class ResultSet:
 
 
 class _Scanner(Scanner):
-    """The shared cursor plus readers for RDQL's variables, IRIs and literals."""
+    """The shared cursor, which reads IRIs and literals, plus RDQL's variables and term choices."""
 
     error = RdqlParseError
 
@@ -123,28 +122,6 @@ class _Scanner(Scanner):
         self.pos = match.end()
         return Var(match.group())
 
-    def iri(self) -> Iri:
-        self.skip_ws()
-        try:
-            iri, self.pos = scan_iri(self.text, self.pos)
-        except ValueError as exc:
-            self.fail(str(exc))
-        return iri
-
-    def quoted_literal(self) -> TypedLiteral:
-        self.skip_ws()
-        try:
-            lexical, self.pos = scan_quoted(self.text, self.pos)
-            dtype = Dtype.STRING
-            if self.text.startswith("^^", self.pos):
-                self.pos += 2
-                self.skip_ws()
-                dtype_ref, self.pos = scan_iri(self.text, self.pos)
-                dtype = dtype_from_iri(dtype_ref.value)
-            return TypedLiteral(lexical, dtype)
-        except ValueError as exc:
-            self.fail(str(exc))
-
     def pattern_term(self) -> PatternTerm:
         ch = self.peek()
         if ch == "?":
@@ -152,7 +129,7 @@ class _Scanner(Scanner):
         if ch == "<":
             return self.iri()
         if ch == '"':
-            return self.quoted_literal()
+            return self.quoted_literal(Dtype.STRING)
         self.fail("expected variable, IRI or literal")
 
     def atom_rhs(self) -> Union[Var, TypedLiteral]:
@@ -160,7 +137,7 @@ class _Scanner(Scanner):
         if ch == "?":
             return self.variable()
         if ch == '"':
-            return self.quoted_literal()
+            return self.quoted_literal(Dtype.STRING)
         literal = self.bare_literal()
         if literal is None:
             self.fail("expected variable or literal")

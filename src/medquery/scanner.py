@@ -1,26 +1,32 @@
-"""Character cursor shared by the SQL and RDQL parsers.
+"""Character cursor shared by the SQL, RDQL and N-Triples readers.
 
-Both query languages are read left to right straight from the text, with no
-token list: a parser subclasses :class:`Scanner`, sets ``error`` to its own
+Every language is read left to right straight from the text, with no token
+list: a parser subclasses :class:`Scanner`, sets ``error`` to its own
 :class:`ParseError` subclass and adds readers for its own terms. The shared
-readers cover words, keywords, comparison operators and bare constants
-(``TRUE``, ``FALSE`` and numbers). Every reader skips leading whitespace, so
-a fault is reported at the offset of the first character that does not fit.
+readers cover words, keywords, comparison operators, bare constants
+(``TRUE``, ``FALSE`` and numbers) and the RDF terms that RDQL and N-Triples
+write alike: ``<iri>`` and ``"quoted"^^<datatype>`` with N-Triples' escapes.
+Every reader skips leading whitespace (``str.isspace``), so a fault is
+reported at the offset of the first character that does not fit.
 """
 
 from __future__ import annotations
 
 import re
 
-from .dtypes import Dtype
+from .dtypes import Dtype, Iri, TypedLiteral, dtype_from_iri
 from .errors import ParseError
-from .triple_store import TypedLiteral
 
 _WORD_RE = re.compile(r"\w+")  # \w is str.isalnum() or "_"
 NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts' digits
+# a quoted literal's text up to its closing quote, or up to the first backslash that starts no escape
+_QUOTED_BODY = re.compile(r'(?:[^"\\]+|\\[\\"nrt])*')
+_ESCAPE_RE = re.compile(r"\\.")
+_UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\r": "\r", "\\t": "\t"}
 
 
 class Scanner:
+    __slots__ = ("text", "pos", "_word")
     error: type[ParseError] = ParseError
 
     def __init__(self, text: str):
@@ -102,3 +108,53 @@ class Scanner:
             return TypedLiteral.canonical(sign + number.group(), dtype)
         if sign:
             self.fail("expected numeric literal")
+
+    def iri(self) -> Iri:
+        """Move past ``<iri>`` and return it; a fault is reported at its ``<``."""
+        self.skip_ws()
+        text, start = self.text, self.pos
+        if not text.startswith("<", start):
+            self.fail("expected '<'")
+        end = text.find(">", start + 1)
+        if end < 0:
+            self.fail("unterminated IRI")
+        try:
+            iri = Iri(text[start + 1:end])
+        except ValueError as exc:
+            self.fail(str(exc))
+        self.pos = end + 1
+        return iri
+
+    def quoted_literal(self, dtype: Dtype | None) -> TypedLiteral:
+        """Move past ``"text"`` and an optional ``^^<datatype>`` right after it, and return them.
+
+        The escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``. With no
+        datatype the literal has ``dtype``, and when that is None (N-Triples) it
+        is a fault. A fault in the text is reported at the opening quote.
+        """
+        self.skip_ws()
+        text, start = self.text, self.pos
+        if not text.startswith('"', start):
+            self.fail("expected '\"'")
+        end = _QUOTED_BODY.match(text, start + 1).end()
+        if end == len(text):
+            self.fail("unterminated literal")
+        if text[end] == "\\":
+            self.fail("dangling escape" if end + 1 == len(text) else f"unknown escape '\\{text[end + 1]}'")
+        lexical = text[start + 1:end]
+        if "\\" in lexical:
+            lexical = _ESCAPE_RE.sub(lambda escape: _UNESCAPES[escape.group()], lexical)
+        self.pos = end + 1
+        if text.startswith("^^", self.pos):
+            self.pos += 2
+            iri = self.iri()
+            try:
+                dtype = dtype_from_iri(iri.value)
+            except ValueError as exc:
+                self.fail(str(exc))
+        elif dtype is None:
+            self.fail("literal missing '^^<datatype>'")
+        try:
+            return TypedLiteral(lexical, dtype)
+        except ValueError as exc:
+            self.fail(str(exc))

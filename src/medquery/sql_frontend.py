@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .descriptors import IntegratedSchema
-from .dtypes import Dtype
+from .dtypes import Dtype, TypedLiteral
 from .errors import SqlParseError, UnknownFieldError, UnknownTableError, UnsupportedSqlError
 from .scanner import NUMBER_RE, Scanner
-from .triple_store import TypedLiteral
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _KEYWORDS = {  # reserved: never an identifier

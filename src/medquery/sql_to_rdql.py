@@ -29,11 +29,10 @@ from __future__ import annotations
 from collections import Counter
 
 from .descriptors import IntegratedSchema
-from .dtypes import Dtype
+from .dtypes import LEXICAL_ESCAPES, Dtype, Iri, TypedLiteral
 from .iris import property_iri
 from .rdql_engine import FilterAtom, RdqlQuery, TriplePattern, Var
 from .sql_frontend import Condition, QualifiedField, SqlQuery, referenced_fields
-from .triple_store import LEXICAL_ESCAPES, Iri, TypedLiteral
 
 
 def convert(query: SqlQuery, schema: IntegratedSchema) -> tuple[str, RdqlQuery]:

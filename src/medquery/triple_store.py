@@ -1,7 +1,7 @@
-"""In-memory RDF triple store with typed literals.
+"""In-memory RDF triple store, and its N-Triples export and import.
 
-Terms are IRIs or typed literals (no blank nodes, no untyped literals).
-The store keeps set semantics over triples, split by predicate as in a
+Terms are ``dtypes.Iri`` or ``dtypes.TypedLiteral`` (no blank nodes, no
+untyped literals); this module stores them and defines neither. The store keeps set semantics over triples, split by predicate as in a
 vertically partitioned store: one map from each predicate to its entry,
 which holds subject -> objects, object -> subjects and the predicate's
 triple count, and nothing else is kept in step with it. ``reader`` picks
@@ -36,61 +36,22 @@ Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
 syntax), which makes them diffable even though RDF itself is unordered.
 An export walks the predicate entries, renders each triple's object once
-(escaping only a literal that holds a character needing it), sorts those
-keys and writes each line from its key.
+(``dtypes.format_term``, which escapes only a literal that holds a character
+needing it), sorts those keys and writes each line from its key. An import
+reads each line with ``scanner.Scanner``, the reader of RDQL's terms too.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dtypes import NUMERIC_DTYPES, Dtype, canonicalize, is_canonical
-from .errors import NtParseError
-from .iris import dtype_from_iri, dtype_iri
+from .dtypes import NUMERIC_DTYPES, Iri, Term, TypedLiteral, format_term
+from .errors import NtParseError, ParseError
+from .scanner import Scanner
 
 _RANGE_OPS = frozenset({"<", "<=", "=", ">=", ">"})
-_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
-_BLANKS = re.compile(r"[ \t]*")
-
-
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
-
-    def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI must be absolute: {self.value!r}")
-
-    def __str__(self) -> str:
-        return f"<{self.value}>"
-
-
-@dataclass(frozen=True, slots=True)
-class TypedLiteral:
-    lexical: str
-    dtype: Dtype
-
-    def __post_init__(self) -> None:
-        if not is_canonical(self.lexical, self.dtype):
-            raise ValueError(f"{self.lexical!r} is not canonical {self.dtype.value}")
-
-    @classmethod
-    def canonical(cls, text: str, dtype: Dtype) -> TypedLiteral:
-        """The literal of ``canonicalize(text, dtype)``, which is not checked again."""
-        literal = object.__new__(cls)
-        object.__setattr__(literal, "lexical", canonicalize(text, dtype))
-        object.__setattr__(literal, "dtype", dtype)
-        return literal
-
-    def __str__(self) -> str:
-        return format_term(self)
-
-
-Term = Union[Iri, TypedLiteral]
 
 
 class Triple(NamedTuple):
@@ -126,71 +87,6 @@ class _Entry:
             numeric = sorted(filter(is_numeric, self.by_object), key=_value)
             self.order = numeric, self.size - sum(len(self.by_object[o]) for o in numeric)
         return self.order
-
-
-# the N-Triples escapes of a lexical form, which RDQL string literals share
-LEXICAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_LITERAL_TAILS = {dtype: f'"^^<{dtype_iri(dtype)}>' for dtype in Dtype}
-
-
-def scan_iri(text: str, pos: int) -> tuple[Iri, int]:
-    """Read ``<iri>`` at ``text[pos]``; return it and the position after it.
-
-    Raises ValueError whose message the caller wraps in its own parse error.
-    """
-    if not text.startswith("<", pos):
-        raise ValueError("expected '<'")
-    end = text.find(">", pos + 1)
-    if end < 0:
-        raise ValueError("unterminated IRI")
-    return Iri(text[pos + 1:end]), end + 1
-
-
-def scan_quoted(text: str, pos: int) -> tuple[str, int]:
-    """Read a double-quoted, backslash-escaped string at ``text[pos]``.
-
-    Returns the unescaped string and the position after the closing quote;
-    raises ValueError like :func:`scan_iri`.
-    """
-    if not text.startswith('"', pos):
-        raise ValueError("expected '\"'")
-    out: list[str] = []
-    pos += 1
-    while True:
-        if pos >= len(text):
-            raise ValueError("unterminated literal")
-        ch = text[pos]
-        if ch == '"':
-            return "".join(out), pos + 1
-        if ch == "\\":
-            if pos + 1 >= len(text):
-                raise ValueError("dangling escape")
-            code = text[pos + 1]
-            if code not in _UNESCAPES:
-                raise ValueError(f"unknown escape '\\{code}'")
-            out.append(_UNESCAPES[code])
-            pos += 2
-            continue
-        out.append(ch)
-        pos += 1
-
-
-def format_term(term: Term) -> str:
-    """Render a term in N-Triples syntax; doubles as the canonical sort key.
-
-    A lexical form is translated only when it holds a character that needs
-    an escape (backslash, double quote, line feed or carriage return); any
-    other text, tabs and non-ASCII characters included, is written as it
-    is. The closing ``"^^<datatype>`` comes from a table built once per
-    :class:`~medquery.dtypes.Dtype`.
-    """
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    lexical = term.lexical
-    if "\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical:
-        lexical = lexical.translate(LEXICAL_ESCAPES)
-    return '"' + lexical + _LITERAL_TAILS[term.dtype]
 
 
 def _triple_key(t: Triple) -> tuple[str, str, str]:
@@ -369,32 +265,18 @@ def export_ntriples(store: TripleStore) -> str:
 
 
 def import_ntriples(text: str) -> TripleStore:
-    """Parse N-Triples text produced by :func:`export_ntriples`."""
+    """Parse N-Triples text produced by :func:`export_ntriples`, one line at a time."""
     store = TripleStore()
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
+        scanner = Scanner(line)
         try:
-            triple = _parse_line(line)
-        except ValueError as exc:
+            subject, predicate = scanner.iri(), scanner.iri()
+            obj = scanner.quoted_literal(None) if scanner.peek() == '"' else scanner.iri()
+            if not scanner.take(".") or not scanner.eof():
+                scanner.fail("expected terminal ' .'")
+        except ParseError as exc:
             raise NtParseError(number, str(exc)) from None
-        store.insert(triple)
+        store.insert(Triple(subject, predicate, obj))
     return store
-
-
-def _parse_line(line: str) -> Triple:
-    """Parse one non-blank line; grammar errors raise ValueError."""
-    subject, pos = scan_iri(line, _BLANKS.match(line).end())
-    predicate, pos = scan_iri(line, _BLANKS.match(line, pos).end())
-    pos = _BLANKS.match(line, pos).end()
-    if line.startswith('"', pos):
-        lexical, pos = scan_quoted(line, pos)
-        if not line.startswith("^^", pos):
-            raise ValueError("literal missing '^^<datatype>'")
-        dtype_ref, pos = scan_iri(line, pos + 2)
-        obj: Term = TypedLiteral(lexical, dtype_from_iri(dtype_ref.value))
-    else:
-        obj, pos = scan_iri(line, pos)
-    if line[_BLANKS.match(line, pos).end():].rstrip() != ".":
-        raise ValueError("expected terminal ' .'")
-    return Triple(subject, predicate, obj)

@@ -45,9 +45,8 @@ from .descriptors import (
     XmlBinding,
     strong_components,
 )
-from .dtypes import comparable, compare
+from .dtypes import TypedLiteral, comparable, compare
 from .errors import IoError, MedQueryError, TypeCoercionError, UnknownFieldError, UnknownTableError
-from .triple_store import TypedLiteral
 
 Cell = Optional[TypedLiteral]
 Row = tuple[Cell, ...]

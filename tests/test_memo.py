@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medquery import dtypes, rdql_engine, triple_store
+from medquery import dtypes, rdql_engine
 from medquery.descriptors import parse_project
 from medquery.cli import result_triples
 from medquery.dtypes import Dtype
@@ -234,8 +234,7 @@ def derivations(monkeypatch):
         return canonicalize(*args)
 
     monkeypatch.setattr(TripleStore, "from_rows", classmethod(counting_from_rows))
-    for module in (dtypes, triple_store):  # TypedLiteral.canonical calls it from triple_store
-        monkeypatch.setattr(module, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(dtypes, "canonicalize", counting_canonicalize)
     return calls
 
 

@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from medquery import descriptors, dtypes, sql_frontend, triple_store, wrappers
+from medquery import descriptors, dtypes, sql_frontend, wrappers
 from medquery.cli import main
 from medquery.descriptors import SourceFieldDef, parse_project
 from medquery.dtypes import Dtype, canonicalize, is_canonical
@@ -499,7 +499,7 @@ def parses(monkeypatch):
         calls.append(text)
         return canonicalize(text, dtype)
 
-    monkeypatch.setattr(triple_store, "canonicalize", counting)
+    monkeypatch.setattr(dtypes, "canonicalize", counting)
     return calls
 
 
@@ -585,7 +585,7 @@ def test_coercing_a_cell_canonicalizes_it_once(monkeypatch):
         return canonicalize(text, dtype)
 
     # wherever the name is looked up: the check of a literal's text runs through dtypes
-    for module in (dtypes, triple_store, wrappers):
+    for module in (dtypes, wrappers):
         monkeypatch.setattr(module, "canonicalize", counting, raising=False)
     coerced = [wrappers.coerce(text, SourceFieldDef("F", dtype), 1) for text, dtype in cells]
     assert coerced == expected
