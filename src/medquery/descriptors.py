@@ -241,7 +241,8 @@ class Project:
       (``extraction.build_triples``);
     - ``("relations",)``: the schema's join graph and its first derived
       relation per target field, from no inputs, since the schema never
-      changes (``extraction._Materializer``).
+      changes (:func:`relation_graph`, which the checker and the
+      materializer both read).
 
     A call that raises leaves its slot as it was. A slot is replaced whole,
     so callers sharing a project may derive a slot twice but never read a
@@ -283,6 +284,43 @@ def resolve_field_ref(project: Project, ref: FieldRef) -> SourceFieldDef:
             ref, f"table '{ref.source}.{ref.table}' has no field '{ref.field}'"
         )
     return fdef
+
+
+TableNode = tuple[str, str]  # (source, table)
+# one hop: the near table's key fields, and the far table's fields that match them
+Hop = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def relation_graph(project: Project) -> tuple[dict[TableNode, dict[TableNode, Hop]],
+                                              dict[FieldRef, DerivedRelation]]:
+    """The join graph over source tables, and the first derived relation per target.
+
+    An equality relation joins two tables, both ways, when each side sits
+    entirely in one of them and they differ. Between two tables the first
+    such relation in descriptor order is the hop. Built once per project,
+    in its ``("relations",)`` slot, for the checker and the materializer.
+    """
+    return project.derive(("relations",), (), lambda: _relation_graph(project.schema.relations))
+
+
+def _relation_graph(relations: Iterable[Relation]) -> tuple[dict[TableNode, dict[TableNode, Hop]],
+                                                            dict[FieldRef, DerivedRelation]]:
+    edges: dict[TableNode, dict[TableNode, Hop]] = {}
+    derived_by_target: dict[FieldRef, DerivedRelation] = {}
+    for relation in relations:
+        if isinstance(relation, DerivedRelation):
+            derived_by_target.setdefault(relation.target, relation)
+            continue
+        if not relation.lhs or len(relation.lhs) != len(relation.rhs):
+            continue
+        sides = [{(r.source, r.table) for r in side} for side in (relation.lhs, relation.rhs)]
+        if len(sides[0]) != 1 or len(sides[1]) != 1 or sides[0] == sides[1]:
+            continue
+        (left,), (right,) = sides
+        lhs_fields, rhs_fields = [tuple(r.field for r in side) for side in (relation.lhs, relation.rhs)]
+        edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
+        edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
+    return edges, derived_by_target
 
 
 # --- graphs over descriptor names: ``edges`` maps a node to its successors ---

@@ -29,11 +29,12 @@ from typing import Callable, Iterable
 
 from .descriptors import (
     DerivedOp,
-    DerivedRelation,
     FieldRef,
     IntegratedSchema,
     Project,
     SourceFieldDef,
+    TableNode,
+    relation_graph,
     shortest_walk,
 )
 from .dtypes import Dtype, Iri, TypedLiteral
@@ -76,39 +77,6 @@ def required_tables(query: RdqlQuery, schema: IntegratedSchema) -> list[str]:
     return ordered
 
 
-# --- join graph over source tables ------------------------------------------
-
-_Node = tuple[str, str]
-# one hop: the near table's key fields, and the far table's fields that match them
-_Hop = tuple[tuple[str, ...], tuple[str, ...]]
-
-
-def _relations(project: Project) -> tuple[dict[_Node, dict[_Node, _Hop]],
-                                          dict[FieldRef, DerivedRelation]]:
-    """The join graph over source tables, and the first derived relation per target.
-
-    An equality relation joins two tables, both ways, when each side sits
-    entirely in one of them and they differ. Between two tables the first
-    such relation in descriptor order is the hop.
-    """
-    edges: dict[_Node, dict[_Node, _Hop]] = {}
-    derived_by_target: dict[FieldRef, DerivedRelation] = {}
-    for relation in project.schema.relations:
-        if isinstance(relation, DerivedRelation):
-            derived_by_target.setdefault(relation.target, relation)
-            continue
-        if not relation.lhs or len(relation.lhs) != len(relation.rhs):
-            continue
-        sides = [{(r.source, r.table) for r in side} for side in (relation.lhs, relation.rhs)]
-        if len(sides[0]) != 1 or len(sides[1]) != 1 or sides[0] == sides[1]:
-            continue
-        (left,), (right,) = sides
-        lhs_fields, rhs_fields = [tuple(r.field for r in side) for side in (relation.lhs, relation.rhs)]
-        edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
-        edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
-    return edges, derived_by_target
-
-
 # --- column builder -----------------------------------------------------------
 
 _MULTI_MATCH = ("%d master rows match several rows of %s.%s for field %s; "
@@ -116,17 +84,17 @@ _MULTI_MATCH = ("%d master rows match several rows of %s.%s for field %s; "
 
 
 class _Materializer:
-    def __init__(self, project: Project, master: _Node, fetch: FetchFn, log: AccessLog | None):
+    def __init__(self, project: Project, master: TableNode, fetch: FetchFn, log: AccessLog | None):
         self.read = lambda node: fetch(project, node[0], node[1], log)
         self.master = master
-        self.edges, self.derived_by_target = project.derive(("relations",), (), lambda: _relations(project))
-        self.cache: dict[_Node, Table] = {}  # every table fetched, in fetch order: the read record
+        self.edges, self.derived_by_target = relation_graph(project)
+        self.cache: dict[TableNode, Table] = {}  # every table fetched, in fetch order: the read record
         self.warnings: list[tuple] = []  # the arguments of each multi-match warning
         self.columns: dict[FieldRef, list[Cell]] = {}  # the raw cells of each field built
         # per table walked to, per master row: the distinct rows reached, in first-reached order
-        self.reached: dict[_Node, list[list[Row]]] = {}
+        self.reached: dict[TableNode, list[list[Row]]] = {}
 
-    def table(self, node: _Node) -> Table:
+    def table(self, node: TableNode) -> Table:
         if node not in self.cache:
             self.cache[node] = self.read(node)
         return self.cache[node]

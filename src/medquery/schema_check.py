@@ -17,6 +17,11 @@ A schema is accepted when none of these checks produce an error finding:
                       other fields (names and dtypes, in order) than it
                       declares, or lies on a cycle of views
                       (``wrappers.source_plan`` decides, for fetch too)
+  UNREACHABLE_FIELD   the materializer cannot build an integrated field: it
+                      is mapped outside its table's master table (the table
+                      of the first field), is the target of no derived relation
+                      whose operands it can build, and no chain of equality
+                      relations leads there from the master table
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
 sources are allowed to be broader than the schema. A table that a mapping
@@ -41,7 +46,9 @@ from .descriptors import (
     EqualityRelation,
     FieldRef,
     Project,
+    TableNode,
     ViewBinding,
+    relation_graph,
     resolve_field_ref,
     shortest_walk,
     strong_components,
@@ -62,6 +69,7 @@ class FindingCode(str, enum.Enum):
     ARITY_MISMATCH = "ARITY_MISMATCH"
     CYCLIC_DERIVATION = "CYCLIC_DERIVATION"
     INVALID_VIEW = "INVALID_VIEW"
+    UNREACHABLE_FIELD = "UNREACHABLE_FIELD"
     UNMAPPED_TABLE = "UNMAPPED_TABLE"
 
 
@@ -96,7 +104,7 @@ class SatisfiabilityReport:
 
 def check_schema(project: Project) -> SatisfiabilityReport:
     """Run all structural checks and collect the findings."""
-    findings: list[Finding] = []
+    findings = _unreachable_findings(project)
 
     def err(code: FindingCode, location: str, message: str) -> None:
         findings.append(Finding(Severity.ERROR, code, location, message))
@@ -179,6 +187,51 @@ def check_schema(project: Project) -> SatisfiabilityReport:
                 ))
 
     return SatisfiabilityReport(tuple(findings))
+
+
+def _unreachable_findings(project: Project) -> list[Finding]:
+    """One UNREACHABLE_FIELD error per integrated field the materializer cannot build, in schema order.
+
+    As ``extraction._Materializer.column`` builds it: a field in the master
+    table is that column; a derived target outside it needs every operand;
+    any other field needs a walk of equality relations from the master table.
+    A field on a derivation cycle, which CYCLIC_DERIVATION reports, is not
+    reported again. Derivations are followed in a loop, never recursing, and
+    each field and table is decided once per integrated table.
+    """
+    edges, derived_by_target = relation_graph(project)
+    findings = []
+    for table in project.schema.tables:
+        master = (table.fields[0].mapping.source, table.fields[0].mapping.table)
+        # per field: the first table on its way that no relation reaches, or None
+        blocked: dict[FieldRef, TableNode | None] = {}
+        walks: dict[TableNode, bool] = {master: True}
+        for fdef in table.fields:
+            path = {fdef.mapping: None}  # as in ``column``: each field waits for the one after it
+            while fdef.mapping not in blocked:
+                top = next(reversed(path))
+                node = (top.source, top.table)
+                derived = node != master and derived_by_target.get(top)
+                if derived:
+                    waiting = next((op for op in derived.operands if op not in blocked and op not in path), None)
+                    if waiting is not None:
+                        path[waiting] = None
+                        continue
+                    # an operand still on the path closes a derivation cycle: it counts as reached
+                    blocked[top] = next(filter(None, map(blocked.get, derived.operands)), None)
+                else:
+                    if node not in walks:
+                        walks[node] = shortest_walk(edges, master, node) is not None
+                    blocked[top] = None if walks[node] else node
+                path.popitem()
+            node = blocked[fdef.mapping]
+            if node is not None:
+                findings.append(Finding(
+                    Severity.ERROR, FindingCode.UNREACHABLE_FIELD,
+                    f"schema/table[{table.name}]/field[{fdef.name}]",
+                    f"no equality relation connects {node[0]}.{node[1]} to master table {master[0]}.{master[1]}",
+                ))
+    return findings
 
 
 def _cycle_findings(project: Project) -> list[Finding]:

@@ -617,7 +617,7 @@ def test_mutated_queries_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
     assert codes[0] > 0 and codes[1] > 0, codes
 
 
-def test_a_field_no_relation_reaches_passes_validate_and_fails_the_query(tmp_path, capsys):
+def test_a_field_no_relation_reaches_fails_validate_and_the_query(tmp_path, capsys):
     # GRADE.AVERAGE integrated into STUDENT with no relation between the two tables
     schema = SCHEMA_XML.replace(
         '</table>\n  <table name="GRADE">',
@@ -625,16 +625,16 @@ def test_a_field_no_relation_reaches_passes_validate_and_fails_the_query(tmp_pat
         '</table>\n  <table name="GRADE">', 1)
     schema = schema[:schema.index("  <relation")] + "</schema>\n"
     paths = write_project(tmp_path, schema_xml=schema)
+    finding = ("error UNREACHABLE_FIELD schema/table[STUDENT]/field[AVERAGE]: no equality relation "
+               "connects reg.GRADE to master table uni.STUDENT")
     code, out = _run(capsys, "validate", paths)
-    assert code == 0
-    assert out.splitlines()[-1].startswith("0 errors, ")
+    assert (code, out) == (1, finding + "\n1 errors, 0 warnings\n")
     sources, schema_path = paths
     code = main(["query", "--sources", str(sources), "--schema", str(schema_path),
                  "--query", "SELECT STUDENT.ID FROM STUDENT"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == ("medquery: no relation path for field 'AVERAGE': no equality relation "
-                            "connects reg.GRADE to master table uni.STUDENT\n")
+    assert captured.err == f"medquery: schema is not satisfiable:\n  {finding}\n"
 
 
 def test_an_rdql_predicate_on_a_table_the_schema_lacks_exits_1(fig2_paths, capsys):

@@ -24,7 +24,8 @@ from medquery.descriptors import (
     parse_project,
 )
 from medquery.dtypes import Dtype
-from medquery.errors import IoError
+from medquery.errors import IoError, NoRelationPathError
+from medquery.extraction import materialize_integrated_table
 from medquery.schema_check import FindingCode, Severity, check_schema
 from medquery.sql_frontend import parse_view_select
 from medquery.wrappers import fetch_table
@@ -371,3 +372,108 @@ def test_every_view_fetches_as_the_checker_says(case):
             except IoError as exc:
                 outcome = str(exc)
             assert outcome == first_fault(tdef), tdef.binding
+
+
+# --- unreachable fields: one rule for the checker and the materializer ----------
+
+
+def _reach_project(directory: Path, fields, relations) -> Project:
+    """Integrated table I: field A of master table s.T, then F0, F1, ... mapped to ``fields``.
+
+    Tables T, U and V each hold integer fields A to D and one row of 1s.
+    """
+    sources = []
+    for name in "TUV":
+        (directory / f"{name}.txt").write_text("A|B|C|D\n1|1|1|1\n", encoding="utf-8")
+        sources.append(SourceTableDef(name, tuple(SourceFieldDef(f, Dtype.INTEGER) for f in "ABCD"),
+                                      FileBinding(f"{name}.txt")))
+    source = DataSourceDescriptor("s", SourceKind.TABULAR, ".", None, tuple(sources))
+    table = IntegratedTableDef("I", (IntegratedFieldDef("A", Dtype.INTEGER, FieldRef("s", "T", "A")), *(
+        IntegratedFieldDef(f"F{i}", Dtype.INTEGER, field) for i, field in enumerate(fields))))
+    return Project((source,), IntegratedSchema("g", (table,), tuple(relations)), str(directory))
+
+
+def _at(table: str, field: str) -> FieldRef:
+    return FieldRef("s", table, field)
+
+
+def _equal(a: FieldRef, b: FieldRef) -> EqualityRelation:
+    return EqualityRelation((a,), (b,))
+
+
+def _add(target: FieldRef, *operands: FieldRef) -> DerivedRelation:
+    return DerivedRelation(target, DerivedOp.ADD, operands)
+
+
+def _unreachable_as_the_materializer_finds(project: Project) -> list[str]:
+    """The UNREACHABLE_FIELD findings, checked against what materializing the table raises."""
+    report = check_schema(project)
+    found = [f for f in report.findings if f.code is FindingCode.UNREACHABLE_FIELD]
+    assert all(f.severity is Severity.ERROR for f in found)
+    if FindingCode.CYCLIC_DERIVATION not in codes(report):
+        try:
+            materialize_integrated_table(project, "I")
+        except NoRelationPathError as exc:
+            assert found and str(exc) == (f"no relation path for field {found[0].location[-3:-1]!r}: "
+                                          f"{found[0].message}")
+        else:
+            assert found == []
+    return [f"{f.location}: {f.message}" for f in found]
+
+
+@pytest.mark.parametrize("fields, relations, expected", [
+    ([_at("U", "B")], [], ["s.U"]),
+    ([_at("U", "B")], [_equal(_at("T", "A"), _at("U", "A"))], []),
+    ([_at("V", "B")], [_equal(_at("T", "A"), _at("U", "A")), _equal(_at("U", "B"), _at("V", "A"))], []),
+    # a derived target outside the master table needs every operand
+    ([_at("U", "C")], [_add(_at("U", "C"), _at("U", "A"), _at("U", "B"))], ["s.U"]),
+    ([_at("U", "C")], [_add(_at("U", "C"), _at("T", "B"), _at("T", "C"))], []),
+    ([_at("U", "C")], [_equal(_at("T", "A"), _at("U", "A")),
+                       _add(_at("U", "C"), _at("U", "A"), _at("V", "B"))], ["s.V"]),
+    # in the master table a derived target is the master column
+    ([_at("T", "D")], [_add(_at("T", "D"), _at("U", "A"), _at("U", "B"))], []),
+    # one finding per field, each naming its own table
+    ([_at("U", "B"), _at("T", "B"), _at("V", "C")], [], ["s.U", "s.V"]),
+], ids=["no relation", "an equality", "a chain", "derived, operands unreachable",
+        "derived, operands in master", "derived, one operand unreachable", "derived in master",
+        "two fields"])
+def test_a_field_the_materializer_cannot_reach_is_an_error(tmp_path, fields, relations, expected):
+    found = _unreachable_as_the_materializer_finds(_reach_project(tmp_path, fields, relations))
+    assert [line.split("connects ")[1].split(" ")[0] for line in found] == expected
+    assert all(line.startswith("schema/table[I]/field[F") and line.endswith("to master table s.T")
+               for line in found)
+
+
+def test_a_field_on_a_derivation_cycle_is_reported_as_the_cycle_only(tmp_path):
+    relations = [_add(_at("U", "C"), _at("U", "D"), _at("T", "B")),
+                 _add(_at("U", "D"), _at("U", "C"), _at("T", "A"))]
+    report = check_schema(_reach_project(tmp_path, [_at("U", "C")], relations))
+    assert [f.code for f in report.errors] == [FindingCode.CYCLIC_DERIVATION]
+
+
+def test_a_derivation_chain_deeper_than_the_recursion_limit_is_followed_to_its_end():
+    names = _named_fields(2001)
+    assert len(names) > sys.getrecursionlimit()
+    u, master = [FieldRef("s", "U", name) for name in names], FieldRef("s", "T", names[0])
+    relations = [_add(u[i], u[i + 1], master) for i in range(2000)]
+    for last, expected in (("V", ["s.V"]), ("T", [])):  # the chain ends outside reach, then in master
+        project = project_with(relations + [_add(u[-1], FieldRef("s", last, names[1]), master)],
+                               field_names=names, extra_tables=("U", "V"))
+        table = IntegratedTableDef("I", (IntegratedFieldDef("A", Dtype.INTEGER, master),
+                                         IntegratedFieldDef("Z", Dtype.INTEGER, u[0])))
+        report = check_schema(Project(project.sources, IntegratedSchema("g", (table,), project.schema.relations)))
+        assert [f.message.split(" ")[4] for f in report.errors] == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_unreachable_fields_match_the_materializer_on_random_schemas(tmp_path, seed):
+    rng = random.Random(seed)
+    refs = [_at(table, field) for table in "TUV" for field in "ABCD"]
+    relations = []
+    for _ in range(rng.randrange(0, 5)):
+        if rng.random() < 0.5:
+            relations.append(_equal(*rng.sample(refs, 2)))
+        else:
+            relations.append(_add(*rng.sample(refs, 3)))
+    fields = rng.sample(refs, rng.randrange(1, 4))
+    _unreachable_as_the_materializer_finds(_reach_project(tmp_path, fields, relations))
