@@ -73,11 +73,11 @@ import shlex
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 from .dtypes import IDENTIFIER_RE, Dtype
-from .errors import DuplicateNameError, MalformedXmlError, UnresolvedFieldRefError
+from .errors import DuplicateNameError, MalformedXmlError, MedQueryError, UnresolvedFieldRefError
 
 
 # --- domain types ----------------------------------------------------------
@@ -293,34 +293,51 @@ Hop = tuple[tuple[str, ...], tuple[str, ...]]
 
 def relation_graph(project: Project) -> tuple[dict[TableNode, dict[TableNode, Hop]],
                                               dict[FieldRef, DerivedRelation]]:
-    """The join graph over source tables, and the first derived relation per target.
+    """The join graph over source tables, and the first derived relation per target, built once.
 
-    An equality relation joins two tables, both ways, when each side sits
-    entirely in one of them and they differ. Between two tables the first
-    such relation in descriptor order is the hop. Built once per project,
-    in its ``("relations",)`` slot, for the checker and the materializer.
+    An equality relation joins two tables, both ways, when each side sits entirely in
+    one of them and they differ; the first such between two tables is their hop.
     """
-    return project.derive(("relations",), (), lambda: _relation_graph(project.schema.relations))
+    def build():
+        edges: dict[TableNode, dict[TableNode, Hop]] = {}
+        derived_by_target: dict[FieldRef, DerivedRelation] = {}
+        for relation in project.schema.relations:
+            if isinstance(relation, DerivedRelation):
+                derived_by_target.setdefault(relation.target, relation)
+                continue
+            if not relation.lhs or len(relation.lhs) != len(relation.rhs):
+                continue
+            sides = [{(r.source, r.table) for r in side} for side in (relation.lhs, relation.rhs)]
+            if len(sides[0]) != 1 or len(sides[1]) != 1 or sides[0] == sides[1]:
+                continue
+            (left,), (right,) = sides
+            lhs_fields, rhs_fields = [tuple(r.field for r in side) for side in (relation.lhs, relation.rhs)]
+            edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
+            edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
+        return edges, derived_by_target
+    return project.derive(("relations",), (), build)
 
 
-def _relation_graph(relations: Iterable[Relation]) -> tuple[dict[TableNode, dict[TableNode, Hop]],
-                                                            dict[FieldRef, DerivedRelation]]:
-    edges: dict[TableNode, dict[TableNode, Hop]] = {}
-    derived_by_target: dict[FieldRef, DerivedRelation] = {}
-    for relation in relations:
-        if isinstance(relation, DerivedRelation):
-            derived_by_target.setdefault(relation.target, relation)
-            continue
-        if not relation.lhs or len(relation.lhs) != len(relation.rhs):
-            continue
-        sides = [{(r.source, r.table) for r in side} for side in (relation.lhs, relation.rhs)]
-        if len(sides[0]) != 1 or len(sides[1]) != 1 or sides[0] == sides[1]:
-            continue
-        (left,), (right,) = sides
-        lhs_fields, rhs_fields = [tuple(r.field for r in side) for side in (relation.lhs, relation.rhs)]
-        edges.setdefault(left, {}).setdefault(right, (lhs_fields, rhs_fields))
-        edges.setdefault(right, {}).setdefault(left, (rhs_fields, lhs_fields))
-    return edges, derived_by_target
+def derivation_order(derived_by_target: Mapping[FieldRef, DerivedRelation], master: TableNode, ref: FieldRef,
+                     done: Container[FieldRef]) -> list[tuple[FieldRef, DerivedRelation | None]]:
+    """``ref`` and each field it is derived from that ``done`` lacks, after its operands, depth first.
+
+    Each comes with the first relation targeting it, for a field outside the ``master``
+    table, or None for a field read from its table. A loop, so no chain is too deep; a cycle raises.
+    """
+    order: dict[FieldRef, DerivedRelation | None] = {}
+    path = {ref: None}  # fields waiting for an operand, each an operand of the one before
+    while path:
+        top = next(reversed(path))
+        derived = (top.source, top.table) != master and derived_by_target.get(top) or None
+        waiting = derived and next((o for o in derived.operands if o not in done and o not in order), None)
+        if waiting in path:  # only on a project that check_schema did not accept
+            raise MedQueryError(f"derivation cycle through {waiting}")
+        if waiting:
+            path[waiting] = None
+        else:
+            order[path.popitem()[0]] = derived
+    return list(order.items())
 
 
 # --- graphs over descriptor names: ``edges`` maps a node to its successors ---

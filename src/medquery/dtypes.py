@@ -15,7 +15,7 @@ A value is a :class:`TypedLiteral`, a (canonical lexical, dtype) pair, from
 fetched cell to RDF object; an :class:`Iri` names subjects and predicates.
 :func:`format_term` writes either in N-Triples syntax, the text that RDQL
 shares (``scanner.Scanner`` reads it back), with the datatype as an XML
-Schema IRI (:func:`dtype_iri`, :func:`dtype_from_iri`).
+Schema IRI (``XSD_NS``, :func:`dtype_from_iri`).
 """
 
 from __future__ import annotations
@@ -101,13 +101,8 @@ def is_canonical(lexical: str, dtype: Dtype) -> bool:
 
 
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
-_DTYPE_IRI = {d: XSD_NS + d.value for d in Dtype}
-_IRI_DTYPE = {v: k for k, v in _DTYPE_IRI.items()}
+_IRI_DTYPE = {XSD_NS + dtype.value: dtype for dtype in Dtype}
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
-
-
-def dtype_iri(dtype: Dtype) -> str:
-    return _DTYPE_IRI[dtype]
 
 
 def dtype_from_iri(iri: str) -> Dtype:
@@ -154,7 +149,7 @@ Term = Union[Iri, TypedLiteral]
 
 # the N-Triples escapes of a lexical form, which RDQL string literals share
 LEXICAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
-_LITERAL_TAILS = {dtype: f'"^^<{dtype_iri(dtype)}>' for dtype in Dtype}
+_LITERAL_TAILS = {dtype: f'"^^<{XSD_NS}{dtype.value}>' for dtype in Dtype}
 
 
 def format_term(term: Term) -> str:

@@ -34,11 +34,12 @@ from .descriptors import (
     Project,
     SourceFieldDef,
     TableNode,
+    derivation_order,
     relation_graph,
     shortest_walk,
 )
 from .dtypes import Dtype, Iri, TypedLiteral
-from .errors import MedQueryError, NoRelationPathError, UnknownTableError
+from .errors import NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
 from .triple_store import TripleStore
@@ -101,24 +102,14 @@ class _Materializer:
 
     def column(self, ref: FieldRef, field_name: str) -> list[Cell]:
         """The raw cells of ``ref`` for every master row, in master row order."""
-        path = {ref: None}  # fields waiting for an operand, each an operand of the one before
-        while ref not in self.columns:
-            top = next(reversed(path))
-            derived = (top.source, top.table) != self.master and self.derived_by_target.get(top)
-            if not derived:
-                self.columns[top] = self.lookup(top, field_name)
-                path.popitem()
-                continue
-            waiting = next((op for op in derived.operands if op not in self.columns), None)
-            if waiting in path:  # only on a project that check_schema did not accept
-                raise MedQueryError(f"derivation cycle through {waiting}")
-            if waiting is not None:
-                path[waiting] = None
-                continue
-            operands = [self.columns[op] for op in derived.operands]
-            self.columns[top] = [_derive(derived.op, [cells[i] for cells in operands])
-                                 for i in range(len(self.table(self.master).rows))]
-            path.popitem()
+        if ref not in self.columns:
+            for top, derived in derivation_order(self.derived_by_target, self.master, ref, self.columns):
+                if derived is None:
+                    self.columns[top] = self.lookup(top, field_name)
+                    continue
+                operands = [self.columns[op] for op in derived.operands]
+                self.columns[top] = [_derive(derived.op, [cells[i] for cells in operands])
+                                     for i in range(len(self.table(self.master).rows))]
         return self.columns[ref]
 
     def lookup(self, ref: FieldRef, field_name: str) -> list[Cell]:

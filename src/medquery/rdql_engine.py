@@ -10,10 +10,11 @@ Concrete syntax::
 
 Patterns are parenthesized subject/predicate/object terms; terms are
 variables, angle-bracketed IRIs or quoted literals with an optional
-``^^<datatype>`` (string by default). Constraint atoms compare a variable
-against a variable or a literal; bare numerals, whose sign may stand apart
-from them (``- 5``), and ``true``/``false`` in any case are typed literals,
-read as SQL reads them (``Scanner.bare_literal``).
+``^^<datatype>`` (string by default), read by ``Scanner.iri`` and
+``Scanner.quoted_literal`` as N-Triples reads them. Constraint atoms
+compare a variable against a variable or a literal; bare numerals, whose
+sign may stand apart from them (``- 5``), and ``true``/``false`` in any
+case are typed literals, read as SQL reads them (``Scanner.bare_literal``).
 
 Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one

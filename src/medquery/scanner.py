@@ -126,11 +126,10 @@ class Scanner:
         return iri
 
     def quoted_literal(self, dtype: Dtype | None) -> TypedLiteral:
-        """Move past ``"text"`` and an optional ``^^<datatype>`` right after it, and return them.
+        """Move past ``"text"`` (N-Triples' escapes) and a ``^^<datatype>`` right after it, and return them.
 
-        The escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``. With no
-        datatype the literal has ``dtype``, and when that is None (N-Triples) it
-        is a fault. A fault in the text is reported at the opening quote.
+        With no datatype the literal has ``dtype``; when that is None (N-Triples)
+        it is a fault. A fault in the text is reported at the opening quote.
         """
         self.skip_ws()
         text, start = self.text, self.pos
@@ -145,16 +144,12 @@ class Scanner:
         if "\\" in lexical:
             lexical = _ESCAPE_RE.sub(lambda escape: _UNESCAPES[escape.group()], lexical)
         self.pos = end + 1
-        if text.startswith("^^", self.pos):
-            self.pos += 2
-            iri = self.iri()
-            try:
-                dtype = dtype_from_iri(iri.value)
-            except ValueError as exc:
-                self.fail(str(exc))
-        elif dtype is None:
-            self.fail("literal missing '^^<datatype>'")
-        try:
+        try:  # a ValueError is a fault at the cursor: an unknown datatype, or a form not canonical
+            if text.startswith("^^", self.pos):
+                self.pos += 2
+                dtype = dtype_from_iri(self.iri().value)
+            elif dtype is None:
+                self.fail("literal missing '^^<datatype>'")
             return TypedLiteral(lexical, dtype)
         except ValueError as exc:
             self.fail(str(exc))

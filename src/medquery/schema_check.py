@@ -48,13 +48,14 @@ from .descriptors import (
     Project,
     TableNode,
     ViewBinding,
+    derivation_order,
     relation_graph,
     resolve_field_ref,
     shortest_walk,
     strong_components,
 )
 from .dtypes import NUMERIC_DTYPES, Dtype
-from .errors import UnresolvedFieldRefError
+from .errors import MedQueryError, UnresolvedFieldRefError
 from .wrappers import PlannedView, source_plan
 
 
@@ -104,7 +105,7 @@ class SatisfiabilityReport:
 
 def check_schema(project: Project) -> SatisfiabilityReport:
     """Run all structural checks and collect the findings."""
-    findings = _unreachable_findings(project)
+    findings: list[Finding] = []
 
     def err(code: FindingCode, location: str, message: str) -> None:
         findings.append(Finding(Severity.ERROR, code, location, message))
@@ -121,9 +122,30 @@ def check_schema(project: Project) -> SatisfiabilityReport:
         referenced.add((ref.source, ref.table))
         return dtype
 
+    # each field decided as the materializer builds it, in ``derivation_order``: one in the master
+    # table is its column, a derived one needs its operands, any other a walk of equality relations
     for table in project.schema.tables:
+        master = (table.fields[0].mapping.source, table.fields[0].mapping.table)
+        blocked: dict[FieldRef, TableNode | None] = {}  # the first table on the way no relation reaches
         for fdef in table.fields:
-            referenced.add((fdef.mapping.source, fdef.mapping.table))
+            node = (fdef.mapping.source, fdef.mapping.table)
+            referenced.add(node)
+            if node == master:
+                continue
+            edges, derived_by_target = relation_graph(project)
+            try:
+                order = derivation_order(derived_by_target, master, fdef.mapping, blocked)
+            except MedQueryError:  # a derivation cycle: CYCLIC_DERIVATION
+                continue
+            for ref, derived in order:
+                node = (ref.source, ref.table)
+                if derived:
+                    blocked[ref] = next(filter(None, map(blocked.get, derived.operands)), None)
+                else:
+                    blocked[ref] = None if node == master or shortest_walk(edges, master, node) else node
+            if node := blocked[fdef.mapping]:
+                err(FindingCode.UNREACHABLE_FIELD, f"schema/table[{table.name}]/field[{fdef.name}]",
+                    f"no equality relation connects {'.'.join(node)} to master table {'.'.join(master)}")
 
     for index, relation in enumerate(project.schema.relations, start=1):
         loc = f"schema/relation[{index}]"
@@ -187,51 +209,6 @@ def check_schema(project: Project) -> SatisfiabilityReport:
                 ))
 
     return SatisfiabilityReport(tuple(findings))
-
-
-def _unreachable_findings(project: Project) -> list[Finding]:
-    """One UNREACHABLE_FIELD error per integrated field the materializer cannot build, in schema order.
-
-    As ``extraction._Materializer.column`` builds it: a field in the master
-    table is that column; a derived target outside it needs every operand;
-    any other field needs a walk of equality relations from the master table.
-    A field on a derivation cycle, which CYCLIC_DERIVATION reports, is not
-    reported again. Derivations are followed in a loop, never recursing, and
-    each field and table is decided once per integrated table.
-    """
-    edges, derived_by_target = relation_graph(project)
-    findings = []
-    for table in project.schema.tables:
-        master = (table.fields[0].mapping.source, table.fields[0].mapping.table)
-        # per field: the first table on its way that no relation reaches, or None
-        blocked: dict[FieldRef, TableNode | None] = {}
-        walks: dict[TableNode, bool] = {master: True}
-        for fdef in table.fields:
-            path = {fdef.mapping: None}  # as in ``column``: each field waits for the one after it
-            while fdef.mapping not in blocked:
-                top = next(reversed(path))
-                node = (top.source, top.table)
-                derived = node != master and derived_by_target.get(top)
-                if derived:
-                    waiting = next((op for op in derived.operands if op not in blocked and op not in path), None)
-                    if waiting is not None:
-                        path[waiting] = None
-                        continue
-                    # an operand still on the path closes a derivation cycle: it counts as reached
-                    blocked[top] = next(filter(None, map(blocked.get, derived.operands)), None)
-                else:
-                    if node not in walks:
-                        walks[node] = shortest_walk(edges, master, node) is not None
-                    blocked[top] = None if walks[node] else node
-                path.popitem()
-            node = blocked[fdef.mapping]
-            if node is not None:
-                findings.append(Finding(
-                    Severity.ERROR, FindingCode.UNREACHABLE_FIELD,
-                    f"schema/table[{table.name}]/field[{fdef.name}]",
-                    f"no equality relation connects {node[0]}.{node[1]} to master table {master[0]}.{master[1]}",
-                ))
-    return findings
 
 
 def _cycle_findings(project: Project) -> list[Finding]:

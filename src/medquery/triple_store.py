@@ -1,7 +1,8 @@
 """In-memory RDF triple store, and its N-Triples export and import.
 
 Terms are ``dtypes.Iri`` or ``dtypes.TypedLiteral`` (no blank nodes, no
-untyped literals); this module stores them and defines neither. The store keeps set semantics over triples, split by predicate as in a
+untyped literals), which this module stores and does not define. The
+store keeps set semantics over triples, split by predicate as in a
 vertically partitioned store: one map from each predicate to its entry,
 which holds subject -> objects, object -> subjects and the predicate's
 triple count, and nothing else is kept in step with it. ``reader`` picks
@@ -60,10 +61,6 @@ class Triple(NamedTuple):
     object: Term
 
 
-def is_numeric(term: Term) -> bool:
-    return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
-
-
 def _value(literal: TypedLiteral) -> Decimal:
     return Decimal(literal.lexical)
 
@@ -84,13 +81,10 @@ class _Entry:
     def by_value(self) -> tuple[list[TypedLiteral], int]:
         """The numeric objects in ascending value, and the number of triples with another object."""
         if self.order is None:
-            numeric = sorted(filter(is_numeric, self.by_object), key=_value)
+            numeric = [o for o in self.by_object if isinstance(o, TypedLiteral) and o.dtype in NUMERIC_DTYPES]
+            numeric.sort(key=_value)
             self.order = numeric, self.size - sum(len(self.by_object[o]) for o in numeric)
         return self.order
-
-
-def _triple_key(t: Triple) -> tuple[str, str, str]:
-    return (t.subject.value, t.predicate.value, format_term(t.object))
 
 
 class TripleStore:
@@ -145,7 +139,8 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
-        return iter(sorted(map(Triple._make, self.reader(None, None, None)([()])), key=_triple_key))
+        return iter(sorted(map(Triple._make, self.reader(None, None, None)([()])),
+                           key=lambda t: (t.subject.value, t.predicate.value, format_term(t.object))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):

@@ -1,11 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from medquery.dtypes import COMPARISON_OPS, Dtype, canonicalize, compare, is_canonical
-from medquery.triple_store import TypedLiteral
+from medquery.dtypes import COMPARISON_OPS, Dtype, Iri, TypedLiteral, canonicalize, compare, is_canonical
 
 from oracles import compare_terms
 
@@ -145,3 +145,11 @@ def test_cross_type_is_incomparable():
     assert compare("=", "2", Dtype.INTEGER, "2", Dtype.STRING) is None
     assert compare("<", "true", Dtype.BOOLEAN, "false", Dtype.BOOLEAN) is None
     assert compare("=", "true", Dtype.BOOLEAN, "true", Dtype.BOOLEAN) is True
+
+
+@pytest.mark.parametrize("term", [Iri("http://x/s"), TypedLiteral("7", Dtype.INTEGER)], ids=["iri", "literal"])
+def test_a_term_is_frozen_and_keeps_no_instance_dict(term):
+    # a store holds a term per cell: slots keep each one small
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(term, type(term).__slots__[0], "other")

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medquery import rdql_engine
 from medquery.dtypes import Dtype
@@ -80,19 +82,61 @@ def test_quoted_literal_unescapes_like_ntriples():
     assert query.patterns[0].o == lit('a"b\\c\nd\re\tf', Dtype.STRING)
 
 
+_XSD = "<http://www.w3.org/2001/XMLSchema#"
+_RDQL_BEFORE, _NT_BEFORE = "SELECT ?x WHERE (?x <http://p> ", "<http://s> <http://p> "
+
+
+def _read_back(text):
+    """The term ``text`` read as an RDQL pattern object and as an N-Triples object."""
+    rdql = parse_rdql(f"{_RDQL_BEFORE}{text})").patterns[0].o
+    (triple,) = import_ntriples(f"{_NT_BEFORE}{text} .\n")
+    return rdql, triple.object
+
+
 @pytest.mark.parametrize("term, message", [
     ('"\\q"', "unknown escape '\\q'"),
+    ('"\\u0041"^^' + _XSD + 'string>', "unknown escape '\\u'"),
     ('"open', "unterminated literal"),
     ("<http://o", "unterminated IRI"),
     ("<o>", "IRI must be absolute"),
+    ('"a"^^x', "expected '<'"),
+    ('"a"^^ <o>', "IRI must be absolute"),
+    ('"a"^^<http://bad>', "unknown datatype IRI: http://bad"),
+    ('"a"^^' + _XSD + 'string', "unterminated IRI"),
+    ('"007"^^' + _XSD + 'integer>', "'007' is not canonical integer"),
     # zero is written 0.0 only, so the value has one term
-    ('"-0.0"^^<http://www.w3.org/2001/XMLSchema#decimal>', "'-0.0' is not canonical decimal"),
+    ('"-0.0"^^' + _XSD + 'decimal>', "'-0.0' is not canonical decimal"),
 ])
 def test_term_errors_read_alike_in_rdql_and_ntriples(term, message):
-    with pytest.raises(RdqlParseError, match=re.escape(message)):
-        parse_rdql(f"SELECT ?x WHERE (?x <http://p> {term})")
-    with pytest.raises(NtParseError, match=re.escape(message)):
-        import_ntriples(f"<http://s> <http://p> {term} .\n")
+    with pytest.raises(RdqlParseError, match=re.escape(message)) as rdql:
+        parse_rdql(f"{_RDQL_BEFORE}{term})")
+    with pytest.raises(NtParseError, match=re.escape(message)) as nt:
+        import_ntriples(f"{_NT_BEFORE}{term} .\n")
+    # one reader: each fault is found at the same offset in the term
+    nt_offset = int(re.search(r"at offset (\d+)", str(nt.value)).group(1))
+    assert rdql.value.position - len(_RDQL_BEFORE) == nt_offset - len(_NT_BEFORE)
+    assert nt.value.line_number == 1
+
+
+_TEXT = st.text(st.sampled_from('\\"\n\r\t^<>') | st.characters(), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _TEXT.map(lambda text: TypedLiteral(text, Dtype.STRING)),
+    st.integers().map(lambda number: TypedLiteral(str(number), Dtype.INTEGER)),
+    st.decimals(allow_nan=False, allow_infinity=False, places=4).map(
+        lambda number: TypedLiteral.canonical(format(number, "f"), Dtype.DECIMAL)),
+    st.booleans().map(lambda truth: TypedLiteral(str(truth).lower(), Dtype.BOOLEAN)),
+))
+def test_rdql_and_ntriples_read_a_formatted_literal_back(term):
+    assert _read_back(format_term(term)) == (term, term)
+
+
+def test_a_long_literal_of_escapes_reads_back():
+    term = TypedLiteral('a\\b"c\nd\r' * 25_000, Dtype.STRING)
+    assert len(term.lexical) == 200_000 and sum(map('\\"\n\r'.__contains__, term.lexical)) == 100_000
+    assert _read_back(format_term(term)) == (term, term)
 
 
 def test_typed_literal_and_boolean_atoms():
