@@ -20,7 +20,7 @@ from .errors import ParseError
 _WORD_RE = re.compile(r"\w+")  # \w is str.isalnum() or "_"
 NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts' digits
 # a quoted literal's text up to its closing quote, or up to the first backslash that starts no escape
-_QUOTED_BODY = re.compile(r'(?:[^"\\]+|\\[\\"nrt])*')
+_QUOTED_BODY = re.compile(r'[^"\\]*(?:\\[\\"nrt][^"\\]*)*')
 _ESCAPE_RE = re.compile(r"\\.")
 _UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\r": "\r", "\\t": "\t"}
 

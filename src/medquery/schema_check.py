@@ -17,11 +17,11 @@ A schema is accepted when none of these checks produce an error finding:
                       other fields (names and dtypes, in order) than it
                       declares, or lies on a cycle of views
                       (``wrappers.source_plan`` decides, for fetch too)
-  UNREACHABLE_FIELD   the materializer cannot build an integrated field: it
-                      is mapped outside its table's master table (the table
-                      of the first field), is the target of no derived relation
-                      whose operands it can build, and no chain of equality
-                      relations leads there from the master table
+  UNREACHABLE_FIELD   the materializer cannot build an integrated field
+                      outside its table's master table (the table of the
+                      first field): a derived one needs every operand, any
+                      other a chain of equality relations from the master
+                      table to its own
 
 Unreferenced source tables additionally produce UNMAPPED_TABLE warnings:
 sources are allowed to be broader than the schema. A table that a mapping

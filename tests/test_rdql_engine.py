@@ -99,6 +99,7 @@ def _read_back(text):
     ('"open', "unterminated literal"),
     ("<http://o", "unterminated IRI"),
     ("<o>", "IRI must be absolute"),
+    ("<>", "IRI must be absolute: ''"),
     ('"a"^^x', "expected '<'"),
     ('"a"^^ <o>', "IRI must be absolute"),
     ('"a"^^<http://bad>', "unknown datatype IRI: http://bad"),
