@@ -33,14 +33,14 @@ def test_an_ntriples_line_may_end_in_whitespace_and_cr():
     assert import_ntriples(text.replace("\n", " \t\r\n")) == store
 
 
-@pytest.mark.parametrize("parse, text, error, message", [
-    (parse_rdql, "SELECT ?x WHERE (?x <http://p> ?y ", RdqlParseError, "expected ')'"),
-    (parse_rdql, "SELECT ?x WHERE (?x <http://p> ?y) AND ?y 5", RdqlParseError, "expected comparison operator"),
-    (parse_view_select, "SELECT A FROM T WHERE A 5", SqlParseError, "expected comparison operator"),
+@pytest.mark.parametrize("parse, text, error, fault", [
+    (parse_rdql, "SELECT ?x WHERE (?x <http://p> ?y ", RdqlParseError, "at offset 34: expected ')'"),
+    (parse_rdql, "SELECT ?x WHERE (?x <http://p> ?y) AND ?y 5", RdqlParseError,
+     "at offset 42: expected comparison operator"),
+    (parse_view_select, "SELECT A FROM T WHERE A 5", SqlParseError, "at offset 24: expected comparison operator"),
 ], ids=["rdql paren", "rdql operator", "sql operator"])
-def test_a_missing_token_is_a_fault_where_it_should_stand(parse, text, error, message):
-    at = len(text) if text.endswith(" ") else text.rindex("5")  # past the whitespace, or at the 5
-    with pytest.raises(error, match=f"^at offset {at}: {re.escape(message)}$"):
+def test_a_missing_token_is_a_fault_where_it_should_stand(parse, text, error, fault):
+    with pytest.raises(error, match=f"^{re.escape(fault)}$"):
         parse(text)
 
 
