@@ -124,28 +124,28 @@ def check_schema(project: Project) -> SatisfiabilityReport:
 
     # each field decided as the materializer builds it, in ``derivation_order``: one in the master
     # table is its column, a derived one needs its operands, any other a walk of equality relations
+    edges, derived_by_target = relation_graph(project)
     for table in project.schema.tables:
         master = (table.fields[0].mapping.source, table.fields[0].mapping.table)
         blocked: dict[FieldRef, TableNode | None] = {}  # the first table on the way no relation reaches
         for fdef in table.fields:
-            node = (fdef.mapping.source, fdef.mapping.table)
-            referenced.add(node)
-            if node == master:
+            home = (fdef.mapping.source, fdef.mapping.table)
+            referenced.add(home)
+            if home == master:
                 continue
-            edges, derived_by_target = relation_graph(project)
             try:
                 order = derivation_order(derived_by_target, master, fdef.mapping, blocked)
             except MedQueryError:  # a derivation cycle: CYCLIC_DERIVATION
                 continue
             for ref, derived in order:
-                node = (ref.source, ref.table)
+                walked = (ref.source, ref.table)
                 if derived:
                     blocked[ref] = next(filter(None, map(blocked.get, derived.operands)), None)
                 else:
-                    blocked[ref] = None if node == master or shortest_walk(edges, master, node) else node
-            if node := blocked[fdef.mapping]:
+                    blocked[ref] = None if walked == master or shortest_walk(edges, master, walked) else walked
+            if blocker := blocked[fdef.mapping]:
                 err(FindingCode.UNREACHABLE_FIELD, f"schema/table[{table.name}]/field[{fdef.name}]",
-                    f"no equality relation connects {'.'.join(node)} to master table {'.'.join(master)}")
+                    f"no equality relation connects {'.'.join(blocker)} to master table {'.'.join(master)}")
 
     for index, relation in enumerate(project.schema.relations, start=1):
         loc = f"schema/relation[{index}]"

@@ -192,6 +192,16 @@ class _Parser(Scanner):
         return self.bare_literal() or self.field()
 
 
+def _is_join(cond: Condition) -> bool:
+    return cond.op == "=" and isinstance(cond.rhs, QualifiedField)
+
+
+def _build_query(select, tables, on_conds, where_conds) -> SqlQuery:
+    join_conds = [c for c in on_conds + where_conds if _is_join(c)]
+    filters = [c for c in on_conds + where_conds if not _is_join(c)]
+    return SqlQuery(tuple(select), tuple(tables), tuple(join_conds), tuple(filters))
+
+
 def parse_sql(text: str, schema: IntegratedSchema) -> SqlQuery:
     """Parse a mediator query and validate it against the integrated schema."""
     parser = _Parser(text, allow_unqualified=False)
@@ -205,10 +215,7 @@ def parse_sql(text: str, schema: IntegratedSchema) -> SqlQuery:
         if schema.table(name) is None:
             raise UnknownTableError(f"integrated schema has no table '{name}'")
 
-    conds = on_conds + where_conds
-    joins = [c.op == "=" and isinstance(c.rhs, QualifiedField) for c in conds]  # the rest are filters
-    query = SqlQuery(tuple(select), tuple(tables), tuple(c for c, join in zip(conds, joins) if join),
-                     tuple(c for c, join in zip(conds, joins) if not join))
+    query = _build_query(select, tables, on_conds, where_conds)
     for fld in referenced_fields(query):
         if fld.table not in seen:
             raise UnknownTableError(f"'{fld}' references a table missing from FROM")

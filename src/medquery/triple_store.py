@@ -61,6 +61,10 @@ class Triple(NamedTuple):
     object: Term
 
 
+def is_numeric(term: Term) -> bool:
+    return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
+
+
 def _value(literal: TypedLiteral) -> Decimal:
     return Decimal(literal.lexical)
 
@@ -81,10 +85,13 @@ class _Entry:
     def by_value(self) -> tuple[list[TypedLiteral], int]:
         """The numeric objects in ascending value, and the number of triples with another object."""
         if self.order is None:
-            numeric = [o for o in self.by_object if isinstance(o, TypedLiteral) and o.dtype in NUMERIC_DTYPES]
-            numeric.sort(key=_value)
+            numeric = sorted(filter(is_numeric, self.by_object), key=_value)
             self.order = numeric, self.size - sum(len(self.by_object[o]) for o in numeric)
         return self.order
+
+
+def _triple_key(t: Triple) -> tuple[str, str, str]:
+    return (t.subject.value, t.predicate.value, format_term(t.object))
 
 
 class TripleStore:
@@ -139,8 +146,7 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         # not through match(), so iterating is not counted as a pattern match
-        return iter(sorted(map(Triple._make, self.reader(None, None, None)([()])),
-                           key=lambda t: (t.subject.value, t.predicate.value, format_term(t.object))))
+        return iter(sorted(map(Triple._make, self.reader(None, None, None)([()])), key=_triple_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python tools/mutate.py src/medquery/scanner.py [--only NAME ...] [--workdir DIR]
-                           [--timeout SECONDS] [--out FILE]
+    python tools/mutate.py src/medquery/scanner.py [--only NAME ...] [--workdir DIR] > survivors.txt
 
 Each mutant changes one place of the module, parsed with ``ast``:
 
@@ -19,10 +18,11 @@ classes. The module and the tests are copied to ``--workdir`` (a new
 temporary directory by default), so the checkout is never changed. A
 mutant runs only the test files that import its module, directly or
 through other ``medquery`` modules, nearest importers first, with
-``pytest -x``: it is killed when they fail or time out, and survives when
-they pass. The unmutated module, written back by ``ast.unparse`` as every
-mutant is, must pass first. Survivors are printed and written to
-``--out``. This is an offline tool; the tests do not run it.
+``pytest -x``: it is killed when they fail or run ten times as long as
+the unmutated module's run (at least a minute), and survives when they
+pass. The unmutated module, written back by ``ast.unparse`` as every
+mutant is, must pass first. Progress goes to stderr and the survivors,
+one line each, to stdout. This is an offline tool; the tests do not run it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "medquery"
+_TIMEOUT_FACTOR, _MIN_TIMEOUT = 10, 60.0  # a mutant's run, against the unmutated one's, in seconds
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -164,7 +165,7 @@ def importing_tests(module: str) -> list[Path]:
     return [Path("tests") / name for _, name in sorted(ranked)]
 
 
-def _run(workdir: Path, files: list[Path], timeout: float) -> str:
+def _run(workdir: Path, files: list[Path], timeout: float | None) -> str:
     try:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *map(str, files)],
@@ -180,8 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", type=Path, help="a module under src/medquery")
     parser.add_argument("--only", nargs="*", default=[], help="top-level functions or classes to mutate")
     parser.add_argument("--workdir", type=Path, help="where to copy src/ and tests/ (default: a new temp dir)")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant run")
-    parser.add_argument("--out", type=Path, help="file to write the survivors to")
     args = parser.parse_args(argv)
 
     source_path = args.module.resolve()
@@ -194,26 +193,27 @@ def main(argv: list[str] | None = None) -> int:
     tree = ast.parse(source_path.read_text(encoding="utf-8"))
     files = importing_tests(name)
     points = _points(tree, only)
-    print(f"{len(points)} mutants of {name}; tests: {' '.join(f.name for f in files)}", flush=True)
+    print(f"{len(points)} mutants of {name}; tests: {' '.join(f.name for f in files)}", file=sys.stderr)
 
     target.write_text(ast.unparse(tree), encoding="utf-8")
-    if _run(workdir, files, args.timeout) != "survived":
+    started = time.perf_counter()
+    if _run(workdir, files, None) != "survived":
         print("the unmutated module fails its tests; no mutant is run", file=sys.stderr)
         return 2
+    timeout = max(_MIN_TIMEOUT, _TIMEOUT_FACTOR * (time.perf_counter() - started))
     survivors = []
     for index, (node, description, _, top) in enumerate(points):
         target.write_text(_mutant(tree, index, only), encoding="utf-8")
         started = time.perf_counter()
-        verdict = _run(workdir, files, args.timeout)
+        verdict = _run(workdir, files, timeout)
         line = f"{name}.py:{node.lineno} in {top or '<module>'}: {description}"
-        print(f"[{index + 1}/{len(points)}] {verdict:8} {time.perf_counter() - started:6.1f}s  {line}", flush=True)
+        print(f"[{index + 1}/{len(points)}] {verdict:8} {time.perf_counter() - started:6.1f}s  {line}",
+              file=sys.stderr)
         if verdict == "survived":
             survivors.append(line)
+            print(line, flush=True)
     shutil.copyfile(source_path, target)
-    report = "".join(f"{line}\n" for line in survivors)
-    print(f"{len(survivors)} of {len(points)} mutants survived\n{report}", end="")
-    if args.out:
-        args.out.write_text(report, encoding="utf-8")
+    print(f"{len(survivors)} of {len(points)} mutants survived", file=sys.stderr)
     return 0
 
 
