@@ -27,15 +27,14 @@ import xml.etree.ElementTree as ET
 
 from . import sql_to_rdql
 from .descriptors import EqualityRelation, FieldRef, IntegratedSchema, parse_project, serialize_schema
-from .dtypes import Iri, TypedLiteral
+from .dtypes import TypedLiteral
 from .errors import (
     DuplicateNameError,
     MalformedXmlError,
     MedQueryError,
     UnresolvedFieldRefError,
 )
-from .extraction import build_triples, materialize_required
-from .iris import result_property_iri, result_subject_iri
+from .extraction import build_triples, materialize_required, publish
 from .mediator import execute_query, open_project
 from .rdql_engine import ResultSet
 from .schema_check import check_schema
@@ -137,9 +136,7 @@ def render_result_xml(result: ResultSet) -> str:
 def result_triples(result: ResultSet) -> TripleStore:
     # a repeated column repeats its variable's value, so its first copy suffices
     first = {name: result.columns.index(name) for name in result.columns}
-    return TripleStore.from_rows([Iri(result_property_iri(name)) for name in first], (
-        (Iri(result_subject_iri(index)), [row[column] for column in first.values()])
-        for index, row in enumerate(result.rows)))
+    return publish("result", list(first), ([row[column] for column in first.values()] for row in result.rows))
 
 
 def render_dot(schema: IntegratedSchema) -> str:

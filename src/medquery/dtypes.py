@@ -106,10 +106,15 @@ _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
 def dtype_from_iri(iri: str) -> Dtype:
-    try:
-        return _IRI_DTYPE[iri]
-    except KeyError:
-        raise ValueError(f"unknown datatype IRI: {iri}") from None
+    if iri not in _IRI_DTYPE:
+        raise ValueError(f"unknown datatype IRI: {iri}")
+    return _IRI_DTYPE[iri]
+
+
+def absolute_iri(text: str) -> str:
+    if not _SCHEME_RE.match(text):  # an absolute IRI starts with a scheme
+        raise ValueError(f"IRI must be absolute: {text!r}")
+    return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +122,7 @@ class Iri:
     value: str
 
     def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI must be absolute: {self.value!r}")
+        absolute_iri(self.value)
 
     def __str__(self) -> str:
         return f"<{self.value}>"

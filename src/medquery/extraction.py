@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from decimal import MAX_PREC, Decimal, localcontext
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .descriptors import (
     DerivedOp,
@@ -38,7 +38,7 @@ from .descriptors import (
     relation_graph,
     shortest_walk,
 )
-from .dtypes import Dtype, Iri, TypedLiteral
+from .dtypes import Dtype, Iri, Term, TypedLiteral
 from .errors import NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
@@ -217,24 +217,23 @@ def materialize_required(project: Project, names: Iterable[str],
     return data
 
 
-def _segment(name: str, table: Table) -> TripleStore:
-    """The triples of integrated table ``name``: one subject per row, one triple per cell."""
-    return TripleStore.from_rows([Iri(property_iri(name, f.name)) for f in table.fields], (
-        (Iri(subject_iri(name, index)), row) for index, row in enumerate(table.rows)))
+def publish(name: str, field_names: Sequence[str], rows: Iterable[Sequence[Term | None]]) -> TripleStore:
+    """Table ``name`` as RDF: the subject ``subject_iri(name, i)`` for row ``i``, the predicate
+    ``property_iri(name, f)`` for field ``f``, and one triple per non-missing cell."""
+    return TripleStore.from_rows([Iri(property_iri(name, f)) for f in field_names], (
+        (Iri(subject_iri(name, index)), row) for index, row in enumerate(rows)))
 
 
 def build_triples(data: IntegratedData) -> TripleStore:
-    """One subject per row, one triple per non-missing cell.
+    """The union of each table's segment: :func:`publish` of its rows, derived through ``data.project``.
 
-    Each table's triples form one segment, built by
-    :meth:`TripleStore.from_rows` (table names key ``data.tables`` and field
-    names are unique within a table, so every (row subject, field predicate)
-    pair occurs once) and derived through ``data.project``. Predicates carry
-    the table name, so the segments share none, and the returned store is
-    their union. Every segment and union is sealed, so a memoized segment
-    reads the same to every query that shares it.
+    Table names key ``data.tables`` and field names are unique within a table,
+    so every (row subject, field predicate) pair occurs once. Predicates carry
+    the table name, so the segments share none. No store is written once
+    built, so a memoized segment reads the same to every query that shares it.
     """
     return TripleStore.union([
-        data.project.derive(("triples", name), (table,), lambda: _segment(name, table))
+        data.project.derive(("triples", name), (table,),
+                            lambda: publish(name, [f.name for f in table.fields], table.rows))
         for name, table in data.tables.items()
     ])

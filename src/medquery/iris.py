@@ -1,8 +1,8 @@
 """IRI schemes used by the integrated RDF view.
 
 Materialized rows live under ``http://integratedDB/<table>/row/<n>`` and each
-field becomes the property ``http://integratedDB/<table>#<field>``. The
-datatype IRIs of literals live with the literals, in ``dtypes``.
+field becomes the property ``http://integratedDB/<table>#<field>``; a query's
+answer, as triples, is the table ``result``. Datatype IRIs are in ``dtypes``.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ def property_iri(table: str, field: str) -> str:
 
 def subject_iri(table: str, row_index: int) -> str:
     return f"{INTEGRATED_NS}{table}/row/{row_index}"
-
-
-def result_subject_iri(row_index: int) -> str:
-    return f"{INTEGRATED_NS}result/row/{row_index}"
-
-
-def result_property_iri(column: str) -> str:
-    return f"{INTEGRATED_NS}result#{column}"
 
 
 def split_property_iri(iri: str) -> tuple[str, str]:

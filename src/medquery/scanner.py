@@ -13,8 +13,9 @@ reported at the offset of the first character that does not fit.
 from __future__ import annotations
 
 import re
+from typing import Callable, TypeVar
 
-from .dtypes import Dtype, Iri, TypedLiteral, dtype_from_iri
+from .dtypes import Dtype, Iri, TypedLiteral, absolute_iri, dtype_from_iri
 from .errors import ParseError
 
 _WORD_RE = re.compile(r"\w+")  # \w is str.isalnum() or "_"
@@ -23,6 +24,7 @@ NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # \d also matches other scripts'
 _QUOTED_BODY = re.compile(r'[^"\\]*(?:\\[\\"nrt][^"\\]*)*')
 _ESCAPE_RE = re.compile(r"\\.")
 _UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\r": "\r", "\\t": "\t"}
+T = TypeVar("T")  # what Scanner.iri makes of an IRI's text
 
 
 class Scanner:
@@ -109,8 +111,8 @@ class Scanner:
         if sign:
             self.fail("expected numeric literal")
 
-    def iri(self) -> Iri:
-        """Move past ``<iri>`` and return it; a fault is reported at its ``<``."""
+    def iri(self, make: Callable[[str], T] = Iri) -> T:
+        """Move past ``<iri>`` and return ``make`` of its text; a fault, ``make``'s too, is at the ``<``."""
         self.skip_ws()
         text, start = self.text, self.pos
         if not text.startswith("<", start):
@@ -119,11 +121,11 @@ class Scanner:
         if end < 0:
             self.fail("unterminated IRI")
         try:
-            iri = Iri(text[start + 1:end])
+            made = make(text[start + 1:end])
         except ValueError as exc:
             self.fail(str(exc))
         self.pos = end + 1
-        return iri
+        return made
 
     def quoted_literal(self, dtype: Dtype | None) -> TypedLiteral:
         """Move past ``"text"`` (N-Triples' escapes) and a ``^^<datatype>`` right after it, and return them.
@@ -147,7 +149,7 @@ class Scanner:
         try:  # a ValueError is a fault at the cursor: an unknown datatype, or a form not canonical
             if text.startswith("^^", self.pos):
                 self.pos += 2
-                dtype = dtype_from_iri(self.iri().value)
+                dtype = dtype_from_iri(self.iri(absolute_iri))
             elif dtype is None:
                 self.fail("literal missing '^^<datatype>'")
             return TypedLiteral(lexical, dtype)

@@ -9,20 +9,16 @@ triple count, and nothing else is kept in step with it. ``reader`` picks
 a pattern's access path once per join step, for the whole list of its
 bindings; ``match`` reads through it, and ``count`` adds up entry sizes
 instead of building the matches, in O(1) for a predicate alone. A free
-predicate's step meets each entry once with the terms its bindings hold, so
-a store keeps only its entries and its seal. ``Triple`` is a NamedTuple,
-equal to the plain ``(s, p, o)`` tuple that ``match`` returns.
+predicate's step meets each entry once with the terms its bindings hold,
+so a store keeps only its entries. ``Triple`` is a NamedTuple, equal to the
+plain ``(s, p, o)`` tuple that ``match`` returns.
 
-One write rule: only ``insert`` writes, and only into an open store, one
-that ``TripleStore()`` made and nothing shares (the path of
-:func:`import_ntriples`). ``TripleStore.from_rows`` builds a table's store
-in one call from rows whose (subject, predicate) pairs cannot repeat, so
-it builds no ``Triple``, probes for no duplicate and keeps each object slot
-as a 1-tuple. ``TripleStore.union`` joins stores with disjoint predicates
-(the per-table segments of the integrated view) by sharing their entries,
-and so each segment's counts and value orders. Both seal what they build,
-and a union seals its stores too: ``insert`` on a sealed store raises
-``ValueError``, so a memoized segment never changes.
+A store is built whole and never written after: ``TripleStore.from_triples``
+keeps each triple once, in a set per object slot (:func:`import_ntriples`);
+``from_rows`` builds a table's store from rows whose (subject, predicate)
+pairs cannot repeat, so it probes for no duplicate and keeps 1-tuple slots;
+``union`` joins stores with disjoint predicates (the integrated view's
+per-table segments) by sharing their entries, and so their value orders.
 
 ``in_range(p, op, literal)`` is a range read: the (subject, object) pairs
 of ``p`` whose object is numeric and has ``object op literal`` under
@@ -30,8 +26,7 @@ of ``p`` whose object is numeric and has ``object op literal`` under
 sorted by exact ``Decimal`` value, and the number of ``p``'s other
 triples, which that comparison cannot decide: it counts them and builds
 none. The order and the count are built on the first range read of ``p``
-and kept in its entry until ``insert`` writes to ``p``; a sealed segment
-is sorted once, however many unions read it.
+and kept in its entry: a segment is sorted once, however many read it.
 
 Matches come in no particular order; iteration and exports are
 canonically ordered by (subject IRI, predicate IRI, object in N-Triples
@@ -70,8 +65,8 @@ def _value(literal: TypedLiteral) -> Decimal:
 
 
 class _Entry:
-    """One predicate's triples: subject -> objects in ``by_subject`` (sets where insert filled them,
-    1-tuples where from_rows did), object -> subjects in ``by_object``, the triple count in ``size``
+    """One predicate's triples: subject -> objects in ``by_subject`` (sets where from_triples filled
+    them, 1-tuples where from_rows did), object -> subjects in ``by_object``, the triple count in ``size``
     and, once a range read has built it, the numeric objects by value in ``order``."""
 
     __slots__ = ("by_subject", "by_object", "size", "order")
@@ -95,21 +90,33 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 
 
 class TripleStore:
-    """Triples in one entry per predicate: open while ``insert`` builds it, else sealed."""
+    """Triples in one entry per predicate, built whole; ``TripleStore()`` is the empty store."""
 
     def __init__(self) -> None:
         self._preds: dict[Iri, _Entry] = {}
-        self._sealed = False  # insert refuses: built by from_rows, or shared by a union
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[tuple[Iri, Iri, Term]]) -> TripleStore:
+        """A store of ``triples``, each kept once however often it comes."""
+        store = cls()
+        for s, p, o in triples:
+            entry = store._preds.get(p) or store._preds.setdefault(p, _Entry())
+            objects = entry.by_subject.setdefault(s, set())
+            if o not in objects:
+                objects.add(o)
+                entry.by_object.setdefault(o, set()).add(s)
+                entry.size += 1
+        return store
 
     @classmethod
     def from_rows(cls, predicates: Sequence[Iri],
                   rows: Iterable[tuple[Iri, Sequence[Term | None]]]) -> TripleStore:
-        """A sealed store of a triple ``(subject, predicates[i], cells[i])`` per non-missing cell.
+        """A store of a triple ``(subject, predicates[i], cells[i])`` per non-missing cell.
 
         Each row is ``(subject, cells)`` with one cell per predicate; ``None``
         is a missing cell. The predicates must be distinct and no subject may
-        repeat, so no triple can repeat: unlike :meth:`insert`, nothing is
-        probed cell by cell.
+        repeat, so no triple can repeat: unlike :meth:`from_triples`, nothing
+        is probed cell by cell.
         """
         if len(set(predicates)) != len(predicates):
             raise ValueError("from_rows needs distinct predicates")
@@ -126,19 +133,16 @@ class TripleStore:
                     entry.by_object.setdefault(cell, set()).add(subject)
         for entry in entries:
             entry.size = len(entry.by_subject)
-        store._sealed = True
         return store
 
     @classmethod
     def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
-        """A store of every triple of ``stores``, which share no predicate; seals it and them."""
+        """A store of every triple of ``stores``, which share no predicate; their entries are shared."""
         joined = cls()
         for store in stores:
             joined._preds.update(store._preds)
         if len(joined._preds) != sum(len(store._preds) for store in stores):
             raise ValueError("union needs stores with disjoint predicates")
-        for store in (joined, *stores):
-            store._sealed = True
         return joined
 
     def __len__(self) -> int:
@@ -155,18 +159,8 @@ class TripleStore:
         return len(self) == len(other) and all(other.count(*t) for t in self.reader(None, None, None)([()]))
 
     def insert(self, t: Triple) -> bool:
-        """Add a triple; returns True only when it was not already present. A sealed store refuses."""
-        if self._sealed:
-            raise ValueError("insert into a sealed store: built by from_rows, or shared by a union")
-        entry = self._preds.get(t.predicate) or self._preds.setdefault(t.predicate, _Entry())
-        objects = entry.by_subject.setdefault(t.subject, set())
-        if t.object in objects:
-            return False
-        objects.add(t.object)
-        entry.by_object.setdefault(t.object, set()).add(t.subject)
-        entry.size += 1
-        entry.order = None
-        return True
+        """Refused on every store, which is built whole; kept only for the benchmark tracer's patch."""
+        raise ValueError("insert into a store: build it whole, with from_triples, from_rows or union")
 
     def match(self, s: Term | None, p: Term | None, o: Term | None) -> list[tuple[Iri, Iri, Term]]:
         """All triples unifying with the pattern (None is a wildcard), unordered, as tuples.
@@ -267,17 +261,18 @@ def export_ntriples(store: TripleStore) -> str:
 
 def import_ntriples(text: str) -> TripleStore:
     """Parse N-Triples text produced by :func:`export_ntriples`, one line at a time."""
-    store = TripleStore()
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        scanner = Scanner(line)
-        try:
-            subject, predicate = scanner.iri(), scanner.iri()
-            obj = scanner.quoted_literal(None) if scanner.peek() == '"' else scanner.iri()
-            if not scanner.take(".") or not scanner.eof():
-                scanner.fail("expected terminal ' .'")
-        except ParseError as exc:
-            raise NtParseError(number, str(exc)) from None
-        store.insert(Triple(subject, predicate, obj))
-    return store
+    return TripleStore.from_triples(_read_line(number, line) for number, line
+                                    in enumerate(text.split("\n"), start=1) if line.strip())
+
+
+def _read_line(number: int, line: str) -> tuple[Iri, Iri, Term]:
+    """The triple on line ``number``, which is not blank; a fault raises ``NtParseError``."""
+    scanner = Scanner(line)
+    try:
+        subject, predicate = scanner.iri(), scanner.iri()
+        obj = scanner.quoted_literal(None) if scanner.peek() == '"' else scanner.iri()
+        if not scanner.take(".") or not scanner.eof():
+            scanner.fail("expected terminal ' .'")
+    except ParseError as exc:
+        raise NtParseError(number, str(exc)) from None
+    return subject, predicate, obj

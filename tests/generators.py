@@ -425,7 +425,7 @@ def view_projects(draw) -> tuple[str, str, dict[str, str]]:
 def random_store(rng: random.Random, max_triples: int) -> TripleStore:
     subjects = [Iri(f"http://example/s{i}") for i in range(8)]
     predicates = [Iri(f"http://example/p{i}") for i in range(5)]
-    store = TripleStore()
+    triples = []
     for _ in range(rng.randrange(0, max_triples + 1)):
         roll = rng.random()
         if roll < 0.15:
@@ -433,8 +433,8 @@ def random_store(rng: random.Random, max_triples: int) -> TripleStore:
         else:
             dtype = rng.choice(_DATA_DTYPES)
             obj = TypedLiteral(rand_value(rng, dtype), dtype)
-        store.insert(Triple(rng.choice(subjects), rng.choice(predicates), obj))
-    return store
+        triples.append(Triple(rng.choice(subjects), rng.choice(predicates), obj))
+    return TripleStore.from_triples(triples)
 
 
 def random_rdql_query(rng: random.Random, store: TripleStore, max_patterns: int = 5) -> RdqlQuery:

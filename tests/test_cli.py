@@ -18,7 +18,7 @@ from medquery.descriptors import (EqualityRelation, FieldRef, IntegratedFieldDef
 from medquery.dtypes import Dtype
 from medquery.extraction import build_triples, materialize_required
 from medquery.errors import MedQueryError
-from medquery.iris import property_iri, result_property_iri, result_subject_iri
+from medquery.iris import property_iri, subject_iri
 from medquery.mediator import execute_query, open_project
 from medquery.rdql_engine import parse_rdql
 from medquery.sql_frontend import parse_sql
@@ -218,7 +218,7 @@ def test_ntriples_result_has_one_triple_per_row_and_column(fig2_paths, capsys, s
     columns = sorted(set(select.replace("?", "").split(", ")))
     assert code == 0
     assert out == "".join(
-        f"<{result_subject_iri(row)}> <{result_property_iri(column)}> {cells[column][row]} .\n"
+        f"<{subject_iri('result', row)}> <{property_iri('result', column)}> {cells[column][row]} .\n"
         for row in range(2) for column in columns
     )
 
@@ -306,7 +306,7 @@ def test_output_formats_carry_the_same_cells(fig2_paths, capsys):
         (t.subject.value, t.predicate.value): t.object.lexical for t in import_ntriples(nt)
     }
     assert cells == {
-        (result_subject_iri(index), result_property_iri(column)): value
+        (subject_iri("result", index), property_iri("result", column)): value
         for (index, column), value in expected.items()
     }
 

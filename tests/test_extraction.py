@@ -49,7 +49,7 @@ def test_cell_with_matching_dtype_reaches_the_store_unchanged(fig2_project):
     cells = [cell for row in data.tables["STUDENT"].rows for cell in row]
     assert len(cells) == len(source_cells) == 8
     assert all(cell is source for cell, source in zip(cells, source_cells))
-    # build_triples inserts the materialized literals themselves
+    # build_triples publishes the materialized literals themselves
     store = build_triples(data)
     assert len(store) == 8
     assert all(any(t.object is cell for cell in cells) for t in store)
@@ -163,15 +163,16 @@ def test_build_triples_equals_inserting_each_cell(tmp_path, first_seed):
     for seed in range(first_seed, first_seed + 20):
         project = random_project(random.Random(seed), tmp_path / str(seed)).project
         data = materialize_required(project, [t.name for t in project.schema.tables])
-        reference = TripleStore()
+        triples = []
         for name, table in data.tables.items():
             for index, row in enumerate(table.rows):
                 for fdef, cell in zip(table.fields, row):
                     if cell is None:
                         missing += 1
                         continue
-                    reference.insert(Triple(Iri(subject_iri(name, index)),
-                                            Iri(property_iri(name, fdef.name)), cell))
+                    triples.append(Triple(Iri(subject_iri(name, index)),
+                                          Iri(property_iri(name, fdef.name)), cell))
+        reference = TripleStore.from_triples(triples)
         store = build_triples(data)
         assert store == reference, seed
         assert len(store) == len(reference), seed

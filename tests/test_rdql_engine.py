@@ -177,22 +177,22 @@ def test_a_sign_without_a_number_fails_alike(parse, text, error):
 
 
 def _student_grade_store():
-    store = TripleStore()
+    triples = []
     students = [("1", "Ann", "K", "1500"), ("2", "Bob", "L", "2500")]
     for n, (sid, first, last, debt) in enumerate(students):
         subject = Iri(f"http://integratedDB/STUDENT/row/{n}")
-        store.insert(Triple(subject, Iri("http://integratedDB/STUDENT#ID"), lit(sid)))
-        store.insert(Triple(subject, Iri("http://integratedDB/STUDENT#FIRSTNAME"),
-                            lit(first, Dtype.STRING)))
-        store.insert(Triple(subject, Iri("http://integratedDB/STUDENT#LASTNAME"),
-                            lit(last, Dtype.STRING)))
-        store.insert(Triple(subject, Iri("http://integratedDB/STUDENT#DEBT"), lit(debt)))
+        triples.append(Triple(subject, Iri("http://integratedDB/STUDENT#ID"), lit(sid)))
+        triples.append(Triple(subject, Iri("http://integratedDB/STUDENT#FIRSTNAME"),
+                              lit(first, Dtype.STRING)))
+        triples.append(Triple(subject, Iri("http://integratedDB/STUDENT#LASTNAME"),
+                              lit(last, Dtype.STRING)))
+        triples.append(Triple(subject, Iri("http://integratedDB/STUDENT#DEBT"), lit(debt)))
     grades = [("1", "17"), ("2", "12")]
     for n, (sid, avg) in enumerate(grades):
         subject = Iri(f"http://integratedDB/GRADE/row/{n}")
-        store.insert(Triple(subject, Iri("http://integratedDB/GRADE#STUDENTID"), lit(sid)))
-        store.insert(Triple(subject, Iri("http://integratedDB/GRADE#AVERAGE"), lit(avg)))
-    return store
+        triples.append(Triple(subject, Iri("http://integratedDB/GRADE#STUDENTID"), lit(sid)))
+        triples.append(Triple(subject, Iri("http://integratedDB/GRADE#AVERAGE"), lit(avg)))
+    return TripleStore.from_triples(triples)
 
 
 def test_two_table_query_over_fixture():
@@ -225,10 +225,11 @@ def test_duplicates_are_kept():
 
 
 def test_repeated_variable_within_pattern():
-    store = TripleStore()
-    for s, p, o in [("a", "p", "a"), ("a", "p", "b"), ("r", "r", "r"), ("b", "r", "r")]:
-        store.insert(Triple(Iri(f"http://x/{s}"), Iri(f"http://x/{p}"), Iri(f"http://x/{o}")))
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/q"), lit("3")))
+    store = TripleStore.from_triples([
+        *(Triple(Iri(f"http://x/{s}"), Iri(f"http://x/{p}"), Iri(f"http://x/{o}"))
+          for s, p, o in [("a", "p", "a"), ("a", "p", "b"), ("r", "r", "r"), ("b", "r", "r")]),
+        Triple(Iri("http://x/a"), Iri("http://x/q"), lit("3")),
+    ])
     for text, expected in [
         ("SELECT ?s WHERE (?s <http://x/p> ?s)", [["http://x/a"]]),
         # ?v is bound to the literal 3 first (its atom makes that pattern the
@@ -246,17 +247,19 @@ def test_repeated_variable_within_pattern():
 
 
 def test_oracle_unifies_repeated_variable_within_pattern():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/a")))
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/b")))
+    store = TripleStore.from_triples([
+        Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/a")),
+        Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/b")),
+    ])
     query = parse_rdql("SELECT ?s WHERE (?s <http://x/p> ?s)")
     assert enumerate_rdql(query, store) == [(Iri("http://x/a"),)]
 
 
 def test_cross_type_comparison_is_false_and_counted():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("a", Dtype.STRING)))
-    store.insert(Triple(Iri("http://x/b"), Iri("http://x/p"), lit("3")))
+    store = TripleStore.from_triples([
+        Triple(Iri("http://x/a"), Iri("http://x/p"), lit("a", Dtype.STRING)),
+        Triple(Iri("http://x/b"), Iri("http://x/p"), lit("3")),
+    ])
     result = evaluate(parse_rdql(
         "SELECT ?v WHERE (?s <http://x/p> ?v) AND ?v > 1"), store)
     assert [[t.lexical for t in row] for row in result.rows] == [["3"]]
@@ -264,8 +267,7 @@ def test_cross_type_comparison_is_false_and_counted():
 
 
 def test_iri_bindings_never_satisfy_comparisons():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/o")))
+    store = TripleStore.from_triples([Triple(Iri("http://x/a"), Iri("http://x/p"), Iri("http://x/o"))])
     for atom in ('?v = "http://x/o"', "?s != ?v", "?s < 3"):
         result = evaluate(parse_rdql(f"SELECT ?v WHERE (?s <http://x/p> ?v) AND {atom}"), store)
         assert result.rows == [], atom
@@ -273,9 +275,10 @@ def test_iri_bindings_never_satisfy_comparisons():
 
 
 def test_incomparable_count_stops_at_first_failing_atom():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("true", Dtype.BOOLEAN)))
-    store.insert(Triple(Iri("http://x/b"), Iri("http://x/p"), lit("3")))
+    store = TripleStore.from_triples([
+        Triple(Iri("http://x/a"), Iri("http://x/p"), lit("true", Dtype.BOOLEAN)),
+        Triple(Iri("http://x/b"), Iri("http://x/p"), lit("3")),
+    ])
     # true is incomparable with both atoms but counts once; 3 fails the first
     # atom, a plain comparison, and is never compared with the string
     result = evaluate(parse_rdql(
@@ -285,10 +288,10 @@ def test_incomparable_count_stops_at_first_failing_atom():
 
 
 def test_incomparable_count_is_per_binding_checked_not_per_row():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("a", Dtype.STRING)))
-    for n in range(3):
-        store.insert(Triple(Iri("http://x/a"), Iri("http://x/q"), lit(str(n))))
+    store = TripleStore.from_triples([
+        Triple(Iri("http://x/a"), Iri("http://x/p"), lit("a", Dtype.STRING)),
+        *(Triple(Iri("http://x/a"), Iri("http://x/q"), lit(str(n))) for n in range(3)),
+    ])
     # ?v is bound by the one-triple pattern and checked there, before the
     # three ?w triples are joined
     result = evaluate(parse_rdql(
@@ -298,8 +301,7 @@ def test_incomparable_count_is_per_binding_checked_not_per_row():
 
 
 def test_hand_built_query_with_unbound_filter_var_raises():
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/a"), Iri("http://x/p"), lit("3")))
+    store = TripleStore.from_triples([Triple(Iri("http://x/a"), Iri("http://x/p"), lit("3"))])
     query = RdqlQuery(
         (Var("s"),),
         (TriplePattern(Var("s"), Iri("http://x/p"), Var("v")),),
@@ -311,19 +313,19 @@ def test_hand_built_query_with_unbound_filter_var_raises():
 
 def _fig2_store(n):
     """n students; those with i % 10 != 0 have one grade, debts spread over 0..3999."""
-    store = TripleStore()
+    triples = []
     student, grade = "http://integratedDB/STUDENT", "http://integratedDB/GRADE"
     for i in range(n):
         row = Iri(f"{student}/row/{i}")
-        store.insert(Triple(row, Iri(f"{student}#ID"), lit(str(i))))
-        store.insert(Triple(row, Iri(f"{student}#FIRSTNAME"), lit(f"F{i}", Dtype.STRING)))
-        store.insert(Triple(row, Iri(f"{student}#LASTNAME"), lit(f"L{i}", Dtype.STRING)))
-        store.insert(Triple(row, Iri(f"{student}#DEBT"), lit(str(i * 37 % 4000))))
+        triples.append(Triple(row, Iri(f"{student}#ID"), lit(str(i))))
+        triples.append(Triple(row, Iri(f"{student}#FIRSTNAME"), lit(f"F{i}", Dtype.STRING)))
+        triples.append(Triple(row, Iri(f"{student}#LASTNAME"), lit(f"L{i}", Dtype.STRING)))
+        triples.append(Triple(row, Iri(f"{student}#DEBT"), lit(str(i * 37 % 4000))))
         if i % 10:
             row = Iri(f"{grade}/row/{i}")
-            store.insert(Triple(row, Iri(f"{grade}#STUDENTID"), lit(str(i))))
-            store.insert(Triple(row, Iri(f"{grade}#AVERAGE"), lit(str(i % 20))))
-    return store
+            triples.append(Triple(row, Iri(f"{grade}#STUDENTID"), lit(str(i))))
+            triples.append(Triple(row, Iri(f"{grade}#AVERAGE"), lit(str(i % 20))))
+    return TripleStore.from_triples(triples)
 
 
 def _count_matched(monkeypatch, bound):
@@ -383,12 +385,11 @@ def test_selective_scan_matches_few_triples(monkeypatch):
         ("COURSE", "CODE", "TITLE", "CREDITS", credits, "= 3"),
     ]:
         ns = f"http://integratedDB/{table}"
-        store = TripleStore()
-        for i, value in enumerate(values):
-            row = Iri(f"{ns}/row/{i}")
-            store.insert(Triple(row, Iri(f"{ns}#{key}"), lit(str(i))))
-            store.insert(Triple(row, Iri(f"{ns}#{label}"), lit(f"N{i}", Dtype.STRING)))
-            store.insert(Triple(row, Iri(f"{ns}#{column}"), value))
+        store = TripleStore.from_triples(
+            triple for i, value in enumerate(values) for row in [Iri(f"{ns}/row/{i}")]
+            for triple in [Triple(row, Iri(f"{ns}#{key}"), lit(str(i))),
+                           Triple(row, Iri(f"{ns}#{label}"), lit(f"N{i}", Dtype.STRING)),
+                           Triple(row, Iri(f"{ns}#{column}"), value)])
         op, bound = atom.split()
         expected = sorted((str(i), f"N{i}") for i, value in enumerate(values)
                           if compare_terms(op, value, lit(bound)))
@@ -406,17 +407,16 @@ def test_selective_scan_matches_few_triples(monkeypatch):
     assert ("7", "N7") in expected  # 3.0 = 3 by value, though not by term
 
 
-def test_ranged_reads_see_later_inserts():
-    store = TripleStore()
+def test_ranged_reads_see_every_triple_of_a_store_built_from_another():
     p = Iri("http://x/p")
-    for i in range(20):
-        store.insert(Triple(Iri(f"http://x/s{i}"), p, lit(str(i))))
+    store = TripleStore.from_triples(Triple(Iri(f"http://x/s{i}"), p, lit(str(i))) for i in range(20))
     query = parse_rdql("SELECT ?s, ?v WHERE (?s <http://x/p> ?v) AND ?v >= 15 && ?v < 18")
     assert [row[1].lexical for row in evaluate(query, store).rows] == ["15", "16", "17"]
-    # an in-range decimal, an out-of-range integer and a string, after the
-    # first range read has ordered the predicate's objects
-    for i, obj in enumerate([lit("16.5", Dtype.DECIMAL), lit("40"), lit("16", Dtype.STRING)]):
-        store.insert(Triple(Iri(f"http://x/t{i}"), p, obj))
+    # the same triples with an in-range decimal, an out-of-range integer and a
+    # string, after the first range read has ordered the first store's objects
+    store = TripleStore.from_triples([*store, *(
+        Triple(Iri(f"http://x/t{i}"), p, obj)
+        for i, obj in enumerate([lit("16.5", Dtype.DECIMAL), lit("40"), lit("16", Dtype.STRING)]))])
     result = evaluate(query, store)
     assert result.rows == enumerate_rdql(query, store)
     assert sorted(row[1].lexical for row in result.rows) == ["15", "16", "16.5", "17"]
@@ -437,7 +437,8 @@ def test_adding_triples_is_monotone():
     store = random_store(rng, 60)
     query = random_rdql_query(rng, store)
     before = evaluate(query, store).rows
-    store.insert(Triple(Iri("http://example/s0"), Iri("http://example/p0"), lit("5")))
+    store = TripleStore.from_triples([*store, Triple(Iri("http://example/s0"), Iri("http://example/p0"),
+                                                     lit("5"))])
     after = evaluate(query, store).rows
     for row in set(before):
         assert before.count(row) <= after.count(row)
@@ -492,7 +493,7 @@ def _segmented(rng, store):
     subjects are renamed apart from the other's, and so is an IRI object,
     which may name a subject; the k-th object of one subject and predicate
     goes to that subject's k-th row, so each object slot is a 1-tuple.
-    Returns the union and an ``insert``-built store of the same triples.
+    Returns the union and a ``from_triples`` store of the same triples.
     """
     # drawn in IRI order: a set's order follows the per-process string hash
     sides = {p: int(rng.random() < 0.5)
@@ -505,14 +506,13 @@ def _segmented(rng, store):
         while p in rows[side].setdefault(Iri(f"{s.value}/{side}/{k}"), {}):
             k += 1
         rows[side][Iri(f"{s.value}/{side}/{k}")][p] = o
-    segments, reference = [], TripleStore()
+    segments = []
     for segment_rows in rows:
         predicates = sorted({p for cells in segment_rows.values() for p in cells}, key=lambda p: p.value)
         segments.append(TripleStore.from_rows(predicates, [(s, [cells.get(p) for p in predicates])
                                                            for s, cells in segment_rows.items() if cells]))
-        for s, cells in segment_rows.items():
-            for p, o in cells.items():
-                reference.insert(Triple(s, p, o))
+    reference = TripleStore.from_triples(Triple(s, p, o) for segment_rows in rows
+                                         for s, cells in segment_rows.items() for p, o in cells.items())
     return TripleStore.union(segments), reference
 
 
@@ -555,11 +555,9 @@ def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
     ns = "http://integratedDB/STUDENT"
     debts = [lit(str(i * 37 % 5000)) for i in range(n)]
     debts[3], debts[5] = lit("many", Dtype.STRING), Iri(f"{ns}/row/0")
-    store = TripleStore()
-    for i, debt in enumerate(debts):
-        row = Iri(f"{ns}/row/{i}")
-        store.insert(Triple(row, Iri(f"{ns}#ID"), lit(str(i))))
-        store.insert(Triple(row, Iri(f"{ns}#DEBT"), debt))
+    store = TripleStore.from_triples(
+        triple for i, debt in enumerate(debts) for row in [Iri(f"{ns}/row/{i}")]
+        for triple in [Triple(row, Iri(f"{ns}#ID"), lit(str(i))), Triple(row, Iri(f"{ns}#DEBT"), debt)])
     calls = []
     compare = rdql_engine.compare
     monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
@@ -579,11 +577,10 @@ def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
 def test_a_range_read_counts_incomparable_triples_without_comparing_them(monkeypatch):
     """A numeric atom on a string predicate, behind 50 bindings, compares nothing: each string
     would be incomparable with the literal, so each is counted once per binding."""
-    store = TripleStore()
-    for i in range(50):
-        store.insert(Triple(Iri(f"http://x/a{i}"), Iri("http://x/q"), lit(str(i))))
-    for i in range(2000):
-        store.insert(Triple(Iri(f"http://x/s{i}"), Iri("http://x/p"), lit(f"N{i}", Dtype.STRING)))
+    store = TripleStore.from_triples([
+        *(Triple(Iri(f"http://x/a{i}"), Iri("http://x/q"), lit(str(i))) for i in range(50)),
+        *(Triple(Iri(f"http://x/s{i}"), Iri("http://x/p"), lit(f"N{i}", Dtype.STRING)) for i in range(2000)),
+    ])
     calls = []
     compare = rdql_engine.compare
     monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
@@ -599,8 +596,7 @@ def test_a_deep_query_plans_each_pattern_once(monkeypatch):
     # pattern left, and compared the estimates of every pattern left: both
     # a quadratic number of calls
     n = 2000
-    store = TripleStore()
-    store.insert(Triple(Iri("http://x/s"), Iri("http://x/p"), lit("1")))
+    store = TripleStore.from_triples([Triple(Iri("http://x/s"), Iri("http://x/p"), lit("1"))])
     query = parse_rdql("SELECT ?s WHERE " + ", ".join(f"(?s <http://x/p> ?o{i})" for i in range(n)))
     calls = []
     pattern_variables = rdql_engine._pattern_variables
@@ -744,7 +740,7 @@ def _fig2_segments(n):
 def test_steps_find_constant_predicates_by_identity(monkeypatch):
     """The store keys each predicate by one object, so no probe runs ``Iri.__eq__``.
 
-    ``_fig2_store`` inserts a new, equal ``Iri`` for each triple's predicate,
+    ``_fig2_store`` builds a new, equal ``Iri`` for each triple's predicate,
     and the query parses its own.
     """
     for store in (_fig2_store(2000), _fig2_segments(2000)):

@@ -60,3 +60,29 @@ def test_term_readers_skip_whitespace_and_need_their_opening_character():
 def test_an_ntriples_literal_fault_names_itself(obj, message):
     with pytest.raises(NtParseError, match=f"^line 1: {re.escape(message)}$"):
         import_ntriples(f"<http://s> <http://p> {obj}\n")
+
+
+@pytest.mark.parametrize("datatype, message", [
+    ("<o>", "at offset 5: IRI must be absolute: 'o'"),
+    (" <o>", "at offset 6: IRI must be absolute: 'o'"),
+    ("<http://bad>", "at offset 17: unknown datatype IRI: http://bad"),
+    ("<http://www.w3.org/2001/XMLSchema#int>", "at offset 43: unknown datatype IRI: "
+                                               "http://www.w3.org/2001/XMLSchema#int"),
+])
+def test_a_datatype_fault_is_reported_where_it_is_found(datatype, message):
+    """A relative datatype IRI fails at its ``<``, an unknown absolute one after its ``>``."""
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        Scanner(f'"a"^^{datatype}').quoted_literal(None)
+
+
+def test_a_literal_builds_no_iri_for_its_datatype(monkeypatch):
+    built = []
+    post_init = Iri.__post_init__
+    monkeypatch.setattr(Iri, "__post_init__", lambda iri: built.append(iri.value) or post_init(iri))
+    for lexical, dtype in (("a", Dtype.STRING), ("1", Dtype.INTEGER), ("1.5", Dtype.DECIMAL),
+                           ("true", Dtype.BOOLEAN)):
+        scanner = Scanner(f'"{lexical}"^^<http://www.w3.org/2001/XMLSchema#{dtype.value}> <http://x>')
+        assert scanner.quoted_literal(None) == TypedLiteral(lexical, dtype)
+        assert built == [] and scanner.iri() == Iri("http://x")  # the reader still makes IRIs
+        built.clear()
+    assert Scanner(" <http://x>").iri(str) == "http://x" and built == []

@@ -195,16 +195,16 @@ def test_variable_soundness(schema):
 
 
 def _store_from(rows_by_table):
-    store = TripleStore()
+    triples = []
     for table, rows in rows_by_table.items():
         for n, cells in enumerate(rows):
             subject = Iri(f"http://integratedDB/{table}/row/{n}")
             for field, (lexical, dtype) in cells.items():
-                store.insert(Triple(
+                triples.append(Triple(
                     subject, Iri(f"http://integratedDB/{table}#{field}"),
                     TypedLiteral(lexical, dtype),
                 ))
-    return store
+    return TripleStore.from_triples(triples)
 
 
 def test_selected_join_evaluates_like_handwritten_rdql(schema):

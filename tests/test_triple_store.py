@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,29 +32,36 @@ S, P = "http://x/s", "http://x/p"
 LIT = TypedLiteral("7", Dtype.INTEGER)
 
 
-def test_insert_is_set_semantics():
-    store = TripleStore()
-    assert store.insert(t(S, P, LIT)) is True
-    assert len(store) == 1
-    assert store.insert(t(S, P, LIT)) is False
-    assert len(store) == 1
-    assert store.insert(t(S, P, TypedLiteral("8", Dtype.INTEGER))) is True
-    assert len(store) == 2
+def test_from_triples_is_set_semantics():
+    eight = TypedLiteral("8", Dtype.INTEGER)
+    # a repeated triple, as a Triple and as a plain tuple, read once from a generator
+    store = TripleStore.from_triples(iter([t(S, P, LIT), t(S, P, LIT), t(S, P, eight), (Iri(S), Iri(P), LIT)]))
+    assert len(store) == 2 and list(store) == [t(S, P, LIT), t(S, P, eight)]
+    assert store.count(None, Iri(P), None) == store.count(Iri(S), Iri(P), None) == 2
+    assert store.count(None, Iri(P), LIT) == store.count(Iri(S), None, LIT) == 1
+    assert store.match(None, None, LIT) == [(Iri(S), Iri(P), LIT)]
+    assert TripleStore.from_triples([]) == TripleStore() and len(TripleStore.from_triples([])) == 0
 
 
 def test_from_rows_equals_inserts_and_refuses_repeats():
     q = "http://x/q"
     store = TripleStore.from_rows([Iri(P), Iri(q)], [(Iri(S), [LIT, None]), (Iri("http://x/s2"), [None, None]),
                                                      (Iri("http://x/s3"), [LIT, LIT])])
-    reference = TripleStore()
-    for triple in (t(S, P, LIT), t("http://x/s3", P, LIT), t("http://x/s3", q, LIT)):
-        reference.insert(triple)
+    reference = TripleStore.from_triples([t(S, P, LIT), t("http://x/s3", P, LIT), t("http://x/s3", q, LIT)])
     assert store == reference and len(store) == 3
     assert store.count(None, Iri(P), LIT) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^from_rows needs distinct predicates$"):
         TripleStore.from_rows([Iri(P), Iri(P)], [])
-    with pytest.raises(ValueError):  # a subject repeated within the rows
+    with pytest.raises(ValueError, match=f"^subject repeated in from_rows: {S}$"):  # within the rows
         TripleStore.from_rows([Iri(P)], [(Iri(S), [LIT]), (Iri(S), [TypedLiteral("8", Dtype.INTEGER)])])
+
+
+def test_stores_are_equal_only_with_the_same_triples():
+    store = TripleStore.from_triples([t(S, P, LIT)])
+    assert store == TripleStore.from_rows([Iri(P)], [(Iri(S), [LIT])])
+    # the same size, another triple; and objects that are not stores, even empty sequences
+    assert store != TripleStore.from_triples([t(S, P, TypedLiteral("8", Dtype.INTEGER))])
+    assert TripleStore() != [] and store != [t(S, P, LIT)]
 
 
 def _table_segment(table, rows):
@@ -68,10 +76,8 @@ def test_union_answers_like_one_store_and_refuses_writes():
     segments = [_table_segment("T", [[one, two], [one, None]]),
                 _table_segment("U", [[None, one], [two, two], [one, one]])]
     union = TripleStore.union(segments)
-    reference = TripleStore()
-    for triple in itertools.chain(*segments):
-        reference.insert(triple)
-    # the segments are sealed, so the union reads as before
+    reference = TripleStore.from_triples(itertools.chain(*segments))
+    # the segments take no write, so the union reads as before
     with pytest.raises(ValueError):
         segments[0].insert(Triple(Iri("http://x/T/row/5"), Iri("http://x/T#A"), two))
     with pytest.raises(ValueError):
@@ -96,16 +102,13 @@ def test_union_answers_like_one_store_and_refuses_writes():
 
 def test_union_refuses_shared_predicates_and_joins_shared_subjects():
     store = _table_segment("T", [[LIT, LIT]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^union needs stores with disjoint predicates$"):
         TripleStore.union([store, _table_segment("T", [])])  # the same predicates
     # a subject of both stores: each triple lives in its own predicate's entry
-    shared_subject = TripleStore()
-    shared_subject.insert(t("http://x/T/row/0", "http://x/q", LIT))
-    shared_subject.insert(t("http://x/T/row/1", "http://x/q", Iri("http://x/T/row/0")))
+    shared_subject = TripleStore.from_triples([t("http://x/T/row/0", "http://x/q", LIT),
+                                               t("http://x/T/row/1", "http://x/q", Iri("http://x/T/row/0"))])
     union = TripleStore.union([store, shared_subject])
-    reference = TripleStore()
-    for triple in itertools.chain(store, shared_subject):
-        reference.insert(triple)
+    reference = TripleStore.from_triples(itertools.chain(store, shared_subject))
     assert union == reference and len(union) == 4
     subjects = [None, Iri("http://x/T/row/0"), Iri("http://x/T/row/1"), Iri("http://x/absent")]
     predicates = [None, Iri("http://x/T#A"), Iri("http://x/T#B"), Iri("http://x/q")]
@@ -116,17 +119,40 @@ def test_union_refuses_shared_predicates_and_joins_shared_subjects():
         assert union.count(s, p, o) == reference.count(s, p, o) == len(expected), (s, p, o)
 
 
-def test_variable_predicate_reads_see_each_write():
-    store = TripleStore()
-    store.insert(t(S, P, LIT))
-    for write in (t(S, "http://x/q", LIT), t("http://x/s2", P, LIT)):
-        assert store.count(None, None, LIT) == len(store)  # a variable-predicate read before the write
-        store.insert(write)
-        triples = list(store)
-        for s, o in ((Iri(S), None), (None, LIT), (Iri(write.subject.value), LIT)):
-            expected = sorted(scan_match(triples, s, None, o), key=_key)
-            assert sorted(store.match(s, None, o), key=_key) == expected, (write, s, o)
-            assert store.count(s, None, o) == len(expected), (write, s, o)
+def test_union_changes_none_of_its_inputs():
+    segment = _table_segment("T", [[LIT, None], [LIT, TypedLiteral("8", Dtype.INTEGER)]])
+    built = TripleStore.from_triples([t(S, "http://x/q", LIT), t(S, "http://x/q", Iri(S))])
+    segment.in_range(Iri("http://x/T#A"), ">", LIT)  # one entry with its value order built
+    inputs = [segment, built]
+
+    def state(store):
+        """The store's attributes, and a copy of each of its entries."""
+        return dict(vars(store)), {p: ({s: set(objects) for s, objects in entry.by_subject.items()},
+                                       {o: set(subjects) for o, subjects in entry.by_object.items()},
+                                       entry.size, entry.order) for p, entry in store._preds.items()}
+
+    before = [state(store) for store in inputs]
+    entries = [dict(store._preds) for store in inputs]
+    union = TripleStore.union(inputs)
+    assert len(union) == 5
+    assert [state(store) for store in inputs] == before
+    # the same entry objects, shared by the union
+    assert all(store._preds[p] is entry is union._preds[p]
+               for store, held in zip(inputs, entries) for p, entry in held.items())
+
+
+def test_insert_raises_on_every_store():
+    segment = _table_segment("T", [[LIT, None]])
+    built = TripleStore.from_triples([t(S, P, LIT)])
+    stores = [TripleStore(), segment, built, TripleStore.union([segment, built]),
+              import_ntriples(export_ntriples(built))]
+    exports = [export_ntriples(store) for store in stores]
+    for store in stores:
+        for triple in (t(S, P, LIT), t("http://x/T/row/0", "http://x/T#B", LIT)):  # present, and new
+            with pytest.raises(ValueError, match="insert into a store"):
+                store.insert(triple)
+    assert [export_ntriples(store) for store in stores] == exports
+    assert [len(store) for store in stores] == [0, 1, 1, 2, 1]
 
 
 def test_insert_into_a_from_rows_store_raises():
@@ -141,14 +167,12 @@ def test_insert_into_a_from_rows_store_raises():
 
 
 def test_match_wildcards():
-    store = TripleStore()
     triples = [
         t(S, P, LIT),
         t(S, "http://x/q", TypedLiteral("a", Dtype.STRING)),
         t("http://x/s2", P, LIT),
     ]
-    for triple in triples:
-        store.insert(triple)
+    store = TripleStore.from_triples(triples)
     assert len(store.match(None, None, None)) == 3
     assert store.match(Iri("http://x/absent"), None, None) == []
     assert len(store.match(Iri(S), None, None)) == 2
@@ -271,12 +295,11 @@ def test_count_agrees_with_match_on_segments(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_range_match_agrees_with_linear_scan(seed):
     rng = random.Random(700 + seed)
-    store = random_store(rng, 200)
     # equal values in both numeric dtypes, beside random_store's 4.0 and 4
-    for i, lexical in enumerate(["2", "2.0", "-1", "-1.0", "7.5"]):
-        dtype = Dtype.DECIMAL if "." in lexical else Dtype.INTEGER
-        store.insert(t(f"http://example/s{i}", f"http://example/p{i % 5}",
-                       TypedLiteral(lexical, dtype)))
+    store = TripleStore.from_triples([*random_store(rng, 200), *(
+        t(f"http://example/s{i}", f"http://example/p{i % 5}",
+          TypedLiteral(lexical, Dtype.DECIMAL if "." in lexical else Dtype.INTEGER))
+        for i, lexical in enumerate(["2", "2.0", "-1", "-1.0", "7.5"]))])
     literals = [TypedLiteral(x, Dtype.INTEGER) for x in ("-2", "0", "2", "4", "8")] + [
         TypedLiteral(x, Dtype.DECIMAL) for x in ("-1.0", "1.5", "2.0", "4.0", "9.5")]
     incomparable = 0
@@ -299,11 +322,11 @@ def _pair_key(pair):
 
 
 def test_range_read_needs_an_order_or_equality_and_a_numeric_literal():
-    store = TripleStore()
-    store.insert(t(S, P, LIT))
+    store = TripleStore.from_triples([t(S, P, LIT)])
     for op, literal in [("!=", LIT), ("<>", LIT), ("<", TypedLiteral("7", Dtype.STRING)),
                         ("=", TypedLiteral("true", Dtype.BOOLEAN))]:
-        with pytest.raises(ValueError):
+        message = f"a range read needs an order or = and a numeric literal, not {op} {format_term(literal)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             store.in_range(Iri(P), op, literal)
 
 
@@ -326,13 +349,11 @@ def test_a_segment_is_ordered_once_for_every_union_reading_it(monkeypatch):
         written.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
     assert len(written.in_range(predicate, ">", bound)[0]) == 9
     assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
-    # an open store drops its order on a write
-    store = TripleStore()
-    for triple in segment:
-        store.insert(triple)
-    assert len(store.in_range(predicate, ">", bound)[0]) == 9
-    store.insert(t("http://x/T/row/0", "http://x/T#A", TypedLiteral(str(n), Dtype.INTEGER)))
+    # a store built from the segment's triples and one more orders its own entry
+    store = TripleStore.from_triples([*segment, t("http://x/T/row/0", "http://x/T#A",
+                                                  TypedLiteral(str(n), Dtype.INTEGER))])
     assert len(store.in_range(predicate, ">", bound)[0]) == 10
+    assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -348,36 +369,33 @@ def test_predicate_sizes_follow_inserts_loads_and_unions(seed):
                     scan_match(triples, None, predicate, None)) == len(
                     store.match(None, predicate, None)), predicate
 
-    # an open store per table, inserted from a table's rows; writes go to open stores
-    # and loads make new segments, and only then are they unioned
-    opened = {table: TripleStore() for table in "TUVW"}
-    for table, store in opened.items():
-        for triple in _table_segment(table, [[rng.choice(values), rng.choice(values)]
-                                             for _ in range(rng.randrange(8))]):
-            store.insert(triple)
+    # per table, a table's rows and then further triples, each state built whole; loads make
+    # new segments, and only then are the stores unioned
+    triples = {table: list(_table_segment(table, [[rng.choice(values), rng.choice(values)]
+                                                  for _ in range(rng.randrange(8))]))
+               for table in "TUVW"}
+    built = {table: TripleStore.from_triples(table_triples) for table, table_triples in triples.items()}
     loaded = {}
     for _ in range(30):
         if rng.random() < 0.7:
             table = rng.choice("TUVW")
-            opened[table].insert(t(f"http://x/{table}/row/{rng.randrange(10)}",
-                                   f"http://x/{table}#{rng.choice('AB')}", rng.choice(values[1:])))
+            triples[table].append(t(f"http://x/{table}/row/{rng.randrange(10)}",
+                                    f"http://x/{table}#{rng.choice('AB')}", rng.choice(values[1:])))
+            built[table] = TripleStore.from_triples(triples[table])
         else:
             table = f"X{rng.randrange(1000)}"
             loaded[table] = TripleStore.from_rows([Iri(f"http://x/{table}#A")],
                                                   [(Iri(f"http://x/{table}/row/0"), [rng.choice(values)])])
-        check([*opened.values(), *loaded.values()])
-    unions = [TripleStore.union([opened["T"], opened["U"]])]
-    unions.append(TripleStore.union([unions[-1], opened["W"]]))
-    unions.append(TripleStore.union([opened["V"], *loaded.values()]))
-    check([*opened.values(), *loaded.values(), *unions])
-    with pytest.raises(ValueError):  # a union seals the open stores it reads
-        opened["T"].insert(t("http://x/T/row/0", "http://x/T#A", LIT))
+        check([*built.values(), *loaded.values()])
+    unions = [TripleStore.union([built["T"], built["U"]])]
+    unions.append(TripleStore.union([unions[-1], built["W"]]))
+    unions.append(TripleStore.union([built["V"], *loaded.values()]))
+    check([*built.values(), *loaded.values(), *unions])
 
 
 def test_export_line_format():
-    store = TripleStore()
-    store.insert(t("http://integratedDB/STUDENT/row/0",
-                   "http://integratedDB/STUDENT#ID", LIT))
+    store = TripleStore.from_triples([t("http://integratedDB/STUDENT/row/0",
+                                        "http://integratedDB/STUDENT#ID", LIT)])
     assert export_ntriples(store) == (
         "<http://integratedDB/STUDENT/row/0> <http://integratedDB/STUDENT#ID> "
         '"7"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
@@ -391,8 +409,7 @@ def test_empty_store_exports_empty_text():
 
 def test_string_escaping_roundtrip():
     tricky = TypedLiteral('a"b\\c\nd\re', Dtype.STRING)
-    store = TripleStore()
-    store.insert(t(S, P, tricky))
+    store = TripleStore.from_triples([t(S, P, tricky)])
     text = export_ntriples(store)
     assert "\n" not in text.rstrip("\n")
     assert import_ntriples(text) == store
@@ -401,12 +418,11 @@ def test_string_escaping_roundtrip():
 def test_export_orders_by_key_and_escapes_each_literal():
     texts = ['say "hi"', "back\\slash", "two\nlines", "cr\rhere", "raw\ttab",
              "Ren\u00e9 \u6f22\u5b57 \U0001F600"]
-    store = TripleStore()
-    for subject in ("http://x/a/b", "http://x/a"):
-        for text in texts:
-            store.insert(t(subject, P, TypedLiteral(text, Dtype.STRING)))
-        store.insert(t(subject, P + "/q", Iri("http://x/a")))
-        store.insert(t(subject, P + "/q", TypedLiteral("-3", Dtype.INTEGER)))
+    store = TripleStore.from_triples(
+        triple for subject in ("http://x/a/b", "http://x/a")
+        for triple in [*(t(subject, P, TypedLiteral(text, Dtype.STRING)) for text in texts),
+                       t(subject, P + "/q", Iri("http://x/a")),
+                       t(subject, P + "/q", TypedLiteral("-3", Dtype.INTEGER))])
 
     lines = export_by_hand(store)
     assert sorted(lines) != lines
@@ -444,7 +460,7 @@ _WEIGHTED = '\\"\n\r\t\x00\x1b\x7f\x85\u2028-+.0159\u00e9\u6f22\U0001F600\ud800'
                 min_size=1, max_size=8))
 def test_rendering_agrees_with_the_hand_escaper_for_both_slot_shapes(texts):
     # one row per text, one cell per dtype that reads it, None where none does;
-    # from_rows keeps 1-tuple slots, insert keeps sets
+    # from_rows keeps 1-tuple slots, from_triples keeps sets
     predicates = [Iri(f"http://x/T#{dtype.value}") for dtype in Dtype]
     rows = []
     for number, text in enumerate(texts):
@@ -455,30 +471,28 @@ def test_rendering_agrees_with_the_hand_escaper_for_both_slot_shapes(texts):
             except ValueError:  # text the dtype does not read
                 cells.append(None)
         rows.append((Iri(f"http://x/T/row/{number}"), cells))
-    loaded, inserted = TripleStore.from_rows(predicates, rows), TripleStore()
-    for subject, cells in rows:
-        for predicate, cell in zip(predicates, cells):
-            if cell is not None:
-                assert format_term(cell) == render_by_hand(cell)
-                inserted.insert(Triple(subject, predicate, cell))
+    triples = [Triple(subject, predicate, cell) for subject, row in rows
+               for predicate, cell in zip(predicates, row) if cell is not None]
+    assert all(format_term(triple.object) == render_by_hand(triple.object) for triple in triples)
+    loaded, built = TripleStore.from_rows(predicates, rows), TripleStore.from_triples(triples)
     text = export_ntriples(loaded)
-    assert text == export_ntriples(inserted) == "".join(export_by_hand(inserted))
-    assert import_ntriples(text) == loaded == inserted
+    assert text == export_ntriples(built) == "".join(export_by_hand(built))
+    assert import_ntriples(text) == loaded == built
 
 
 def test_iri_objects_roundtrip():
-    store = TripleStore()
-    store.insert(t(S, P, Iri("http://x/o")))
+    store = TripleStore.from_triples([t(S, P, Iri("http://x/o"))])
     assert import_ntriples(export_ntriples(store)) == store
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_roundtrip_on_random_stores(seed):
     store = random_store(random.Random(seed), 250)
-    text = export_ntriples(store)
-    again = import_ntriples(text)
-    assert again == store
-    assert export_ntriples(again) == text
+    for built in (store, _segments_of(store)):  # from_triples, and from_rows segments
+        text = export_ntriples(built)
+        again = import_ntriples(text)
+        assert again == built
+        assert export_ntriples(again) == text
 
 
 def test_export_order_is_insertion_independent():
@@ -486,11 +500,9 @@ def test_export_order_is_insertion_independent():
     store = random_store(rng, 150)
     triples = list(store)
     for seed in (1, 2):
-        shuffled = TripleStore()
         order = triples[:]
         random.Random(seed).shuffle(order)
-        for triple in order:
-            shuffled.insert(triple)
+        shuffled = TripleStore.from_triples(order)
         assert export_ntriples(shuffled) == export_ntriples(store)
 
 
@@ -506,6 +518,16 @@ def test_parse_errors(line):
     with pytest.raises(NtParseError) as info:
         import_ntriples(line + "\n")
     assert info.value.line_number == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("<http://x/s> <http://x/p> <http://x/o>\n", "line 1: at offset 38: expected terminal ' .'"),
+    ("<http://x/s> <http://x/p> <http://x/o> . x\n", "line 1: at offset 41: expected terminal ' .'"),
+    ("\n<http://x/s> <http://x/p> <http://x/o> ,", "line 2: at offset 39: expected terminal ' .'"),
+])
+def test_a_line_must_end_in_its_full_stop(text, message):
+    with pytest.raises(NtParseError, match=f"^{re.escape(message)}$"):
+        import_ntriples(text)
 
 
 def test_iri_must_be_absolute():
