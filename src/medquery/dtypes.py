@@ -162,15 +162,17 @@ def format_term(term: Term) -> str:
     A lexical form is translated only when it holds a character that needs
     an escape (backslash, double quote, line feed or carriage return); any
     other text, tabs and non-ASCII characters included, is written as it
-    is. The closing ``"^^<datatype>`` comes from a table built once per
-    :class:`Dtype`.
+    is. A form of letters and digits alone, as integers, codes and single
+    words are, needs none, and one ``isalnum`` call says so in place of the
+    four searches. The closing ``"^^<datatype>`` comes from a table built
+    once per :class:`Dtype`.
     """
     if isinstance(term, Iri):
         return f"<{term.value}>"
     lexical = term.lexical
-    if "\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical:
+    if not lexical.isalnum() and ("\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical):
         lexical = lexical.translate(LEXICAL_ESCAPES)
-    return '"' + lexical + _LITERAL_TAILS[term.dtype]
+    return f'"{lexical}{_LITERAL_TAILS[term.dtype]}'
 
 
 _OPS = {

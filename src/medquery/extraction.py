@@ -231,8 +231,6 @@ def build_triples(data: IntegratedData) -> TripleStore:
     so every (row subject, field predicate) pair occurs once. Predicates carry
     the table name, so the segments share none. No store is written once
     built, so a memoized segment reads the same to every query that shares it.
-    One table's store is its memoized segment itself, so an extract of an
-    unchanged table finds the export kept on it and renders nothing again.
     """
     return TripleStore.union([
         data.project.derive(("triples", name), (table,),

@@ -33,12 +33,8 @@ canonically ordered by (subject IRI, predicate IRI, object in N-Triples
 syntax), which makes them diffable even though RDF itself is unordered.
 An export walks the predicate entries, renders each triple's object once
 (``dtypes.format_term``, which escapes only a literal that holds a character
-needing it), sorts those keys and writes each line from its key. A store is
-never written once built, so its text is kept on it and a later export of it
-renders nothing; a union of one store is that store, so one table's memoized
-segment keeps its text for every extract. An import reads each line with
-``scanner.Scanner``, the reader of RDQL's terms too, and builds one ``Iri`` per
-distinct IRI text.
+needing it), sorts those keys and writes each line from its key. An import
+reads each line with ``scanner.Scanner``, the reader of RDQL's terms too.
 """
 
 from __future__ import annotations
@@ -98,7 +94,6 @@ class TripleStore:
 
     def __init__(self) -> None:
         self._preds: dict[Iri, _Entry] = {}
-        self._ntriples: str | None = None  # the export, kept once rendered
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[Iri, Iri, Term]]) -> TripleStore:
@@ -142,12 +137,7 @@ class TripleStore:
 
     @classmethod
     def union(cls, stores: Sequence[TripleStore]) -> TripleStore:
-        """A store of every triple of ``stores``, which share no predicate; their entries are shared.
-
-        One store is returned as it is, with the export kept on it.
-        """
-        if len(stores) == 1:
-            return stores[0]
+        """A store of every triple of ``stores``, which share no predicate; their entries are shared."""
         joined = cls()
         for store in stores:
             joined._preds.update(store._preds)
@@ -262,37 +252,25 @@ class TripleStore:
 
 
 def export_ntriples(store: TripleStore) -> str:
-    """Serialize the store, one triple per line, in canonical order.
-
-    The text is rendered on the first export and kept on the store, which is
-    never written, so later exports return it as it is. It holds its length in
-    bytes (about 125 per triple of short literals) for as long as the store
-    lives: the project memo keeps one text per extracted integrated table.
-    """
-    if store._ntriples is None:
-        keys = [(s.value, p.value, format_term(o)) for p, entry in store._preds.items()
-                for s, objects in entry.by_subject.items() for o in objects]
-        keys.sort()
-        store._ntriples = "".join([f"<{s}> <{p}> {o} .\n" for s, p, o in keys])
-    return store._ntriples
+    """Serialize the store, one triple per line, in canonical order."""
+    keys = [(s.value, p.value, format_term(o)) for p, entry in store._preds.items()
+            for s, objects in entry.by_subject.items() for o in objects]
+    keys.sort()
+    return "".join([f"<{s}> <{p}> {o} .\n" for s, p, o in keys])
 
 
 def import_ntriples(text: str) -> TripleStore:
-    """Parse N-Triples text made by :func:`export_ntriples`, a line at a time, an ``Iri`` per IRI text."""
-    iris: dict[str, Iri] = {}
-
-    def iri(value: str) -> Iri:
-        return iris.get(value) or iris.setdefault(value, Iri(value))
-    return TripleStore.from_triples(_read_line(number, line, iri) for number, line
+    """Parse N-Triples text produced by :func:`export_ntriples`, one line at a time."""
+    return TripleStore.from_triples(_read_line(number, line) for number, line
                                     in enumerate(text.split("\n"), start=1) if line.strip())
 
 
-def _read_line(number: int, line: str, iri: Callable[[str], Iri]) -> tuple[Iri, Iri, Term]:
-    """The triple on line ``number``, not blank, its IRIs from ``iri``; a fault raises ``NtParseError``."""
+def _read_line(number: int, line: str) -> tuple[Iri, Iri, Term]:
+    """The triple on line ``number``, which is not blank; a fault raises ``NtParseError``."""
     scanner = Scanner(line)
     try:
-        subject, predicate = scanner.iri(iri), scanner.iri(iri)
-        obj = scanner.quoted_literal(None) if scanner.peek() == '"' else scanner.iri(iri)
+        subject, predicate = scanner.iri(), scanner.iri()
+        obj = scanner.quoted_literal(None) if scanner.peek() == '"' else scanner.iri()
         if not scanner.take(".") or not scanner.eof():
             scanner.fail("expected terminal ' .'")
     except ParseError as exc:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medquery import dtypes, rdql_engine, triple_store
+from medquery import dtypes, rdql_engine
 from medquery.descriptors import parse_project
 from medquery.cli import result_triples
 from medquery.dtypes import Dtype
@@ -246,29 +246,6 @@ def test_a_repeated_query_derives_nothing_again(fig2_paths, derivations):
     derivations.clear()
     assert execute_query(project, JOIN_SQL) == first
     assert derivations == Counter()
-
-
-def test_a_repeated_extract_renders_nothing_again(fig2_paths, monkeypatch):
-    project = open_project(*fig2_paths)
-    rendered = []
-    format_term = triple_store.format_term
-    monkeypatch.setattr(triple_store, "format_term", lambda term: rendered.append(term) or format_term(term))
-
-    def extract():
-        return export_ntriples(build_triples(materialize_required(project, ["STUDENT"])))
-
-    first = extract()
-    assert len(rendered) == len(first.splitlines()) == 8  # two rows of four fields
-    rendered.clear()
-    assert extract() == first
-    assert rendered == []
-    path = _students(fig2_paths)
-    path.write_text(TWO_STUDENTS.replace("Bob", "Bea"), encoding="utf-8")
-    changed = extract()
-    assert len(rendered) == 8
-    fresh = open_project(*fig2_paths)
-    assert changed == export_ntriples(build_triples(materialize_required(fresh, ["STUDENT"]))) != first
-    assert '"Bea"' in changed and '"Bob"' not in changed
 
 
 def test_same_values_in_other_bytes_load_no_triples_again(fig2_paths, derivations):

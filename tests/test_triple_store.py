@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medquery import dtypes, triple_store
+from medquery import triple_store
 from medquery.dtypes import Dtype, canonicalize
 from medquery.errors import NtParseError
 from medquery.triple_store import (
@@ -141,47 +141,9 @@ def test_union_changes_none_of_its_inputs():
                for store, held in zip(inputs, entries) for p, entry in held.items())
 
 
-def test_a_union_of_one_store_is_that_store():
-    segment = _table_segment("T", [[LIT, None]])
-    assert TripleStore.union([segment]) is segment
+def test_a_union_of_no_store_is_the_empty_store():
     empty = TripleStore.union([])
     assert empty == TripleStore() and len(empty) == 0 and export_ntriples(empty) == ""
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_a_repeated_export_is_the_export_of_the_same_triples_built_afresh(seed):
-    store = random_store(random.Random(seed), 120)
-    first = _table_segment("T", [[LIT, None], [TypedLiteral("8", Dtype.INTEGER), LIT]])
-    stores = [TripleStore(), store, _segments_of(store), first, TripleStore.union([first, store]),
-              import_ntriples("".join(export_by_hand(store)))]
-    for built in stores:
-        text = export_ntriples(built)
-        assert export_ntriples(built) == text
-        assert text == export_ntriples(TripleStore.from_triples(list(built)))
-
-
-def test_each_store_keeps_its_own_export():
-    first, second = _table_segment("T", [[LIT, None]]), _table_segment("U", [[None, LIT], [LIT, LIT]])
-    texts = [export_ntriples(first), export_ntriples(second)]
-    assert len(texts[0].splitlines()) == 1 and len(texts[1].splitlines()) == 3
-    # the union shares the segments' entries, not their texts: its own holds both
-    union = TripleStore.union([first, second])
-    assert export_ntriples(union) == texts[0] + texts[1]  # every T subject sorts before every U one
-    assert [export_ntriples(first), export_ntriples(second)] == texts
-
-
-def test_an_import_builds_one_iri_per_distinct_iri_text(monkeypatch):
-    store = TripleStore.from_triples(
-        t(f"http://x/s{i}", f"http://x/p{j}", Iri(f"http://x/s{(i + j) % 3}") if j % 2 else LIT)
-        for i in range(3) for j in range(4))
-    text = export_ntriples(store)
-    made = []
-    absolute_iri = dtypes.absolute_iri
-    monkeypatch.setattr(dtypes, "absolute_iri", lambda value: made.append(value) or absolute_iri(value))
-    imported = import_ntriples(text)
-    # 3 subjects and 4 predicates; the IRI objects are the subjects' texts
-    assert sorted(made) == sorted({f"http://x/{name}" for name in ("s0", "s1", "s2", "p0", "p1", "p2", "p3")})
-    assert imported == store
 
 
 def test_insert_raises_on_every_store():
