@@ -16,6 +16,10 @@ fetched cell to RDF object; an :class:`Iri` names subjects and predicates.
 :func:`format_term` writes either in N-Triples syntax, the text that RDQL
 shares (``scanner.Scanner`` reads it back), with the datatype as an XML
 Schema IRI (``XSD_NS``, :func:`dtype_from_iri`).
+
+:func:`compare` is the one comparison rule of view filters and RDQL
+constraints, :func:`passing` applies it to rows, and :func:`value` reads a
+literal's exact number for the store's range order and for derived sums.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -195,16 +199,38 @@ def comparable(op: str, a_dtype: Dtype, b_dtype: Dtype) -> bool:
     return a_dtype is b_dtype and (a_dtype is Dtype.STRING or op in ("=", "!="))
 
 
-def compare(op: str, a_lexical: str, a_dtype: Dtype, b_lexical: str, b_dtype: Dtype) -> bool | None:
-    """Typed comparison of two values; ``None`` when the pair is not :func:`comparable`.
+def compare(op: str, a: Term | None, b: Term | None) -> bool | None:
+    """Typed comparison of two terms; ``None`` unless both are literals of :func:`comparable` dtypes.
 
-    Numerics compare by value regardless of integer/decimal mix, exactly:
-    ``Decimal`` reads a canonical lexical form without rounding, and its
-    comparisons never round, whatever the number of digits. Strings compare
-    by codepoint order.
+    So an IRI or a missing cell (``None``) compares with nothing. Numerics compare
+    by exact value across integer and decimal: ``Decimal`` reads a canonical form
+    without rounding, whatever its digits, here and not by a :func:`value` call per
+    side. Strings compare by codepoint order.
     """
-    if not comparable(op, a_dtype, b_dtype):
+    if not (isinstance(a, TypedLiteral) and isinstance(b, TypedLiteral) and comparable(op, a.dtype, b.dtype)):
         return None
-    if a_dtype in NUMERIC_DTYPES:
-        return _OPS[op](Decimal(a_lexical), Decimal(b_lexical))
-    return _OPS[op](a_lexical, b_lexical)
+    if a.dtype in NUMERIC_DTYPES:
+        return _OPS[op](Decimal(a.lexical), Decimal(b.lexical))
+    return _OPS[op](a.lexical, b.lexical)
+
+
+def passing(rows: Iterable[Sequence[Term | None]], checks: Sequence[tuple]) -> tuple[list, int]:
+    """The rows passing every check ``(index, op, index or literal)`` by :func:`compare`, in order, and
+    the number of rows an incomparable check stopped. A row's checks stop at the first that does not
+    hold, which decides: a row that meets two incomparable checks counts once, or not at all after a
+    check that is False."""
+    kept, incomparable = [], 0
+    for row in rows:
+        for index, op, rhs in checks:
+            verdict = compare(op, row[index], row[rhs] if isinstance(rhs, int) else rhs)
+            if not verdict:
+                incomparable += verdict is None
+                break
+        else:
+            kept.append(row)
+    return kept, incomparable
+
+
+def value(term: Term | None) -> Decimal | None:
+    """The exact number of an integer or decimal literal; None for any other term."""
+    return Decimal(term.lexical) if isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES else None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from decimal import MAX_PREC, Decimal, localcontext
+from decimal import MAX_PREC, localcontext
 from typing import Callable, Iterable, Sequence
 
 from .descriptors import (
@@ -38,7 +38,7 @@ from .descriptors import (
     relation_graph,
     shortest_walk,
 )
-from .dtypes import Dtype, Iri, Term, TypedLiteral
+from .dtypes import Dtype, Iri, Term, TypedLiteral, value
 from .errors import NoRelationPathError, UnknownTableError
 from .iris import property_iri, split_property_iri, subject_iri
 from .rdql_engine import RdqlQuery, Var
@@ -162,7 +162,7 @@ def _derive(op: DerivedOp, values: list[Cell]) -> Cell:
         return TypedLiteral("".join(v.lexical for v in values), Dtype.STRING)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # exact: the default 28 digits round long sums
-        total = sum(Decimal(v.lexical) for v in values)
+        total = sum(value(v) for v in values)
     dtype = Dtype.INTEGER if total == total.to_integral_value() else Dtype.DECIMAL
     # fixed point: str() switches to exponent notation (1E-7) for small sums
     return TypedLiteral.canonical(format(total, "f"), dtype)

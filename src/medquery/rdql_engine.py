@@ -18,22 +18,22 @@ case are typed literals, read as SQL reads them (``Scanner.bare_literal``).
 
 Evaluation joins the patterns one at a time in a greedy connected order
 (each pattern after the first shares a variable bound before it, when one
-does), checks each constraint atom as soon as its variables are bound, and
-projects onto the selected variables. Each step is compiled once to fixed
-variable slots and a ``TripleStore.reader`` step, which extends the whole
-list of partial answers (plain tuples of terms) at once. A step that scans
-a constant predicate for a new subject and a new object, and whose first
-constraint compares that object with a numeric literal by ``<``, ``<=``,
-``=``, ``>=`` or ``>``, reads once, by ``TripleStore.in_range``, only the
-triples whose numeric object passes that atom; each other triple of the
-predicate would fail it as incomparable, and is counted once per binding,
-not built. The order ranks patterns by estimated size: the triples matching
-their constant terms, times a fixed selectivity for each atom comparing one
-of their variables with a literal (1/10 for ``=``, 1/3 for ``<``, ``<=``,
-``>`` and ``>=``, 1 for ``!=``; System R's defaults, Selinger et al.,
-SIGMOD 1979). The answer does not depend on the order. Duplicates are kept
-and rows come back in a canonical order, so equal queries over equal stores
-render identically.
+does), checks each constraint atom by ``dtypes.passing`` as soon as its
+variables are bound, and projects onto the selected variables. Each step is
+compiled once to fixed variable slots and a ``TripleStore.reader`` step,
+which extends the whole list of partial answers (plain tuples of terms) at
+once. A step that scans a constant predicate for a new subject and a new
+object, and whose first constraint compares that object with a numeric
+literal by ``<``, ``<=``, ``=``, ``>=`` or ``>``, reads once, by
+``TripleStore.in_range``, only the triples whose numeric object passes that
+atom; each other triple of the predicate would fail it as incomparable, and
+is counted once per binding, not built. The order ranks patterns by
+estimated size: the triples matching their constant terms, times a fixed
+selectivity for each atom comparing one of their variables with a literal
+(1/10 for ``=``, 1/3 for ``<``, ``<=``, ``>`` and ``>=``, 1 for ``!=``;
+System R's defaults, Selinger et al., SIGMOD 1979). The answer does not
+depend on the order. Duplicates are kept and rows come back in a canonical
+order, so equal queries over equal stores render identically.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, Iri, Term, TypedLiteral, compare, format_term
+from .dtypes import IDENTIFIER_RE, NUMERIC_DTYPES, Dtype, Iri, Term, TypedLiteral, format_term, passing
 from .errors import (
     RdqlParseError,
     UnboundFilterVarError,
@@ -93,13 +93,13 @@ class ResultSet:
     """Selected columns and rows of one evaluation.
 
     ``cross_type_warnings`` is the number of comparisons that were made and
-    found incomparable (different dtype families, or an IRI operand). A
-    binding is checked against each atom once, in the join step that binds
-    the atom's last variable, and its checks stop at the first atom that
-    does not hold; so a binding that meets two incomparable atoms counts
-    once, and a partial binding counts once however many rows it would have
-    joined into. A range read counts, without making them, the incomparable
-    comparisons of its atom: one per binding and triple with a non-numeric object.
+    found incomparable (different dtype families, an IRI operand). A binding
+    is checked against each atom once, in the join step that binds the
+    atom's last variable, by :func:`~medquery.dtypes.passing`, where the
+    first atom that does not hold decides: a partial binding counts at most
+    once, however many rows it would have joined into. A range read counts,
+    without making them, the incomparable comparisons of its atom: one per
+    binding and triple with a non-numeric object.
     """
 
     columns: list[str]
@@ -240,17 +240,8 @@ def evaluate(query: RdqlQuery, store: TripleStore) -> ResultSet:
         warnings += incomparable * len(bindings)
         bindings = read(bindings)
         if checks:
-            extensions, bindings = bindings, []
-            for extended in extensions:
-                for lhs, op, rhs in checks:
-                    a, b = extended[lhs], extended[rhs] if isinstance(rhs, int) else rhs
-                    both = isinstance(a, TypedLiteral) and isinstance(b, TypedLiteral)
-                    verdict = compare(op, a.lexical, a.dtype, b.lexical, b.dtype) if both else None
-                    if not verdict:  # the first atom that does not hold decides
-                        warnings += verdict is None
-                        break
-                else:
-                    bindings.append(extended)
+            bindings, incomparable = passing(bindings, checks)
+            warnings += incomparable
         if not bindings:
             break
 

@@ -23,8 +23,8 @@ per-table segments) by sharing their entries, and so their value orders.
 ``in_range(p, op, literal)`` is a range read: the (subject, object) pairs
 of ``p`` whose object is numeric and has ``object op literal`` under
 :func:`dtypes.compare`, found by ``bisect`` over ``p``'s numeric objects
-sorted by exact ``Decimal`` value, and the number of ``p``'s other
-triples, which that comparison cannot decide: it counts them and builds
+sorted by :func:`dtypes.value`, and the number of ``p``'s other triples,
+with which that comparison is incomparable: it counts them and builds
 none. The order and the count are built on the first range read of ``p``
 and kept in its entry: a segment is sorted once, however many read it.
 
@@ -40,10 +40,9 @@ reads each line with ``scanner.Scanner``, the reader of RDQL's terms too.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from decimal import Decimal
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dtypes import NUMERIC_DTYPES, Iri, Term, TypedLiteral, format_term
+from .dtypes import NUMERIC_DTYPES, Iri, Term, TypedLiteral, format_term, value
 from .errors import NtParseError, ParseError
 from .scanner import Scanner
 
@@ -54,14 +53,6 @@ class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
-
-
-def is_numeric(term: Term) -> bool:
-    return isinstance(term, TypedLiteral) and term.dtype in NUMERIC_DTYPES
-
-
-def _value(literal: TypedLiteral) -> Decimal:
-    return Decimal(literal.lexical)
 
 
 class _Entry:
@@ -80,7 +71,7 @@ class _Entry:
     def by_value(self) -> tuple[list[TypedLiteral], int]:
         """The numeric objects in ascending value, and the number of triples with another object."""
         if self.order is None:
-            numeric = sorted(filter(is_numeric, self.by_object), key=_value)
+            numeric = sorted([o for o in self.by_object if value(o) is not None], key=value)
             self.order = numeric, self.size - sum(len(self.by_object[o]) for o in numeric)
         return self.order
 
@@ -243,9 +234,9 @@ class TripleStore:
             raise ValueError(f"a range read needs an order or = and a numeric literal, not {op} {literal}")
         entry = self._preds.get(p) or _Entry()
         numeric, incomparable = entry.by_value()
-        value = _value(literal)
-        left = bisect_left(numeric, value, key=_value)
-        right = bisect_right(numeric, value, key=_value)
+        number = value(literal)
+        left = bisect_left(numeric, number, key=value)
+        right = bisect_right(numeric, number, key=value)
         start, stop = {"<": (0, left), "<=": (0, right), "=": (left, right),
                        ">=": (left, len(numeric)), ">": (right, len(numeric))}[op]
         return [(subj, obj) for obj in numeric[start:stop] for subj in entry.by_object[obj]], incomparable

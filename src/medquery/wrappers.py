@@ -45,7 +45,7 @@ from .descriptors import (
     XmlBinding,
     strong_components,
 )
-from .dtypes import TypedLiteral, comparable, compare
+from .dtypes import TypedLiteral, comparable, passing
 from .errors import IoError, MedQueryError, TypeCoercionError, UnknownFieldError, UnknownTableError
 
 Cell = Optional[TypedLiteral]
@@ -298,8 +298,8 @@ def _check_view(src: DataSourceDescriptor, tdef: SourceTableDef, query: sql_fron
 def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Table:
     """The view ``tdef``: the rows of ``base`` that pass every filter of ``query``, projected.
 
-    Comparisons follow the typed rules of :func:`~medquery.dtypes.compare`; a
-    comparison touching a missing cell excludes the row.
+    The filters are checked by :func:`~medquery.dtypes.passing`: a comparison
+    touching a missing cell is incomparable, and excludes the row as a false one does.
     """
     # (lhs column, op, rhs column or literal), resolved once for every row
     conditions = [
@@ -308,17 +308,6 @@ def _view(tdef: SourceTableDef, base: Table, query: sql_frontend.SqlQuery) -> Ta
          else cond.rhs)
         for cond in query.filters
     ]
-
-    def passes(row: Row) -> bool:
-        for lhs_column, op, rhs in conditions:
-            lhs = row[lhs_column]
-            if isinstance(rhs, int):
-                rhs = row[rhs]
-            if lhs is None or rhs is None or compare(
-                    op, lhs.lexical, lhs.dtype, rhs.lexical, rhs.dtype) is not True:
-                return False
-        return True
-
     columns = [base.column(f.field) for f in query.select]
-    rows = tuple(tuple(row[i] for i in columns) for row in base.rows if passes(row))
-    return Table(tdef.name, tdef.fields, rows)
+    kept, _ = passing(base.rows, conditions)
+    return Table(tdef.name, tdef.fields, tuple(tuple(row[i] for i in columns) for row in kept))

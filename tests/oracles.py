@@ -174,6 +174,27 @@ def relational_eval(query: SqlQuery, tables) -> Counter:
     return out
 
 
+def view_rows(base_text: str, base_fields, views: dict, name: str) -> list[tuple]:
+    """The rows of table ``name``, read straight from the pipe-delimited text of the file table
+    under it. ``views`` maps each view to its parsed SQL; any other name is the file table, of
+    ``base_fields``. A view keeps the rows for which each filter holds by :func:`compare_terms`
+    (a missing cell holds for nothing), in file order, and projects its SELECT."""
+    if name not in views:
+        lines = base_text.split("\n")
+        texts = [dict(zip(lines[0].split("|"), line.split("|"))) for line in lines[1:] if line]
+        return [tuple(TypedLiteral(canonicalize(row[f.name], f.dtype), f.dtype) if row[f.name] else None
+                      for f in base_fields) for row in texts]
+    query = views[name]
+    below = query.from_tables[0]
+    header = [f.name for f in base_fields] if below not in views else [f.field for f in views[below].select]
+    kept = [dict(zip(header, row)) for row in view_rows(base_text, base_fields, views, below)]
+    kept = [row for row in kept if all(
+        compare_terms(cond.op, row[cond.lhs.field],
+                      row[cond.rhs.field] if isinstance(cond.rhs, QualifiedField) else cond.rhs)
+        for cond in query.filters)]
+    return [tuple(row[f.field] for f in query.select) for row in kept]
+
+
 def materialize_table(project, name) -> Table:
     """Build one integrated table from fetched source rows with nested loops.
 

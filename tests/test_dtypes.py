@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -90,9 +91,9 @@ def test_canonical_exactly_when_canonicalize_keeps_the_text(dtype, text):
 
 
 def test_numeric_compare_crosses_integer_and_decimal():
-    assert compare("=", "2", Dtype.INTEGER, "2.0", Dtype.DECIMAL) is True
-    assert compare("<", "2", Dtype.INTEGER, "2.5", Dtype.DECIMAL) is True
-    assert compare(">", "-1", Dtype.INTEGER, "0.5", Dtype.DECIMAL) is False
+    assert compare("=", TypedLiteral("2", Dtype.INTEGER), TypedLiteral("2.0", Dtype.DECIMAL)) is True
+    assert compare("<", TypedLiteral("2", Dtype.INTEGER), TypedLiteral("2.5", Dtype.DECIMAL)) is True
+    assert compare(">", TypedLiteral("-1", Dtype.INTEGER), TypedLiteral("0.5", Dtype.DECIMAL)) is False
 
 
 def _random_value(rng: random.Random) -> tuple[int, int]:
@@ -133,18 +134,38 @@ def test_numeric_compare_agrees_with_exact_reference():
     pairs += [_numeric_pair(rng) for _ in range(3000)]
     for a, b in pairs:
         for op in COMPARISON_OPS:
-            assert compare(op, a.lexical, a.dtype, b.lexical, b.dtype) == \
+            assert compare(op, a, b) == \
                 compare_terms(op, a, b), (a, op, b)
 
 
 def test_string_compare_is_codepoint_order():
-    assert compare("<", "B", Dtype.STRING, "a", Dtype.STRING) is True
+    assert compare("<", TypedLiteral("B", Dtype.STRING), TypedLiteral("a", Dtype.STRING)) is True
 
 
 def test_cross_type_is_incomparable():
-    assert compare("=", "2", Dtype.INTEGER, "2", Dtype.STRING) is None
-    assert compare("<", "true", Dtype.BOOLEAN, "false", Dtype.BOOLEAN) is None
-    assert compare("=", "true", Dtype.BOOLEAN, "true", Dtype.BOOLEAN) is True
+    assert compare("=", TypedLiteral("2", Dtype.INTEGER), TypedLiteral("2", Dtype.STRING)) is None
+    assert compare("<", TypedLiteral("true", Dtype.BOOLEAN), TypedLiteral("false", Dtype.BOOLEAN)) is None
+    assert compare("=", TypedLiteral("true", Dtype.BOOLEAN), TypedLiteral("true", Dtype.BOOLEAN)) is True
+
+
+_OPERANDS = [
+    None, Iri("http://x/s"), Iri("http://x/t"),
+    *(TypedLiteral(text, Dtype.INTEGER) for text in ("-2", "0", "3", "10")),
+    *(TypedLiteral(text, Dtype.DECIMAL) for text in ("-2.5", "0.0", "3.0", "9.75")),
+    *(TypedLiteral(text, Dtype.STRING) for text in ("", "3", "10", "B", "a", "true")),
+    *(TypedLiteral(text, Dtype.BOOLEAN) for text in ("true", "false")),
+]
+
+
+def test_compare_agrees_with_the_oracle_on_every_kind_of_operand():
+    """Each ordered pair of literals of the four dtypes, IRIs and missing cells, under each operator."""
+    verdicts = set()
+    for a, b in itertools.product(_OPERANDS, repeat=2):
+        for op in COMPARISON_OPS:
+            verdict = compare(op, a, b)
+            assert verdict == compare_terms(op, a, b), (a, op, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False, None}
 
 
 @pytest.mark.parametrize("term", [Iri("http://x/s"), TypedLiteral("7", Dtype.INTEGER)], ids=["iri", "literal"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medquery import rdql_engine
+from medquery import dtypes, rdql_engine
 from medquery.dtypes import Dtype
 from medquery.errors import (
     NtParseError,
@@ -559,8 +559,8 @@ def test_a_range_read_atom_is_compared_once_per_kept_row(monkeypatch):
         triple for i, debt in enumerate(debts) for row in [Iri(f"{ns}/row/{i}")]
         for triple in [Triple(row, Iri(f"{ns}#ID"), lit(str(i))), Triple(row, Iri(f"{ns}#DEBT"), debt)])
     calls = []
-    compare = rdql_engine.compare
-    monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
+    compare = dtypes.compare
+    monkeypatch.setattr(dtypes, "compare", lambda *args: calls.append(args) or compare(*args))
     result = evaluate(parse_rdql(f"SELECT ?ID WHERE (?r <{ns}#ID> ?ID), (?r <{ns}#DEBT> ?V) "
                                  f"AND ?V > 4800 && ?V != 4837"), store)
     kept = [i for i, debt in enumerate(debts)
@@ -582,8 +582,8 @@ def test_a_range_read_counts_incomparable_triples_without_comparing_them(monkeyp
         *(Triple(Iri(f"http://x/s{i}"), Iri("http://x/p"), lit(f"N{i}", Dtype.STRING)) for i in range(2000)),
     ])
     calls = []
-    compare = rdql_engine.compare
-    monkeypatch.setattr(rdql_engine, "compare", lambda *args: calls.append(args) or compare(*args))
+    compare = dtypes.compare
+    monkeypatch.setattr(dtypes, "compare", lambda *args: calls.append(args) or compare(*args))
     result = evaluate(parse_rdql("SELECT ?a WHERE (?a <http://x/q> ?b), (?s <http://x/p> ?v) AND ?v > 3"),
                       store)
     assert result.rows == []
@@ -721,6 +721,16 @@ def test_each_step_reads_once_for_all_its_bindings(monkeypatch):
     # is a range read; each compiled step is read once
     assert tally["reader"] == tally["step"] == len(query.patterns) - 1 == 5
     assert tally["compiled"] == tally["read"] == 6
+
+
+def test_a_step_whose_checks_keep_nothing_ends_the_evaluation(monkeypatch):
+    store = _fig2_store(2000)
+    query = parse_rdql(FIG2_RDQL.replace("?DEBT > 2000", '?DEBT > 2000 && ?FIRSTNAME = "nobody"'))
+    result, tally = _probe_counts(monkeypatch, store, query)
+    assert result.rows == [] and result.cross_type_warnings == 0
+    # the FIRSTNAME pattern goes first, for its = atom, and its check keeps no
+    # binding: no later pattern is compiled or read
+    assert tally["compiled"] == tally["read"] == 1
 
 
 def _fig2_segments(n):

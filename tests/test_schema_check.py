@@ -24,15 +24,15 @@ from medquery.descriptors import (
     parse_project,
 )
 from medquery.dtypes import Dtype
-from medquery.errors import IoError, NoRelationPathError
+from medquery.errors import IoError, MedQueryError, NoRelationPathError
 from medquery.extraction import materialize_integrated_table
 from medquery.schema_check import FindingCode, Severity, check_schema
 from medquery.sql_frontend import parse_view_select
 from medquery.wrappers import fetch_table
 
 from conftest import write_project
-from generators import view_projects
-from oracles import cyclic_components, dfs_has_cycle, shortest_cycle_length
+from generators import VIEW_BASE_FIELDS, view_projects
+from oracles import cyclic_components, dfs_has_cycle, shortest_cycle_length, view_rows
 
 
 def ref(field: str) -> FieldRef:
@@ -365,13 +365,23 @@ def test_every_view_fetches_as_the_checker_says(case):
                 return own
             return first_fault(src.table(parse_view_select(tdef.binding.query).from_tables[0]))
 
+        views = {}  # each view whose SQL parses
+        for tdef in src.tables:
+            if isinstance(tdef.binding, ViewBinding):
+                try:
+                    views[tdef.name] = parse_view_select(tdef.binding.query)
+                except MedQueryError:
+                    pass
         for tdef in src.tables:
             try:
-                fetch_table(project, "uni", tdef.name)
+                rows = fetch_table(project, "uni", tdef.name).rows
                 outcome = None
             except IoError as exc:
                 outcome = str(exc)
             assert outcome == first_fault(tdef), tdef.binding
+            if outcome is None:  # the rows, by an independent filter down the view's chain
+                assert list(rows) == view_rows(case[2]["base.txt"], VIEW_BASE_FIELDS, views, tdef.name), \
+                    tdef.binding
 
 
 # --- unreachable fields: one rule for the checker and the materializer ----------

@@ -342,8 +342,8 @@ def test_a_segment_is_ordered_once_for_every_union_reading_it(monkeypatch):
     predicate, bound = Iri("http://x/T#A"), TypedLiteral(str(n - 10), Dtype.INTEGER)
     assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
     calls = []
-    value = triple_store._value
-    monkeypatch.setattr(triple_store, "_value", lambda term: calls.append(term) or value(term))
+    value = triple_store.value
+    monkeypatch.setattr(triple_store, "value", lambda term: calls.append(term) or value(term))
     for _ in range(3):
         assert len(TripleStore.union([segment]).in_range(predicate, ">", bound)[0]) == 9
     # the literal and two binary searches per read, no sort
